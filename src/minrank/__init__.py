@@ -20,11 +20,8 @@ from .families import (
     ChordalFamily,
     FamilyOracle,
     FamilyRegistry,
-    bounded_order_family,
-    chordal_family,
     default_registry,
     parse_registry_spec,
-    registry_lookup,
 )
 from .formats import (
     emit_dot,
@@ -74,8 +71,6 @@ __all__ = [
     "SimpleTreeStructure",
     "StructureError",
     "StructureReport",
-    "bounded_order_family",
-    "chordal_family",
     "combine_shared_vertex",
     "default_registry",
     "dp_minrank",
@@ -97,7 +92,6 @@ __all__ = [
     "parse_registry_spec",
     "rank_gf2",
     "recognize",
-    "registry_lookup",
     "sandwich_bounds",
     "split_phase",
     "structure_to_dot",

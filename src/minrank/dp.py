@@ -95,33 +95,30 @@ def dp_minrank(
     registry: FamilyRegistry,
     trace: bool = False,
     max_subsets: int = 1 << 16,
-    validate: bool = True,
 ) -> MinrankResult:
     """Exact min-rank of a graph from its tree-of-parts structure.
 
-    Family oracles answer min-rank queries on parts with connector subsets
-    deleted (families are closed under vertex deletion, so those stay
-    members).  No witness matrix is produced.  Parts whose connector
-    subset table would exceed `max_subsets` entries are refused.
+    The structure is validated first and the fold runs on the validated
+    copy, with connectors read off the graph.  Family oracles answer
+    min-rank queries on parts with connector subsets deleted (families are
+    closed under vertex deletion, so those stay members).  No witness
+    matrix is produced.  Parts whose connector subset table would exceed
+    `max_subsets` entries are refused.
     """
-    if validate:
-        report = validate_structure(g, t, registry)
-        if not report.valid:
-            raise StructureError(f"invalid structure: {report.violations}")
-    t = SimpleTreeStructure.derive(g, t.parts, t.parent)
+    report = validate_structure(g, t, registry)
+    if not report.valid:
+        raise StructureError(f"invalid structure: {report.violations}")
+    t = report.structure
+    by_name = {o.name: o for o in registry.oracles}
+    part_oracles = [by_name[name] for name in report.families]
 
     k = len(t.parts)
     part_graphs = []
     part_maps = []
-    part_oracles = []
-    for i in range(k):
-        sub, mapping = g.induced_subgraph(t.parts[i])
-        oracle = registry.lookup(sub)
-        if oracle is None:
-            raise StructureError(f"part {i} not in any registered family")
+    for part in t.parts:
+        sub, mapping = g.induced_subgraph(part)
         part_graphs.append(sub)
         part_maps.append(mapping)
-        part_oracles.append(oracle)
 
     oracle_memo: dict[tuple[int, frozenset], int] = {}
     oracle_calls = 0
@@ -136,7 +133,10 @@ def dp_minrank(
             oracle_memo[key] = part_oracles[i].minrank(sub)
         return oracle_memo[key]
 
-    children = {i: t.children(i) for i in range(k)}
+    children: list[list[int]] = [[] for _ in range(k)]
+    for j, p in enumerate(t.parent):
+        if p != -1:
+            children[p].append(j)
     order = []
     stack = [t.root]
     while stack:

@@ -83,18 +83,16 @@ def clique_cover_matrix(g: Graph, cliques) -> BitMatrix:
     return BitMatrix(g.n, g.n, tuple(rows))
 
 
-def _row_choices(g: Graph, v: int) -> list[int]:
-    """All admissible rows for vertex v: unit bit plus any neighbor subset."""
+def _row_choices(g: Graph, v: int):
+    """Yield every admissible row for vertex v: unit bit plus any neighbor subset."""
     base = 1 << v
     mask = g.adjacency_bits()[v]
-    out = []
     sub = 0
     while True:
-        out.append(base | sub)
+        yield base | sub
         if sub == mask:
             break
         sub = (sub - mask) & mask
-    return out
 
 
 def exact_independence_number(g: Graph) -> int:
@@ -142,7 +140,7 @@ def minrank_bruteforce(g: Graph, budget_bits: int = BRUTE_FORCE_BIT_BUDGET) -> M
             f"brute force needs 2^{free_bits} matrices; budget is 2|E| <= {budget_bits}"
         )
     n = g.n
-    choices = [_row_choices(g, v) for v in range(n)]
+    choices = [list(_row_choices(g, v)) for v in range(n)]
     chosen = [0] * n
     best_value = n + 1
     best_rows: tuple[int, ...] = ()
@@ -213,7 +211,6 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
 
     # Assign rows in descending-degree order; ties go to the smaller id.
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    choices = [_row_choices(g, v) for v in order]
     n = g.n
     best_value = bounds.upper
     best_rows = list(cover.data)
@@ -236,8 +233,10 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
             return
         # Distinct residuals lead to identical sub-search values, so keep one
         # candidate per residual; rows already in the span branch first.
+        # Rows are enumerated per visit: all 2^deg of them for every vertex
+        # at once would dwarf a search that a node budget stops early.
         seen: dict[int, int] = {}
-        for cand in choices[i]:
+        for cand in _row_choices(g, order[i]):
             x = cand
             while x:
                 top = x.bit_length() - 1

@@ -136,18 +136,6 @@ class FamilyRegistry:
         return tuple(o.name for o in self.oracles)
 
 
-def registry_lookup(registry: FamilyRegistry, g: Graph) -> FamilyOracle | None:
-    return registry.lookup(g)
-
-
-def bounded_order_family(bound: int = 10) -> FamilyOracle:
-    return BoundedOrderFamily(bound)
-
-
-def chordal_family() -> FamilyOracle:
-    return ChordalFamily()
-
-
 def parse_registry_spec(spec: str) -> FamilyRegistry:
     """Build a registry from a comma-separated spec like "chordal,bounded:10"."""
     oracles: list[FamilyOracle] = []

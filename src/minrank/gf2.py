@@ -81,11 +81,6 @@ class BitMatrix:
                 rows[pl[j]] = out
         return cls(size, size, tuple(rows))
 
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return (self.data[i] >> j) & 1
-
     def to_strings(self) -> list[str]:
         return [
             "".join("1" if (r >> j) & 1 else "0" for j in range(self.cols))

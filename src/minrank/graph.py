@@ -151,13 +151,6 @@ class Graph:
         out.sort()
         return out
 
-    def cross_edge_count(self, left, right) -> int:
-        """Number of edges with one endpoint in each of two disjoint vertex sets."""
-        ls, rs = set(left), set(right)
-        if ls & rs:
-            raise GraphError(f"vertex sets overlap: {sorted(ls & rs)}")
-        return sum(len(self._adj[u] & rs) for u in ls)
-
     def __eq__(self, other):
         return (
             isinstance(other, Graph)

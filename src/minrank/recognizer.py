@@ -1,14 +1,14 @@
 """Recognition of graphs that admit a tree-of-parts structure.
 
-Two phases.  Splitting repeatedly cuts the graph along bridges until every
-piece is bridgeless, then requires each piece (atom) to belong to a
-registered family; the pieces and the single edges between them form a
-tree.  Merging tries each atom as the root in turn and walks the rooted
-tree children-first, at every node absorbing leaf children through a
-largest-possible set of its downward connectors so that at most `c`
-connectors survive and the enlarged part stays inside a family.  If some
-node cannot shed enough connectors for any root choice, the graph has no
-structure with the requested bound.
+Two phases.  Splitting finds every bridge in one pass (Tarjan 1974) and
+deletes them all; the components left, the 2-edge-connected components
+or atoms, must each belong to a registered family, and the atoms and the
+bridges between them form a tree.  Merging tries each atom as the root in
+turn and walks the rooted tree children-first, at every node absorbing
+leaf children through a largest-possible set of its downward connectors
+so that at most `c` connectors survive and the enlarged part stays inside
+a family.  If some node cannot shed enough connectors for any root choice,
+the graph has no structure with the requested bound.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import combinations
 from .errors import GraphError, NotInFamilyError
 from .families import FamilyRegistry
 from .graph import Graph
-from .structure import SimpleTreeStructure, mdc, validate_structure
+from .structure import SimpleTreeStructure, validate_structure
 
 
 @dataclass(frozen=True)
@@ -42,76 +42,48 @@ class RecognitionOutcome:
 def split_phase(
     g: Graph, registry: FamilyRegistry, events: list | None = None
 ) -> AtomForest:
-    """Cut along bridges until bridgeless, then check family membership.
+    """Cut every bridge at once, then check each atom's family membership.
 
-    Always cuts the lexicographically smallest bridge of the piece at
-    hand.  Raises NotInFamilyError as soon as a bridgeless piece belongs
-    to no registered family.  When `events` is a list, one record per cut
-    is appended to it.
+    The atoms are the components left after deleting all bridges of the
+    connected graph `g` (its 2-edge-connected components), ordered by
+    smallest vertex; the links are the bridges themselves, each keyed by
+    its pair of atoms and oriented so that x lies in the lower-numbered
+    atom.  Raises NotInFamilyError on the first atom that belongs to no
+    registered family.  When `events` is a list, one record per bridge is
+    appended to it.
     """
-    queue = [list(range(g.n))]
+    bridges = g.bridges()
+    if events is not None:
+        events.extend({"bridge": [x, y]} for x, y in bridges)
+    cut = set(bridges)
+    atom_of = [-1] * g.n
     atoms = []
-    while queue:
-        vs = queue.pop(0)
-        sub, mapping = g.induced_subgraph(vs)
-        bridges = sub.bridges()
-        if bridges:
-            # vs is sorted, so local order mirrors global order and the
-            # first local bridge is also globally smallest.
-            a, b = bridges[0]
-            sides = _split_on_edge(sub, a, b)
-            inv = {local: vs[local] for local in range(sub.n)}
-            if events is not None:
-                events.append({"piece": list(vs), "bridge": [vs[a], vs[b]]})
-            for side in sides:
-                queue.append(sorted(inv[x] for x in side))
+    for s in range(g.n):
+        if atom_of[s] != -1:
             continue
-        if registry.lookup(sub) is None:
-            raise NotInFamilyError(
-                f"bridgeless piece {vs} fits no registered family", atom=tuple(vs)
-            )
-        atoms.append(tuple(vs))
-    atoms.sort(key=lambda a: a[0])
-    links: dict[tuple[int, int], tuple[int, int]] = {}
-    for l in range(len(atoms)):
-        for m in range(l + 1, len(atoms)):
-            count = g.cross_edge_count(atoms[l], atoms[m])
-            if count == 0:
-                continue
-            if count > 1:
-                raise AssertionError(
-                    f"atoms {l} and {m} share {count} edges; splitting is broken"
-                )
-            right = set(atoms[m])
-            edge = next(
-                (x, y)
-                for x in atoms[l]
-                for y in sorted(g.neighbor_set(x) & right)
-            )
-            links[(l, m)] = edge
-    if len(links) != len(atoms) - 1:
-        raise AssertionError("atom links do not form a tree; splitting is broken")
-    return AtomForest(tuple(atoms), links)
-
-
-def _split_on_edge(sub: Graph, a: int, b: int) -> list[list[int]]:
-    """The two components left after deleting one cut edge."""
-    sides = []
-    for start, other in ((a, b), (b, a)):
-        seen = {start}
-        stack = [start]
+        atom_of[s] = len(atoms)
+        members = [s]
+        stack = [s]
         while stack:
             v = stack.pop()
-            for w in sub.neighbor_set(v):
-                if (v, w) in ((a, b), (b, a)):
-                    continue
-                if w not in seen:
-                    seen.add(w)
+            for w in g.neighbor_set(v):
+                if atom_of[w] == -1 and (min(v, w), max(v, w)) not in cut:
+                    atom_of[w] = len(atoms)
+                    members.append(w)
                     stack.append(w)
-        sides.append(sorted(seen))
-    if len(sides[0]) + len(sides[1]) != sub.n:
-        raise AssertionError("cut edge did not split the piece in two")
-    return sides
+        atoms.append(tuple(sorted(members)))
+    for atom in atoms:
+        sub, _ = g.induced_subgraph(atom)
+        if registry.lookup(sub) is None:
+            raise NotInFamilyError(
+                f"bridgeless piece {list(atom)} fits no registered family", atom=atom
+            )
+    links: dict[tuple[int, int], tuple[int, int]] = {}
+    for x, y in bridges:
+        if atom_of[x] > atom_of[y]:
+            x, y = y, x
+        links[(atom_of[x], atom_of[y])] = (x, y)
+    return AtomForest(tuple(atoms), dict(sorted(links.items())))
 
 
 class _RootFailed(Exception):

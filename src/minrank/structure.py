@@ -113,6 +113,8 @@ class StructureReport:
     violations: list[tuple[str, str]]
     mdc: int | None
     families: tuple[str | None, ...]
+    # The tree with connectors read off the graph; None when R2 or R3 fails.
+    structure: SimpleTreeStructure | None = None
 
 
 def mdc(t: SimpleTreeStructure) -> int:
@@ -179,41 +181,41 @@ def validate_structure(
     if violations:
         return StructureReport(False, violations, None, ())
 
-    k = len(t.parts)
-    cross = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            s = g.cross_edge_count(t.parts[i], t.parts[j])
-            cross[(i, j)] = s
-            if s > 1:
-                violations.append(
-                    ("R2", f"parts {i} and {j} joined by {s} edges")
-                )
+    part_of = {v: i for i, p in enumerate(t.parts) for v in p}
+    cross: dict[tuple[int, int], int] = {}
+    for u, v in g.edges:
+        i, j = part_of[u], part_of[v]
+        if i != j:
+            pair = (min(i, j), max(i, j))
+            cross[pair] = cross.get(pair, 0) + 1
+    for (i, j), s in sorted(cross.items()):
+        if s > 1:
+            violations.append(("R2", f"parts {i} and {j} joined by {s} edges"))
     tree_pairs = {
         (min(i, p), max(i, p)) for i, p in enumerate(t.parent) if p != -1
     }
-    for pair, s in sorted(cross.items()):
+    for pair in sorted(tree_pairs | set(cross)):
+        s = cross.get(pair, 0)
         if s == 1 and pair not in tree_pairs:
             violations.append(
                 ("R3", f"parts {pair[0]} and {pair[1]} share an edge but are not tree-adjacent")
             )
-        if s == 0 and pair in tree_pairs:
+        if s == 0:
             violations.append(
                 ("R3", f"tree-adjacent parts {pair[0]} and {pair[1]} share no edge")
             )
 
     families: list[str | None] = []
-    for i in range(k):
-        sub, _ = g.induced_subgraph(t.parts[i])
+    for i, part in enumerate(t.parts):
+        sub, _ = g.induced_subgraph(part)
         oracle = registry.lookup(sub)
         families.append(oracle.name if oracle else None)
         if oracle is None:
             violations.append(("R1", f"part {i} induces a graph in no registered family"))
 
-    derived_mdc = None
+    derived = None
     if not any(rule in ("R2", "R3") for rule, _ in violations):
         derived = SimpleTreeStructure.derive(g, t.parts, t.parent)
-        derived_mdc = mdc(derived)
         if t.uc and t.uc != derived.uc:
             violations.append(
                 ("connectors", f"stored uc map {t.uc} != derived {derived.uc}")
@@ -223,12 +225,13 @@ def validate_structure(
                 ("connectors", f"stored dc map {t.dc} != derived {derived.dc}")
             )
 
-    return StructureReport(not violations, violations, derived_mdc, tuple(families))
-
-
-def with_connectors(g: Graph, t: SimpleTreeStructure) -> SimpleTreeStructure:
-    """The same tree with connectors freshly derived from the graph."""
-    return SimpleTreeStructure.derive(g, t.parts, t.parent)
+    return StructureReport(
+        not violations,
+        violations,
+        mdc(derived) if derived is not None else None,
+        tuple(families),
+        derived,
+    )
 
 
 def structure_to_dot(g: Graph, t: SimpleTreeStructure, name: str = "G") -> str:

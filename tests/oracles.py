@@ -97,6 +97,26 @@ def bridges_by_removal(n, edges):
     return sorted(out)
 
 
+def two_edge_connected_components(n, edges):
+    """Atoms and links of a connected graph, from the bridge definition.
+
+    An edge is a bridge iff deleting it disconnects the graph.  The atoms
+    are the components left after deleting every bridge, ordered by
+    smallest vertex; each bridge links the two atoms it joins and is
+    keyed by their indices, with x in the lower-numbered atom.
+    """
+    bridges = bridges_by_removal(n, edges)
+    cut = set(bridges)
+    rest = [e for e in edges if tuple(sorted(e)) not in cut]
+    atoms = [tuple(c) for c in components_bfs(n, rest)]
+    atom_of = {v: i for i, atom in enumerate(atoms) for v in atom}
+    links = {}
+    for a, b in bridges:
+        x, y = sorted((a, b), key=lambda v: atom_of[v])
+        links[(atom_of[x], atom_of[y])] = (x, y)
+    return tuple(atoms), links
+
+
 def max_independent_set(n, edges):
     """Independence number by checking every vertex subset."""
     assert n <= 16

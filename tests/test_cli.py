@@ -197,7 +197,8 @@ def test_recognize_explain_payload(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["recognize", path, "--explain"])
     assert code == 0
     (rec,) = records(out)
-    assert "splits" in rec["explain"] and "roots" in rec["explain"]
+    assert rec["explain"]["splits"] == [{"bridge": [2, 3]}]
+    assert "roots" in rec["explain"]
     assert rec["explain"]["roots"][-1]["accepted"] is True
 
 

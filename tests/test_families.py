@@ -5,23 +5,25 @@ import random
 import pytest
 
 from minrank import (
+    ChordalFamily,
     FamilyRegistry,
     Graph,
-    bounded_order_family,
-    chordal_family,
     default_registry,
     minrank_bruteforce,
     parse_registry_spec,
-    registry_lookup,
 )
-from minrank.families import elimination_order, is_perfect_elimination
+from minrank.families import (
+    BoundedOrderFamily,
+    elimination_order,
+    is_perfect_elimination,
+)
 from minrank.generator import random_connected_chordal
 from conftest import random_edges, random_graph_in_budget
 import oracles
 
 
 def test_chordal_recognition_named_shapes():
-    fam = chordal_family()
+    fam = ChordalFamily()
     assert fam.is_member(Graph(1, []))
     assert fam.is_member(Graph(4, [(0, 1), (1, 2), (2, 3)]))  # path
     assert fam.is_member(Graph(3, [(0, 1), (0, 2), (1, 2)]))
@@ -35,7 +37,7 @@ def test_chordal_recognition_named_shapes():
 
 def test_chordal_recognition_matches_elimination_oracle():
     rng = random.Random(500)
-    fam = chordal_family()
+    fam = ChordalFamily()
     agree = disagreeable = 0
     for _ in range(150):
         n = rng.randint(1, 9)
@@ -59,7 +61,7 @@ def test_perfect_elimination_checker():
 
 def test_chordal_minrank_is_exact():
     rng = random.Random(501)
-    fam = chordal_family()
+    fam = ChordalFamily()
     checked = 0
     while checked < 40:
         g = random_connected_chordal(rng, rng.randint(1, 6))
@@ -71,14 +73,14 @@ def test_chordal_minrank_is_exact():
 
 
 def test_chordal_minrank_rejects_nonmembers():
-    fam = chordal_family()
+    fam = ChordalFamily()
     with pytest.raises(ValueError):
         fam.minrank(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 
 
 def test_chordal_family_is_hereditary():
     rng = random.Random(502)
-    fam = chordal_family()
+    fam = ChordalFamily()
     for _ in range(30):
         g = random_connected_chordal(rng, rng.randint(2, 8))
         keep = sorted(
@@ -89,7 +91,7 @@ def test_chordal_family_is_hereditary():
 
 
 def test_bounded_family_contract():
-    fam = bounded_order_family(4)
+    fam = BoundedOrderFamily(4)
     assert fam.name == "bounded:4"
     assert fam.is_member(Graph(4, [(0, 1)]))
     assert not fam.is_member(Graph(5, []))
@@ -101,17 +103,17 @@ def test_bounded_family_contract():
 def test_registry_first_match_wins():
     reg = default_registry()
     tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    fam = registry_lookup(reg, tri)
+    fam = reg.lookup(tri)
     assert fam.name == "chordal"  # listed before the order fallback
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert registry_lookup(reg, c4).name == "bounded:10"
+    assert reg.lookup(c4).name == "bounded:10"
     big_cycle = Graph(12, [(i, (i + 1) % 12) for i in range(12)])
-    assert registry_lookup(reg, big_cycle) is None
+    assert reg.lookup(big_cycle) is None
 
 
 def test_registry_rejects_duplicate_names():
     with pytest.raises(ValueError):
-        FamilyRegistry((chordal_family(), chordal_family()))
+        FamilyRegistry((ChordalFamily(), ChordalFamily()))
 
 
 def test_parse_registry_spec():
@@ -129,7 +131,7 @@ def test_parse_registry_spec():
 
 def test_bounded_minrank_agrees_with_bruteforce():
     rng = random.Random(503)
-    fam = bounded_order_family(6)
+    fam = BoundedOrderFamily(6)
     for _ in range(40):
         g = random_graph_in_budget(rng, 6)
         assert fam.minrank(g) == minrank_bruteforce(g).value

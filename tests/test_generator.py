@@ -5,7 +5,7 @@ import random
 import pytest
 
 from minrank import Graph, default_registry, emit_graph6, mdc, validate_structure
-from minrank.families import chordal_family
+from minrank.families import ChordalFamily
 from minrank.generator import (
     generate_member,
     random_connected_chordal,
@@ -43,7 +43,7 @@ def test_part_order_bounds_respected():
 
 
 def test_chordal_profile_parts_are_chordal():
-    fam = chordal_family()
+    fam = ChordalFamily()
     for seed in range(15):
         g, t = generate_member(seed, k=3, c=2, profile="chordal")
         for p in t.parts:

@@ -11,13 +11,13 @@ import oracles
 
 
 def to_lists(m: BitMatrix) -> list[list[int]]:
-    return [[m.get(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    return [[(m.data[i] >> j) & 1 for j in range(m.cols)] for i in range(m.rows)]
 
 
 def test_matrix_construction_round_trip():
     m = BitMatrix.from_strings(["101", "010"])
     assert m.rows == 2 and m.cols == 3
-    assert m.get(0, 2) == 1 and m.get(1, 2) == 0
+    assert (m.data[0] >> 2) & 1 == 1 and (m.data[1] >> 2) & 1 == 0
     assert m.to_strings() == ["101", "010"]
     assert BitMatrix.from_rows([[1, 0, 1], [0, 1, 0]]).to_strings() == ["101", "010"]
 

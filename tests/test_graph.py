@@ -71,13 +71,6 @@ def test_remove_vertices(example1):
     assert h.edges == [(0, 1), (1, 2), (2, 3)]
 
 
-def test_cross_edge_count(example1):
-    assert example1.cross_edge_count([0, 1], [3, 4]) == 1  # just 0-4
-    assert example1.cross_edge_count([0], [1, 2]) == 2
-    with pytest.raises(GraphError):
-        example1.cross_edge_count([0, 1], [1, 2])
-
-
 def test_partition_violations():
     from minrank.graph import partition_violations
 

@@ -18,6 +18,7 @@ from minrank import (
 )
 from minrank.generator import generate_member, random_connected_graph
 from minrank.recognizer import merge_phase, split_phase
+import oracles
 
 
 def triangles_with_bridge():
@@ -41,6 +42,53 @@ def test_split_keeps_bridgeless_whole(petersen):
     forest = split_phase(petersen, default_registry())
     assert forest.atoms == (tuple(range(10)),)
     assert forest.links == {}
+
+
+def split_test_graphs():
+    """Connected graphs of order at most 14: paths, cycles, random sparse."""
+    for n in range(1, 15):
+        yield Graph(n, [(i, i + 1) for i in range(n - 1)])
+        if n >= 3:
+            yield Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    rng = random.Random(710)
+    for _ in range(150):
+        yield random_connected_graph(
+            rng, rng.randint(1, 14), extra_p=rng.choice([0.0, 0.05, 0.1, 0.2, 0.4])
+        )
+
+
+def test_split_matches_bridge_definition():
+    everything = parse_registry_spec("bounded:14")
+    with_bridges = 0
+    for g in split_test_graphs():
+        want_atoms, want_links = oracles.two_edge_connected_components(g.n, g.edges)
+        forest = split_phase(g, everything)
+        assert forest.atoms == want_atoms, g.edges
+        assert forest.links == want_links, g.edges
+        with_bridges += bool(forest.links) and len(forest.atoms) < g.n
+    assert with_bridges > 20  # atoms of several vertices joined by bridges
+
+
+def test_recognize_finds_bridges_once(monkeypatch):
+    g, _ = generate_member(5, k=40, c=2)
+    calls = []
+    original = Graph.bridges
+
+    def counted(self):
+        calls.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(Graph, "bridges", counted)
+    out = recognize(g, 2, default_registry())
+    assert out.member
+    assert calls == [g.n]
+
+
+def test_split_events_list_every_bridge():
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    events = []
+    split_phase(path, default_registry(), events=events)
+    assert events == [{"bridge": [0, 1]}, {"bridge": [1, 2]}, {"bridge": [2, 3]}]
 
 
 def test_split_rejects_unregistered_atom():

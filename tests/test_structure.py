@@ -115,6 +115,34 @@ def test_validate_flags_cross_edge_tree_mismatch():
     assert any(rule == "R3" for rule, _ in report.violations)
 
 
+def test_validate_violation_list_is_exact():
+    # Parts 0-1 and 1-2 share two edges each (R2); tree-adjacent parts 0
+    # and 3 share none, and parts 2 and 3 share one without being
+    # tree-adjacent (R3).
+    g = Graph(8, [(0, 1), (2, 3), (4, 5), (0, 2), (1, 3), (2, 4), (3, 5),
+                  (4, 6), (0, 4), (1, 7)])
+    t = SimpleTreeStructure(((0, 1), (2, 3), (4, 5), (6,), (7,)),
+                            (-1, 0, 0, 0, 0), {}, {})
+    report = validate_structure(g, t, default_registry())
+    assert not report.valid
+    assert report.violations == [
+        ("R2", "parts 0 and 1 joined by 2 edges"),
+        ("R2", "parts 1 and 2 joined by 2 edges"),
+        ("R3", "tree-adjacent parts 0 and 3 share no edge"),
+        ("R3", "parts 2 and 3 share an edge but are not tree-adjacent"),
+    ]
+    assert report.mdc is None and report.structure is None
+    assert report.families == ("chordal",) * 5
+
+
+def test_validate_returns_derived_structure():
+    g, t = two_triangles()
+    bare = SimpleTreeStructure(t.parts, t.parent, {}, {})
+    report = validate_structure(g, bare, default_registry())
+    assert report.valid
+    assert report.structure == t
+
+
 def test_validate_flags_unregistered_part():
     g, _ = two_triangles()
     registry = parse_registry_spec("bounded:2")  # triangles are too big
