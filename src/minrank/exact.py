@@ -212,18 +212,43 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
     # Assign rows in descending-degree order; ties go to the smaller id.
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     n = g.n
+    closed = [bits | (1 << v) for v, bits in enumerate(g.adjacency_bits())]
+    # unassigned[i]: the vertices order[i:], as a bitset.
+    unassigned = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        unassigned[i] = unassigned[i + 1] | (1 << order[i])
     best_value = bounds.upper
     best_rows = list(cover.data)
     chosen = [0] * n
     pivots: dict[int, int] = {}
     nodes = 0
 
-    def walk(i: int) -> None:
+    gain_memo: dict[int, int] = {}
+
+    def gain(free: int) -> int:
+        """Size of a greedy independent set in `free`, least degree first."""
+        if free not in gain_memo:
+            size = 0
+            avail = free
+            while avail:
+                size += 1
+                v = min(
+                    (b.bit_length() - 1 for b in _iter_bits(avail)),
+                    key=lambda u: (closed[u] & avail).bit_count(),
+                )
+                avail &= ~closed[v]
+            gain_memo[free] = size
+        return gain_memo[free]
+
+    def walk(i: int, support: int) -> None:
         nonlocal best_value, best_rows, nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise _SearchBudget
-        if len(pivots) >= best_value:
+        # An independent set S of unassigned vertices outside every chosen
+        # row's support adds |S| to the rank: its rows are the identity on
+        # the S columns, where the chosen rows are all zero.
+        if len(pivots) + gain(unassigned[i] & ~support) >= best_value:
             return
         if i == n:
             best_value = len(pivots)
@@ -235,8 +260,9 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
         # candidate per residual; rows already in the span branch first.
         # Rows are enumerated per visit: all 2^deg of them for every vertex
         # at once would dwarf a search that a node budget stops early.
+        v = order[i]
         seen: dict[int, int] = {}
-        for cand in _row_choices(g, order[i]):
+        for cand in _row_choices(g, v):
             x = cand
             while x:
                 top = x.bit_length() - 1
@@ -247,17 +273,17 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
             if x not in seen:
                 seen[x] = cand
         if 0 in seen:
-            chosen[order[i]] = seen.pop(0)
-            walk(i + 1)
+            chosen[v] = seen.pop(0)
+            walk(i + 1, support | chosen[v])
         for res, cand in seen.items():
-            chosen[order[i]] = cand
+            chosen[v] = cand
             pivots[res.bit_length() - 1] = res
-            walk(i + 1)
+            walk(i + 1, support | cand)
             del pivots[res.bit_length() - 1]
 
     exact = True
     try:
-        walk(0)
+        walk(0, 0)
     except _SearchDone:
         pass
     except _SearchBudget:

@@ -101,6 +101,30 @@ def test_bnb_agrees_with_bruteforce():
         assert minrank_bnb(g).value == minrank_bruteforce(g).value
 
 
+def test_bnb_agrees_with_bruteforce_on_larger_graphs():
+    # Up to 9 vertices and 11 edges: searches deep enough for the
+    # independent-set bound to prune.
+    rng = random.Random(304)
+    for _ in range(40):
+        g = random_graph_in_budget(rng, 9, edge_cap=11)
+        res = minrank_bnb(g)
+        assert res.value == minrank_bruteforce(g).value
+        assert verify_witness(res, g)
+
+
+def test_bnb_bound_prunes_bridged_part():
+    """A vertex with three pendant leaves, bridged to a bridgeless 6-vertex
+    piece: its min-rank 5 equals the independence number, and the search
+    stops on the first rank-5 leaf.  Pruning only on the rank of the
+    chosen rows took 7.9 million nodes to reach it."""
+    g = Graph(10, [(0, 1), (0, 2), (0, 3), (0, 8), (4, 5), (4, 7), (4, 8),
+                   (4, 9), (5, 6), (5, 8), (6, 7), (7, 8), (7, 9), (8, 9)])
+    res = minrank_bnb(g)
+    assert res.exact and res.value == 5
+    assert verify_witness(res, g)
+    assert res.stats["nodes"] < 200_000
+
+
 def test_empty_and_edgeless():
     assert minrank_bruteforce(Graph(0, [])).value == 0
     res = minrank_bnb(Graph(9, []))

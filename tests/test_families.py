@@ -12,10 +12,12 @@ from minrank import (
     minrank_bruteforce,
     parse_registry_spec,
 )
+from minrank.exact import minrank_bnb
 from minrank.families import (
     BoundedOrderFamily,
     elimination_order,
     is_perfect_elimination,
+    minrank_across_bridges,
 )
 from minrank.generator import random_connected_chordal
 from conftest import random_edges, random_graph_in_budget
@@ -98,6 +100,53 @@ def test_bounded_family_contract():
     assert fam.minrank(Graph(3, [(0, 1), (1, 2)])) == 2
     with pytest.raises(ValueError):
         fam.minrank(Graph(5, []))
+
+
+# A vertex with three pendant leaves bridged to a bridgeless 6-vertex piece,
+# and a 5-cycle joined by one bridge to a 5-vertex piece: parts of order 10
+# that dp_minrank hands to the bounded-order oracle on generated members.
+BRIDGED_PARTS = [
+    (10, [(0, 1), (0, 2), (0, 3), (0, 8), (4, 5), (4, 7), (4, 8), (4, 9),
+          (5, 6), (5, 8), (6, 7), (7, 8), (7, 9), (8, 9)], 5),
+    (10, [(0, 1), (0, 3), (1, 2), (2, 4), (2, 7), (3, 4), (5, 6), (5, 7),
+          (5, 8), (5, 9), (6, 7), (7, 8), (7, 9)], 6),
+]
+
+
+def _bridged_graph(rng: random.Random) -> Graph:
+    """Random graphs on 1-4 vertices, each tied to an earlier one by one edge."""
+    edges = []
+    n = 0
+    while n < 9:
+        size = rng.randint(1, min(4, 10 - n))
+        edges += [(n + u, n + v) for u, v in random_edges(rng, size, 0.6)]
+        if n:
+            edges.append((rng.randrange(n), n + rng.randrange(size)))
+        n += size
+    return Graph(n, edges)
+
+
+def test_minrank_across_bridges_matches_bnb():
+    rng = random.Random(504)
+    for _ in range(150):
+        g = _bridged_graph(rng) if rng.random() < 0.7 else random_graph_in_budget(
+            rng, 9, edge_cap=16
+        )
+        assert minrank_across_bridges(g) == minrank_bnb(g).value, g.edges
+    for n, edges, want in BRIDGED_PARTS:
+        g = Graph(n, edges)
+        assert minrank_across_bridges(g) == want
+        assert BoundedOrderFamily(10).minrank(g) == want
+
+
+def test_minrank_across_bridges_matches_bruteforce():
+    rng = random.Random(505)
+    checked = 0
+    while checked < 40:
+        g = _bridged_graph(rng)
+        if 2 * g.edge_count <= 18:
+            assert minrank_across_bridges(g) == minrank_bruteforce(g).value
+            checked += 1
 
 
 def test_registry_first_match_wins():
