@@ -254,8 +254,9 @@ def _batch_worker(payload):
             "method": res.method,
             "exact": res.exact,
         }, res.value if res.exact else None
-    except (GraphError, BudgetExceededError, StructureError) as exc:
-        return idx, {"index": idx, "graph": line, "error": str(exc)}, None
+    except Exception as exc:  # one bad graph must not end the batch
+        error = f"{type(exc).__name__}: {exc}"
+        return idx, {"index": idx, "graph": line, "error": error}, None
 
 
 def cmd_batch(args, cfg) -> int:

@@ -4,11 +4,15 @@ Two phases.  Splitting finds every bridge in one pass (Tarjan 1974) and
 deletes them all; the components left, the 2-edge-connected components
 or atoms, must each belong to a registered family, and the atoms and the
 bridges between them form a tree.  Merging tries each atom as the root in
-turn and walks the rooted tree children-first, at every node absorbing
-leaf children through a largest-possible set of its downward connectors
-so that at most `c` connectors survive and the enlarged part stays inside
-a family.  If some node cannot shed enough connectors for any root choice,
-the graph has no structure with the requested bound.
+turn.  A root under which no atom has more than `c` downward connectors
+takes the atom tree as it is.  Otherwise each atom, children first,
+absorbs leaf children through a largest-possible set of its downward
+connectors so that at most `c` survive and the enlarged part stays in a
+family.  What an atom v decides below its parent p depends on v, p and
+the decisions below v, never on the root, so each directed (v, p)
+decision is computed once and shared by every root: at most 3h - 2 of
+them for h atoms.  If every root fails, the graph has no structure with
+the requested bound.
 """
 
 from __future__ import annotations
@@ -86,29 +90,55 @@ def split_phase(
     return AtomForest(tuple(atoms), dict(sorted(links.items())))
 
 
-class _RootFailed(Exception):
-    pass
+def _post_order(memo: dict, start: tuple, below, decide, settles) -> object:
+    """Fill memo[start] children-first, with an explicit stack.
+
+    `below(v, p)` lists the children of atom v under parent p in ascending
+    order.  The first child entry that `settles` becomes the parent's entry
+    as it is, and later children are left unevaluated; otherwise
+    `decide(v, p, kids)` computes the entry once every child's is known.
+    """
+    stack = [[start, below(*start), 0]]
+    while stack:
+        frame = stack[-1]
+        (v, p), kids, i = frame
+        while i < len(kids) and (kids[i], v) in memo and not settles(memo[kids[i], v]):
+            i += 1
+        if i < len(kids) and (kids[i], v) not in memo:
+            frame[2] = i
+            stack.append([(kids[i], v), below(kids[i], v), 0])
+            continue
+        memo[v, p] = memo[kids[i], v] if i < len(kids) else decide(v, p, kids)
+        stack.pop()
+    return memo[start]
+
+
+def _failed(entry: tuple) -> bool:
+    return entry[0] is None
 
 
 def merge_phase(
-    g: Graph,
-    forest: AtomForest,
-    c: int,
-    registry: FamilyRegistry,
-    debug: bool = False,
-    trace: list | None = None,
+    g: Graph, forest: AtomForest, c: int, registry: FamilyRegistry,
+    debug: bool = False, trace: list | None = None, stats: dict | None = None,
 ) -> tuple[SimpleTreeStructure, int]:
     """Search root choices and leaf merges for a structure with <= c connectors.
 
-    Returns the structure and the number of roots tried.  Raises
-    NotInFamilyError when the last root fails.  When `trace` is a list,
-    one record per root trial is appended to it.
+    Returns the structure of the first root that admits one and the number
+    of roots tried.  Raises NotInFamilyError when the last root fails.
+    When `trace` is a list, one record per root trial is appended to it;
+    when `stats` is a dict, `stats["decisions"]` counts the (atom, parent)
+    decisions computed.
     """
-    h = len(forest.atoms)
-    neighbors: dict[int, list[int]] = {i: [] for i in range(h)}
-    for (l, m) in forest.links:
-        neighbors[l].append(m)
-        neighbors[m].append(l)
+    atoms = forest.atoms
+    end: dict[tuple[int, int], int] = {}  # (atom, neighbour) -> link end in atom
+    for (l, m), (x, y) in forest.links.items():
+        end[l, m], end[m, l] = x, y
+    neighbors: list[list[int]] = [[] for _ in atoms]
+    for v, w in sorted(end):
+        neighbors[v].append(w)
+
+    def below(v: int, p: int) -> list[int]:
+        return [w for w in neighbors[v] if w != p]
 
     member_memo: dict[frozenset, bool] = {}
 
@@ -118,115 +148,88 @@ def merge_phase(
             member_memo[vertices] = registry.lookup(sub) is not None
         return member_memo[vertices]
 
+    # (v, p) -> whether an atom in the subtree has more than c connectors
+    over: dict[tuple[int, int], bool] = {}
+
+    def over_at(v: int, p: int, kids: list[int]) -> bool:
+        return len({end[v, w] for w in kids}) > c
+
+    # (v, p) -> (merged vertex set, surviving children), or (None, why) when
+    # an atom in the subtree cannot shed enough connectors.
+    shed: dict[tuple[int, int], tuple] = {}
+    visits: list | None = None
+
+    def union(v: int, absorbed: list[int]) -> frozenset:
+        return frozenset(atoms[v]).union(*(shed[w, v][0] for w in absorbed))
+
+    def visit(v: int, p: int, connectors: list[int], chosen, absorbed) -> None:
+        if visits is not None:
+            visits.append({
+                "part": list(atoms[v]), "parent": p, "dc_vertices": connectors,
+                "absorbed_via": None if chosen is None else list(chosen),
+                "absorbed_parts": [sorted(shed[w, v][0]) for w in absorbed],
+            })
+
+    def shed_at(v: int, p: int, kids: list[int]) -> tuple:
+        groups: dict[int, list[int]] = {}
+        for w in kids:
+            groups.setdefault(end[v, w], []).append(w)
+        connectors = sorted(groups)
+        for size in range(len(connectors), max(0, len(connectors) - c) - 1, -1):
+            for chosen in combinations(connectors, size):
+                absorbed = [w for u in chosen for w in groups[u]]
+                if any(shed[w, v][1] for w in absorbed):
+                    continue  # only childless parts may be absorbed
+                merged = union(v, absorbed)
+                # split_phase has already found every bare atom in a family
+                if absorbed and not in_family(merged):
+                    continue
+                visit(v, p, connectors, chosen, absorbed)
+                return merged, tuple(w for w in kids if w not in absorbed)
+        visit(v, p, connectors, None, ())
+        n = len(connectors)
+        return None, f"part at atom {v} cannot reduce below {n} connectors"
+
+    def structure_at(r: int, merged: bool) -> SimpleTreeStructure:
+        parent, blob, stack = {r: -1}, {}, [r]
+        while stack:
+            v = stack.pop()
+            p = parent[v]
+            blob[v], kids = shed[v, p] if merged else (atoms[v], below(v, p))
+            parent.update(dict.fromkeys(kids, v))
+            stack.extend(kids)
+        alive = sorted(blob)
+        index = {v: i for i, v in enumerate(alive)}
+        parts = [tuple(sorted(blob[v])) for v in alive]
+        par = [index[parent[v]] if parent[v] != -1 else -1 for v in alive]
+        return SimpleTreeStructure.derive(g, parts, par)
+
     last_error = None
-    for r in range(h):
-        record: dict | None = None
-        if trace is not None:
+    try:
+        for r in range(len(atoms)):
             record = {"root": r, "visits": [], "accepted": False}
-            trace.append(record)
-        try:
-            structure = _try_root(
-                g, forest, neighbors, r, c, in_family, debug, registry, record
-            )
-            if record is not None:
-                record["accepted"] = True
+            if trace is not None:
+                trace.append(record)
+                visits = record["visits"]
+            merging = _post_order(over, (r, -1), below, over_at, bool)
+            if not merging:
+                record["immediate"] = True
+            elif _post_order(shed, (r, -1), below, shed_at, _failed)[0] is None:
+                last_error = record["failure"] = f"root {r}: {shed[r, -1][1]}"
+                continue
+            structure = structure_at(r, merging)
+            if debug:
+                report = validate_structure(g, structure, registry)
+                assert report.valid, f"merge broke the structure: {report.violations}"
+            record["accepted"] = True
             return structure, r + 1
-        except _RootFailed as exc:
-            last_error = str(exc)
-            if record is not None:
-                record["failure"] = last_error
+    finally:
+        if stats is not None:
+            stats["decisions"] = len(shed)
     raise NotInFamilyError(
         f"no root admits a structure with at most {c} connectors per part; "
         f"last failure: {last_error}"
     )
-
-
-def _try_root(g, forest, neighbors, r, c, in_family, debug, registry, record=None):
-    h = len(forest.atoms)
-    parent: dict[int, int] = {r: -1}
-    order = [r]
-    stack = [r]
-    while stack:
-        node = stack.pop()
-        for nb in sorted(neighbors[node]):
-            if nb not in parent:
-                parent[nb] = node
-                order.append(nb)
-                stack.append(nb)
-    # dc vertex serving each child = the link endpoint inside the parent atom.
-    dc_of: dict[int, int] = {}
-    for child, par in parent.items():
-        if par == -1:
-            continue
-        key = (min(child, par), max(child, par))
-        x, y = forest.links[key]
-        dc_of[child] = x if key[0] == par else y
-
-    blob = {i: set(forest.atoms[i]) for i in range(h)}
-    kids = {i: [] for i in range(h)}
-    for node in order:
-        if parent[node] != -1:
-            kids[parent[node]].append(node)
-
-    def current_structure() -> SimpleTreeStructure:
-        alive = sorted(blob)
-        index = {node: idx for idx, node in enumerate(alive)}
-        parts = [tuple(sorted(blob[node])) for node in alive]
-        par = [index[parent[node]] if parent[node] != -1 else -1 for node in alive]
-        return SimpleTreeStructure.derive(g, parts, par)
-
-    def current_mdc() -> int:
-        worst = 0
-        for node in blob:
-            worst = max(worst, len({dc_of[ch] for ch in kids[node]}))
-        return worst
-
-    if current_mdc() <= c:
-        if record is not None:
-            record["immediate"] = True
-        return current_structure()
-
-    post = [node for node in reversed(order)]  # children precede parents
-    for node in post:
-        groups: dict[int, list[int]] = {}
-        for ch in kids[node]:
-            groups.setdefault(dc_of[ch], []).append(ch)
-        connectors = sorted(groups)
-        found = None
-        picked: tuple[int, ...] = ()
-        for size in range(len(connectors), max(0, len(connectors) - c) - 1, -1):
-            for chosen in combinations(connectors, size):
-                absorbed = [ch for u in chosen for ch in groups[u]]
-                if any(kids[ch] for ch in absorbed):
-                    continue  # only childless parts may be absorbed
-                merged = frozenset(blob[node]).union(*(blob[ch] for ch in absorbed))
-                if in_family(merged):
-                    found = absorbed
-                    picked = chosen
-                    break
-            if found is not None:
-                break
-        if record is not None:
-            record["visits"].append({
-                "part": sorted(blob[node]),
-                "dc_vertices": connectors,
-                "absorbed_via": list(picked) if found is not None else None,
-                "absorbed_parts": [sorted(blob[ch]) for ch in (found or [])],
-            })
-        if found is None:
-            raise _RootFailed(
-                f"root {r}: part at atom {node} cannot reduce below "
-                f"{len(connectors)} connectors"
-            )
-        for ch in found:
-            blob[node] |= blob[ch]
-            del blob[ch]
-            del kids[ch]
-        kids[node] = [ch for ch in kids[node] if ch not in set(found)]
-        if debug:
-            report = validate_structure(g, current_structure(), registry)
-            assert report.valid, f"merge broke the structure: {report.violations}"
-    return current_structure()
 
 
 def recognize(
@@ -249,30 +252,22 @@ def recognize(
         raise GraphError("recognition needs a connected graph; decompose first")
     if c < 1:
         raise GraphError(f"connector bound must be positive, got {c}")
-    splits: list | None = [] if explain else None
-    roots_trace: list | None = [] if explain else None
-
-    def with_explain(stats: dict) -> dict:
-        if explain:
-            stats["explain"] = {"splits": splits, "roots": roots_trace}
-        return stats
-
+    splits, trace = ([], []) if explain else (None, None)
+    stats: dict = {"explain": {"splits": splits, "roots": trace}} if explain else {}
     try:
         forest = split_phase(g, registry, events=splits)
     except NotInFamilyError as exc:
         return RecognitionOutcome(
-            False, None, 0, exc.detail, with_explain({"phase": "split"})
+            False, None, 0, exc.detail, {"phase": "split", **stats}
         )
+    stats["atoms"] = len(forest.atoms)
     try:
         structure, roots = merge_phase(
-            g, forest, c, registry, debug=debug, trace=roots_trace
+            g, forest, c, registry, debug=debug, trace=trace, stats=stats
         )
     except NotInFamilyError as exc:
         return RecognitionOutcome(
-            False, None, len(forest.atoms), exc.detail,
-            with_explain({"phase": "merge", "atoms": len(forest.atoms)}),
+            False, None, len(forest.atoms), exc.detail, {"phase": "merge", **stats}
         )
-    return RecognitionOutcome(
-        True, structure, roots, None,
-        with_explain({"atoms": len(forest.atoms), "parts": len(structure.parts)}),
-    )
+    stats["parts"] = len(structure.parts)
+    return RecognitionOutcome(True, structure, roots, None, stats)

@@ -173,3 +173,73 @@ def graph6_encode(n, edges):
 def minrank_of_graph(g):
     """Enumeration oracle lifted to the package's Graph type."""
     return minrank_enumerate(g.n, [tuple(e) for e in g.edges])
+
+
+def merge_every_root(atoms, links, c, in_family):
+    """Greedy merge phase, walking the whole atom tree afresh per root.
+
+    `atoms` are sorted vertex tuples, `links` maps an atom pair (l, m),
+    l < m, to its bridge (x, y) with x in atom l, and `in_family` says
+    whether a frozenset of vertices induces a family member.  Roots are
+    tried in order 0, 1, ...; under root r an atom tree in which no atom
+    has more than c distinct downward connectors is taken as it is, and
+    otherwise every atom, children first, absorbs childless children
+    through the largest set of its connectors (largest size first, in
+    combinations order, leaving at most c) whose union is in a family.
+    Returns (member, roots tried, parts, parents) with the surviving parts
+    in atom order and parents indexing into them (-1 for the root).
+    """
+    h = len(atoms)
+    for r in range(h):
+        merged = _merge_under_root(atoms, links, r, c, in_family)
+        if merged is not None:
+            return (True, r + 1) + merged
+    return False, h, None, None
+
+
+def _merge_under_root(atoms, links, r, c, in_family):
+    def end_in(a, b):  # endpoint in atom a of the bridge between a and b
+        x, y = links[(min(a, b), max(a, b))]
+        return x if a < b else y
+
+    neighbors = {v: set() for v in range(len(atoms))}
+    for l, m in links:
+        neighbors[l].add(m)
+        neighbors[m].add(l)
+    parent = {r: -1}
+    order = [r]
+    for node in order:  # breadth first; the list grows while it is read
+        for nb in sorted(neighbors[node] - set(parent)):
+            parent[nb] = node
+            order.append(nb)
+    kids = {v: sorted(w for w in parent if parent[w] == v) for v in parent}
+    blob = {v: set(atoms[v]) for v in parent}
+    worst = max(len({end_in(v, w) for w in kids[v]}) for v in kids)
+    if worst > c:
+        for node in reversed(order):
+            groups = {}
+            for ch in kids[node]:
+                groups.setdefault(end_in(node, ch), []).append(ch)
+            connectors = sorted(groups)
+            found = None
+            for size in range(len(connectors), max(0, len(connectors) - c) - 1, -1):
+                for chosen in itertools.combinations(connectors, size):
+                    absorbed = [ch for u in chosen for ch in groups[u]]
+                    if any(kids[ch] for ch in absorbed):
+                        continue
+                    merged = frozenset(blob[node]).union(*(blob[ch] for ch in absorbed))
+                    if in_family(merged):
+                        found = absorbed
+                        break
+                if found is not None:
+                    break
+            if found is None:
+                return None
+            for ch in found:
+                blob[node] |= blob.pop(ch)
+            kids[node] = [ch for ch in kids[node] if ch not in found]
+    alive = sorted(blob)
+    index = {v: i for i, v in enumerate(alive)}
+    parts = [tuple(sorted(blob[v])) for v in alive]
+    parents = [index[parent[v]] if parent[v] != -1 else -1 for v in alive]
+    return parts, parents

@@ -14,6 +14,7 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -266,7 +267,7 @@ def test_c11_order_four_histogram(tmp_path, order4_path):
         assert code == 0
         recs = [
             json.loads(line)
-            for line in open(out_path).read().splitlines()
+            for line in Path(out_path).read_text().splitlines()
             if line.strip()
         ]
         assert len(recs) == 11
@@ -275,7 +276,7 @@ def test_c11_order_four_histogram(tmp_path, order4_path):
         for rec in recs:
             g = parse_graph6(rec["graph"])
             assert rec["value"] == minrank_bruteforce(g).value
-        payload = json.loads(open(hist_path).read())
+        payload = json.loads(Path(hist_path).read_text())
         hist = {int(k): v for k, v in payload["histogram"].items()}
         assert sum(hist.values()) == 11
         assert hist == {1: 1, 2: 6, 3: 3, 4: 1}

@@ -5,10 +5,12 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from minrank import cli
 from minrank.cli import main
 
 from conftest import solver_command
@@ -260,10 +262,10 @@ def test_batch_corpus_histograms(tmp_path, capsys, order4_path):
         ["batch", order4_path, "--histogram", hist_json, "-o", out_a],
     )
     assert code == 0
-    recs = records(open(out_a).read())
+    recs = records(Path(out_a).read_text())
     assert len(recs) == 11
     assert all("value" in r for r in recs)
-    payload = json.loads(open(hist_json).read())
+    payload = json.loads(Path(hist_json).read_text())
     assert sum(payload["histogram"].values()) == 11
     assert payload["skipped"] == 0
 
@@ -273,8 +275,8 @@ def test_batch_corpus_histograms(tmp_path, capsys, order4_path):
          "-o", out_b],
     )
     assert code == 0
-    assert open(out_a).read() == open(out_b).read()
-    rows = open(hist_csv).read().splitlines()
+    assert Path(out_a).read_text() == Path(out_b).read_text()
+    rows = Path(hist_csv).read_text().splitlines()
     assert rows[0] == "minrank,count"
     total = sum(int(r.split(",")[1]) for r in rows[1:])
     assert total == 11
@@ -288,7 +290,25 @@ def test_batch_survives_malformed_line(tmp_path, capsys):
     recs = records(out)
     assert len(recs) == 3
     assert "error" in recs[1] and "value" in recs[0] and "value" in recs[2]
-    assert json.loads(open(hist).read())["skipped"] == 1
+    assert json.loads(Path(hist).read_text())["skipped"] == 1
+
+
+def test_batch_turns_any_exception_into_an_error_record(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "three.g6", "C~\nCw\nCF\n")
+    solve = cli.solve_graph
+
+    def failing_on_second(g, *args):
+        if cli.emit_graph6(g) == "Cw":
+            raise RuntimeError("solver fault")
+        return solve(g, *args)
+
+    monkeypatch.setattr(cli, "solve_graph", failing_on_second)
+    code, out, _ = run_cli(capsys, ["batch", path, "--jobs", "1"])
+    assert code == 0
+    recs = records(out)
+    assert [r["index"] for r in recs] == [0, 1, 2]
+    assert recs[1]["error"] == "RuntimeError: solver fault"
+    assert "value" in recs[0] and "value" in recs[2]
 
 
 def test_cnf_export_and_solve(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """graph6, edge-list, and DOT serialization."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ def test_emit_matches_reference_encoder():
 
 def test_corpus_round_trip(random1000_path):
     count = 0
-    for line in open(random1000_path):
+    for line in Path(random1000_path).read_text().splitlines():
         s = line.strip()
         g = parse_graph6(s)
         assert emit_graph6(g) == s

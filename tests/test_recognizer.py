@@ -221,3 +221,106 @@ def test_merge_phase_counts_roots():
     )
     assert roots == 1
     assert len(structure.parts) == 2
+
+
+MERGE_REGISTRIES = ("chordal,bounded:10", "bounded:3", "bounded:5", "chordal", "bounded:1")
+
+
+def merge_test_cases():
+    """Random connected graphs (n <= 40) and generated members, c in 1..3."""
+    rng = random.Random(712)
+    for i in range(3000):
+        c = rng.choice((1, 2, 3))
+        spec = rng.choice(MERGE_REGISTRIES)
+        if i % 3 == 2:
+            g, _ = generate_member(
+                rng.randrange(1 << 30), rng.randint(2, 12), rng.choice((1, 2, 3)),
+                part_order=(1, 5),
+            )
+        else:
+            g = random_connected_graph(
+                rng, rng.randint(1, 40), extra_p=rng.choice([0.0, 0.02, 0.04, 0.08])
+            )
+        yield g, c, parse_registry_spec(spec)
+
+
+def test_merge_phase_matches_every_root_reference():
+    late_members = rejects = 0
+    for g, c, reg in merge_test_cases():
+        try:
+            forest = split_phase(g, reg)
+        except NotInFamilyError:
+            continue
+
+        def in_family(vertices):
+            return reg.lookup(g.induced_subgraph(sorted(vertices))[0]) is not None
+
+        member, roots, parts, parents = oracles.merge_every_root(
+            forest.atoms, forest.links, c, in_family
+        )
+        trace = []
+        try:
+            structure, tried = merge_phase(g, forest, c, reg, trace=trace)
+        except NotInFamilyError:
+            assert not member and len(trace) == roots, g.edges
+            rejects += 1
+            continue
+        assert member and tried == len(trace) == roots, g.edges
+        assert [tuple(p) for p in structure.parts] == parts, g.edges
+        assert list(structure.parent) == parents, g.edges
+        late_members += roots > 1
+    assert late_members >= 10
+    assert rejects >= 10
+
+
+def chorded_hexagon_tree(rng, h):
+    """h 6-cycles, each with one chord and 4 attachment vertices, joined by
+    bridges along a random recursive tree.  Atom 0's first four children
+    hang from its four attachment vertices, so no root admits c = 2."""
+    edges = []
+    for a in range(h):
+        base = 6 * a
+        edges += [(base + i, base + (i + 1) % 6) for i in range(6)]
+        edges.append((base, base + rng.choice((2, 3))))
+    pools = [[6 * a + x for x in rng.sample(range(6), 4)] for a in range(h)]
+    for j in range(1, h):
+        x = pools[0][j - 1] if j <= 4 else rng.choice(pools[rng.randrange(j)])
+        edges.append((x, rng.choice(pools[j])))
+    return Graph(6 * h, edges)
+
+
+def test_merge_decides_each_atom_parent_pair_once():
+    h = 400
+    g = chorded_hexagon_tree(random.Random(4), h)
+    out = recognize(g, 2, default_registry())
+    assert not out.member and out.stats["phase"] == "merge"
+    assert out.stats["atoms"] == out.roots_tried == h
+    assert 0 < out.stats["decisions"] <= 3 * h
+
+
+def test_merge_sheds_down_a_deep_path():
+    """3000 bridged 4-cycles in a path; three pendants at distinct vertices
+    of the last one force greedy shedding 3000 atoms deep under root 0."""
+    k = 3000
+    edges = []
+    for a in range(k):
+        edges += [(4 * a + i, 4 * a + (i + 1) % 4) for i in range(4)]
+        if a:
+            edges.append((4 * a - 2, 4 * a))
+    n = 4 * k
+    edges += [(n - 4 + i, n + i) for i in range(3)]
+    out = recognize(Graph(n + 3, edges), 2, default_registry())
+    assert out.member and out.roots_tried == 1
+    assert len(out.structure.parts) == k
+    assert out.structure.parts[-1] == (n - 4, n - 3, n - 2, n - 1, n, n + 1, n + 2)
+
+
+def test_explain_lists_each_decision_once():
+    g = central_triangle_with_pendants()
+    out = recognize(g, 1, parse_registry_spec("bounded:3"), explain=True)
+    assert not out.member
+    roots = out.stats["explain"]["roots"]
+    assert [r["root"] for r in roots] == list(range(out.roots_tried))
+    assert all(not r["accepted"] and r["failure"] for r in roots)
+    seen = [(tuple(v["part"]), v["parent"]) for r in roots for v in r["visits"]]
+    assert len(seen) == len(set(seen)) <= out.stats["decisions"]
