@@ -227,10 +227,8 @@ def cmd_dp(args, cfg) -> int:
     else:
         outcome = recognize(g, c, registry)
         if not outcome.member:
-            print(
-                json.dumps({"member": False, "failure": outcome.failure_detail}),
-                file=sys.stdout,
-            )
+            rec = {"member": False, "failure": outcome.failure_detail}
+            _write_out(json.dumps(rec) + "\n", args.output)
             return 1
         t = outcome.structure
     res = dp_minrank(g, t, registry, trace=args.trace)

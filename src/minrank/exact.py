@@ -4,7 +4,10 @@ A matrix fits a graph when its diagonal is all ones and it is zero at every
 non-adjacent off-diagonal position; the min-rank of the graph is the least
 rank among fitting matrices.  Row v of any fitting matrix is the unit row
 for v plus some subset of v's neighbor columns, so solvers enumerate those
-subsets row by row while maintaining an incremental row basis.
+subsets row by row while maintaining an incremental row basis.  Brute force
+lists every row of every vertex; branch and bound finds a vertex's first
+spanned row by elimination and lists its other rows only as far as the
+search gets.
 """
 
 from __future__ import annotations
@@ -186,12 +189,36 @@ def minrank_bruteforce(g: Graph, budget_bits: int = BRUTE_FORCE_BIT_BUDGET) -> M
     )
 
 
-class _SearchDone(Exception):
-    pass
+def _first_spanned_row(pivots: dict[int, int], v: int, mask: int) -> int | None:
+    """The first row `_row_choices` yields for v that lies in the span of
+    `pivots` (rows keyed by leading bit), or None when no row does.
 
-
-class _SearchBudget(Exception):
-    pass
+    Rows are e_v + s for the subsets s of v's neighbour columns `mask`, in
+    increasing order of s.  The unit rows of those columns are eliminated
+    against the pivots in increasing column order, each stored row keeping
+    the set of unit rows it sums; then e_v is reduced the same way.  It
+    reduces to zero exactly when some row is spanned, and then the unit rows
+    it summed are e_v and those of some s0.  Every spanned row is e_v + s0
+    plus a sum of kernel vectors, one per column whose unit row reduced to
+    zero, column j's with top bit j.  Only stored columns enter a sum, so s0
+    has none of those bits, which makes it the least s.
+    """
+    own: dict[int, tuple[int, int]] = {}  # leading bit -> (row, columns summed)
+    for unit in [*_iter_bits(mask), 1 << v]:
+        x = combo = unit
+        while x:
+            top = x.bit_length() - 1
+            p = pivots.get(top)
+            if p is not None:
+                x ^= p
+            elif top in own:
+                row, used = own[top]
+                x ^= row
+                combo ^= used
+            else:
+                own[top] = (x, combo)
+                break
+    return None if x else combo
 
 
 def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
@@ -204,7 +231,7 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
         # The exact independence number is cheap at this size and lets the
         # search stop as soon as it matches the incumbent.
         lower = max(lower, exact_independence_number(g))
-    stats = {"lower": lower, "upper_init": bounds.upper, "nodes": 0}
+    stats = {"lower": lower, "upper_init": bounds.upper, "nodes": 0, "rows": 0}
     if lower == bounds.upper:
         stats["elapsed"] = time.perf_counter() - start
         return MinrankResult(bounds.upper, "bnb", cover, True, stats)
@@ -212,7 +239,8 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
     # Assign rows in descending-degree order; ties go to the smaller id.
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     n = g.n
-    closed = [bits | (1 << v) for v, bits in enumerate(g.adjacency_bits())]
+    adjacency = g.adjacency_bits()
+    closed = [bits | (1 << v) for v, bits in enumerate(adjacency)]
     # unassigned[i]: the vertices order[i:], as a bitset.
     unassigned = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -222,6 +250,7 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
     chosen = [0] * n
     pivots: dict[int, int] = {}
     nodes = 0
+    rows = 0
 
     gain_memo: dict[int, int] = {}
 
@@ -240,29 +269,24 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
             gain_memo[free] = size
         return gain_memo[free]
 
-    def walk(i: int, support: int) -> None:
-        nonlocal best_value, best_rows, nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise _SearchBudget
-        # An independent set S of unassigned vertices outside every chosen
-        # row's support adds |S| to the rank: its rows are the identity on
-        # the S columns, where the chosen rows are all zero.
-        if len(pivots) + gain(unassigned[i] & ~support) >= best_value:
-            return
-        if i == n:
-            best_value = len(pivots)
-            best_rows = list(chosen)
-            if best_value == lower:
-                raise _SearchDone
-            return
-        # Distinct residuals lead to identical sub-search values, so keep one
-        # candidate per residual; rows already in the span branch first.
-        # Rows are enumerated per visit: all 2^deg of them for every vertex
-        # at once would dwarf a search that a node budget stops early.
+    def branches(i: int, support: int):
+        """Yield the support after each child row of the node at depth i.
+
+        Rows with equal residuals lead to identical sub-searches, so only
+        the first row of each residual is tried: the first spanned row,
+        then each new nonzero residual in the order `_row_choices` meets
+        it.  Rows are listed lazily, so a search that stops early never
+        pays for the 2^deg rows it did not reach.
+        """
+        nonlocal rows
         v = order[i]
-        seen: dict[int, int] = {}
+        row = _first_spanned_row(pivots, v, adjacency[v])
+        if row is not None:
+            chosen[v] = row
+            yield support | row
+        seen = set()
         for cand in _row_choices(g, v):
+            rows += 1
             x = cand
             while x:
                 top = x.bit_length() - 1
@@ -270,26 +294,46 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
                 if p is None:
                     break
                 x ^= p
-            if x not in seen:
-                seen[x] = cand
-        if 0 in seen:
-            chosen[v] = seen.pop(0)
-            walk(i + 1, support | chosen[v])
-        for res, cand in seen.items():
-            chosen[v] = cand
-            pivots[res.bit_length() - 1] = res
-            walk(i + 1, support | cand)
-            del pivots[res.bit_length() - 1]
+            if x and x not in seen:
+                seen.add(x)
+                chosen[v] = cand
+                pivots[top] = x
+                yield support | cand
+                del pivots[top]
 
+    # Depth-first on an explicit stack: stack[d] lists the branches of the
+    # open node at depth d, and the node being visited sits at depth i.
     exact = True
-    try:
-        walk(0, 0)
-    except _SearchDone:
-        pass
-    except _SearchBudget:
-        exact = False
-        stats["interval"] = [lower, best_value]
+    stack = []
+    i, support = 0, 0
+    while True:
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            exact = False
+            stats["interval"] = [lower, best_value]
+            break
+        # An independent set S of unassigned vertices outside every chosen
+        # row's support adds |S| to the rank: its rows are the identity on
+        # the S columns, where the chosen rows are all zero.
+        if len(pivots) + gain(unassigned[i] & ~support) < best_value:
+            if i < n:
+                stack.append(branches(i, support))
+            else:
+                best_value = len(pivots)
+                best_rows = list(chosen)
+                if best_value == lower:
+                    break
+        # Go on to the next branch of the deepest node that has one left.
+        while stack:
+            support = next(stack[-1], None)
+            if support is not None:
+                break
+            stack.pop()
+        if not stack:
+            break
+        i = len(stack)
     stats["nodes"] = nodes
+    stats["rows"] = rows
     stats["elapsed"] = time.perf_counter() - start
     witness = BitMatrix(n, n, tuple(best_rows))
     return MinrankResult(best_value, "bnb", witness, exact, stats)
@@ -324,6 +368,7 @@ def _combine_components(g: Graph, comps, solver, method: str) -> MinrankResult:
     exact = True
     methods = []
     nodes = 0
+    rows = 0
     have_witness = True
     for comp in comps:
         sub, mapping = g.induced_subgraph(comp)
@@ -332,6 +377,7 @@ def _combine_components(g: Graph, comps, solver, method: str) -> MinrankResult:
         exact = exact and res.exact
         methods.append(res.method)
         nodes += res.stats.get("nodes", 0)
+        rows += res.stats.get("rows", 0)
         lo, _ = res.stats.get("interval", (res.value, res.value))
         lower += lo
         if res.witness is None:
@@ -347,7 +393,9 @@ def _combine_components(g: Graph, comps, solver, method: str) -> MinrankResult:
             witness = BitMatrix(g.n, g.n, witness.data + (0,) * pad)
     elif g.n == 0:
         witness = BitMatrix(0, 0, ())
-    stats: dict = {"components": len(comps), "methods": methods, "nodes": nodes}
+    stats: dict = {
+        "components": len(comps), "methods": methods, "nodes": nodes, "rows": rows
+    }
     if not exact:
         stats["interval"] = [lower, total]
     return MinrankResult(total, method, witness, exact, stats)

@@ -215,6 +215,18 @@ def test_dp_on_nonmember_exits_one(tmp_path, capsys):
     assert rec["member"] is False
 
 
+def test_dp_on_nonmember_writes_output_file(tmp_path, capsys):
+    path = write(tmp_path, "c5.edges", "n=5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    out_path = tmp_path / "dp.json"
+    code, out, _ = run_cli(
+        capsys, ["dp", path, "--registry", "chordal", "-o", str(out_path)]
+    )
+    assert code == 1
+    assert out == ""
+    (rec,) = records(out_path.read_text())
+    assert rec["member"] is False
+
+
 def test_validate_flags_wrong_graph(tmp_path, capsys):
     graph_path = write(tmp_path, "tt.edges", TWO_TRIANGLES_EDGES)
     struct_path = str(tmp_path / "tt.structure.json")

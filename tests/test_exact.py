@@ -6,6 +6,8 @@ matrix and runs textbook elimination, then frozen here.
 """
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from minrank import (
     BitMatrix,
     BudgetExceededError,
     Graph,
+    RowBasis,
     fits,
     minrank_bnb,
     minrank_bruteforce,
@@ -22,7 +25,8 @@ from minrank import (
     sandwich_bounds,
     verify_witness,
 )
-from minrank.exact import exact_independence_number
+from minrank.exact import _first_spanned_row, _row_choices, exact_independence_number
+from minrank.formats import parse_graph6
 from conftest import random_graph_in_budget
 import oracles
 
@@ -210,3 +214,69 @@ def test_verify_witness_rejects_lies(example1):
         type(res)(value=2, method="x", witness=None, exact=True, stats={}),
         example1,
     )
+
+
+def test_first_spanned_row_is_first_enumerated_spanned_row():
+    """Pivot states built as the search builds them, by reducing admissible
+    rows of some vertices; the elimination must pick exactly the row that
+    listing all rows in order would pick first."""
+    rng = random.Random(305)
+    found = 0
+    for _ in range(400):
+        g = random_graph_in_budget(rng, 9, edge_cap=36)
+        basis = RowBasis(g.n)
+        for u in rng.sample(range(g.n), rng.randint(0, g.n)):
+            basis.insert(rng.choice(list(_row_choices(g, u))))
+        v = rng.randrange(g.n)
+        want = next(
+            (row for row in _row_choices(g, v) if basis.residual(row) == 0), None
+        )
+        got = _first_spanned_row(basis.pivots, v, g.adjacency_bits()[v])
+        assert got == want
+        found += want is not None
+    assert 50 < found < 350
+
+
+def test_bnb_searches_pinned_on_corpus_slice(random1000_path):
+    """Lines 709-858 at a node budget of 2000; the figures were taken
+    before rows were listed lazily, so the search must visit the same
+    nodes and stop at the same incumbents."""
+    lines = Path(random1000_path).read_text().splitlines()[708:858]
+    results = [minrank_bnb(parse_graph6(line), node_budget=2000) for line in lines]
+    assert sum(r.stats["nodes"] for r in results) == 68010
+    assert sum(r.exact for r in results) == 118
+    for number, value in ((726, 4), (813, 4), (716, 5)):
+        res = results[number - 709]
+        assert (res.value, res.exact) == (value, False)
+        assert res.stats["nodes"] == 2001
+        assert res.stats["interval"] == [3, value]
+
+
+def test_bnb_lists_rows_lazily(random1000_path):
+    """Line 726 (n=20, maximum degree 19): listing every row of each
+    branching vertex took 2^20 rows for 2001 nodes."""
+    line = Path(random1000_path).read_text().splitlines()[725]
+    res = minrank_bnb(parse_graph6(line), node_budget=2000)
+    assert res.stats["nodes"] == 2001
+    assert res.stats["rows"] <= 2 * res.stats["nodes"]
+
+
+def test_bnb_needs_no_recursion():
+    """A chain of 60 five-cycles joined by bridges: 300 levels of search
+    under a recursion limit of 150."""
+    edges = []
+    for c in range(60):
+        b = 5 * c
+        edges += [(b + j, b + (j + 1) % 5) for j in range(5)]
+        if c:
+            edges.append((b - 3, b))
+    g = Graph(300, edges)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        res = minrank_bnb(g, node_budget=2000)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (res.value, res.exact) == (180, False)
+    assert res.stats["nodes"] == 2001
+    assert res.stats["interval"] == [120, 180]
