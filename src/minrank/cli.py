@@ -9,6 +9,7 @@ input errors, 3 a work budget stopped an exact answer.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -370,7 +371,10 @@ def cmd_validate(args, cfg) -> int:
     return 0 if report.valid else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call of `main` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="minrank",
         description="GF(2) min-rank of graphs: exact solvers, tree-of-parts "
@@ -453,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config()
         return args.func(args, cfg)

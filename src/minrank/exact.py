@@ -7,7 +7,9 @@ for v plus some subset of v's neighbor columns, so solvers enumerate those
 subsets row by row while maintaining an incremental row basis.  Brute force
 lists every row of every vertex; branch and bound finds a vertex's first
 spanned row by elimination and lists its other rows only as far as the
-search gets.
+search gets.  Before it branches, branch and bound splits a join into its
+co-components and tries to close the gap between the independence number
+and the clique-cover number outright.
 """
 
 from __future__ import annotations
@@ -84,6 +86,90 @@ def clique_cover_matrix(g: Graph, cliques) -> BitMatrix:
         for v in clique:
             rows[v] = mask
     return BitMatrix(g.n, g.n, tuple(rows))
+
+
+def exact_clique_cover(
+    g: Graph, lower: int, cliques, node_budget: int | None
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Fewest cliques partitioning the vertices, and the search nodes spent.
+
+    Branch and bound in DSATUR order, which is DSATUR colouring of the
+    complement: each node places the uncovered vertex that can join the
+    fewest of the cliques built so far, into each of those cliques in turn
+    and then into a new one.  The search starts from the cover `cliques`
+    and stops once the cover has `lower` cliques (no cover has fewer than
+    the independence number) or after `node_budget` nodes; the best cover
+    found is returned either way.
+    """
+    adjacency = g.adjacency_bits()
+    best = [sum(1 << v for v in clique) for clique in cliques]
+    classes: list[int] = []  # the cliques being built, as vertex bitsets
+    common: list[int] = []  # common[c]: vertices adjacent to all of classes[c]
+    nodes = 0
+
+    def extend(left: int) -> bool:
+        """Cover the vertices `left`; True once the search should stop."""
+        nonlocal best, nodes
+        if not left:
+            best = list(classes)
+            return len(best) <= lower
+        if len(classes) >= len(best):
+            return False
+        if node_budget is not None and nodes >= node_budget:
+            return True
+        nodes += 1
+        v = min(
+            (b.bit_length() - 1 for b in _iter_bits(left)),
+            key=lambda u: (
+                sum(c >> u & 1 for c in common),
+                (adjacency[u] & left).bit_count(),
+            ),
+        )
+        bit = 1 << v
+        for c, members in enumerate(common):
+            if members & bit:
+                classes[c] |= bit
+                common[c] &= adjacency[v]
+                stop = extend(left ^ bit)
+                classes[c] ^= bit
+                common[c] = members
+                if stop:
+                    return True
+        if len(classes) + 1 < len(best):
+            classes.append(bit)
+            common.append(adjacency[v])
+            stop = extend(left ^ bit)
+            classes.pop()
+            common.pop()
+            return stop
+        return False
+
+    if len(best) > lower:
+        extend((1 << g.n) - 1)
+    cover = tuple(
+        tuple(b.bit_length() - 1 for b in _iter_bits(clique)) for clique in best
+    )
+    return cover, nodes
+
+
+def co_components(g: Graph) -> list[list[int]]:
+    """Vertex sets of the complement's components, each sorted, ordered by
+    minimum vertex."""
+    adjacency = g.adjacency_bits()
+    left = (1 << g.n) - 1
+    parts = []
+    while left:
+        frontier = part = left & -left
+        left ^= part
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach = left & ~adjacency[low.bit_length() - 1]
+            left ^= reach
+            part |= reach
+            frontier |= reach
+        parts.append([b.bit_length() - 1 for b in _iter_bits(part)])
+    return parts
 
 
 def _row_choices(g: Graph, v: int):
@@ -222,19 +308,38 @@ def _first_spanned_row(pivots: dict[int, int], v: int, mask: int) -> int | None:
 
 
 def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
-    """Branch-and-bound on one graph, no component splitting."""
+    """Branch-and-bound on one connected graph.
+
+    The bounds come first: the greedy ones and, up to 40 vertices, the exact
+    independence number.  If a gap remains at that size, a join is split
+    into its co-components, and otherwise the exact clique cover becomes
+    the incumbent; the search runs only if that still leaves a gap.
+    """
     start = time.perf_counter()
     bounds = sandwich_bounds(g)
-    cover = clique_cover_matrix(g, bounds.cliques)
     lower = bounds.lower
+    cliques = bounds.cliques
+    cover_nodes = 0
     if g.n <= 40:
         # The exact independence number is cheap at this size and lets the
         # search stop as soon as it matches the incumbent.
         lower = max(lower, exact_independence_number(g))
-    stats = {"lower": lower, "upper_init": bounds.upper, "nodes": 0, "rows": 0}
-    if lower == bounds.upper:
+        if lower < bounds.upper:
+            parts = co_components(g)
+            if len(parts) > 1:
+                return _combine_components(
+                    g, parts, lambda sub: minrank_bnb(sub, node_budget), "bnb",
+                    join=True,
+                )
+            cliques, cover_nodes = exact_clique_cover(
+                g, lower, cliques, node_budget
+            )
+    cover = clique_cover_matrix(g, cliques)
+    stats = {"lower": lower, "upper_init": len(cliques), "nodes": 0, "rows": 0,
+             "cover_nodes": cover_nodes}
+    if lower == len(cliques):
         stats["elapsed"] = time.perf_counter() - start
-        return MinrankResult(bounds.upper, "bnb", cover, True, stats)
+        return MinrankResult(lower, "bnb", cover, True, stats)
 
     # Assign rows in descending-degree order; ties go to the smaller id.
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
@@ -245,7 +350,7 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
     unassigned = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         unassigned[i] = unassigned[i + 1] | (1 << order[i])
-    best_value = bounds.upper
+    best_value = len(cliques)
     best_rows = list(cover.data)
     chosen = [0] * n
     pivots: dict[int, int] = {}
@@ -360,45 +465,85 @@ def minrank_components(g: Graph, solver) -> MinrankResult:
     return _combine_components(g, g.connected_components(), solver, method="components")
 
 
-def _combine_components(g: Graph, comps, solver, method: str) -> MinrankResult:
-    total = 0
-    lower = 0
-    blocks = []
-    placements = []
+def _combine_components(
+    g: Graph, comps, solver, method: str, join: bool = False
+) -> MinrankResult:
+    """Solve each part with `solver` and combine the answers.
+
+    Connected components add up.  With `join`, the parts are co-components
+    and the min-rank is their maximum: every entry between two parts is
+    free, so the parts' factorizations pad to a common inner dimension and
+    stack.  Inexact parts give the interval of summed (or largest) bounds.
+    """
+    values, lowers, blocks, methods = [], [], [], []
     exact = True
-    methods = []
-    nodes = 0
-    rows = 0
-    have_witness = True
+    counts = {"nodes": 0, "rows": 0}
     for comp in comps:
-        sub, mapping = g.induced_subgraph(comp)
-        res = solver(sub)
-        total += res.value
-        exact = exact and res.exact
+        res = solver(g.induced_subgraph(comp)[0])
+        values.append(res.value)
+        lowers.append(res.stats.get("interval", (res.value,))[0])
+        blocks.append(res.witness)
         methods.append(res.method)
-        nodes += res.stats.get("nodes", 0)
-        rows += res.stats.get("rows", 0)
-        lo, _ = res.stats.get("interval", (res.value, res.value))
-        lower += lo
-        if res.witness is None:
-            have_witness = False
-        else:
-            blocks.append(res.witness)
-            placements.append(comp)
+        exact = exact and res.exact
+        for key in ("nodes", "rows", "cover_nodes"):
+            if key in res.stats:
+                counts[key] = counts.get(key, 0) + res.stats[key]
+    if join:
+        value, lower = max(values), max(lowers)
+    else:
+        value, lower = sum(values), sum(lowers)
+    exact = exact or (join and lower == value)
     witness = None
-    if have_witness and g.n:
-        witness = BitMatrix.block_diagonal(blocks, placements)
-        pad = g.n - witness.rows
-        if pad > 0:
-            witness = BitMatrix(g.n, g.n, witness.data + (0,) * pad)
-    elif g.n == 0:
-        witness = BitMatrix(0, 0, ())
-    stats: dict = {
-        "components": len(comps), "methods": methods, "nodes": nodes, "rows": rows
-    }
+    if None not in blocks:
+        witness = BitMatrix.block_diagonal(blocks, comps)
+        if join:
+            witness = _stack_factorizations(witness, comps)
+    stats: dict = {"co_components" if join else "components": len(comps),
+                   "methods": methods, **counts}
     if not exact:
-        stats["interval"] = [lower, total]
-    return MinrankResult(total, method, witness, exact, stats)
+        stats["interval"] = [lower, value]
+    return MinrankResult(value, method, witness, exact, stats)
+
+
+def _stack_factorizations(blocks: BitMatrix, parts) -> BitMatrix:
+    """One fitting matrix for a join from a block-diagonal matrix whose
+    diagonal blocks, one per part, fit the parts.
+
+    Each block factors as A_i B_i over a basis of its own rows.  Summing the
+    pieces' j-th basis rows gives a shared row R_j; a vertex's row becomes
+    the sum of the R_j its block row combines.  On each diagonal block that
+    is the block again, the other entries are free, and the rank is the
+    largest block rank.
+    """
+    combos = [0] * blocks.rows  # vertex -> basis rows of its part it sums
+    shared: list[int] = []
+    for part in parts:
+        basis = 0
+        pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (row, combo)
+        for v in part:
+            x, combo = blocks.data[v], 0
+            while x:
+                top = x.bit_length() - 1
+                if top not in pivots:
+                    break
+                row, used = pivots[top]
+                x ^= row
+                combo ^= used
+            if x:
+                if basis == len(shared):
+                    shared.append(0)
+                shared[basis] ^= blocks.data[v]
+                pivots[top] = (x, combo ^ (1 << basis))
+                combo = 1 << basis
+                basis += 1
+            combos[v] = combo
+    rows = []
+    for combo in combos:
+        row = 0
+        for b in _iter_bits(combo):
+            row ^= shared[b.bit_length() - 1]
+        rows.append(row)
+    return BitMatrix(blocks.rows, blocks.cols, tuple(rows))
 
 
 def verify_witness(result: MinrankResult, g: Graph) -> bool:

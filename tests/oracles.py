@@ -133,6 +133,36 @@ def max_independent_set(n, edges):
     return best
 
 
+def min_clique_partition(n, edges):
+    """Fewest cliques partitioning the vertices, by listing every way to
+    put each vertex into a block of the earlier vertices or a new block,
+    skipping partitions with a non-clique block or no fewer blocks than the
+    best so far."""
+    assert n <= 9
+    adj = {frozenset(e) for e in edges}
+    best = n
+    blocks = []
+
+    def place(v):
+        nonlocal best
+        if len(blocks) >= best:
+            return
+        if v == n:
+            best = len(blocks)
+            return
+        for block in blocks:
+            if all(frozenset((u, v)) in adj for u in block):
+                block.append(v)
+                place(v + 1)
+                block.pop()
+        blocks.append([v])
+        place(v + 1)
+        blocks.pop()
+
+    place(0)
+    return best
+
+
 def is_chordal_by_elimination(n, edges):
     """Chordality via the definition: repeatedly delete a simplicial
     vertex; the graph is chordal iff the process empties it."""

@@ -79,6 +79,28 @@ def test_minrank_edge_list(tmp_path, capsys):
     assert rec["exact"] is True
 
 
+def test_successive_calls_share_no_state(tmp_path, capsys):
+    """One parser serves every call; options of one call must not reach
+    the next."""
+    path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
+    first = tmp_path / "first.json"
+    code, out, _ = run_cli(capsys, ["minrank", path, "--trace", "-o", str(first)])
+    assert code == 0 and out == ""
+    assert "trace" in json.loads(first.read_text())
+    code, out, _ = run_cli(capsys, ["minrank", path, "--method", "brute"])
+    (rec,) = records(out)
+    assert rec["method"] == "brute" and "trace" not in rec
+    code, out, _ = run_cli(capsys, ["recognize", path, "--explain", "--c", "1"])
+    assert "explain" in records(out)[0]
+    code, out, _ = run_cli(capsys, ["minrank", path])
+    (rec,) = records(out)
+    assert code == 0 and rec["method"] == "dp" and "trace" not in rec
+    code, out, _ = run_cli(capsys, ["recognize", path])
+    (rec,) = records(out)
+    assert code == 0 and rec["member"] and "explain" not in rec
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_minrank_multi_graph_corpus(tmp_path, capsys):
     path = write(tmp_path, "three.g6", "C?\nCw\nC~\n")
     code, out, _ = run_cli(capsys, ["minrank", path])
@@ -292,6 +314,31 @@ def test_batch_corpus_histograms(tmp_path, capsys, order4_path):
     assert rows[0] == "minrank,count"
     total = sum(int(r.split(",")[1]) for r in rows[1:])
     assert total == 11
+
+
+def test_batch_whole_corpus_at_node_budget(tmp_path, random1000_path):
+    """All of random1000.g6 at --node-budget 2000.  Before joins were split
+    and the exact clique cover became the incumbent, 808 answers were exact
+    (random1000_budget2000.txt); those keep their values, and no other
+    value rises."""
+    out = tmp_path / "out.jsonl"
+    argv = ["batch", random1000_path, "--node-budget", "2000", "-o", str(out)]
+    assert main(argv) == 0
+    recs = records(out.read_text())
+    before = [
+        tuple(map(int, line.split()))
+        for line in (Path(random1000_path).parent / "random1000_budget2000.txt")
+        .read_text()
+        .splitlines()
+        if not line.startswith("#")
+    ]
+    assert len(recs) == len(before) == 1000
+    assert sum(exact for _, exact in before) == 808
+    assert sum(rec["exact"] for rec in recs) == 952
+    for rec, (value, exact) in zip(recs, before):
+        assert rec["value"] <= value, rec
+        if exact:
+            assert rec["exact"] and rec["value"] == value, rec
 
 
 def test_batch_survives_malformed_line(tmp_path, capsys):

@@ -5,6 +5,7 @@ enumeration oracle (tests/oracles.py) that materializes every fitting
 matrix and runs textbook elimination, then frozen here.
 """
 
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -25,9 +26,16 @@ from minrank import (
     sandwich_bounds,
     verify_witness,
 )
-from minrank.exact import _first_spanned_row, _row_choices, exact_independence_number
+from minrank.exact import (
+    _combine_components,
+    _first_spanned_row,
+    _row_choices,
+    co_components,
+    exact_clique_cover,
+    exact_independence_number,
+)
 from minrank.formats import parse_graph6
-from conftest import random_graph_in_budget
+from conftest import random_edges, random_graph_in_budget
 import oracles
 
 # name -> (n, edges, expected min-rank), values pinned by the slow oracle
@@ -238,24 +246,31 @@ def test_first_spanned_row_is_first_enumerated_spanned_row():
 
 
 def test_bnb_searches_pinned_on_corpus_slice(random1000_path):
-    """Lines 709-858 at a node budget of 2000; the figures were taken
-    before rows were listed lazily, so the search must visit the same
-    nodes and stop at the same incumbents."""
+    """Lines 709-858 at a node budget of 2000.  Before joins were split and
+    the exact clique cover became the incumbent, the searches took 68010
+    nodes for 118 exact answers, and lines 726 and 813 ended inexact at 4."""
     lines = Path(random1000_path).read_text().splitlines()[708:858]
-    results = [minrank_bnb(parse_graph6(line), node_budget=2000) for line in lines]
-    assert sum(r.stats["nodes"] for r in results) == 68010
-    assert sum(r.exact for r in results) == 118
-    for number, value in ((726, 4), (813, 4), (716, 5)):
+    graphs = [parse_graph6(line) for line in lines]
+    results = [minrank_bnb(g, node_budget=2000) for g in graphs]
+    assert sum(r.stats["nodes"] for r in results) == 15737
+    assert sum(r.stats["cover_nodes"] for r in results) == 728
+    assert sum(r.exact for r in results) == 143
+    assert all(verify_witness(r, g) for r, g in zip(results, graphs))
+    res = results[716 - 709]
+    assert (res.value, res.exact) == (4, False)
+    assert res.stats["nodes"] == 2001
+    assert res.stats["interval"] == [3, 4]
+    for number in (726, 813):
         res = results[number - 709]
-        assert (res.value, res.exact) == (value, False)
-        assert res.stats["nodes"] == 2001
-        assert res.stats["interval"] == [3, value]
+        assert (res.value, res.exact) == (3, True)
+        assert res.stats["nodes"] == 0
 
 
 def test_bnb_lists_rows_lazily(random1000_path):
-    """Line 726 (n=20, maximum degree 19): listing every row of each
-    branching vertex took 2^20 rows for 2001 nodes."""
-    line = Path(random1000_path).read_text().splitlines()[725]
+    """Line 716 (n=19, maximum degree 16) still searches to the budget.
+    Listing every row of each branching vertex took 2^20 rows for 2001
+    nodes on line 726, which the exact clique cover now closes."""
+    line = Path(random1000_path).read_text().splitlines()[715]
     res = minrank_bnb(parse_graph6(line), node_budget=2000)
     assert res.stats["nodes"] == 2001
     assert res.stats["rows"] <= 2 * res.stats["nodes"]
@@ -280,3 +295,102 @@ def test_bnb_needs_no_recursion():
     assert (res.value, res.exact) == (180, False)
     assert res.stats["nodes"] == 2001
     assert res.stats["interval"] == [120, 180]
+
+
+def _is_clique_partition(g, cover):
+    return sorted(v for clique in cover for v in clique) == list(range(g.n)) and all(
+        g.has_edge(u, v) for clique in cover for u, v in itertools.combinations(clique, 2)
+    )
+
+
+def test_exact_clique_cover_matches_partition_oracle():
+    rng = random.Random(306)
+    for _ in range(300):
+        g = random_graph_in_budget(rng, 9, edge_cap=36)
+        greedy = sandwich_bounds(g).cliques
+        want = oracles.min_clique_partition(g.n, g.edges)
+        for lower in (0, exact_independence_number(g)):
+            cover, _ = exact_clique_cover(g, lower, greedy, None)
+            assert _is_clique_partition(g, cover)
+            assert len(cover) == want <= len(greedy)
+        cover, spent = exact_clique_cover(g, 0, greedy, 3)
+        assert _is_clique_partition(g, cover)
+        assert spent <= 3 and want <= len(cover) <= len(greedy)
+
+
+def _join(*graphs):
+    """The join of the graphs, vertices numbered graph by graph."""
+    edges, starts, n = [], [], 0
+    for h in graphs:
+        starts.append(n)
+        edges += [(n + u, n + v) for u, v in h.edges]
+        n += h.n
+    ends = starts[1:] + [n]
+    for i, (s, e) in enumerate(zip(starts, ends)):
+        edges += [(u, v) for u in range(s, e) for v in range(e, n)]
+    return Graph(n, edges)
+
+
+def test_bnb_matches_bruteforce_on_dense_graphs():
+    """Random dense graphs and random shuffled joins, n <= 10 and
+    2|E| <= 16.  Every graph whose complement is disconnected is also
+    solved by the join rule directly, which checks the stacked witness."""
+    rng = random.Random(307)
+    joins = 0
+    for i in range(160):
+        while True:
+            if i % 2:
+                n = rng.randint(2, 10)
+                g = Graph(n, random_edges(rng, n, rng.choice([0.6, 0.8])))
+            else:
+                pieces = [random_graph_in_budget(rng, 3, edge_cap=3)
+                          for _ in range(rng.randint(2, 3))]
+                g = _join(*pieces)
+                perm = rng.sample(range(g.n), g.n)
+                g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            if 2 * g.edge_count <= 16:
+                break
+        want = minrank_bruteforce(g).value
+        res = minrank_bnb(g)
+        assert res.exact and res.value == want and verify_witness(res, g)
+        parts = co_components(g)
+        if len(parts) > 1:
+            joins += 1
+            res = _combine_components(g, parts, minrank_bnb, "bnb", join=True)
+            assert res.exact and res.value == want and verify_witness(res, g)
+    assert joins > 60
+
+
+def test_alternating_union_and_join_stays_exact():
+    """Forty vertices, each new one isolated or dominating in turn, so the
+    graph is a union or a join at every depth.  On the threshold graph the
+    greedy bounds already meet.  From a P4 labelled so that the greedy cover
+    is one too large, every level has a gap and splits, down to the P4."""
+    for core in ([], [(2, 0), (0, 1), (1, 3)]):
+        edges = list(core)
+        for v in range(4 if core else 1, 40):
+            if v % 2:
+                edges += [(u, v) for u in range(v)]
+        g = Graph(40, edges)
+        res = minrank_bnb(g)
+        alpha = exact_independence_number(g)
+        assert res.exact and res.value == alpha
+        assert verify_witness(res, g)
+    assert sandwich_bounds(g).upper == alpha + 1
+    assert res.stats["co_components"] == 2
+
+
+def test_budgeted_join_reports_largest_bounds(petersen):
+    """Petersen needs 73 search nodes, so 40 leave it at [4, 5].  Joined to
+    three independent vertices, the interval is [max(4, 3), max(5, 3)];
+    joined to a C5 plus two isolated vertices (exactly 5), it closes."""
+    res = minrank_bnb(_join(petersen, Graph(3)), node_budget=40)
+    assert (res.value, res.exact) == (5, False)
+    assert res.stats["interval"] == [4, 5]
+    assert verify_witness(res, _join(petersen, Graph(3)))
+    c5_and_two = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    g = _join(petersen, c5_and_two)
+    res = minrank_bnb(g, node_budget=40)
+    assert (res.value, res.exact) == (5, True)
+    assert res.stats["co_components"] == 2
+    assert verify_witness(res, g)
