@@ -47,7 +47,6 @@ from .structure import (
     StructureReport,
     mdc,
     structure_to_dot,
-    subtree_vertices,
     validate_structure,
 )
 
@@ -95,7 +94,6 @@ __all__ = [
     "sandwich_bounds",
     "split_phase",
     "structure_to_dot",
-    "subtree_vertices",
     "validate_structure",
     "verify_witness",
 ]

@@ -23,7 +23,6 @@ from .exact import (
     MinrankResult,
     minrank_bnb,
     minrank_bruteforce,
-    sandwich_bounds,
 )
 from .formats import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from .generator import generate_member
@@ -77,7 +76,8 @@ def _registry_from(args, cfg):
 
 
 def _result_record(g: Graph, res: MinrankResult, index: int) -> dict:
-    bounds = sandwich_bounds(g)
+    # What the solver proved: the value itself, or the interval it left.
+    lower, upper = (res.value, res.value) if res.exact else res.stats["interval"]
     rec = {
         "index": index,
         "n": g.n,
@@ -86,7 +86,7 @@ def _result_record(g: Graph, res: MinrankResult, index: int) -> dict:
         "method": res.method,
         "exact": res.exact,
         "witness": res.witness.to_strings() if res.witness is not None else None,
-        "bounds": {"lower": bounds.lower, "upper": bounds.upper},
+        "bounds": {"lower": lower, "upper": upper},
         "stats": {k: v for k, v in res.stats.items() if k != "trace"},
     }
     if g.n <= 62:

@@ -20,8 +20,9 @@ time.  Because each glue step needs values both with and without the
 shared connector, and the final answer needs both with and without the
 part's upward connector, the fold carries a table indexed by subsets of
 the still-pending connector vertices; the table at step t maps each
-subset U to the min-rank of the partial union minus U.  The table never
-exceeds 2^d entries for d downward connectors.
+subset U to the min-rank of the partial union minus U.  It starts as the
+bare part's min-rank minus each subset, read from one solver per part,
+and never exceeds 2^(d+1) entries for d downward connectors.
 """
 
 from __future__ import annotations
@@ -99,39 +100,18 @@ def dp_minrank(
     """Exact min-rank of a graph from its tree-of-parts structure.
 
     The structure is validated first and the fold runs on the validated
-    copy, with connectors read off the graph.  Family oracles answer
-    min-rank queries on parts with connector subsets deleted (families are
-    closed under vertex deletion, so those stay members).  No witness
-    matrix is produced.  Parts whose connector subset table would exceed
-    `max_subsets` entries are refused.
+    copy, with connectors read off the graph.  The solvers that validation
+    built when it found each part's family answer min-rank queries on
+    parts with connector subsets deleted (families are closed under vertex
+    deletion, so those stay members), so each part is tested once.  No
+    witness matrix is produced.  Parts whose connector subset table would
+    exceed `max_subsets` entries are refused.
     """
     report = validate_structure(g, t, registry)
     if not report.valid:
         raise StructureError(f"invalid structure: {report.violations}")
     t = report.structure
-    by_name = {o.name: o for o in registry.oracles}
-    part_oracles = [by_name[name] for name in report.families]
-
     k = len(t.parts)
-    part_graphs = []
-    part_maps = []
-    for part in t.parts:
-        sub, mapping = g.induced_subgraph(part)
-        part_graphs.append(sub)
-        part_maps.append(mapping)
-
-    oracle_memo: dict[tuple[int, frozenset], int] = {}
-    oracle_calls = 0
-
-    def part_minrank(i: int, removed: frozenset) -> int:
-        nonlocal oracle_calls
-        key = (i, removed)
-        if key not in oracle_memo:
-            local_drop = [part_maps[i][v] for v in removed]
-            sub = part_graphs[i].remove_vertices(local_drop)
-            oracle_calls += 1
-            oracle_memo[key] = part_oracles[i].minrank(sub)
-        return oracle_memo[key]
 
     children: list[list[int]] = [[] for _ in range(k)]
     for j, p in enumerate(t.parent):
@@ -147,62 +127,41 @@ def dp_minrank(
 
     tables: dict[int, NodeTable] = {}
     trace_nodes = []
+    oracle_calls = 0
     for i in order:
         uc = t.uc.get(i)
+        up = {uc} if uc is not None else set()
         dc_map = t.dc.get(i, {})
         dcs = sorted(dc_map)
         d = len(dcs)
-        if not dcs:
-            table = NodeTable(
-                part_minrank(i, frozenset()),
-                part_minrank(i, frozenset({uc})) if uc is not None else None,
+        if 2**d > max_subsets:
+            raise BudgetExceededError(
+                f"part {i} has {d} downward connectors; "
+                f"2^{d} subsets exceed the budget of {max_subsets}"
             )
-        else:
-            if 2**d > max_subsets:
-                raise BudgetExceededError(
-                    f"part {i} has {d} downward connectors; "
-                    f"2^{d} subsets exceed the budget of {max_subsets}"
-                )
-            hub_values = {
-                u: star_merge(
-                    [(tables[j].m_full, tables[j].m_minus) for j in dc_map[u]]
-                )
-                for u in dcs
-            }
-            # Fold in the first connector against the bare part, then the rest
-            # against the running union; each step consumes one subset slot.
-            cur: dict[frozenset, int] = {}
-            u1 = dcs[0]
-            slots = set(dcs[1:]) | ({uc} if uc is not None else set())
-            for subset in _subsets(sorted(slots)):
-                if uc is not None and uc == u1 and uc in subset:
-                    cur[subset] = part_minrank(i, subset) + hub_values[u1][1]
+        hub_values = {
+            u: star_merge([(tables[j].m_full, tables[j].m_minus) for j in dc_map[u]])
+            for u in dcs
+        }
+        # Start from the bare part minus each subset of its connectors, then
+        # fold in one downward connector per step, which consumes its slot.
+        local = {v: x for x, v in enumerate(t.parts[i])}
+        cur = {
+            subset: report.solvers[i]([local[v] for v in subset])
+            for subset in _subsets(sorted(set(dcs) | up))
+        }
+        oracle_calls += len(cur)
+        for step, u in enumerate(dcs):
+            nxt: dict[frozenset, int] = {}
+            for subset in _subsets(sorted(set(dcs[step + 1 :]) | up)):
+                if u == uc and u in subset:
+                    nxt[subset] = cur[subset] + hub_values[u][1]
                 else:
-                    cur[subset] = combine_shared_vertex(
-                        part_minrank(i, subset),
-                        part_minrank(i, subset | {u1}),
-                        hub_values[u1][0],
-                        hub_values[u1][1],
+                    nxt[subset] = combine_shared_vertex(
+                        cur[subset], cur[subset | {u}], *hub_values[u]
                     )
-            for step in range(1, d):
-                u = dcs[step]
-                slots = set(dcs[step + 1 :]) | ({uc} if uc is not None else set())
-                nxt: dict[frozenset, int] = {}
-                for subset in _subsets(sorted(slots)):
-                    if uc is not None and uc == u and uc in subset:
-                        nxt[subset] = cur[subset] + hub_values[u][1]
-                    else:
-                        nxt[subset] = combine_shared_vertex(
-                            cur[subset],
-                            cur[subset | {u}],
-                            hub_values[u][0],
-                            hub_values[u][1],
-                        )
-                cur = nxt
-            table = NodeTable(
-                cur[frozenset()],
-                cur[frozenset({uc})] if uc is not None else None,
-            )
+            cur = nxt
+        table = NodeTable(cur[frozenset()], cur[frozenset(up)] if up else None)
         if table.m_minus is not None:
             _check_pair(table.m_full, table.m_minus, f"table at part {i}")
         tables[i] = table
@@ -210,14 +169,10 @@ def dp_minrank(
             trace_nodes.append(
                 {
                     "part": i,
-                    "family": part_oracles[i].name,
+                    "family": report.families[i],
                     "m_full": table.m_full,
                     "m_minus": table.m_minus,
-                    "hub_values": {
-                        str(u): list(hub_values[u]) for u in dcs
-                    }
-                    if dcs
-                    else {},
+                    "hub_values": {str(u): list(hv) for u, hv in hub_values.items()},
                 }
             )
 

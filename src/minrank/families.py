@@ -1,9 +1,10 @@
 """Pluggable base-graph families with membership tests and fast min-rank.
 
-A family oracle answers two questions: is this graph a member, and, for
-members, what is its min-rank.  Families must be closed under vertex
-deletion, which the decomposition algorithms rely on when they remove
-connector vertices from a part.
+A family oracle answers three questions: is this graph a member; what
+is a member's min-rank; and is a union of pieces glued along a tree of
+bridges a member.  Families must be closed under vertex deletion, which
+the decomposition algorithms rely on when they remove connector vertices
+from a part.
 """
 
 from __future__ import annotations
@@ -28,6 +29,18 @@ class FamilyOracle(ABC):
     def minrank(self, g: Graph) -> int:
         """Exact min-rank of a member; raises ValueError on non-members."""
 
+    @abstractmethod
+    def glue(self, pieces_member: bool, order: int) -> bool:
+        """Membership of a union of pieces joined along a tree of bridges,
+        from whether every piece is a member and the union's order."""
+
+    def solver(self, g: Graph):
+        """None for a non-member; else a function mapping a set of g's
+        vertices to the min-rank of g with those vertices deleted."""
+        if not self.is_member(g):
+            return None
+        return lambda removed: self.minrank(g.remove_vertices(removed))
+
 
 # Branch-and-bound nodes the bounded-order oracle spends on a whole member
 # before it splits the member at its bridges.
@@ -45,6 +58,9 @@ class BoundedOrderFamily(FamilyOracle):
 
     def is_member(self, g: Graph) -> bool:
         return g.n <= self.bound
+
+    def glue(self, pieces_member: bool, order: int) -> bool:
+        return order <= self.bound
 
     def minrank(self, g: Graph) -> int:
         if not self.is_member(g):
@@ -89,40 +105,50 @@ def minrank_across_bridges(g: Graph) -> int:
     return solve(frozenset(range(g.n)))
 
 
-def lexicographic_bfs(g: Graph) -> list[int]:
-    """Vertex visit order of lexicographic BFS, ties toward smaller ids."""
-    labels: list[list[int]] = [[] for _ in range(g.n)]
-    visited = [False] * g.n
-    order = []
-    for step in range(g.n):
-        best = -1
-        for v in range(g.n):
-            if not visited[v] and (best == -1 or labels[v] > labels[best]):
-                best = v
-        visited[best] = True
-        order.append(best)
-        stamp = g.n - step
-        for w in g.neighbor_set(best):
-            if not visited[w]:
-                labels[w].append(stamp)
-    return order
-
-
 def elimination_order(g: Graph) -> list[int]:
-    """Reversed lexicographic BFS order; a perfect elimination order iff chordal."""
-    return lexicographic_bfs(g)[::-1]
+    """Reversed maximum cardinality search order, in O(n + m).
+
+    Each step visits an unvisited vertex with the most visited neighbours;
+    reversed, the visit order is a perfect elimination order iff g is
+    chordal (Tarjan and Yannakakis 1984).  Buckets hold vertices by that
+    count, and an entry left behind by a rising count is skipped.
+    """
+    count = [0] * g.n
+    buckets = [list(range(g.n - 1, -1, -1))] + [[] for _ in range(g.n)]
+    order = []
+    top = 0
+    while top >= 0:
+        if not buckets[top]:
+            top -= 1
+            continue
+        v = buckets[top].pop()
+        if count[v] != top:
+            continue  # visited, or pushed again at a higher count
+        count[v] = -1
+        order.append(v)
+        for w in g.neighbor_set(v):
+            if count[w] >= 0:
+                count[w] += 1
+                buckets[count[w]].append(w)
+        top += 1  # no count rose by more than one
+    return order[::-1]
 
 
 def is_perfect_elimination(g: Graph, order) -> bool:
-    """Whether each vertex's later neighbors form a clique along the order."""
-    pos = {v: i for i, v in enumerate(order)}
+    """Whether each vertex's later neighbours form a clique along the order.
+
+    It suffices that they all neighbour the earliest of them: one set
+    lookup per later neighbour.
+    """
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
     for v in order:
         later = [w for w in g.neighbor_set(v) if pos[w] > pos[v]]
-        if not later:
-            continue
-        w0 = min(later, key=pos.get)
-        for w in later:
-            if w != w0 and not g.has_edge(w0, w):
+        if later:
+            first = min(later, key=pos.__getitem__)
+            clique = g.neighbor_set(first)
+            if not all(w == first or w in clique for w in later):
                 return False
     return True
 
@@ -130,11 +156,15 @@ def is_perfect_elimination(g: Graph, order) -> bool:
 class ChordalFamily(FamilyOracle):
     """Chordal graphs; min-rank equals the independence number.
 
-    Membership is lexicographic BFS plus elimination-order verification.
-    For the min-rank, scanning the perfect elimination order and taking
-    every vertex with no previously taken neighbor yields a maximum
-    independent set together with a clique cover of the same size, and the
-    two bounds squeeze the min-rank to that number.
+    Membership is maximum cardinality search plus elimination-order
+    verification.  For the min-rank, scanning the perfect elimination
+    order and taking every vertex with no previously taken neighbour
+    yields a maximum independent set together with a clique cover of the
+    same size, and the two bounds squeeze the min-rank to that number.
+    The order restricted to an induced subgraph is still a perfect
+    elimination order, so one order serves every vertex deletion.  Every
+    cycle of a union glued along bridges stays inside one piece, so the
+    union is chordal iff every piece is.
     """
 
     name = "chordal"
@@ -143,17 +173,30 @@ class ChordalFamily(FamilyOracle):
         return is_perfect_elimination(g, elimination_order(g))
 
     def minrank(self, g: Graph) -> int:
+        solve = self.solver(g)
+        if solve is None:
+            raise ValueError("graph is not chordal")
+        return solve(())
+
+    def glue(self, pieces_member: bool, order: int) -> bool:
+        return pieces_member
+
+    def solver(self, g: Graph):
         order = elimination_order(g)
         if not is_perfect_elimination(g, order):
-            raise ValueError("graph is not chordal")
-        taken = 0
-        blocked = set()
-        for v in order:
-            if v not in blocked:
-                taken += 1
-                blocked.add(v)
-                blocked |= g.neighbor_set(v)
-        return taken
+            return None
+
+        def solve(removed) -> int:
+            taken = 0
+            blocked = set(removed)
+            for v in order:
+                if v not in blocked:
+                    taken += 1
+                    blocked.add(v)
+                    blocked |= g.neighbor_set(v)
+            return taken
+
+        return solve
 
 
 @dataclass(frozen=True)
@@ -171,6 +214,15 @@ class FamilyRegistry:
         for oracle in self.oracles:
             if oracle.is_member(g):
                 return oracle
+        return None
+
+    def claim(self, g: Graph) -> tuple[FamilyOracle, object] | None:
+        """The first family holding g, with its solver for g (see
+        `FamilyOracle.solver`), or None."""
+        for oracle in self.oracles:
+            solve = oracle.solver(g)
+            if solve is not None:
+                return oracle, solve
         return None
 
     @property

@@ -8,11 +8,12 @@ turn.  A root under which no atom has more than `c` downward connectors
 takes the atom tree as it is.  Otherwise each atom, children first,
 absorbs leaf children through a largest-possible set of its downward
 connectors so that at most `c` survive and the enlarged part stays in a
-family.  What an atom v decides below its parent p depends on v, p and
-the decisions below v, never on the root, so each directed (v, p)
-decision is computed once and shared by every root: at most 3h - 2 of
-them for h atoms.  If every root fails, the graph has no structure with
-the requested bound.
+family; each family's gluing rule decides that from the atoms' own
+memberships, found once by splitting, and the part's order.  What an
+atom v decides below its parent p depends on v, p and the decisions
+below v, never on the root, so each directed (v, p) decision is computed
+once and shared by every root: at most 3h - 2 of them for h atoms.  If
+every root fails, the graph has no structure with the requested bound.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ class AtomForest:
 
     atoms: tuple[tuple[int, ...], ...]
     links: dict[tuple[int, int], tuple[int, int]]  # (atom l, atom m) -> edge (x, y)
+    members: tuple[tuple[bool, ...], ...]  # per atom, per registry oracle
 
 
 @dataclass
@@ -52,8 +54,10 @@ def split_phase(
     connected graph `g` (its 2-edge-connected components), ordered by
     smallest vertex; the links are the bridges themselves, each keyed by
     its pair of atoms and oriented so that x lies in the lower-numbered
-    atom.  Raises NotInFamilyError on the first atom that belongs to no
-    registered family.  When `events` is a list, one record per bridge is
+    atom.  Each atom's membership in every registered family is kept, so
+    that merging can glue atoms without testing their unions.  Raises
+    NotInFamilyError on the first atom that belongs to no registered
+    family.  When `events` is a list, one record per bridge is
     appended to it.
     """
     bridges = g.bridges()
@@ -76,9 +80,11 @@ def split_phase(
                     members.append(w)
                     stack.append(w)
         atoms.append(tuple(sorted(members)))
+    flags = []
     for atom in atoms:
         sub, _ = g.induced_subgraph(atom)
-        if registry.lookup(sub) is None:
+        flags.append(tuple(o.is_member(sub) for o in registry.oracles))
+        if not any(flags[-1]):
             raise NotInFamilyError(
                 f"bridgeless piece {list(atom)} fits no registered family", atom=atom
             )
@@ -87,7 +93,7 @@ def split_phase(
         if atom_of[x] > atom_of[y]:
             x, y = y, x
         links[(atom_of[x], atom_of[y])] = (x, y)
-    return AtomForest(tuple(atoms), dict(sorted(links.items())))
+    return AtomForest(tuple(atoms), dict(sorted(links.items())), tuple(flags))
 
 
 def _post_order(memo: dict, start: tuple, below, decide, settles) -> object:
@@ -129,7 +135,7 @@ def merge_phase(
     when `stats` is a dict, `stats["decisions"]` counts the (atom, parent)
     decisions computed.
     """
-    atoms = forest.atoms
+    atoms, members = forest.atoms, forest.members
     end: dict[tuple[int, int], int] = {}  # (atom, neighbour) -> link end in atom
     for (l, m), (x, y) in forest.links.items():
         end[l, m], end[m, l] = x, y
@@ -140,22 +146,15 @@ def merge_phase(
     def below(v: int, p: int) -> list[int]:
         return [w for w in neighbors[v] if w != p]
 
-    member_memo: dict[frozenset, bool] = {}
-
-    def in_family(vertices: frozenset) -> bool:
-        if vertices not in member_memo:
-            sub, _ = g.induced_subgraph(sorted(vertices))
-            member_memo[vertices] = registry.lookup(sub) is not None
-        return member_memo[vertices]
-
     # (v, p) -> whether an atom in the subtree has more than c connectors
     over: dict[tuple[int, int], bool] = {}
 
     def over_at(v: int, p: int, kids: list[int]) -> bool:
         return len({end[v, w] for w in kids}) > c
 
-    # (v, p) -> (merged vertex set, surviving children), or (None, why) when
-    # an atom in the subtree cannot shed enough connectors.
+    # (v, p) -> (merged vertex set, surviving children, per registry oracle
+    # whether every merged atom is a member), or (None, why) when an atom in
+    # the subtree cannot shed enough connectors.
     shed: dict[tuple[int, int], tuple] = {}
     visits: list | None = None
 
@@ -175,17 +174,35 @@ def merge_phase(
         for w in kids:
             groups.setdefault(end[v, w], []).append(w)
         connectors = sorted(groups)
+        # Per connector: whether every child through it is childless (only
+        # those may be absorbed), and the flags and order of their parts.
+        through = {
+            u: (
+                not any(shed[w, v][1] for w in ws),
+                tuple(map(all, zip(*(shed[w, v][2] for w in ws)))),
+                sum(len(shed[w, v][0]) for w in ws),
+            )
+            for u, ws in groups.items()
+        }
         for size in range(len(connectors), max(0, len(connectors) - c) - 1, -1):
             for chosen in combinations(connectors, size):
-                absorbed = [w for u in chosen for w in groups[u]]
-                if any(shed[w, v][1] for w in absorbed):
-                    continue  # only childless parts may be absorbed
-                merged = union(v, absorbed)
-                # split_phase has already found every bare atom in a family
-                if absorbed and not in_family(merged):
+                if not all(through[u][0] for u in chosen):
                     continue
+                # The atoms merged are joined along a tree of bridges, so
+                # their flags and the part's order decide its families; a
+                # bare atom was already found in a family by split_phase.
+                flags = tuple(
+                    map(all, zip(members[v], *(through[u][1] for u in chosen)))
+                )
+                order = len(atoms[v]) + sum(through[u][2] for u in chosen)
+                if chosen and not any(
+                    o.glue(f, order) for o, f in zip(registry.oracles, flags)
+                ):
+                    continue
+                absorbed = [w for u in chosen for w in groups[u]]
                 visit(v, p, connectors, chosen, absorbed)
-                return merged, tuple(w for w in kids if w not in absorbed)
+                kept = tuple(w for w in kids if end[v, w] not in chosen)
+                return union(v, absorbed), kept, flags
         visit(v, p, connectors, None, ())
         n = len(connectors)
         return None, f"part at atom {v} cannot reduce below {n} connectors"
@@ -195,7 +212,7 @@ def merge_phase(
         while stack:
             v = stack.pop()
             p = parent[v]
-            blob[v], kids = shed[v, p] if merged else (atoms[v], below(v, p))
+            blob[v], kids = shed[v, p][:2] if merged else (atoms[v], below(v, p))
             parent.update(dict.fromkeys(kids, v))
             stack.extend(kids)
         alive = sorted(blob)

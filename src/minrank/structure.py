@@ -32,9 +32,6 @@ class SimpleTreeStructure:
                 return i
         raise StructureError("no root part (parent -1) present")
 
-    def children(self, i: int) -> list[int]:
-        return [j for j, p in enumerate(self.parent) if p == i]
-
     @classmethod
     def derive(cls, g: Graph, parts, parent) -> "SimpleTreeStructure":
         """Build a structure from parts and parent links, reading connectors off g.
@@ -115,6 +112,9 @@ class StructureReport:
     families: tuple[str | None, ...]
     # The tree with connectors read off the graph; None when R2 or R3 fails.
     structure: SimpleTreeStructure | None = None
+    # Per part, its family's solver (`FamilyOracle.solver`) on the part's
+    # graph, whose vertex i is the part's i-th smallest; None outside R1.
+    solvers: tuple = ()
 
 
 def mdc(t: SimpleTreeStructure) -> int:
@@ -122,17 +122,6 @@ def mdc(t: SimpleTreeStructure) -> int:
     if not t.parts:
         return 0
     return max((len(m) for m in t.dc.values()), default=0)
-
-
-def subtree_vertices(t: SimpleTreeStructure, i: int) -> list[int]:
-    """Sorted vertices of part i and all its descendants."""
-    out = []
-    stack = [i]
-    while stack:
-        node = stack.pop()
-        out.extend(t.parts[node])
-        stack.extend(t.children(node))
-    return sorted(out)
 
 
 def _tree_violations(t: SimpleTreeStructure) -> list[tuple[str, str]]:
@@ -151,15 +140,21 @@ def _tree_violations(t: SimpleTreeStructure) -> list[tuple[str, str]]:
             problems.append(("tree", f"part {i} has out-of-range parent {p}"))
     if problems:
         return problems
+    # reaches[v]: whether v's parent chain reaches the root, None until
+    # known.  A walk marks its parts False and stops at the first known
+    # part, so each part is walked once.
+    reaches: list[bool | None] = [None] * k
     for i in range(k):
-        seen = set()
-        v = i
-        while v != -1:
-            if v in seen:
-                problems.append(("tree", f"parent cycle through part {i}"))
-                break
-            seen.add(v)
+        walk, v = [], i
+        while v != -1 and reaches[v] is None:
+            reaches[v] = False
+            walk.append(v)
             v = t.parent[v]
+        if v == -1 or reaches[v]:
+            for u in walk:
+                reaches[u] = True
+        if not reaches[i]:
+            problems.append(("tree", f"parent cycle through part {i}"))
     return problems
 
 
@@ -206,10 +201,12 @@ def validate_structure(
             )
 
     families: list[str | None] = []
+    solvers = []
     for i, part in enumerate(t.parts):
-        sub, _ = g.induced_subgraph(part)
-        oracle = registry.lookup(sub)
+        sub, _ = g.induced_subgraph(sorted(part))
+        oracle, solve = registry.claim(sub) or (None, None)
         families.append(oracle.name if oracle else None)
+        solvers.append(solve)
         if oracle is None:
             violations.append(("R1", f"part {i} induces a graph in no registered family"))
 
@@ -231,6 +228,7 @@ def validate_structure(
         mdc(derived) if derived is not None else None,
         tuple(families),
         derived,
+        tuple(solvers),
     )
 
 

@@ -79,6 +79,39 @@ def test_minrank_edge_list(tmp_path, capsys):
     assert rec["exact"] is True
 
 
+def test_bounds_are_what_the_solver_proved(tmp_path, capsys, random1000_path):
+    """Line 716 stops at the node budget with the interval [3, 4]; a fresh
+    greedy sandwich over the whole graph would print {2, 5}.  An exact
+    answer's bounds are its value."""
+    line = Path(random1000_path).read_text().splitlines()[715]
+    path = write(tmp_path, "l716.g6", line + "\n")
+    code, out, _ = run_cli(
+        capsys, ["minrank", path, "--method", "bnb", "--node-budget", "2000"]
+    )
+    (rec,) = records(out)
+    assert code == 3 and (rec["value"], rec["exact"]) == (4, False)
+    assert rec["bounds"] == {"lower": 3, "upper": 4} == dict(
+        zip(("lower", "upper"), rec["stats"]["interval"])
+    )
+    path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
+    code, out, _ = run_cli(capsys, ["minrank", path])
+    (rec,) = records(out)
+    assert code == 0 and rec["bounds"] == {"lower": 2, "upper": 2}
+
+
+def test_module_runs_as_a_process(tmp_path):
+    path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "minrank.cli", "minrank", path],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[0])["value"] == 2
+
+
 def test_successive_calls_share_no_state(tmp_path, capsys):
     """One parser serves every call; options of one call must not reach
     the next."""

@@ -1,5 +1,6 @@
 """Family oracles: chordal recognition and per-family min-rank."""
 
+import itertools
 import random
 
 import pytest
@@ -59,6 +60,125 @@ def test_perfect_elimination_checker():
     assert is_perfect_elimination(tri_tail, order)
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert not is_perfect_elimination(c4, elimination_order(c4))
+
+
+def _relabel(rng: random.Random, g: Graph) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _perfect_by_definition(g: Graph, order) -> bool:
+    pos = {v: i for i, v in enumerate(order)}
+    return all(
+        g.has_edge(a, b)
+        for v in order
+        for a, b in itertools.combinations(
+            [w for w in g.neighbor_set(v) if pos[w] > pos[v]], 2
+        )
+    )
+
+
+def test_linear_elimination_order_decides_chordality():
+    """Maximum cardinality search against deleting simplicial vertices, on
+    relabelled chordal graphs, the same with one edge added, and G(n, p),
+    of order up to 40."""
+    rng = random.Random(520)
+    chordal = 0
+    for i in range(240):
+        n = rng.randint(1, 40)
+        if i % 3 == 2:
+            g = Graph(n, random_edges(rng, n, rng.choice([0.05, 0.1, 0.3, 0.7])))
+        else:
+            g = random_connected_chordal(rng, n)
+            if i % 3 == 1 and n > 3:
+                u, v = rng.sample(range(n), 2)
+                g = Graph(n, set(g.edges) | {(min(u, v), max(u, v))})
+            g = _relabel(rng, g)
+        order = elimination_order(g)
+        assert sorted(order) == list(range(n))
+        want = oracles.is_chordal_by_elimination(n, g.edges)
+        assert is_perfect_elimination(g, order) == want, g.edges
+        chordal += want
+    assert 100 < chordal < 200
+
+
+def test_perfect_elimination_check_matches_definition():
+    """The earliest-later-neighbour shortcut against checking every pair
+    of later neighbours, on random orders of chordal and other graphs."""
+    rng = random.Random(521)
+    hits = 0
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        g = _relabel(rng, random_connected_chordal(rng, n))
+        if rng.random() < 0.3:
+            g = Graph(n, random_edges(rng, n, 0.5))
+        order = list(range(n))
+        rng.shuffle(order)
+        want = _perfect_by_definition(g, order)
+        assert is_perfect_elimination(g, order) == want, (g.edges, order)
+        hits += want
+    assert 100 < hits < 500
+
+
+def test_chordal_solver_matches_bruteforce_on_deleted_subsets():
+    """One elimination order per graph answers every deleted subset."""
+    rng = random.Random(522)
+    fam = ChordalFamily()
+    checked = 0
+    while checked < 300:
+        g = _relabel(rng, random_connected_chordal(rng, rng.randint(1, 9)))
+        solve = fam.solver(g)
+        for _ in range(4):
+            removed = rng.sample(range(g.n), rng.randint(0, g.n))
+            sub = g.remove_vertices(removed)
+            if 2 * sub.edge_count <= 14:
+                assert solve(removed) == minrank_bruteforce(sub).value, g.edges
+                checked += 1
+    assert fam.solver(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])) is None
+
+
+def _bridged_union(rng: random.Random):
+    """Random pieces joined along a random tree of single edges; returns
+    the pieces of a random subtree and the graph induced on their union."""
+    pieces, edges, tree = [], [], []
+    n = 0
+    for j in range(rng.randint(1, 6)):
+        size = rng.randint(1, 6)
+        p = rng.choice([0.2, 0.5, 0.8])
+        edges += [(n + u, n + v) for u, v in random_edges(rng, size, p)]
+        pieces.append(list(range(n, n + size)))
+        tree.append([])
+        if j:
+            i = rng.randrange(j)
+            edges.append((rng.choice(pieces[i]), rng.choice(pieces[j])))
+            tree[i].append(j)
+            tree[j].append(i)
+        n += size
+    g = Graph(n, edges)
+    chosen = {rng.randrange(len(pieces))}
+    for _ in range(rng.randint(0, len(pieces) - 1)):
+        chosen.add(rng.choice(sorted({j for i in chosen for j in tree[i]})))
+    union, _ = g.induced_subgraph(sorted(v for i in chosen for v in pieces[i]))
+    return [g.induced_subgraph(pieces[i])[0] for i in chosen], union
+
+
+@pytest.mark.parametrize(
+    "spec", ["chordal,bounded:10", "chordal", "bounded:3", "bounded:1"]
+)
+def test_gluing_rule_matches_lookup_on_bridged_unions(spec):
+    rng = random.Random(spec)
+    reg = parse_registry_spec(spec)
+    answers = []
+    for _ in range(400):
+        pieces, union = _bridged_union(rng)
+        glued = [
+            o.glue(all(o.is_member(p) for p in pieces), union.n) for o in reg.oracles
+        ]
+        assert glued == [o.is_member(union) for o in reg.oracles], union.edges
+        answers.append(any(glued))
+        assert answers[-1] == (reg.lookup(union) is not None)
+    assert 0 < sum(answers) < len(answers)
 
 
 def test_chordal_minrank_is_exact():

@@ -16,6 +16,7 @@ from minrank import (
     recognize,
     validate_structure,
 )
+from minrank import families
 from minrank.generator import generate_member, random_connected_graph
 from minrank.recognizer import merge_phase, split_phase
 import oracles
@@ -313,6 +314,58 @@ def test_merge_sheds_down_a_deep_path():
     assert out.member and out.roots_tried == 1
     assert len(out.structure.parts) == k
     assert out.structure.parts[-1] == (n - 4, n - 3, n - 2, n - 1, n, n + 1, n + 2)
+
+
+def test_merge_glues_without_induced_subgraphs(monkeypatch):
+    """The all-chordal k=640 member merges into one part.  Its unions'
+    membership comes from the atoms' flags, so merge builds no subgraph."""
+    g, _ = generate_member(3, 640, 2, profile="chordal", part_order=(2, 6))
+    reg = default_registry()
+    forest = split_phase(g, reg)
+    calls = []
+    real = Graph.induced_subgraph
+
+    def counted(self, vertices):
+        calls.append(self.n)
+        return real(self, vertices)
+
+    monkeypatch.setattr(Graph, "induced_subgraph", counted)
+    structure, roots = merge_phase(g, forest, 2, reg)
+    assert len(forest.atoms) > 1000 and len(structure.parts) == 1
+    assert calls == []
+
+
+def star_of_atoms(h):
+    """A chorded 6-cycle with h - 1 bridged 4-cycles hung from four of its
+    vertices: no root admits c = 2."""
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)]
+    for j in range(1, h):
+        b = 6 + 4 * (j - 1)
+        edges += [(b + i, b + (i + 1) % 4) for i in range(4)]
+        edges.append(((0, 1, 3, 4)[j % 4], b))
+    return Graph(6 + 4 * (h - 1), edges)
+
+
+def test_chordality_tested_once_per_atom_and_part(monkeypatch):
+    """Splitting tests each atom, and dp's validation each part, once;
+    merging and the dp fold test nothing."""
+    member, _ = generate_member(5, 160, 2, profile="mixed", part_order=(2, 6))
+    calls = []
+    real = families.is_perfect_elimination
+
+    def counted(g, order):
+        calls.append(g.n)
+        return real(g, order)
+
+    monkeypatch.setattr(families, "is_perfect_elimination", counted)
+    reg = default_registry()
+    out = recognize(star_of_atoms(400), 2, reg)
+    assert not out.member and out.roots_tried == out.stats["atoms"] == 400
+    assert len(calls) <= 400
+    calls.clear()
+    out = recognize(member, 2, reg)
+    dp_minrank(member, out.structure, reg)
+    assert len(calls) <= out.stats["atoms"] + out.stats["parts"]
 
 
 def test_explain_lists_each_decision_once():

@@ -13,7 +13,7 @@ from minrank import (
     parse_registry_spec,
     validate_structure,
 )
-from minrank.structure import structure_to_dot, subtree_vertices
+from minrank.structure import structure_to_dot
 
 
 def two_triangles():
@@ -25,11 +25,10 @@ def two_triangles():
 def test_derive_reads_connectors():
     g, t = two_triangles()
     assert t.root == 0
-    assert t.children(0) == [1]
+    assert t.parent == (-1, 0)  # part 1 is the only child of part 0
     assert t.uc == {1: 3}
     assert t.dc == {0: {2: (1,)}}
-    assert subtree_vertices(t, 0) == [0, 1, 2, 3, 4, 5]
-    assert subtree_vertices(t, 1) == [3, 4, 5]
+    assert 1 not in t.parent and t.parts[1] == (3, 4, 5)  # a leaf holding 3..5
 
 
 def test_derive_requires_single_link():
@@ -96,6 +95,24 @@ def test_validate_flags_tree_problems():
         r for r, _ in validate_structure(g, cycle, default_registry()).violations
     ]
     assert "tree" in rules
+
+
+def test_parent_cycle_with_tail_flags_every_part_off_the_root():
+    """Parts 3, 4, 5 form a parent cycle, and 0 -> 6 -> 3 hangs off it;
+    2 and 7 reach the root through known parts.  Lists pinned from the
+    walk that started afresh at every part."""
+    g = Graph(8, [])
+    parts = tuple((v,) for v in range(8))
+    t = SimpleTreeStructure(parts, (6, -1, 1, 4, 5, 3, 3, 2), {}, {})
+    report = validate_structure(g, t, default_registry())
+    assert report.violations == [
+        ("tree", f"parent cycle through part {i}") for i in (0, 3, 4, 5, 6)
+    ]
+    t = SimpleTreeStructure(parts, (2, -1, 3, 0, 1, 4, 4, 6), {}, {})
+    report = validate_structure(g, t, default_registry())
+    assert report.violations == [
+        ("tree", f"parent cycle through part {i}") for i in (0, 2, 3)
+    ]
 
 
 def test_validate_flags_multi_edge_cut():
