@@ -34,7 +34,7 @@ from .generator import generate_member
 from .gf2 import BitMatrix, RowBasis, fits, rank_gf2
 from .graph import Graph
 from .cnf import emit_cnf, minrank_via_cnf, run_solver
-from .dp import combine_shared_vertex, dp_minrank, star_merge
+from .dp import combine_shared_vertex, dp_fold, dp_minrank, star_merge
 from .recognizer import (
     AtomForest,
     RecognitionOutcome,
@@ -72,6 +72,7 @@ __all__ = [
     "StructureReport",
     "combine_shared_vertex",
     "default_registry",
+    "dp_fold",
     "dp_minrank",
     "emit_cnf",
     "emit_dot",

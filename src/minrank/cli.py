@@ -16,7 +16,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .cnf import emit_cnf, minrank_via_cnf, run_solver
-from .dp import dp_minrank
+from .dp import dp_fold, dp_minrank
 from .errors import BudgetExceededError, GraphError, StructureError
 from .exact import (
     BRUTE_FORCE_BIT_BUDGET,
@@ -66,6 +66,13 @@ def load_graphs(path: str, fmt: str | None) -> list[Graph]:
             if line.strip() and not line.startswith("#")
         ]
     return [parse_edge_list(text)]
+
+
+def _one_graph(args, command: str) -> Graph:
+    graphs = load_graphs(args.graph, args.format)
+    if len(graphs) != 1:
+        raise GraphError(f"{command} works on a single graph input")
+    return graphs[0]
 
 
 def _registry_from(args, cfg):
@@ -130,13 +137,13 @@ def solve_graph(
         return minrank_components(
             g,
             lambda sub: solve_graph(
-                sub, "auto", c, registry, sat_solver, node_budget
+                sub, "auto", c, registry, sat_solver, node_budget, trace=trace
             ),
         )
     if g.n and registry is not None:
         outcome = recognize(g, c, registry)
         if outcome.member:
-            return dp_minrank(g, outcome.structure, registry, trace=trace)
+            return dp_fold(outcome.report, trace=trace)
     if 2 * g.edge_count <= BRUTE_FORCE_BIT_BUDGET:
         return minrank_bruteforce(g)
     res = minrank_bnb(g, node_budget)
@@ -181,10 +188,7 @@ def cmd_minrank(args, cfg) -> int:
 def cmd_recognize(args, cfg) -> int:
     registry = _registry_from(args, cfg)
     c = args.c if args.c is not None else int(cfg.get("c", 2))
-    graphs = load_graphs(args.graph, args.format)
-    if len(graphs) != 1:
-        raise GraphError("recognize works on a single graph input")
-    g = graphs[0]
+    g = _one_graph(args, "recognize")
     targets = (
         [g.induced_subgraph(comp)[0] for comp in g.connected_components()]
         if args.components
@@ -218,21 +222,18 @@ def cmd_recognize(args, cfg) -> int:
 def cmd_dp(args, cfg) -> int:
     registry = _registry_from(args, cfg)
     c = args.c if args.c is not None else int(cfg.get("c", 2))
-    graphs = load_graphs(args.graph, args.format)
-    if len(graphs) != 1:
-        raise GraphError("dp works on a single graph input")
-    g = graphs[0]
+    g = _one_graph(args, "dp")
     if args.structure:
         with open(args.structure) as fh:
             t = SimpleTreeStructure.from_json(fh.read())
+        res = dp_minrank(g, t, registry, trace=args.trace)
     else:
         outcome = recognize(g, c, registry)
         if not outcome.member:
             rec = {"member": False, "failure": outcome.failure_detail}
             _write_out(json.dumps(rec) + "\n", args.output)
             return 1
-        t = outcome.structure
-    res = dp_minrank(g, t, registry, trace=args.trace)
+        res = dp_fold(outcome.report, trace=args.trace)
     _write_out(json.dumps(_result_record(g, res, 0), sort_keys=True) + "\n", args.output)
     return 0
 
@@ -333,10 +334,7 @@ def cmd_gen(args, cfg) -> int:
 
 
 def cmd_cnf(args, cfg) -> int:
-    graphs = load_graphs(args.graph, args.format)
-    if len(graphs) != 1:
-        raise GraphError("cnf works on a single graph input")
-    g = graphs[0]
+    g = _one_graph(args, "cnf")
     text = emit_cnf(g, args.k)
     _write_out(text, args.output)
     if args.solve:
@@ -351,10 +349,7 @@ def cmd_cnf(args, cfg) -> int:
 
 def cmd_validate(args, cfg) -> int:
     registry = _registry_from(args, cfg)
-    graphs = load_graphs(args.graph, args.format)
-    if len(graphs) != 1:
-        raise GraphError("validate works on a single graph input")
-    g = graphs[0]
+    g = _one_graph(args, "validate")
     with open(args.structure) as fh:
         t = SimpleTreeStructure.from_json(fh.read())
     report = validate_structure(g, t, registry)
@@ -369,6 +364,14 @@ def cmd_validate(args, cfg) -> int:
         with open(args.dot, "w") as fh:
             fh.write(structure_to_dot(g, t))
     return 0 if report.valid else 1
+
+
+def non_negative(text: str) -> int:
+    """An integer of at least 0, for budget options."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 @functools.cache
@@ -397,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p.add_argument("--sat-solver", default=None)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=non_negative, default=None)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_minrank)
 
@@ -422,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--method", choices=("auto", "brute", "bnb"), default="auto")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=non_negative, default=None)
     p.add_argument("--histogram", default=None, help=".csv or .json output path")
     p.set_defaults(func=cmd_batch)
 

@@ -23,6 +23,10 @@ the still-pending connector vertices; the table at step t maps each
 subset U to the min-rank of the partial union minus U.  It starts as the
 bare part's min-rank minus each subset, read from one solver per part,
 and never exceeds 2^(d+1) entries for d downward connectors.
+
+`dp_fold` folds a valid `StructureReport`, which carries those solvers:
+on the auto path the one `recognize` builds, unchecked again, and in
+`dp_minrank` the one validating a structure it is handed gives.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import BudgetExceededError, StructureError
 from .exact import MinrankResult
 from .families import FamilyRegistry
 from .graph import Graph
-from .structure import SimpleTreeStructure, validate_structure
+from .structure import SimpleTreeStructure, StructureReport, validate_structure
 
 
 @dataclass
@@ -97,17 +101,26 @@ def dp_minrank(
     trace: bool = False,
     max_subsets: int = 1 << 16,
 ) -> MinrankResult:
-    """Exact min-rank of a graph from its tree-of-parts structure.
+    """Exact min-rank of a graph from a tree-of-parts structure it is handed.
 
-    The structure is validated first and the fold runs on the validated
-    copy, with connectors read off the graph.  The solvers that validation
-    built when it found each part's family answer min-rank queries on
-    parts with connector subsets deleted (families are closed under vertex
-    deletion, so those stay members), so each part is tested once.  No
+    The structure is validated against the graph and registry, and
+    `dp_fold` folds the report; raises StructureError when it is invalid.
+    """
+    return dp_fold(validate_structure(g, t, registry), trace, max_subsets)
+
+
+def dp_fold(
+    report: StructureReport, trace: bool = False, max_subsets: int = 1 << 16
+) -> MinrankResult:
+    """Exact min-rank from a valid structure report, in one bottom-up fold.
+
+    The fold runs on the report's structure, whose connectors were read
+    off the graph.  Each part's solver answers min-rank queries on the
+    part with connector subsets deleted (families are closed under vertex
+    deletion, so those stay members), so no part is tested again.  No
     witness matrix is produced.  Parts whose connector subset table would
     exceed `max_subsets` entries are refused.
     """
-    report = validate_structure(g, t, registry)
     if not report.valid:
         raise StructureError(f"invalid structure: {report.violations}")
     t = report.structure

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
-from .gf2 import BitMatrix, RowBasis, rank_gf2
+from .gf2 import BitMatrix, rank_gf2
 from .graph import Graph
 
 BRUTE_FORCE_BIT_BUDGET = 24
@@ -474,8 +474,10 @@ def _combine_components(
     and the min-rank is their maximum: every entry between two parts is
     free, so the parts' factorizations pad to a common inner dimension and
     stack.  Inexact parts give the interval of summed (or largest) bounds.
+    When some part's answer carries a trace, `stats["trace"]` lists each
+    part's trace (or None) under "components", in the order of `comps`.
     """
-    values, lowers, blocks, methods = [], [], [], []
+    values, lowers, blocks, methods, traces = [], [], [], [], []
     exact = True
     counts = {"nodes": 0, "rows": 0}
     for comp in comps:
@@ -484,6 +486,7 @@ def _combine_components(
         lowers.append(res.stats.get("interval", (res.value,))[0])
         blocks.append(res.witness)
         methods.append(res.method)
+        traces.append(res.stats.get("trace"))
         exact = exact and res.exact
         for key in ("nodes", "rows", "cover_nodes"):
             if key in res.stats:
@@ -502,6 +505,8 @@ def _combine_components(
                    "methods": methods, **counts}
     if not exact:
         stats["interval"] = [lower, value]
+    if any(traces):
+        stats["trace"] = {"components": traces}
     return MinrankResult(value, method, witness, exact, stats)
 
 

@@ -210,12 +210,6 @@ class FamilyRegistry:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate family names: {names}")
 
-    def lookup(self, g: Graph) -> FamilyOracle | None:
-        for oracle in self.oracles:
-            if oracle.is_member(g):
-                return oracle
-        return None
-
     def claim(self, g: Graph) -> tuple[FamilyOracle, object] | None:
         """The first family holding g, with its solver for g (see
         `FamilyOracle.solver`), or None."""

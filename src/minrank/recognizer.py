@@ -14,17 +14,20 @@ atom v decides below its parent p depends on v, p and the decisions
 below v, never on the root, so each directed (v, p) decision is computed
 once and shared by every root: at most 3h - 2 of them for h atoms.  If
 every root fails, the graph has no structure with the requested bound.
+An accepted structure comes with the report that validating it would
+give, built from what splitting proved rather than by checking it again.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import GraphError, NotInFamilyError
 from .families import FamilyRegistry
 from .graph import Graph
-from .structure import SimpleTreeStructure, validate_structure
+from .structure import SimpleTreeStructure, StructureReport, mdc, validate_structure
 
 
 @dataclass(frozen=True)
@@ -34,15 +37,22 @@ class AtomForest:
     atoms: tuple[tuple[int, ...], ...]
     links: dict[tuple[int, int], tuple[int, int]]  # (atom l, atom m) -> edge (x, y)
     members: tuple[tuple[bool, ...], ...]  # per atom, per registry oracle
+    # Per atom, its first family's solver, if kept; None once absorbed.
+    solvers: list
+    atom_of: list[int]  # per vertex, its atom
 
 
 @dataclass
 class RecognitionOutcome:
     member: bool
-    structure: SimpleTreeStructure | None
+    report: StructureReport | None  # of the accepted structure, if any
     roots_tried: int
     failure_detail: str | None = None
     stats: dict = field(default_factory=dict)
+
+    @property
+    def structure(self) -> SimpleTreeStructure | None:
+        return self.report.structure if self.report else None
 
 
 def split_phase(
@@ -55,9 +65,11 @@ def split_phase(
     smallest vertex; the links are the bridges themselves, each keyed by
     its pair of atoms and oriented so that x lies in the lower-numbered
     atom.  Each atom's membership in every registered family is kept, so
-    that merging can glue atoms without testing their unions.  Raises
-    NotInFamilyError on the first atom that belongs to no registered
-    family.  When `events` is a list, one record per bridge is
+    that merging can glue atoms without testing their unions, along with
+    its first family's solver, which a part of that atom alone reuses
+    unless the family holds every graph of the atom's order.
+    Raises NotInFamilyError on the first atom that belongs to no
+    registered family.  When `events` is a list, one record per bridge is
     appended to it.
     """
     bridges = g.bridges()
@@ -80,20 +92,38 @@ def split_phase(
                     members.append(w)
                     stack.append(w)
         atoms.append(tuple(sorted(members)))
-    flags = []
+
+    def test(sub: Graph) -> tuple:
+        built = [o.solver(sub) for o in registry.oracles]
+        return tuple(solve is not None for solve in built), built
+
+    flags, solvers = [], []
+    single = None  # every one-vertex atom induces the same graph: test it once
     for atom in atoms:
-        sub, _ = g.induced_subgraph(atom)
-        flags.append(tuple(o.is_member(sub) for o in registry.oracles))
-        if not any(flags[-1]):
+        if len(atom) == 1:
+            single = single or test(Graph(1))
+            member, built = single
+        else:
+            member, built = test(g.induced_subgraph(atom)[0])
+        if True not in member:
             raise NotInFamilyError(
                 f"bridgeless piece {list(atom)} fits no registered family", atom=atom
             )
+        first = member.index(True)
+        # A family that holds every graph of the atom's order proves nothing
+        # by its solver; keeping none spares memory, and the atom's part, if
+        # it is one alone, builds it again.
+        keep = not registry.oracles[first].glue(False, len(atom))
+        flags.append(member)
+        solvers.append(built[first] if keep else None)
     links: dict[tuple[int, int], tuple[int, int]] = {}
     for x, y in bridges:
         if atom_of[x] > atom_of[y]:
             x, y = y, x
         links[(atom_of[x], atom_of[y])] = (x, y)
-    return AtomForest(tuple(atoms), dict(sorted(links.items())), tuple(flags))
+    return AtomForest(
+        tuple(atoms), dict(sorted(links.items())), tuple(flags), solvers, atom_of
+    )
 
 
 def _post_order(memo: dict, start: tuple, below, decide, settles) -> object:
@@ -249,6 +279,48 @@ def merge_phase(
     )
 
 
+def _solver_on_demand(oracle, g: Graph, part: tuple[int, ...]):
+    """`oracle.solver` on the part of g, built by the first query, so that
+    recognition alone induces and tests no part."""
+    build = functools.cache(lambda: oracle.solver(g.induced_subgraph(part)[0]))
+    return lambda removed: build()(removed)
+
+
+def accepted_report(
+    g: Graph, forest: AtomForest, structure: SimpleTreeStructure,
+    registry: FamilyRegistry,
+) -> StructureReport:
+    """What `validate_structure` reports on a structure merging accepted.
+
+    Merging keeps the rules by construction, so nothing is checked again.
+    A part of one atom is in the atom's first family and reuses the solver
+    splitting kept for it.  A merged part is in the first family whose
+    gluing rule holds for its atoms' flags and its order, as merging
+    decided it, and drops its atoms' solvers.  A part without a solver is
+    induced, once, by the first query of one built for its known family.
+    """
+    families, solvers = [], []
+    for part in structure.parts:
+        a = forest.atom_of[part[0]]
+        if len(part) == len(forest.atoms[a]):  # atom a alone
+            oracle = registry.oracles[forest.members[a].index(True)]
+            solve = forest.solvers[a] or _solver_on_demand(oracle, g, part)
+        else:
+            ids = {forest.atom_of[v] for v in part}
+            flags = map(all, zip(*(forest.members[i] for i in ids)))
+            oracle = next(
+                o for o, f in zip(registry.oracles, flags) if o.glue(f, len(part))
+            )
+            for i in ids:
+                forest.solvers[i] = None
+            solve = _solver_on_demand(oracle, g, part)
+        families.append(oracle.name)
+        solvers.append(solve)
+    return StructureReport(
+        True, [], mdc(structure), tuple(families), structure, tuple(solvers)
+    )
+
+
 def recognize(
     g: Graph,
     c: int,
@@ -260,8 +332,9 @@ def recognize(
 
     The graph must be connected; split disconnected inputs into components
     first.  A positive outcome carries a structure that validates with at
-    most `c` downward connectors per part.  With `explain` the stats hold
-    a machine-readable trace of every cut and merge decision.
+    most `c` downward connectors per part, with the report that validating
+    it would give (`accepted_report`).  With `explain` the stats hold a
+    machine-readable trace of every cut and merge decision.
     """
     if g.n == 0:
         raise GraphError("cannot recognize the empty graph")
@@ -287,4 +360,5 @@ def recognize(
             False, None, len(forest.atoms), exc.detail, {"phase": "merge", **stats}
         )
     stats["parts"] = len(structure.parts)
-    return RecognitionOutcome(True, structure, roots, None, stats)
+    report = accepted_report(g, forest, structure, registry)
+    return RecognitionOutcome(True, report, roots, None, stats)

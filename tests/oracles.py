@@ -200,6 +200,14 @@ def graph6_encode(n, edges):
     return out
 
 
+def registry_lookup(reg, g):
+    """The first oracle of registry `reg` whose family holds g, or None."""
+    for oracle in reg.oracles:
+        if oracle.is_member(g):
+            return oracle
+    return None
+
+
 def minrank_of_graph(g):
     """Enumeration oracle lifted to the package's Graph type."""
     return minrank_enumerate(g.n, [tuple(e) for e in g.edges])

@@ -10,10 +10,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from minrank import cli
+from minrank import cli, emit_edge_list
 from minrank.cli import main
+from minrank.generator import generate_member
 
-from conftest import solver_command
+from conftest import DATA_DIR, solver_command
 
 RECORD_SCHEMA = {
     "type": "object",
@@ -201,6 +202,70 @@ def test_minrank_trace_included(tmp_path, capsys):
     (rec,) = records(out)
     assert rec["method"] == "dp"
     assert "trace" in rec and "trace" not in rec["stats"]
+
+
+# `minrank TWO_TRIANGLES --trace`, as printed before component traces
+# were kept.
+TWO_TRIANGLES_TRACE = (
+    '{"bounds": {"lower": 2, "upper": 2}, "exact": true, "graph": "ExCW", '
+    '"index": 0, "m": 7, "method": "dp", "n": 6, "stats": {"oracle_calls": 4, '
+    '"parts": 2}, "trace": {"nodes": [{"family": "chordal", "hub_values": {}, '
+    '"m_full": 1, "m_minus": 1, "part": 1}, {"family": "chordal", '
+    '"hub_values": {"2": [2, 1]}, "m_full": 2, "m_minus": null, "part": 0}], '
+    '"order": [1, 0]}, "value": 2, "witness": null}\n'
+)
+
+
+def test_minrank_trace_per_component(tmp_path, capsys):
+    """A disconnected input keeps each component's dp trace, in component
+    order; a connected input prints what it printed before."""
+    path = write(tmp_path, "tt.edges", TWO_TRIANGLES_EDGES)
+    assert run_cli(capsys, ["minrank", path, "--trace"])[:2] == (0, TWO_TRIANGLES_TRACE)
+    alone = []
+    for text in ("n=3\n0 1\n0 2\n1 2\n", "n=4\n0 1\n1 2\n2 3\n0 3\n"):
+        path = write(tmp_path, "one.edges", text)
+        alone.append(records(run_cli(capsys, ["minrank", path, "--trace"])[1])[0])
+    assert [rec["trace"]["nodes"][0]["family"] for rec in alone] == [
+        "chordal", "bounded:10"
+    ]
+    path = write(tmp_path, "both.edges", "n=7\n0 1\n0 2\n1 2\n3 4\n4 5\n5 6\n3 6\n")
+    code, out, _ = run_cli(capsys, ["minrank", path, "--trace"])
+    (rec,) = records(out)
+    assert code == 0 and rec["method"] == "components"
+    assert rec["stats"]["methods"] == ["dp", "dp"] and "trace" not in rec["stats"]
+    assert rec["trace"] == {"components": [r["trace"] for r in alone]}
+    (rec,) = records(run_cli(capsys, ["minrank", path])[1])
+    assert "trace" not in rec
+
+
+@pytest.mark.parametrize("command", ["minrank", "batch"])
+def test_negative_node_budget_exits_two(tmp_path, capsys, command):
+    path = write(tmp_path, "k4.g6", "C~\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--node-budget", "-1"])
+    assert exc.value.code == 2
+    assert "--node-budget: must be at least 0, got -1" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, [command, path, "--node-budget", "0"])
+    assert code == 0 and records(out)[0]["value"] == 1
+
+
+def test_auto_answers_on_generated_members(tmp_path, capsys):
+    """Auto-solved generated members keep the value and part count pinned
+    in members_auto.txt."""
+    rows = [
+        line.split()
+        for line in (Path(DATA_DIR) / "members_auto.txt").read_text().splitlines()
+        if not line.startswith("#")
+    ]
+    assert len(rows) == 60
+    assert {row[2] for row in rows} == {"mixed", "chordal", "bounded"}
+    for seed, k, profile, value, parts in rows:
+        g, _ = generate_member(int(seed), int(k), 2, profile=profile)
+        path = write(tmp_path, "member.edges", emit_edge_list(g))
+        code, out, _ = run_cli(capsys, ["minrank", path])
+        (rec,) = records(out)
+        assert code == 0 and (rec["method"], rec["exact"]) == ("dp", True), seed
+        assert (rec["value"], rec["stats"]["parts"]) == (int(value), int(parts)), seed
 
 
 def test_recognize_and_validate_round_trip(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Two-phase recognition: bridge splitting and root-by-root merging."""
 
 import random
+import sys
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +18,7 @@ from minrank import (
     recognize,
     validate_structure,
 )
-from minrank import families
+from minrank import cli, families
 from minrank.generator import generate_member, random_connected_graph
 from minrank.recognizer import merge_phase, split_phase
 import oracles
@@ -254,7 +256,8 @@ def test_merge_phase_matches_every_root_reference():
             continue
 
         def in_family(vertices):
-            return reg.lookup(g.induced_subgraph(sorted(vertices))[0]) is not None
+            sub = g.induced_subgraph(sorted(vertices))[0]
+            return oracles.registry_lookup(reg, sub) is not None
 
         member, roots, parts, parents = oracles.merge_every_root(
             forest.atoms, forest.links, c, in_family
@@ -377,3 +380,92 @@ def test_explain_lists_each_decision_once():
     assert all(not r["accepted"] and r["failure"] for r in roots)
     seen = [(tuple(v["part"]), v["parent"]) for r in roots for v in r["visits"]]
     assert len(seen) == len(set(seen)) <= out.stats["decisions"]
+
+
+REPORT_REGISTRIES = ("chordal,bounded:10", "chordal", "bounded:3", "bounded:1")
+
+
+def report_test_cases():
+    """Generated members of every profile and random connected graphs
+    (n <= 40), c in 1..3, under each registry of REPORT_REGISTRIES.  Most
+    members are generated with a looser connector bound than the one they
+    are recognised with, so that merging has to absorb atoms."""
+    rng = random.Random(713)
+    for i in range(1000):
+        c = rng.choice((1, 2, 3))
+        reg = parse_registry_spec(rng.choice(REPORT_REGISTRIES))
+        if i % 2:
+            g, _ = generate_member(
+                rng.randrange(1 << 30), rng.randint(1, 12), c + rng.randint(0, 2),
+                profile=rng.choice(("mixed", "chordal", "bounded")),
+                part_order=(1, 5),
+            )
+        else:
+            g = random_connected_graph(
+                rng, rng.randint(1, 40), extra_p=rng.choice([0.0, 0.02, 0.04, 0.08])
+            )
+        yield g, c, reg
+
+
+def connector_subsets(t, i):
+    """Every set of part i's connectors, as indices into the part."""
+    local = {v: x for x, v in enumerate(t.parts[i])}
+    ends = set(t.dc.get(i, {})) | ({t.uc[i]} if i in t.uc else set())
+    ends = sorted(local[v] for v in ends)
+    for r in range(len(ends) + 1):
+        yield from combinations(ends, r)
+
+
+def test_recognize_report_matches_validation():
+    """The report recognize builds for an accepted structure is the one
+    validating that structure gives, solvers included."""
+    accepted = merged = 0
+    for g, c, reg in report_test_cases():
+        out = recognize(g, c, reg)
+        if not out.member:
+            continue
+        got, want = out.report, validate_structure(g, out.structure, reg)
+        assert got.valid and want.valid and got.violations == [], g.edges
+        assert (got.mdc, got.families) == (want.mdc, want.families), g.edges
+        assert got.structure.to_json() == want.structure.to_json(), g.edges
+        for i in range(len(got.structure.parts)):
+            for removed in connector_subsets(got.structure, i):
+                assert got.solvers[i](removed) == want.solvers[i](removed), g.edges
+        accepted += 1
+        merged += len(got.structure.parts) < out.stats["atoms"]
+    assert accepted >= 400 and merged >= 40
+
+
+def test_auto_solve_validates_nothing(monkeypatch):
+    """The auto path folds recognize's report: no structure is validated
+    again, and chordality is tested at most once per atom and once per
+    part that merging made of several atoms."""
+    g, _ = generate_member(5, 160, 2, profile="mixed", part_order=(2, 6))
+    reg = default_registry()
+    atoms = split_phase(g, reg).atoms
+    atom_of = {v: a for a, atom in enumerate(atoms) for v in atom}
+    structure = recognize(g, 2, reg).structure
+    merged = sum(len({atom_of[v] for v in p}) > 1 for p in structure.parts)
+    want = dp_minrank(g, structure, reg).value
+    assert 0 < merged < len(structure.parts)
+
+    validations, tests = [], []
+    real_validate = validate_structure
+    real_test = families.is_perfect_elimination
+
+    def counted_validate(*args):
+        validations.append(args)
+        return real_validate(*args)
+
+    def counted_test(h, order):
+        tests.append(h.n)
+        return real_test(h, order)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minrank") and hasattr(module, "validate_structure"):
+            monkeypatch.setattr(module, "validate_structure", counted_validate)
+    monkeypatch.setattr(families, "is_perfect_elimination", counted_test)
+    res = cli.solve_graph(g, "auto", 2, reg, None, None)
+    assert (res.method, res.value, res.exact) == ("dp", want, True)
+    assert validations == []
+    assert len(tests) <= len(atoms) + merged
