@@ -23,7 +23,8 @@ class FamilyOracle(ABC):
     name: str
 
     @abstractmethod
-    def is_member(self, g: Graph) -> bool: ...
+    def is_member(self, g: Graph, part=None) -> bool:
+        """Membership of g, or of its subgraph induced on vertex sequence `part`."""
 
     @abstractmethod
     def minrank(self, g: Graph) -> int:
@@ -34,12 +35,14 @@ class FamilyOracle(ABC):
         """Membership of a union of pieces joined along a tree of bridges,
         from whether every piece is a member and the union's order."""
 
-    def solver(self, g: Graph):
-        """None for a non-member; else a function mapping a set of g's
-        vertices to the min-rank of g with those vertices deleted."""
-        if not self.is_member(g):
+    def solver(self, g: Graph, part=None):
+        """None for a non-member g (or g's subgraph induced on `part`); else a
+        map from a set of its vertices (positions in `part`) to its min-rank
+        with them deleted."""
+        if not self.is_member(g, part):
             return None
-        return lambda removed: self.minrank(g.remove_vertices(removed))
+        sub = g if part is None else g.induced_subgraph(part)[0]
+        return lambda removed: self.minrank(sub.remove_vertices(removed))
 
 
 # Branch-and-bound nodes the bounded-order oracle spends on a whole member
@@ -56,8 +59,8 @@ class BoundedOrderFamily(FamilyOracle):
         self.bound = bound
         self.name = f"bounded:{bound}"
 
-    def is_member(self, g: Graph) -> bool:
-        return g.n <= self.bound
+    def is_member(self, g: Graph, part=None) -> bool:
+        return (g.n if part is None else len(part)) <= self.bound
 
     def glue(self, pieces_member: bool, order: int) -> bool:
         return order <= self.bound
@@ -105,16 +108,18 @@ def minrank_across_bridges(g: Graph) -> int:
     return solve(frozenset(range(g.n)))
 
 
-def elimination_order(g: Graph) -> list[int]:
-    """Reversed maximum cardinality search order, in O(n + m).
+def elimination_order(g: Graph, vertices=None) -> list[int]:
+    """Reversed maximum cardinality search order on the vertex sequence
+    `vertices` (all of g by default), in O(n + m).
 
     Each step visits an unvisited vertex with the most visited neighbours;
-    reversed, the visit order is a perfect elimination order iff g is
-    chordal (Tarjan and Yannakakis 1984).  Buckets hold vertices by that
-    count, and an entry left behind by a rising count is skipped.
+    reversed, the visit order is a perfect elimination order iff the
+    induced graph is chordal (Tarjan and Yannakakis 1984).  Buckets hold
+    vertices by that count; an entry left behind by a rising count is skipped.
     """
-    count = [0] * g.n
-    buckets = [list(range(g.n - 1, -1, -1))] + [[] for _ in range(g.n)]
+    vs = range(g.n) if vertices is None else vertices
+    count = dict.fromkeys(vs, 0)  # -1 once visited; vertices outside: absent
+    buckets = [list(reversed(vs))] + [[] for _ in vs]
     order = []
     top = 0
     while top >= 0:
@@ -127,7 +132,7 @@ def elimination_order(g: Graph) -> list[int]:
         count[v] = -1
         order.append(v)
         for w in g.neighbor_set(v):
-            if count[w] >= 0:
+            if count.get(w, -1) >= 0:
                 count[w] += 1
                 buckets[count[w]].append(w)
         top += 1  # no count rose by more than one
@@ -140,11 +145,9 @@ def is_perfect_elimination(g: Graph, order) -> bool:
     It suffices that they all neighbour the earliest of them: one set
     lookup per later neighbour.
     """
-    pos = [0] * g.n
+    pos = {v: i for i, v in enumerate(order)}
     for i, v in enumerate(order):
-        pos[v] = i
-    for v in order:
-        later = [w for w in g.neighbor_set(v) if pos[w] > pos[v]]
+        later = [w for w in g.neighbor_set(v) if pos.get(w, -1) > i]
         if later:
             first = min(later, key=pos.__getitem__)
             clique = g.neighbor_set(first)
@@ -169,8 +172,8 @@ class ChordalFamily(FamilyOracle):
 
     name = "chordal"
 
-    def is_member(self, g: Graph) -> bool:
-        return is_perfect_elimination(g, elimination_order(g))
+    def is_member(self, g: Graph, part=None) -> bool:
+        return is_perfect_elimination(g, elimination_order(g, part))
 
     def minrank(self, g: Graph) -> int:
         solve = self.solver(g)
@@ -181,14 +184,15 @@ class ChordalFamily(FamilyOracle):
     def glue(self, pieces_member: bool, order: int) -> bool:
         return pieces_member
 
-    def solver(self, g: Graph):
-        order = elimination_order(g)
+    def solver(self, g: Graph, part=None):
+        vs = range(g.n) if part is None else part
+        order = elimination_order(g, vs)
         if not is_perfect_elimination(g, order):
             return None
 
         def solve(removed) -> int:
             taken = 0
-            blocked = set(removed)
+            blocked = {vs[i] for i in removed}
             for v in order:
                 if v not in blocked:
                     taken += 1
@@ -210,11 +214,11 @@ class FamilyRegistry:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate family names: {names}")
 
-    def claim(self, g: Graph) -> tuple[FamilyOracle, object] | None:
-        """The first family holding g, with its solver for g (see
-        `FamilyOracle.solver`), or None."""
+    def claim(self, g: Graph, part) -> tuple[FamilyOracle, object] | None:
+        """The first family holding g's subgraph induced on `part`, with its
+        solver (see `FamilyOracle.solver`), or None."""
         for oracle in self.oracles:
-            solve = oracle.solver(g)
+            solve = oracle.solver(g, part)
             if solve is not None:
                 return oracle, solve
         return None

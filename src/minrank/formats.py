@@ -74,56 +74,56 @@ def parse_edge_list(text: str) -> Graph:
     n_header = None
     raw_edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if body.startswith("n="):
-            if n_header is not None:
-                raise GraphError(f"line {lineno}: repeated n= header")
-            try:
-                n_header = int(body[2:])
-            except ValueError:
-                raise GraphError(f"line {lineno}: bad vertex count {body!r}") from None
-            if n_header < 0:
-                raise GraphError(f"line {lineno}: negative vertex count")
-            continue
-        toks = body.split()
-        if len(toks) != 2:
-            raise GraphError(f"line {lineno}: expected two vertex ids, got {body!r}")
-        try:
-            u, v = int(toks[0]), int(toks[1])
+        try:  # a bare `u v` line, the common case
+            u, v = map(int, line.split())
         except ValueError:
-            raise GraphError(f"line {lineno}: non-integer vertex id in {body!r}") from None
+            u = None
+        if u is None:
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if body.startswith("n="):
+                if n_header is not None:
+                    raise GraphError(f"line {lineno}: repeated n= header")
+                try:
+                    n_header = int(body[2:])
+                except ValueError:
+                    raise GraphError(f"line {lineno}: bad vertex count {body!r}") from None
+                if n_header < 0:
+                    raise GraphError(f"line {lineno}: negative vertex count")
+                continue
+            toks = body.split()
+            if len(toks) != 2:
+                raise GraphError(f"line {lineno}: expected two vertex ids, got {body!r}")
+            try:
+                u, v = int(toks[0]), int(toks[1])
+            except ValueError:
+                raise GraphError(f"line {lineno}: non-integer vertex id in {body!r}") from None
         if u == v:
             raise GraphError(f"line {lineno}: loop at vertex {u}")
         raw_edges.append((lineno, u, v))
 
-    if n_header is not None:
-        for lineno, u, v in raw_edges:
-            if not (0 <= u < n_header and 0 <= v < n_header):
-                raise GraphError(f"line {lineno}: vertex out of range for n={n_header}")
-        n = n_header
-        remap = None
-    else:
+    n, labels = n_header, None
+    if n is None:
         ids = sorted({u for _, u, v in raw_edges} | {v for _, u, v in raw_edges})
         remap = {orig: i for i, orig in enumerate(ids)}
+        raw_edges = [(lineno, remap[u], remap[v]) for lineno, u, v in raw_edges]
         n = len(ids)
-
-    seen = set()
-    edges = []
+        if ids != list(range(n)):
+            labels = {i: str(orig) for i, orig in enumerate(ids)}
+    # Out-of-range ids anywhere are reported before a duplicate edge.
+    adj = [set() for _ in range(n)]
+    duplicate = None
     for lineno, u, v in raw_edges:
-        if remap is not None:
-            u, v = remap[u], remap[v]
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        edges.append(key)
-
-    labels = None
-    if remap is not None and any(orig != i for orig, i in remap.items()):
-        labels = {i: str(orig) for orig, i in remap.items()}
-    return Graph(n, edges, labels)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"line {lineno}: vertex out of range for n={n}")
+        if v in adj[u] and duplicate is None:
+            duplicate = f"line {lineno}: duplicate edge {(min(u, v), max(u, v))}"
+        adj[u].add(v)
+        adj[v].add(u)
+    if duplicate is not None:
+        raise GraphError(duplicate)
+    return Graph._of_adjacency(adj, labels)
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -7,6 +7,8 @@ algorithms work on the dense ids only.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import GraphError
 
 
@@ -31,6 +33,13 @@ class Graph:
         self._adj = tuple(frozenset(s) for s in adj)
         self.labels = dict(labels) if labels else None
         self._bits = None
+
+    @classmethod
+    def _of_adjacency(cls, adj, labels=None) -> "Graph":
+        """A graph over adjacency sets known to be symmetric, in range and loop-free."""
+        g = cls(0, (), labels)
+        g.n, g._adj = len(adj), tuple(map(frozenset, adj))
+        return g
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(sorted(self._adj[v]))
@@ -74,16 +83,11 @@ class Graph:
             if v in mapping:
                 raise GraphError(f"duplicate vertex {v} in induced subgraph")
             mapping[v] = pos
-        edges = [
-            (mapping[u], mapping[v])
-            for u in vs
-            for v in self._adj[u]
-            if u < v and v in mapping
-        ]
+        adj = [[mapping[w] for w in self._adj[v] if w in mapping] for v in vs]
         labels = None
         if self.labels is not None:
             labels = {mapping[v]: self.labels[v] for v in vs if v in self.labels}
-        return Graph(len(vs), edges, labels), mapping
+        return Graph._of_adjacency(adj, labels), mapping
 
     def remove_vertices(self, vertices) -> "Graph":
         """Subgraph induced on the complement of the given vertex set."""
@@ -103,53 +107,58 @@ class Graph:
                 continue
             seen[s] = True
             comp = [s]
-            queue = [s]
-            while queue:
-                v = queue.pop()
+            for v in comp:  # the loop reaches what it appends
                 for w in self._adj[v]:
                     if not seen[w]:
                         seen[w] = True
                         comp.append(w)
-                        queue.append(w)
             comps.append(sorted(comp))
         return comps
 
     def bridges(self) -> list[tuple[int, int]]:
         """All cut edges as (min, max) pairs in ascending order."""
-        n = self.n
-        disc = [-1] * n
-        low = [0] * n
-        out = []
-        timer = 0
-        for root in range(n):
+        return self.bridge_split()[0]
+
+    def bridge_split(self) -> tuple[list, list, bool]:
+        """One depth-first search (Tarjan 1974) for the bridges, as `bridges()`
+        lists them; the 2-edge-connected components, as sorted tuples ordered
+        by smallest vertex; and whether the graph is connected.  A vertex
+        heads a component when no back edge from its subtree climbs above it,
+        and the component is what the search entered from it on."""
+        adj = self._adj
+        disc = [-1] * self.n
+        low = [0] * self.n
+        bridges, atoms, entered = [], [], []
+        clock = itertools.count()
+        for root in range(self.n):
             if disc[root] != -1:
                 continue
-            disc[root] = low[root] = timer
-            timer += 1
-            stack = [(root, -1, iter(self.neighbors(root)))]
+            disc[root] = low[root] = next(clock)
+            stack = [(root, -1, iter(adj[root]), 0)]
+            entered.append(root)
             while stack:
-                v, parent, it = stack[-1]
-                pushed = False
+                v, parent, it, start = stack[-1]
                 for w in it:
-                    if w == parent:
-                        continue
                     if disc[w] == -1:
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        stack.append((w, v, iter(self.neighbors(w))))
-                        pushed = True
+                        disc[w] = low[w] = next(clock)
+                        stack.append((w, v, iter(adj[w]), len(entered)))
+                        entered.append(w)
                         break
-                    low[v] = min(low[v], disc[w])
-                if pushed:
-                    continue
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] > disc[pv]:
-                        out.append((min(pv, v), max(pv, v)))
-        out.sort()
-        return out
+                    if w != parent and disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    stack.pop()
+                    if low[v] == disc[v]:
+                        atoms.append(tuple(sorted(entered[start:])))
+                        del entered[start:]
+                        if parent != -1:
+                            bridges.append((min(parent, v), max(parent, v)))
+                    elif low[v] < low[parent]:
+                        low[parent] = low[v]
+        bridges.sort()
+        atoms.sort()
+        # The atoms and bridges form a forest, one tree per component.
+        return bridges, atoms, len(atoms) - len(bridges) == 1
 
     def __eq__(self, other):
         return (

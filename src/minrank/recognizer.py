@@ -1,21 +1,22 @@
 """Recognition of graphs that admit a tree-of-parts structure.
 
-Two phases.  Splitting finds every bridge in one pass (Tarjan 1974) and
-deletes them all; the components left, the 2-edge-connected components
-or atoms, must each belong to a registered family, and the atoms and the
+Two phases.  Splitting takes from one depth-first search (Tarjan 1974)
+every bridge and the components left once they are deleted, the
+2-edge-connected components or atoms; each atom must belong to a
+registered family, tested on the graph itself, and the atoms and the
 bridges between them form a tree.  Merging tries each atom as the root in
 turn.  A root under which no atom has more than `c` downward connectors
 takes the atom tree as it is.  Otherwise each atom, children first,
 absorbs leaf children through a largest-possible set of its downward
 connectors so that at most `c` survive and the enlarged part stays in a
 family; each family's gluing rule decides that from the atoms' own
-memberships, found once by splitting, and the part's order.  What an
-atom v decides below its parent p depends on v, p and the decisions
-below v, never on the root, so each directed (v, p) decision is computed
-once and shared by every root: at most 3h - 2 of them for h atoms.  If
-every root fails, the graph has no structure with the requested bound.
-An accepted structure comes with the report that validating it would
-give, built from what splitting proved rather than by checking it again.
+memberships, found once by splitting, and the part's order.  What an atom
+v decides below its parent p depends on v, p and the decisions below v,
+never on the root, so each directed (v, p) decision is computed once and
+shared by every root: at most 3h - 2 of them for h atoms.  If every root
+fails, the graph has no structure with the requested bound.  An accepted
+structure comes with the report that validating it would give, built from
+what splitting proved rather than by checking it again.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class AtomForest:
     members: tuple[tuple[bool, ...], ...]  # per atom, per registry oracle
     # Per atom, its first family's solver, if kept; None once absorbed.
     solvers: list
-    atom_of: list[int]  # per vertex, its atom
+    atom_of: dict[int, int]  # per vertex, its atom
 
 
 @dataclass
@@ -56,7 +57,7 @@ class RecognitionOutcome:
 
 
 def split_phase(
-    g: Graph, registry: FamilyRegistry, events: list | None = None
+    g: Graph, registry: FamilyRegistry, events: list | None = None, cut=None
 ) -> AtomForest:
     """Cut every bridge at once, then check each atom's family membership.
 
@@ -64,58 +65,44 @@ def split_phase(
     connected graph `g` (its 2-edge-connected components), ordered by
     smallest vertex; the links are the bridges themselves, each keyed by
     its pair of atoms and oriented so that x lies in the lower-numbered
-    atom.  Each atom's membership in every registered family is kept, so
-    that merging can glue atoms without testing their unions, along with
-    its first family's solver, which a part of that atom alone reuses
-    unless the family holds every graph of the atom's order.
-    Raises NotInFamilyError on the first atom that belongs to no
-    registered family.  When `events` is a list, one record per bridge is
-    appended to it.
+    atom; `cut` is `g.bridge_split()` if known.  Each atom's membership in
+    every registered family is decided on g and kept, so that merging can
+    glue atoms without testing their unions, with its first family's
+    solver, reused by a part of that atom alone, unless the family holds
+    every graph of the atom's order.  Raises NotInFamilyError on the first
+    atom in no registered family.  When `events` is a list, one record
+    per bridge is appended to it.
     """
-    bridges = g.bridges()
+    bridges, atoms = (cut or g.bridge_split())[:2]
     if events is not None:
         events.extend({"bridge": [x, y]} for x, y in bridges)
-    cut = set(bridges)
-    atom_of = [-1] * g.n
-    atoms = []
-    for s in range(g.n):
-        if atom_of[s] != -1:
-            continue
-        atom_of[s] = len(atoms)
-        members = [s]
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbor_set(v):
-                if atom_of[w] == -1 and (min(v, w), max(v, w)) not in cut:
-                    atom_of[w] = len(atoms)
-                    members.append(w)
-                    stack.append(w)
-        atoms.append(tuple(sorted(members)))
+    atom_of = {v: i for i, atom in enumerate(atoms) for v in atom}
 
-    def test(sub: Graph) -> tuple:
-        built = [o.solver(sub) for o in registry.oracles]
-        return tuple(solve is not None for solve in built), built
+    def test(h: Graph, part) -> tuple:
+        # Per family, membership; and the first member family's solver, which
+        # tests membership too, unless the family holds every graph of the
+        # part's order: then the part, if it is one alone, builds it again.
+        member, solve = [], None
+        for o in registry.oracles:
+            if True in member or o.glue(False, len(part)):
+                member.append(o.is_member(h, part))
+            else:
+                solve = o.solver(h, part)
+                member.append(solve is not None)
+        return tuple(member), solve
 
-    flags, solvers = [], []
-    single = None  # every one-vertex atom induces the same graph: test it once
+    flags, solvers, single = [], [], None
     for atom in atoms:
-        if len(atom) == 1:
-            single = single or test(Graph(1))
-            member, built = single
-        else:
-            member, built = test(g.induced_subgraph(atom)[0])
+        if len(atom) > 1:
+            member, solve = test(g, atom)
+        else:  # every one-vertex atom induces the same graph: test it once
+            member, solve = single = single or test(Graph(1), (0,))
         if True not in member:
             raise NotInFamilyError(
                 f"bridgeless piece {list(atom)} fits no registered family", atom=atom
             )
-        first = member.index(True)
-        # A family that holds every graph of the atom's order proves nothing
-        # by its solver; keeping none spares memory, and the atom's part, if
-        # it is one alone, builds it again.
-        keep = not registry.oracles[first].glue(False, len(atom))
         flags.append(member)
-        solvers.append(built[first] if keep else None)
+        solvers.append(solve)
     links: dict[tuple[int, int], tuple[int, int]] = {}
     for x, y in bridges:
         if atom_of[x] > atom_of[y]:
@@ -281,8 +268,8 @@ def merge_phase(
 
 def _solver_on_demand(oracle, g: Graph, part: tuple[int, ...]):
     """`oracle.solver` on the part of g, built by the first query, so that
-    recognition alone induces and tests no part."""
-    build = functools.cache(lambda: oracle.solver(g.induced_subgraph(part)[0]))
+    recognition alone tests no part."""
+    build = functools.cache(lambda: oracle.solver(g, part))
     return lambda removed: build()(removed)
 
 
@@ -296,8 +283,8 @@ def accepted_report(
     A part of one atom is in the atom's first family and reuses the solver
     splitting kept for it.  A merged part is in the first family whose
     gluing rule holds for its atoms' flags and its order, as merging
-    decided it, and drops its atoms' solvers.  A part without a solver is
-    induced, once, by the first query of one built for its known family.
+    decided it, and drops its atoms' solvers.  A part without a solver
+    builds one for its known family at its first query.
     """
     families, solvers = [], []
     for part in structure.parts:
@@ -338,14 +325,15 @@ def recognize(
     """
     if g.n == 0:
         raise GraphError("cannot recognize the empty graph")
-    if len(g.connected_components()) != 1:
+    cut = g.bridge_split()
+    if not cut[2]:
         raise GraphError("recognition needs a connected graph; decompose first")
     if c < 1:
         raise GraphError(f"connector bound must be positive, got {c}")
     splits, trace = ([], []) if explain else (None, None)
     stats: dict = {"explain": {"splits": splits, "roots": trace}} if explain else {}
     try:
-        forest = split_phase(g, registry, events=splits)
+        forest = split_phase(g, registry, events=splits, cut=cut)
     except NotInFamilyError as exc:
         return RecognitionOutcome(
             False, None, 0, exc.detail, {"phase": "split", **stats}

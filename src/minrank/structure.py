@@ -203,8 +203,7 @@ def validate_structure(
     families: list[str | None] = []
     solvers = []
     for i, part in enumerate(t.parts):
-        sub, _ = g.induced_subgraph(sorted(part))
-        oracle, solve = registry.claim(sub) or (None, None)
+        oracle, solve = registry.claim(g, sorted(part)) or (None, None)
         families.append(oracle.name if oracle else None)
         solvers.append(solve)
         if oracle is None:

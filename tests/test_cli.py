@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from minrank import cli, emit_edge_list
+from minrank import Graph, cli, emit_edge_list
 from minrank.cli import main
 from minrank.generator import generate_member
 
@@ -266,6 +267,55 @@ def test_auto_answers_on_generated_members(tmp_path, capsys):
         (rec,) = records(out)
         assert code == 0 and (rec["method"], rec["exact"]) == ("dp", True), seed
         assert (rec["value"], rec["stats"]["parts"]) == (int(value), int(parts)), seed
+
+
+def bridged_nonchordal(seed):
+    """3-14 chordless or once-chorded cycles of order 4-7, joined by bridges
+    between 2-4 attachment vertices each along a random recursive tree,
+    with up to two pendant vertices and shuffled ids; the last atom is an
+    11-cycle, which no default family holds, when seed % 7 == 3.  Returns
+    the graph and its connector bound, 1 or 2."""
+    rng = random.Random(seed)
+    h = rng.randint(3, 14)
+    edges, n, pools = [], 0, []
+    for a in range(h):
+        order = 11 if seed % 7 == 3 and a == h - 1 else rng.randint(4, 7)
+        edges += [(n + i, n + (i + 1) % order) for i in range(order)]
+        if order >= 5 and rng.random() < 0.5:
+            edges.append((n, n + rng.randint(3, order - 2)))
+        pools.append(rng.sample(range(n, n + order), rng.randint(2, 4)))
+        n += order
+    for j in range(1, h):
+        edges.append((rng.choice(pools[rng.randrange(j)]), rng.choice(pools[j])))
+    for _ in range(rng.randint(0, 2)):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges]), 1 + seed % 2
+
+
+def recognize_explain_output(tmp_path) -> str:
+    """`recognize --explain` records of bridged_nonchordal(0..19), in order."""
+    text = []
+    for seed in range(20):
+        g, c = bridged_nonchordal(seed)
+        path = write(tmp_path, f"bridged{seed}.edges", emit_edge_list(g))
+        out = tmp_path / f"bridged{seed}.jsonl"
+        main(["recognize", path, "--explain", "--c", str(c), "-o", str(out)])
+        text.append(out.read_text())
+    return "".join(text)
+
+
+def test_recognize_explain_output_pinned(tmp_path):
+    """Splits, roots, visits and failures of recognize --explain on twenty
+    bridged non-chordal graphs (twelve accepted, three of them after
+    merging; three rejected by splitting, five by merging) are
+    byte-identical to reject_explain.jsonl, written by this test's helper
+    before splitting found bridges and atoms in one traversal; never
+    regenerate it to fit a change."""
+    want = (Path(DATA_DIR) / "reject_explain.jsonl").read_text()
+    assert recognize_explain_output(tmp_path) == want
 
 
 def test_recognize_and_validate_round_trip(tmp_path, capsys):

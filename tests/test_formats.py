@@ -96,6 +96,59 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("n=x\n")
 
 
+# Edge-list documents and what the parser makes of them: an error message
+# or (n, edges, labels).  Recorded from the parser as it stood before it
+# built its adjacency sets in place; errors of an earlier kind win over
+# later lines: a syntax error anywhere, then an out-of-range id, then a
+# duplicate edge.
+EDGE_LIST_TABLE = [
+    ("0 1\n1 1\n", "line 2: loop at vertex 1"),
+    ("n=3\nn=3\n", "line 2: repeated n= header"),
+    ("n=x\n", "line 1: bad vertex count 'n=x'"),
+    ("n=-1\n", "line 1: negative vertex count"),
+    ("0 1 2\n", "line 1: expected two vertex ids, got '0 1 2'"),
+    ("0\n", "line 1: expected two vertex ids, got '0'"),
+    ("0 a\n", "line 1: non-integer vertex id in '0 a'"),
+    ("n = 3\n", "line 1: expected two vertex ids, got 'n = 3'"),
+    ("n=2\n0 5\n", "line 2: vertex out of range for n=2"),
+    ("n=3\n0 1\n1 0\n", "line 3: duplicate edge (0, 1)"),
+    ("10 20\n20 10\n", "line 2: duplicate edge (0, 1)"),
+    ("n=2\n0 5\n0 x\n", "line 3: non-integer vertex id in '0 x'"),
+    ("n=3\n0 1\n0 7\n1 1\n", "line 4: loop at vertex 1"),
+    ("n=3\n0 1\n0 1\n0 7\n", "line 4: vertex out of range for n=3"),
+    ("n=4\n0 1\n1 0\nn=5\n", "line 4: repeated n= header"),
+    ("0 5\nn=3\n", "line 1: vertex out of range for n=3"),
+    ("0 1\n1 2\nn=4\n", (4, [(0, 1), (1, 2)], None)),
+    ("n= 5\n0 1\n", (5, [(0, 1)], None)),
+    (
+        "# only a comment\n   # another\n\nn=3 # header\n0 1 # edge\n\t\n1\t2\n",
+        (3, [(0, 1), (1, 2)], None),
+    ),
+    ("", (0, [], None)),
+    ("# nothing but comments\n", (0, [], None)),
+    ("n=0\n", (0, [], None)),
+    ("n=2\n", (2, [], None)),
+    ("0 1\n1 2\n", (3, [(0, 1), (1, 2)], None)),
+    ("1 2\n2 3\n", (3, [(0, 1), (1, 2)], {0: "1", 1: "2", 2: "3"})),
+    ("10 30\n20 30\n", (3, [(0, 2), (1, 2)], {0: "10", 1: "20", 2: "30"})),
+    (
+        "-5 7\n7 100\n100 -5\n",
+        (3, [(0, 1), (0, 2), (1, 2)], {0: "-5", 1: "7", 2: "100"}),
+    ),
+]
+
+
+@pytest.mark.parametrize("text, want", EDGE_LIST_TABLE)
+def test_edge_list_table(text, want):
+    if isinstance(want, str):
+        with pytest.raises(GraphError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == want
+    else:
+        g = parse_edge_list(text)
+        assert (g.n, g.edges, g.labels) == want
+
+
 def test_edge_list_round_trip(example1):
     text = emit_edge_list(example1)
     assert text.startswith("n=5\n")

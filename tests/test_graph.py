@@ -5,6 +5,7 @@ import random
 import pytest
 
 from minrank import Graph, GraphError
+from minrank.formats import emit_edge_list, parse_edge_list
 from conftest import random_edges
 import oracles
 
@@ -53,6 +54,77 @@ def test_bridges_named_shapes(petersen):
     cycle = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert cycle.bridges() == []
     assert petersen.bridges() == []
+
+
+def bridge_split_test_graphs():
+    """Random graphs of order 0-14, sparse ones with isolated vertices and
+    several components among them, and disjoint unions of cycles, paths
+    and isolated vertices."""
+    rng = random.Random(103)
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        yield n, random_edges(rng, n, rng.choice([0.05, 0.1, 0.2, 0.35, 0.6]))
+    for _ in range(40):
+        n, edges = 0, []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(1, 5)
+            edges += [(n + i, n + i + 1) for i in range(k - 1)]
+            if k >= 3 and rng.random() < 0.5:
+                edges.append((n, n + k - 1))
+            n += k
+        yield n, edges
+
+
+def test_bridge_split_matches_oracles():
+    disconnected = 0
+    for n, edges in bridge_split_test_graphs():
+        bridges, atoms, connected = Graph(n, edges).bridge_split()
+        assert bridges == oracles.bridges_by_removal(n, edges), edges
+        assert atoms == list(oracles.two_edge_connected_components(n, edges)[0])
+        assert connected == (len(oracles.components_bfs(n, edges)) == 1), edges
+        disconnected += n > 1 and not connected
+    assert disconnected > 100
+
+
+def test_bridge_split_long_path_needs_no_recursion():
+    n = 20000
+    path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    bridges, atoms, connected = path.bridge_split()
+    assert len(bridges) == n - 1 and len(atoms) == n and connected
+
+
+def test_internal_constructor_matches_public_one():
+    """Parsed and induced graphs equal, and hash like, Graph(n, edges) built
+    from their edges; labels carry over, and an empty label map is None."""
+    rng = random.Random(104)
+    for _ in range(200):
+        n = rng.randint(0, 14)
+        edges = random_edges(rng, n, rng.choice([0.1, 0.3, 0.6]))
+        labels = {v: f"v{v}" for v in range(n) if rng.random() < 0.5}
+        g = Graph(n, edges, labels)
+        parsed = parse_edge_list(emit_edge_list(g))
+        assert parsed == Graph(n, edges) and hash(parsed) == hash(g)
+        assert parsed.edges == edges and parsed.labels is None
+        text = "".join(f"{3 * u + 7} {3 * v + 7}\n" for u, v in edges)
+        ids = sorted({x for e in edges for x in e})
+        rank = {v: i for i, v in enumerate(ids)}
+        want = Graph(
+            len(ids),
+            [(rank[u], rank[v]) for u, v in edges],
+            {i: str(3 * v + 7) for i, v in enumerate(ids)},
+        )
+        relabelled = parse_edge_list(text)
+        assert relabelled == want and hash(relabelled) == hash(want)
+        assert relabelled.labels == (want.labels or None)
+        vs = rng.sample(range(n), rng.randint(0, n))
+        sub, mapping = g.induced_subgraph(vs)
+        inside = [(u, v) for u, v in edges if u in mapping and v in mapping]
+        want = Graph(len(vs), [(mapping[u], mapping[v]) for u, v in inside])
+        assert sub == want and hash(sub) == hash(want)
+        assert sorted(sub.edges) == sorted(want.edges)
+        sub_labels = {mapping[v]: labels[v] for v in vs if v in labels}
+        assert sub.labels == (sub_labels or None)
+    assert Graph._of_adjacency([set(), set()], {}).labels is None
 
 
 def test_induced_subgraph_mapping(example1):

@@ -75,13 +75,13 @@ def test_split_matches_bridge_definition():
 def test_recognize_finds_bridges_once(monkeypatch):
     g, _ = generate_member(5, k=40, c=2)
     calls = []
-    original = Graph.bridges
+    original = Graph.bridge_split
 
     def counted(self):
         calls.append(self.n)
         return original(self)
 
-    monkeypatch.setattr(Graph, "bridges", counted)
+    monkeypatch.setattr(Graph, "bridge_split", counted)
     out = recognize(g, 2, default_registry())
     assert out.member
     assert calls == [g.n]
@@ -184,6 +184,26 @@ def test_recognize_rejects_bad_inputs():
         recognize(Graph(2, []), 2, default_registry())  # disconnected
     with pytest.raises(GraphError):
         recognize(Graph(1, []), 0, default_registry())
+
+
+def test_recognize_input_errors_keep_their_order():
+    """The empty graph, then a disconnected one, then a bound below 1."""
+    empty = "cannot recognize the empty graph"
+    apart = "recognition needs a connected graph; decompose first"
+    bound = "connector bound must be positive, got 0"
+    cases = [
+        (Graph(0), 0, empty),
+        (Graph(0), 2, empty),
+        (Graph(2), 0, apart),
+        (Graph(3, [(0, 1)]), 2, apart),
+        (Graph(4, [(0, 1), (2, 3)]), -1, apart),
+        (Graph(1), 0, bound),
+        (Graph(2, [(0, 1)]), 0, bound),
+    ]
+    for g, c, want in cases:
+        with pytest.raises(GraphError) as exc:
+            recognize(g, c, default_registry())
+        assert str(exc.value) == want
 
 
 def test_recognize_is_deterministic():
@@ -336,6 +356,47 @@ def test_merge_glues_without_induced_subgraphs(monkeypatch):
     structure, roots = merge_phase(g, forest, 2, reg)
     assert len(forest.atoms) > 1000 and len(structure.parts) == 1
     assert calls == []
+
+
+def test_split_tests_atoms_in_place(monkeypatch):
+    """A bridged chain of 60 non-chordal atoms of order 6-8: splitting
+    decides each atom's families on the graph itself, one chordality test
+    per atom, and bounded:10 holds every graph of their order, so neither
+    splitting nor recognition induces a subgraph."""
+    rng = random.Random(9)
+    edges, n, last = [], 0, None
+    for _ in range(60):
+        order = rng.randint(6, 8)
+        edges += [(n + i, n + (i + 1) % order) for i in range(order)]
+        edges.append((n, n + 3))  # leaves the 4-cycle n..n+3 chordless
+        if last is not None:
+            edges.append((last, n + rng.randrange(order)))
+        last = n + rng.randrange(order)
+        n += order
+    g = Graph(n, edges)
+    calls = []
+    real = Graph.induced_subgraph
+
+    def counted(self, vertices):
+        calls.append(self.n)
+        return real(self, vertices)
+
+    monkeypatch.setattr(Graph, "induced_subgraph", counted)
+    tests = []
+    real_test = families.is_perfect_elimination
+
+    def counted_test(h, order):
+        tests.append(len(order))
+        return real_test(h, order)
+
+    monkeypatch.setattr(families, "is_perfect_elimination", counted_test)
+    forest = split_phase(g, default_registry())
+    assert len(forest.atoms) == 60 and len(tests) == 60
+    assert set(forest.members) == {(False, True)}
+    assert forest.solvers == [None] * 60
+    out = recognize(g, 2, default_registry())
+    assert out.member and len(out.structure.parts) == 60
+    assert calls == [] and len(tests) == 120
 
 
 def star_of_atoms(h):
