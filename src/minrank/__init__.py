@@ -31,7 +31,7 @@ from .formats import (
     parse_graph6,
 )
 from .generator import generate_member
-from .gf2 import BitMatrix, RowBasis, fits, rank_gf2
+from .gf2 import BitMatrix, fits, rank_gf2
 from .graph import Graph
 from .cnf import emit_cnf, minrank_via_cnf, run_solver
 from .dp import combine_shared_vertex, dp_fold, dp_minrank, star_merge
@@ -66,7 +66,6 @@ __all__ = [
     "MinrankResult",
     "NotInFamilyError",
     "RecognitionOutcome",
-    "RowBasis",
     "SimpleTreeStructure",
     "StructureError",
     "StructureReport",

@@ -18,12 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .cnf import emit_cnf, minrank_via_cnf, run_solver
 from .dp import dp_fold, dp_minrank
 from .errors import BudgetExceededError, GraphError, StructureError
-from .exact import (
-    BRUTE_FORCE_BIT_BUDGET,
-    MinrankResult,
-    minrank_bnb,
-    minrank_bruteforce,
-)
+from .exact import MinrankResult, minrank_bnb, minrank_bruteforce
 from .formats import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from .generator import generate_member
 from .graph import Graph
@@ -115,9 +110,9 @@ def solve_graph(
     """Dispatch one connected-or-not graph to a solver.
 
     Auto mode splits into components and, per component: use the
-    tree-of-parts program when recognition succeeds, otherwise brute force
-    within its budget, otherwise branch and bound, falling back to an
-    external SAT solver only when branch and bound gave up inexactly.
+    tree-of-parts program when recognition succeeds, otherwise branch and
+    bound, falling back to an external SAT solver only when branch and
+    bound gave up inexactly.
     """
     if method == "brute":
         return minrank_bruteforce(g)
@@ -144,8 +139,6 @@ def solve_graph(
         outcome = recognize(g, c, registry)
         if outcome.member:
             return dp_fold(outcome.report, trace=trace)
-    if 2 * g.edge_count <= BRUTE_FORCE_BIT_BUDGET:
-        return minrank_bruteforce(g)
     res = minrank_bnb(g, node_budget)
     if not res.exact and sat_solver:
         return minrank_via_cnf(g, sat_solver)

@@ -40,6 +40,9 @@ from .families import FamilyRegistry
 from .graph import Graph
 from .structure import SimpleTreeStructure, StructureReport, validate_structure
 
+# Largest connector-subset table the fold builds for one part.
+MAX_SUBSETS = 1 << 16
+
 
 @dataclass
 class NodeTable:
@@ -99,19 +102,16 @@ def dp_minrank(
     t: SimpleTreeStructure,
     registry: FamilyRegistry,
     trace: bool = False,
-    max_subsets: int = 1 << 16,
 ) -> MinrankResult:
     """Exact min-rank of a graph from a tree-of-parts structure it is handed.
 
     The structure is validated against the graph and registry, and
     `dp_fold` folds the report; raises StructureError when it is invalid.
     """
-    return dp_fold(validate_structure(g, t, registry), trace, max_subsets)
+    return dp_fold(validate_structure(g, t, registry), trace)
 
 
-def dp_fold(
-    report: StructureReport, trace: bool = False, max_subsets: int = 1 << 16
-) -> MinrankResult:
+def dp_fold(report: StructureReport, trace: bool = False) -> MinrankResult:
     """Exact min-rank from a valid structure report, in one bottom-up fold.
 
     The fold runs on the report's structure, whose connectors were read
@@ -119,7 +119,7 @@ def dp_fold(
     part with connector subsets deleted (families are closed under vertex
     deletion, so those stay members), so no part is tested again.  No
     witness matrix is produced.  Parts whose connector subset table would
-    exceed `max_subsets` entries are refused.
+    exceed `MAX_SUBSETS` entries are refused.
     """
     if not report.valid:
         raise StructureError(f"invalid structure: {report.violations}")
@@ -147,10 +147,10 @@ def dp_fold(
         dc_map = t.dc.get(i, {})
         dcs = sorted(dc_map)
         d = len(dcs)
-        if 2**d > max_subsets:
+        if 2**d > MAX_SUBSETS:
             raise BudgetExceededError(
                 f"part {i} has {d} downward connectors; "
-                f"2^{d} subsets exceed the budget of {max_subsets}"
+                f"2^{d} subsets exceed the budget of {MAX_SUBSETS}"
             )
         hub_values = {
             u: star_merge([(tables[j].m_full, tables[j].m_minus) for j in dc_map[u]])

@@ -1,10 +1,11 @@
-"""Pluggable base-graph families with membership tests and fast min-rank.
+"""Pluggable base-graph families, each answering through one solver.
 
-A family oracle answers three questions: is this graph a member; what
-is a member's min-rank; and is a union of pieces glued along a tree of
-bridges a member.  Families must be closed under vertex deletion, which
-the decomposition algorithms rely on when they remove connector vertices
-from a part.
+A family oracle builds, for a member, a solver: a map from a set of the
+member's vertices to its min-rank with them deleted, which is all the dp
+fold asks of a part.  It also says whether a union of pieces glued along
+a tree of bridges is a member.  Families must be closed under vertex
+deletion, which the decomposition algorithms rely on when they remove
+connector vertices from a part.
 """
 
 from __future__ import annotations
@@ -23,26 +24,25 @@ class FamilyOracle(ABC):
     name: str
 
     @abstractmethod
-    def is_member(self, g: Graph, part=None) -> bool:
-        """Membership of g, or of its subgraph induced on vertex sequence `part`."""
-
-    @abstractmethod
-    def minrank(self, g: Graph) -> int:
-        """Exact min-rank of a member; raises ValueError on non-members."""
+    def solver(self, g: Graph, part=None):
+        """None for a non-member g (or g's subgraph induced on vertex
+        sequence `part`); else a map from a set of its vertices (positions
+        in `part`) to its min-rank with them deleted."""
 
     @abstractmethod
     def glue(self, pieces_member: bool, order: int) -> bool:
         """Membership of a union of pieces joined along a tree of bridges,
         from whether every piece is a member and the union's order."""
 
-    def solver(self, g: Graph, part=None):
-        """None for a non-member g (or g's subgraph induced on `part`); else a
-        map from a set of its vertices (positions in `part`) to its min-rank
-        with them deleted."""
-        if not self.is_member(g, part):
-            return None
-        sub = g if part is None else g.induced_subgraph(part)[0]
-        return lambda removed: self.minrank(sub.remove_vertices(removed))
+    def is_member(self, g: Graph, part=None) -> bool:
+        return self.solver(g, part) is not None
+
+    def minrank(self, g: Graph) -> int:
+        """Exact min-rank of a member; raises ValueError on non-members."""
+        solve = self.solver(g)
+        if solve is None:
+            raise ValueError(f"graph of order {g.n} outside family {self.name}")
+        return solve(())
 
 
 # Branch-and-bound nodes the bounded-order oracle spends on a whole member
@@ -59,19 +59,24 @@ class BoundedOrderFamily(FamilyOracle):
         self.bound = bound
         self.name = f"bounded:{bound}"
 
-    def is_member(self, g: Graph, part=None) -> bool:
-        return (g.n if part is None else len(part)) <= self.bound
-
     def glue(self, pieces_member: bool, order: int) -> bool:
         return order <= self.bound
 
-    def minrank(self, g: Graph) -> int:
-        if not self.is_member(g):
-            raise ValueError(f"graph of order {g.n} outside family {self.name}")
-        # Most members settle within a few hundred nodes.  Past that, cutting
-        # at bridges first keeps one search from growing with the whole part.
-        res = minrank_bnb(g, node_budget=SPLIT_AFTER_NODES)
-        return res.value if res.exact else minrank_across_bridges(g)
+    def solver(self, g: Graph, part=None):
+        vs = range(g.n) if part is None else part
+        if len(vs) > self.bound:
+            return None
+
+        def solve(removed) -> int:
+            gone = set(removed)
+            sub, _ = g.induced_subgraph([v for i, v in enumerate(vs) if i not in gone])
+            # Most members settle within a few hundred nodes.  Past that,
+            # cutting at bridges first keeps one search from growing with
+            # the whole part.
+            res = minrank_bnb(sub, node_budget=SPLIT_AFTER_NODES)
+            return res.value if res.exact else minrank_across_bridges(sub)
+
+        return solve
 
 
 def minrank_across_bridges(g: Graph) -> int:
@@ -171,15 +176,6 @@ class ChordalFamily(FamilyOracle):
     """
 
     name = "chordal"
-
-    def is_member(self, g: Graph, part=None) -> bool:
-        return is_perfect_elimination(g, elimination_order(g, part))
-
-    def minrank(self, g: Graph) -> int:
-        solve = self.solver(g)
-        if solve is None:
-            raise ValueError("graph is not chordal")
-        return solve(())
 
     def glue(self, pieces_member: bool, order: int) -> bool:
         return pieces_member

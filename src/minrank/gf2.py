@@ -1,8 +1,6 @@
-"""Dense GF(2) matrices stored as packed integer rows, with incremental rank.
+"""Dense GF(2) matrices stored as packed integer rows.
 
-Row i is one Python int; bit j holds entry (i, j).  Rank maintenance uses
-an XOR basis keyed by leading bit, so search code can grow and shrink the
-basis one row at a time.
+Row i is one Python int; bit j holds entry (i, j).
 """
 
 from __future__ import annotations
@@ -91,57 +89,18 @@ class BitMatrix:
         return "\n".join(self.to_strings())
 
 
-class RowBasis:
-    """Incremental GF(2) row space, one stored row per leading bit."""
-
-    __slots__ = ("width", "pivots")
-
-    def __init__(self, width: int):
-        self.width = width
-        self.pivots: dict[int, int] = {}
-
-    @property
-    def size(self) -> int:
-        return len(self.pivots)
-
-    def residual(self, row: int) -> int:
-        """Reduce a row against the basis; 0 means it is already spanned."""
+def rank_gf2(m: BitMatrix) -> int:
+    """Rank of a packed GF(2) matrix, by an XOR basis keyed by leading bit."""
+    pivots: dict[int, int] = {}
+    for row in m.data:
         while row:
             top = row.bit_length() - 1
-            p = self.pivots.get(top)
+            p = pivots.get(top)
             if p is None:
+                pivots[top] = row
                 break
             row ^= p
-        return row
-
-    def add_residual(self, residual: int) -> None:
-        """Store a nonzero residual returned by `residual` for the same basis state."""
-        self.pivots[residual.bit_length() - 1] = residual
-
-    def drop_residual(self, residual: int) -> None:
-        """Undo the matching `add_residual`."""
-        del self.pivots[residual.bit_length() - 1]
-
-    def insert(self, row: int) -> bool:
-        """Add a row; True when it enlarged the basis."""
-        res = self.residual(row)
-        if res == 0:
-            return False
-        self.add_residual(res)
-        return True
-
-    def copy(self) -> "RowBasis":
-        b = RowBasis(self.width)
-        b.pivots = dict(self.pivots)
-        return b
-
-
-def rank_gf2(m: BitMatrix) -> int:
-    """Rank of a packed GF(2) matrix."""
-    basis = RowBasis(m.cols)
-    for row in m.data:
-        basis.insert(row)
-    return basis.size
+    return len(pivots)
 
 
 def fits(m: BitMatrix, g) -> bool:

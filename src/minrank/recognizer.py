@@ -21,7 +21,6 @@ what splitting proved rather than by checking it again.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -38,8 +37,7 @@ class AtomForest:
     atoms: tuple[tuple[int, ...], ...]
     links: dict[tuple[int, int], tuple[int, int]]  # (atom l, atom m) -> edge (x, y)
     members: tuple[tuple[bool, ...], ...]  # per atom, per registry oracle
-    # Per atom, its first family's solver, if kept; None once absorbed.
-    solvers: list
+    solvers: tuple  # per atom, its first family's solver
     atom_of: dict[int, int]  # per vertex, its atom
 
 
@@ -68,10 +66,9 @@ def split_phase(
     atom; `cut` is `g.bridge_split()` if known.  Each atom's membership in
     every registered family is decided on g and kept, so that merging can
     glue atoms without testing their unions, with its first family's
-    solver, reused by a part of that atom alone, unless the family holds
-    every graph of the atom's order.  Raises NotInFamilyError on the first
-    atom in no registered family.  When `events` is a list, one record
-    per bridge is appended to it.
+    solver, reused by a part of that atom alone.  Raises NotInFamilyError
+    on the first atom in no registered family.  When `events` is a list,
+    one record per bridge is appended to it.
     """
     bridges, atoms = (cut or g.bridge_split())[:2]
     if events is not None:
@@ -79,17 +76,13 @@ def split_phase(
     atom_of = {v: i for i, atom in enumerate(atoms) for v in atom}
 
     def test(h: Graph, part) -> tuple:
-        # Per family, membership; and the first member family's solver, which
-        # tests membership too, unless the family holds every graph of the
-        # part's order: then the part, if it is one alone, builds it again.
-        member, solve = [], None
+        # Per family, membership; and the first member family's solver.
+        member, first = [], None
         for o in registry.oracles:
-            if True in member or o.glue(False, len(part)):
-                member.append(o.is_member(h, part))
-            else:
-                solve = o.solver(h, part)
-                member.append(solve is not None)
-        return tuple(member), solve
+            solve = o.solver(h, part)
+            member.append(solve is not None)
+            first = first or solve
+        return tuple(member), first
 
     flags, solvers, single = [], [], None
     for atom in atoms:
@@ -109,7 +102,8 @@ def split_phase(
             x, y = y, x
         links[(atom_of[x], atom_of[y])] = (x, y)
     return AtomForest(
-        tuple(atoms), dict(sorted(links.items())), tuple(flags), solvers, atom_of
+        tuple(atoms), dict(sorted(links.items())), tuple(flags), tuple(solvers),
+        atom_of,
     )
 
 
@@ -266,13 +260,6 @@ def merge_phase(
     )
 
 
-def _solver_on_demand(oracle, g: Graph, part: tuple[int, ...]):
-    """`oracle.solver` on the part of g, built by the first query, so that
-    recognition alone tests no part."""
-    build = functools.cache(lambda: oracle.solver(g, part))
-    return lambda removed: build()(removed)
-
-
 def accepted_report(
     g: Graph, forest: AtomForest, structure: SimpleTreeStructure,
     registry: FamilyRegistry,
@@ -280,29 +267,22 @@ def accepted_report(
     """What `validate_structure` reports on a structure merging accepted.
 
     Merging keeps the rules by construction, so nothing is checked again.
-    A part of one atom is in the atom's first family and reuses the solver
-    splitting kept for it.  A merged part is in the first family whose
-    gluing rule holds for its atoms' flags and its order, as merging
-    decided it, and drops its atoms' solvers.  A part without a solver
-    builds one for its known family at its first query.
+    Each part is in the first family whose gluing rule holds for its
+    atoms' flags and its order, as merging decided it; for one atom, that
+    is the atom's first family, and the part reuses the solver splitting
+    kept for it.  Any other part builds one solver for its family.
     """
     families, solvers = [], []
     for part in structure.parts:
-        a = forest.atom_of[part[0]]
-        if len(part) == len(forest.atoms[a]):  # atom a alone
-            oracle = registry.oracles[forest.members[a].index(True)]
-            solve = forest.solvers[a] or _solver_on_demand(oracle, g, part)
-        else:
-            ids = {forest.atom_of[v] for v in part}
-            flags = map(all, zip(*(forest.members[i] for i in ids)))
-            oracle = next(
-                o for o, f in zip(registry.oracles, flags) if o.glue(f, len(part))
-            )
-            for i in ids:
-                forest.solvers[i] = None
-            solve = _solver_on_demand(oracle, g, part)
+        ids = {forest.atom_of[v] for v in part}
+        flags = map(all, zip(*(forest.members[i] for i in ids)))
+        oracle = next(
+            o for o, f in zip(registry.oracles, flags) if o.glue(f, len(part))
+        )
         families.append(oracle.name)
-        solvers.append(solve)
+        solvers.append(
+            forest.solvers[ids.pop()] if len(ids) == 1 else oracle.solver(g, part)
+        )
     return StructureReport(
         True, [], mdc(structure), tuple(families), structure, tuple(solvers)
     )

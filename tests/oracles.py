@@ -31,6 +31,24 @@ def naive_rank(rows):
     return rank
 
 
+def reduce_by_pivots(pivots, row):
+    """Reduce a packed row against `pivots`, rows keyed by their leading
+    bit; 0 means the row is in their span."""
+    while row:
+        p = pivots.get(row.bit_length() - 1)
+        if p is None:
+            break
+        row ^= p
+    return row
+
+
+def insert_pivot(pivots, row):
+    """Add a packed row to `pivots` unless they already span it."""
+    row = reduce_by_pivots(pivots, row)
+    if row:
+        pivots[row.bit_length() - 1] = row
+
+
 def fitting_matrices(n, edges):
     """Yield every matrix fitting the graph, as a list of row lists.
 

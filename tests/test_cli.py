@@ -11,7 +11,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from minrank import Graph, cli, emit_edge_list
+from minrank import (
+    BitMatrix, Graph, MinrankResult, cli, emit_edge_list, verify_witness,
+)
 from minrank.cli import main
 from minrank.generator import generate_member
 
@@ -169,6 +171,20 @@ def test_minrank_brute_budget_exit(tmp_path, capsys):
     assert code == 3
     (rec,) = records(out)
     assert "error" in rec
+
+
+def test_auto_solves_an_11_cycle_by_branch_and_bound(tmp_path, capsys):
+    """The 11-cycle fits no family of the default registry, so auto goes
+    from recognition to branch and bound, which proves 6 with a witness;
+    brute force would enumerate 2^22 matrices."""
+    c11 = Graph(11, [(i, (i + 1) % 11) for i in range(11)])
+    path = write(tmp_path, "c11.edges", emit_edge_list(c11))
+    code, out, _ = run_cli(capsys, ["minrank", path])
+    (rec,) = records(out)
+    assert code == 0
+    assert (rec["value"], rec["exact"], rec["method"]) == (6, True, "bnb")
+    witness = BitMatrix.from_strings(rec["witness"])
+    assert verify_witness(MinrankResult(6, "bnb", witness, True, {}), c11)
 
 
 def test_minrank_cnf_needs_solver(tmp_path, capsys):

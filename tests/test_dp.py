@@ -21,6 +21,7 @@ from minrank import (
     parse_registry_spec,
     recognize,
 )
+from minrank import dp
 from minrank.dp import combine_shared_vertex, star_merge
 from minrank.generator import generate_member
 from conftest import random_connected_in_budget
@@ -207,7 +208,7 @@ def test_dp_rejects_unregistered_parts():
         dp_minrank(g, t, parse_registry_spec("bounded:2"))
 
 
-def test_dp_subset_budget():
+def test_dp_subset_budget(monkeypatch):
     # a part with three downward connectors needs 2^3 subsets at the fold
     g = Graph(
         6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)]
@@ -216,8 +217,9 @@ def test_dp_subset_budget():
         g, [(0, 1, 2), (3,), (4,), (5,)], [-1, 0, 0, 0]
     )
     assert dp_minrank(g, t, default_registry()).value == minrank_bruteforce(g).value
+    monkeypatch.setattr(dp, "MAX_SUBSETS", 4)
     with pytest.raises(BudgetExceededError):
-        dp_minrank(g, t, default_registry(), max_subsets=4)
+        dp_minrank(g, t, default_registry())
 
 
 def test_dp_trace_records_tables():

@@ -13,6 +13,7 @@ from minrank import (
     minrank_bruteforce,
     parse_registry_spec,
 )
+from minrank import families
 from minrank.exact import minrank_bnb
 from minrank.families import (
     BoundedOrderFamily,
@@ -220,6 +221,55 @@ def test_bounded_family_contract():
     assert fam.minrank(Graph(3, [(0, 1), (1, 2)])) == 2
     with pytest.raises(ValueError):
         fam.minrank(Graph(5, []))
+
+
+@pytest.mark.parametrize("split_after", [1000, 0])
+def test_bounded_solver_matches_bruteforce_on_deletions(monkeypatch, split_after):
+    """Parts of up to 8 vertices of random host graphs, listed in random
+    order: for every set of at most 3 deleted positions, the solver gives
+    the brute-force min-rank of the part minus those vertices.  With no
+    branch-and-bound nodes before the split, every query that needs a
+    search goes through `minrank_across_bridges`."""
+    monkeypatch.setattr(families, "SPLIT_AFTER_NODES", split_after)
+    rng = random.Random(506 + split_after)
+    fam = BoundedOrderFamily(8)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(1, 14)
+        g = Graph(n, random_edges(rng, n, rng.choice([0.15, 0.3, 0.5])))
+        part = rng.sample(range(n), rng.randint(1, min(8, n)))
+        if 2 * g.induced_subgraph(part)[0].edge_count > 16:
+            continue
+        solve = fam.solver(g, part)
+        for r in range(min(3, len(part)) + 1):
+            for removed in itertools.combinations(range(len(part)), r):
+                keep = [v for i, v in enumerate(part) if i not in removed]
+                want = minrank_bruteforce(g.induced_subgraph(keep)[0]).value
+                assert solve(removed) == want, (g.edges, part, removed)
+        checked += 1
+    assert fam.solver(Graph(9)) is None
+
+
+@pytest.mark.parametrize(
+    "fam", [ChordalFamily(), BoundedOrderFamily(6)], ids=lambda f: f.name
+)
+def test_membership_and_minrank_answer_through_the_solver(fam):
+    rng = random.Random(fam.name)
+    members = 0
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        g = Graph(n, random_edges(rng, n, rng.choice([0.2, 0.4, 0.6])))
+        part = rng.sample(range(n), rng.randint(1, n))
+        assert fam.is_member(g, part) == (fam.solver(g, part) is not None)
+        solve = fam.solver(g)
+        assert fam.is_member(g) == (solve is not None)
+        if solve is None:
+            with pytest.raises(ValueError):
+                fam.minrank(g)
+        else:
+            assert fam.minrank(g) == solve(()) == minrank_bnb(g).value
+            members += 1
+    assert 10 < members < 70
 
 
 # A vertex with three pendant leaves bridged to a bridgeless 6-vertex piece,

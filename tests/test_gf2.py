@@ -1,4 +1,4 @@
-"""Packed GF(2) matrices, rank, row bases, and the fitting predicate."""
+"""Packed GF(2) matrices, rank, and the fitting predicate."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrank import Graph, BitMatrix, rank_gf2, fits
-from minrank.gf2 import RowBasis
 import oracles
 
 
@@ -67,38 +66,6 @@ def test_rank_stable_under_row_xor(rows, idx):
     mutated = list(rows)
     mutated[i] ^= rows[j]
     assert rank_gf2(BitMatrix(len(rows), 8, tuple(mutated))) == base
-
-
-def test_row_basis_tracks_rank():
-    rng = random.Random(201)
-    for _ in range(60):
-        basis = RowBasis(10)
-        vectors = [rng.getrandbits(10) for _ in range(12)]
-        inserted = 0
-        for v in vectors:
-            if basis.insert(v):
-                inserted += 1
-        rows = [[v >> j & 1 for j in range(10)] for v in vectors]
-        assert inserted == oracles.naive_rank(rows)
-        assert basis.size == inserted
-
-
-def test_row_basis_residual_add_drop():
-    basis = RowBasis(3)
-    basis.insert(0b011)
-    basis.insert(0b100)
-    # residual of a spanned vector is zero
-    assert basis.residual(0b111) == 0
-    res = basis.residual(0b010)
-    assert res != 0
-    basis.add_residual(res)
-    assert basis.residual(0b010) == 0
-    basis.drop_residual(res)
-    assert basis.residual(0b010) != 0
-    # copies evolve independently
-    twin = basis.copy()
-    twin.insert(0b010)
-    assert twin.size == basis.size + 1
 
 
 def test_fits_semantics(example1):
