@@ -310,19 +310,21 @@ def _first_spanned_row(pivots: dict[int, int], v: int, mask: int) -> int | None:
 def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
     """Branch-and-bound on one connected graph.
 
-    The bounds come first: the greedy ones and, up to 40 vertices, the exact
-    independence number.  If a gap remains at that size, a join is split
-    into its co-components, and otherwise the exact clique cover becomes
-    the incumbent; the search runs only if that still leaves a gap.
+    The bounds come first: the greedy ones and, up to 40 vertices when they
+    leave a gap, the exact independence number.  If a gap remains at that
+    size, a join is split into its co-components, and otherwise the exact
+    clique cover becomes the incumbent; the search runs only if that still
+    leaves a gap.
     """
     start = time.perf_counter()
     bounds = sandwich_bounds(g)
     lower = bounds.lower
     cliques = bounds.cliques
     cover_nodes = 0
-    if g.n <= 40:
+    if g.n <= 40 and lower < bounds.upper:
         # The exact independence number is cheap at this size and lets the
-        # search stop as soon as it matches the incumbent.
+        # search stop as soon as it matches the incumbent; when the greedy
+        # bounds meet, it is squeezed to their value already.
         lower = max(lower, exact_independence_number(g))
         if lower < bounds.upper:
             parts = co_components(g)

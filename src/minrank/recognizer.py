@@ -14,9 +14,16 @@ memberships, found once by splitting, and the part's order.  What an atom
 v decides below its parent p depends on v, p and the decisions below v,
 never on the root, so each directed (v, p) decision is computed once and
 shared by every root: at most 3h - 2 of them for h atoms.  If every root
-fails, the graph has no structure with the requested bound.  An accepted
-structure comes with the report that validating it would give, built from
-what splitting proved rather than by checking it again.
+fails, the graph has no structure with the requested bound.  A decision
+fails only at an atom with more than `c` connectors, and a failure reaches
+the root, so when a root fails the atom behind it is decided under each of
+its neighbours and as the root: every root's tree holds it in one of those
+places, and if all of them fail, so does every root, and the walk stops
+after computing the last root's failure for the report.  Without that
+proof, or when a trace of every root is asked for, the walk goes on to
+the next root.  An accepted structure comes with the report that
+validating it would give, built from what splitting proved rather than by
+checking it again.
 """
 
 from __future__ import annotations
@@ -114,7 +121,10 @@ def _post_order(memo: dict, start: tuple, below, decide, settles) -> object:
     order.  The first child entry that `settles` becomes the parent's entry
     as it is, and later children are left unevaluated; otherwise
     `decide(v, p, kids)` computes the entry once every child's is known.
+    An entry already in memo is returned as it is.
     """
+    if start in memo:
+        return memo[start]
     stack = [[start, below(*start), 0]]
     while stack:
         frame = stack[-1]
@@ -141,7 +151,10 @@ def merge_phase(
     """Search root choices and leaf merges for a structure with <= c connectors.
 
     Returns the structure of the first root that admits one and the number
-    of roots tried.  Raises NotInFamilyError when the last root fails.
+    of roots tried.  Raises NotInFamilyError with the last root's failure
+    when every root fails.  The walk stops at the first failed root whose
+    failing atom also fails under every neighbour and as the root, which
+    fails every root; a trace walks on through every root regardless.
     When `trace` is a list, one record per root trial is appended to it;
     when `stats` is a dict, `stats["decisions"]` counts the (atom, parent)
     decisions computed.
@@ -164,8 +177,8 @@ def merge_phase(
         return len({end[v, w] for w in kids}) > c
 
     # (v, p) -> (merged vertex set, surviving children, per registry oracle
-    # whether every merged atom is a member), or (None, why) when an atom in
-    # the subtree cannot shed enough connectors.
+    # whether every merged atom is a member), or (None, why, atom) when that
+    # atom in the subtree cannot shed enough connectors.
     shed: dict[tuple[int, int], tuple] = {}
     visits: list | None = None
 
@@ -216,7 +229,14 @@ def merge_phase(
                 return union(v, absorbed), kept, flags
         visit(v, p, connectors, None, ())
         n = len(connectors)
-        return None, f"part at atom {v} cannot reduce below {n} connectors"
+        return None, f"part at atom {v} cannot reduce below {n} connectors", v
+
+    def shed_below(v: int, p: int) -> tuple:
+        return _post_order(shed, (v, p), below, shed_at, _failed)
+
+    def fails_everywhere(a: int) -> bool:
+        # Every root's atom tree holds `a` below a neighbour or as the root.
+        return all(shed_below(a, p)[0] is None for p in [*neighbors[a], -1])
 
     def structure_at(r: int, merged: bool) -> SimpleTreeStructure:
         parent, blob, stack = {r: -1}, {}, [r]
@@ -232,9 +252,9 @@ def merge_phase(
         par = [index[parent[v]] if parent[v] != -1 else -1 for v in alive]
         return SimpleTreeStructure.derive(g, parts, par)
 
-    last_error = None
+    last_error, h = None, len(atoms)
     try:
-        for r in range(len(atoms)):
+        for r in range(h):
             record = {"root": r, "visits": [], "accepted": False}
             if trace is not None:
                 trace.append(record)
@@ -242,8 +262,12 @@ def merge_phase(
             merging = _post_order(over, (r, -1), below, over_at, bool)
             if not merging:
                 record["immediate"] = True
-            elif _post_order(shed, (r, -1), below, shed_at, _failed)[0] is None:
-                last_error = record["failure"] = f"root {r}: {shed[r, -1][1]}"
+            elif (failure := shed_below(r, -1))[0] is None:
+                last_error = record["failure"] = f"root {r}: {failure[1]}"
+                if trace is None and r < h - 1 and fails_everywhere(failure[2]):
+                    # A failure under every parent reaches every root.
+                    last_error = f"root {h - 1}: {shed_below(h - 1, -1)[1]}"
+                    break
                 continue
             structure = structure_at(r, merging)
             if debug:

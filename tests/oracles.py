@@ -299,3 +299,69 @@ def _merge_under_root(atoms, links, r, c, in_family):
     parts = [tuple(sorted(blob[v])) for v in alive]
     parents = [index[parent[v]] if parent[v] != -1 else -1 for v in alive]
     return parts, parents
+
+
+def set_partitions(items):
+    """Yield every partition of the list `items` into non-empty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in set_partitions(rest):
+        yield [[first], *blocks]
+        for i in range(len(blocks)):
+            yield [*blocks[:i], [first, *blocks[i]], *blocks[i + 1 :]]
+
+
+def structure_exists(n, edges, c, in_family):
+    """Whether the connected graph has a tree-of-parts structure with at
+    most `c` downward connectors per part, by exhaustive search.
+
+    Every set partition of the vertices is tried.  Each part must induce a
+    family member, `in_family(order, edges)` deciding it on the part's
+    graph relabelled 0..order-1; the parts, joined wherever an edge
+    crosses, must form a tree with exactly one edge per link; and under
+    some root part, every part may have at most `c` distinct vertices
+    carrying the edges to its children.  Exponential: keep n small.
+    """
+    member = {}
+
+    def part_ok(block):
+        key = frozenset(block)
+        if key not in member:
+            index = {v: i for i, v in enumerate(sorted(block))}
+            inside = [(index[a], index[b]) for a, b in edges if a in key and b in key]
+            member[key] = in_family(len(block), inside)
+        return member[key]
+
+    for blocks in set_partitions(list(range(n))):
+        part_of = {v: i for i, block in enumerate(blocks) for v in block}
+        crossing = {}  # (part i, part j), i < j -> edges between them
+        for a, b in edges:
+            i, j = part_of[a], part_of[b]
+            if i != j:
+                key = (min(i, j), max(i, j))
+                crossing.setdefault(key, []).append((a, b) if i < j else (b, a))
+        if any(len(es) > 1 for es in crossing.values()):
+            continue
+        if len(crossing) != len(blocks) - 1:  # connected, so a tree exactly
+            continue
+        if not all(part_ok(block) for block in blocks):
+            continue
+        end = {}  # (part, neighbouring part) -> the link's end in part
+        for (i, j), [(a, b)] in crossing.items():
+            end[i, j], end[j, i] = a, b
+        for root in range(len(blocks)):
+            parent, order = {root: None}, [root]
+            for i in order:  # breadth first; the list grows while it is read
+                for (x, y) in end:
+                    if x == i and y not in parent:
+                        parent[y] = i
+                        order.append(y)
+            down = {i: set() for i in parent}
+            for child, p in parent.items():
+                if p is not None:
+                    down[p].add(end[p, child])
+            if all(len(ds) <= c for ds in down.values()):
+                return True
+    return False

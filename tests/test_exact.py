@@ -25,6 +25,7 @@ from minrank import (
     sandwich_bounds,
     verify_witness,
 )
+from minrank import exact
 from minrank.exact import (
     _combine_components,
     _first_spanned_row,
@@ -186,6 +187,26 @@ def test_exact_independence_number_matches_oracle():
         assert exact_independence_number(g) == oracles.max_independent_set(
             g.n, g.edges
         )
+
+
+def test_bnb_skips_independence_number_when_greedy_bounds_meet(monkeypatch):
+    """On a path and a clique the greedy independent set and clique cover
+    have the same size, which squeezes alpha to it: bnb computes no alpha."""
+    calls = []
+    real = exact.exact_independence_number
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(exact, "exact_independence_number", counted)
+    path = Graph(6, [(i, i + 1) for i in range(5)])
+    clique = Graph(5, list(itertools.combinations(range(5), 2)))
+    for g, value in ((path, 3), (clique, 1)):
+        res = minrank_bnb(g)
+        assert res.exact and res.value == value and verify_witness(res, g)
+        assert res.stats["lower"] == value
+    assert calls == []
 
 
 def test_petersen_resolved_exactly(petersen):

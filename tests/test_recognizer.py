@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -282,19 +283,91 @@ def test_merge_phase_matches_every_root_reference():
         member, roots, parts, parents = oracles.merge_every_root(
             forest.atoms, forest.links, c, in_family
         )
-        trace = []
-        try:
-            structure, tried = merge_phase(g, forest, c, reg, trace=trace)
-        except NotInFamilyError:
-            assert not member and len(trace) == roots, g.edges
+        # The traced merge walks every root; the untraced one may stop
+        # early, but must answer, and fail, exactly as the traced one.
+        trace, runs = [], []
+        for t in (trace, None):
+            try:
+                runs.append(merge_phase(g, forest, c, reg, trace=t))
+            except NotInFamilyError as exc:
+                runs.append(exc.detail)
+        traced, plain = runs
+        assert len(trace) == roots, g.edges
+        if not member:
+            assert isinstance(traced, str) and traced == plain, g.edges
             rejects += 1
             continue
-        assert member and tried == len(trace) == roots, g.edges
-        assert [tuple(p) for p in structure.parts] == parts, g.edges
-        assert list(structure.parent) == parents, g.edges
+        for structure, tried in (traced, plain):
+            assert tried == roots, g.edges
+            assert [tuple(p) for p in structure.parts] == parts, g.edges
+            assert list(structure.parent) == parents, g.edges
         late_members += roots > 1
     assert late_members >= 10
     assert rejects >= 10
+
+
+def oracle_family(spec):
+    """`in_family(order, edges)` for a registry spec, decided apart from the
+    package: chordality by simplicial elimination, bounded:k by order."""
+    tests = []
+    for item in spec.split(","):
+        if item == "chordal":
+            tests.append(oracles.is_chordal_by_elimination)
+        else:
+            bound = int(item.split(":")[1])
+            tests.append(lambda n, edges, bound=bound: n <= bound)
+    return lambda n, edges: any(t(n, edges) for t in tests)
+
+
+def bridged_blocks(rng, n):
+    """A connected graph on n vertices: dense random blocks joined by single
+    edges along a random tree.  The first block, of 3-4 vertices, mostly
+    takes the others at vertices of its own not used yet, so that merging
+    often has to shed connectors."""
+    order = list(range(n))
+    rng.shuffle(order)
+    size = rng.randint(3, 4)
+    blocks, edges, free = [], [], order[:size]
+    while order:
+        block, order = order[:size], order[size:]
+        edges += zip(block, block[1:])  # a path keeps the block connected
+        edges += [e for e in combinations(block, 2) if rng.random() < 0.6]
+        if blocks:
+            if free and rng.random() < 0.8:
+                x = free.pop(rng.randrange(len(free)))
+            else:
+                x = rng.choice(rng.choice(blocks))
+            edges.append((x, rng.choice(block)))
+        blocks.append(block)
+        size = rng.randint(1, 2)
+    return Graph(n, sorted({(min(e), max(e)) for e in edges}))
+
+
+def test_recognize_agrees_with_exhaustive_structure_search():
+    """Completeness as well as soundness: on random connected graphs of up
+    to 7 vertices, recognize finds a structure exactly when some partition
+    of the vertices forms one under some root."""
+    rng = random.Random(1103)
+    seen = Counter()
+    for i in range(1600):
+        if i % 4 == 0:
+            n = rng.randint(1, 7)
+            g = random_connected_graph(rng, n, extra_p=rng.choice([0.0, 0.1, 0.3]))
+        else:
+            n = rng.randint(5, 7)
+            g = bridged_blocks(rng, n)
+        spec = rng.choice(("chordal", "bounded:3", "bounded:1", "chordal,bounded:4"))
+        c = rng.choice((1, 1, 2))  # only c = 1 rejects in merge below 8 vertices
+        want = oracles.structure_exists(n, g.edges, c, oracle_family(spec))
+        out = recognize(g, c, parse_registry_spec(spec))
+        assert out.member == want, (n, g.edges, spec, c)
+        if out.member:
+            seen["merged" if out.stats["decisions"] else "as cut"] += 1
+            seen["late root"] += out.roots_tried > 1
+        else:
+            seen[out.stats["phase"] + " rejection"] += 1
+    kinds = ("as cut", "merged", "late root", "split rejection", "merge rejection")
+    assert min(seen[k] for k in kinds) >= 10, seen
 
 
 def chorded_hexagon_tree(rng, h):
@@ -314,12 +387,19 @@ def chorded_hexagon_tree(rng, h):
 
 
 def test_merge_decides_each_atom_parent_pair_once():
+    """Walking every root, as a trace does, decides each directed (atom,
+    parent) pair at most once.  Without a trace the walk stops once the
+    atom behind a failure fails under every parent, which here takes fewer
+    than h decisions, and the answer still counts every root."""
     h = 400
     g = chorded_hexagon_tree(random.Random(4), h)
     out = recognize(g, 2, default_registry())
     assert not out.member and out.stats["phase"] == "merge"
     assert out.stats["atoms"] == out.roots_tried == h
-    assert 0 < out.stats["decisions"] <= 3 * h
+    traced = recognize(g, 2, default_registry(), explain=True)
+    assert len(traced.stats["explain"]["roots"]) == h
+    assert traced.failure_detail == out.failure_detail
+    assert 0 < out.stats["decisions"] < h < traced.stats["decisions"] <= 3 * h
 
 
 def test_merge_sheds_down_a_deep_path():
