@@ -124,9 +124,9 @@ def solve_graph(
         return minrank_via_cnf(g, sat_solver)
     if method == "dp":
         raise GraphError("method dp needs the dp subcommand or --structure")
-    # auto
-    comps = g.connected_components()
-    if len(comps) > 1:
+    # auto: one search finds the components, bridges and atoms
+    cut = g.bridge_split()
+    if g.n and not cut[2]:
         from .exact import minrank_components
 
         return minrank_components(
@@ -136,7 +136,7 @@ def solve_graph(
             ),
         )
     if g.n and registry is not None:
-        outcome = recognize(g, c, registry)
+        outcome = recognize(g, c, registry, cut=cut)
         if outcome.member:
             return dp_fold(outcome.report, trace=trace)
     res = minrank_bnb(g, node_budget)

@@ -113,17 +113,22 @@ def minrank_across_bridges(g: Graph) -> int:
     return solve(frozenset(range(g.n)))
 
 
-def elimination_order(g: Graph, vertices=None) -> list[int]:
+def perfect_elimination_order(g: Graph, vertices=None) -> list[int] | None:
     """Reversed maximum cardinality search order on the vertex sequence
-    `vertices` (all of g by default), in O(n + m).
+    `vertices` (all of g by default), or None when the graph they induce is
+    not chordal; O(n + m).
 
     Each step visits an unvisited vertex with the most visited neighbours;
     reversed, the visit order is a perfect elimination order iff the
-    induced graph is chordal (Tarjan and Yannakakis 1984).  Buckets hold
-    vertices by that count; an entry left behind by a rising count is skipped.
+    induced graph is chordal (Tarjan and Yannakakis 1984).  The neighbours
+    visited before v are its later neighbours in that order, the last one
+    visited the earliest, so the order is perfect iff at each visit that one
+    neighbours all the others: the search stops at the first that fails.
+    Buckets hold vertices by that count; an entry left behind by a rising
+    count is skipped.
     """
     vs = range(g.n) if vertices is None else vertices
-    count = dict.fromkeys(vs, 0)  # -1 once visited; vertices outside: absent
+    count = dict.fromkeys(vs, 0)  # ~visit index once visited; outside: absent
     buckets = [list(reversed(vs))] + [[] for _ in vs]
     order = []
     top = 0
@@ -134,41 +139,36 @@ def elimination_order(g: Graph, vertices=None) -> list[int]:
         v = buckets[top].pop()
         if count[v] != top:
             continue  # visited, or pushed again at a higher count
-        count[v] = -1
+        count[v] = ~len(order)
         order.append(v)
+        seen, last = [], 0  # v's visited neighbours; ~(latest one's index)
         for w in g.neighbor_set(v):
-            if count.get(w, -1) >= 0:
-                count[w] += 1
-                buckets[count[w]].append(w)
+            k = count.get(w)
+            if k is None:
+                continue
+            if k >= 0:
+                count[w] = k + 1
+                buckets[k + 1].append(w)
+            else:
+                seen.append(w)
+                if k < last:
+                    last = k
+        if top > 1:  # top is len(seen); does order[~last] neighbour the rest?
+            if len(g.neighbor_set(order[~last]).intersection(seen)) < top - 1:
+                return None
         top += 1  # no count rose by more than one
     return order[::-1]
-
-
-def is_perfect_elimination(g: Graph, order) -> bool:
-    """Whether each vertex's later neighbours form a clique along the order.
-
-    It suffices that they all neighbour the earliest of them: one set
-    lookup per later neighbour.
-    """
-    pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        later = [w for w in g.neighbor_set(v) if pos.get(w, -1) > i]
-        if later:
-            first = min(later, key=pos.__getitem__)
-            clique = g.neighbor_set(first)
-            if not all(w == first or w in clique for w in later):
-                return False
-    return True
 
 
 class ChordalFamily(FamilyOracle):
     """Chordal graphs; min-rank equals the independence number.
 
-    Membership is maximum cardinality search plus elimination-order
-    verification.  For the min-rank, scanning the perfect elimination
-    order and taking every vertex with no previously taken neighbour
-    yields a maximum independent set together with a clique cover of the
-    same size, and the two bounds squeeze the min-rank to that number.
+    Membership is one maximum cardinality search that checks its
+    elimination order as it goes (`perfect_elimination_order`).  For the
+    min-rank, scanning the perfect elimination order and taking every
+    vertex with no previously taken neighbour yields a maximum independent
+    set together with a clique cover of the same size, and the two bounds
+    squeeze the min-rank to that number.
     The order restricted to an induced subgraph is still a perfect
     elimination order, so one order serves every vertex deletion.  Every
     cycle of a union glued along bridges stays inside one piece, so the
@@ -182,8 +182,8 @@ class ChordalFamily(FamilyOracle):
 
     def solver(self, g: Graph, part=None):
         vs = range(g.n) if part is None else part
-        order = elimination_order(g, vs)
-        if not is_perfect_elimination(g, order):
+        order = perfect_elimination_order(g, vs)
+        if order is None:
             return None
 
         def solve(removed) -> int:

@@ -10,20 +10,21 @@ takes the atom tree as it is.  Otherwise each atom, children first,
 absorbs leaf children through a largest-possible set of its downward
 connectors so that at most `c` survive and the enlarged part stays in a
 family; each family's gluing rule decides that from the atoms' own
-memberships, found once by splitting, and the part's order.  What an atom
-v decides below its parent p depends on v, p and the decisions below v,
-never on the root, so each directed (v, p) decision is computed once and
-shared by every root: at most 3h - 2 of them for h atoms.  If every root
-fails, the graph has no structure with the requested bound.  A decision
-fails only at an atom with more than `c` connectors, and a failure reaches
-the root, so when a root fails the atom behind it is decided under each of
-its neighbours and as the root: every root's tree holds it in one of those
-places, and if all of them fail, so does every root, and the walk stops
-after computing the last root's failure for the report.  Without that
-proof, or when a trace of every root is asked for, the walk goes on to
-the next root.  An accepted structure comes with the report that
-validating it would give, built from what splitting proved rather than by
-checking it again.
+memberships, found once by splitting and kept as one bitmask per atom,
+and the part's order.  What an atom v decides below its parent p depends
+on v, p and the decisions below v, never on the root, so each directed
+(v, p) decision is computed once and shared by every root: at most 3h - 2
+of them for h atoms.  If every root fails, the graph has no structure with
+the requested bound.  A decision fails only at an atom with more than `c`
+connectors, and a failure reaches the root, so when a root fails the atom
+behind it is decided under each of its neighbours and as the root: every
+root's tree holds it in one of those places, and if all of them fail, so
+does every root, and the walk stops after computing the last root's
+failure for the report.  Without that proof, or when a trace of every root
+is asked for, the walk goes on to the next root.  An accepted structure
+comes with the report that validating it would give, built from what
+splitting proved rather than by checking it again, and with the
+connectors read off the bridges merging kept.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class AtomForest:
 
     atoms: tuple[tuple[int, ...], ...]
     links: dict[tuple[int, int], tuple[int, int]]  # (atom l, atom m) -> edge (x, y)
-    members: tuple[tuple[bool, ...], ...]  # per atom, per registry oracle
+    members: tuple[int, ...]  # per atom, bit i set when registry oracle i holds it
     solvers: tuple  # per atom, its first family's solver
     atom_of: dict[int, int]  # per vertex, its atom
 
@@ -83,25 +84,25 @@ def split_phase(
     atom_of = {v: i for i, atom in enumerate(atoms) for v in atom}
 
     def test(h: Graph, part) -> tuple:
-        # Per family, membership; and the first member family's solver.
-        member, first = [], None
-        for o in registry.oracles:
+        # The mask of member families; and the first member family's solver.
+        mask, first = 0, None
+        for i, o in enumerate(registry.oracles):
             solve = o.solver(h, part)
-            member.append(solve is not None)
+            mask |= (solve is not None) << i
             first = first or solve
-        return tuple(member), first
+        return mask, first
 
-    flags, solvers, single = [], [], None
+    masks, solvers, single = [], [], None
     for atom in atoms:
         if len(atom) > 1:
-            member, solve = test(g, atom)
+            mask, solve = test(g, atom)
         else:  # every one-vertex atom induces the same graph: test it once
-            member, solve = single = single or test(Graph(1), (0,))
-        if True not in member:
+            mask, solve = single = single or test(Graph(1), (0,))
+        if not mask:
             raise NotInFamilyError(
                 f"bridgeless piece {list(atom)} fits no registered family", atom=atom
             )
-        flags.append(member)
+        masks.append(mask)
         solvers.append(solve)
     links: dict[tuple[int, int], tuple[int, int]] = {}
     for x, y in bridges:
@@ -109,9 +110,18 @@ def split_phase(
             x, y = y, x
         links[(atom_of[x], atom_of[y])] = (x, y)
     return AtomForest(
-        tuple(atoms), dict(sorted(links.items())), tuple(flags), tuple(solvers),
+        tuple(atoms), dict(sorted(links.items())), tuple(masks), tuple(solvers),
         atom_of,
     )
+
+
+def _first_glued(registry: FamilyRegistry, mask: int, order: int):
+    """The first oracle whose gluing rule holds for pieces in the families
+    of bitmask `mask` joined into `order` vertices, or None."""
+    for i, o in enumerate(registry.oracles):
+        if o.glue(bool(mask >> i & 1), order):
+            return o
+    return None
 
 
 def _post_order(memo: dict, start: tuple, below, decide, settles) -> object:
@@ -176,8 +186,8 @@ def merge_phase(
     def over_at(v: int, p: int, kids: list[int]) -> bool:
         return len({end[v, w] for w in kids}) > c
 
-    # (v, p) -> (merged vertex set, surviving children, per registry oracle
-    # whether every merged atom is a member), or (None, why, atom) when that
+    # (v, p) -> (merged vertex set, surviving children, mask of the registry
+    # oracles holding every merged atom), or (None, why, atom) when that
     # atom in the subtree cannot shed enough connectors.
     shed: dict[tuple[int, int], tuple] = {}
     visits: list | None = None
@@ -194,39 +204,40 @@ def merge_phase(
             })
 
     def shed_at(v: int, p: int, kids: list[int]) -> tuple:
+        if not kids:
+            visit(v, p, [], (), ())
+            return frozenset(atoms[v]), (), members[v]
         groups: dict[int, list[int]] = {}
         for w in kids:
             groups.setdefault(end[v, w], []).append(w)
         connectors = sorted(groups)
-        # Per connector: whether every child through it is childless (only
-        # those may be absorbed), and the flags and order of their parts.
-        through = {
-            u: (
-                not any(shed[w, v][1] for w in ws),
-                tuple(map(all, zip(*(shed[w, v][2] for w in ws)))),
-                sum(len(shed[w, v][0]) for w in ws),
-            )
-            for u, ws in groups.items()
-        }
+        # Per connector whose children are all childless (only those may be
+        # absorbed): the AND of their parts' masks and the sum of their orders.
+        free = {}
+        for u in connectors:
+            leaf, mask, order = True, -1, 0
+            for w in groups[u]:
+                part, kept, m = shed[w, v]
+                leaf = leaf and not kept
+                mask &= m
+                order += len(part)
+            if leaf:
+                free[u] = mask, order
         for size in range(len(connectors), max(0, len(connectors) - c) - 1, -1):
-            for chosen in combinations(connectors, size):
-                if not all(through[u][0] for u in chosen):
-                    continue
+            for chosen in combinations(free, size):
+                mask, order = members[v], len(atoms[v])
+                for u in chosen:
+                    mask &= free[u][0]
+                    order += free[u][1]
                 # The atoms merged are joined along a tree of bridges, so
-                # their flags and the part's order decide its families; a
+                # their masks and the part's order decide its families; a
                 # bare atom was already found in a family by split_phase.
-                flags = tuple(
-                    map(all, zip(members[v], *(through[u][1] for u in chosen)))
-                )
-                order = len(atoms[v]) + sum(through[u][2] for u in chosen)
-                if chosen and not any(
-                    o.glue(f, order) for o, f in zip(registry.oracles, flags)
-                ):
+                if chosen and _first_glued(registry, mask, order) is None:
                     continue
                 absorbed = [w for u in chosen for w in groups[u]]
                 visit(v, p, connectors, chosen, absorbed)
                 kept = tuple(w for w in kids if end[v, w] not in chosen)
-                return union(v, absorbed), kept, flags
+                return union(v, absorbed), kept, mask
         visit(v, p, connectors, None, ())
         n = len(connectors)
         return None, f"part at atom {v} cannot reduce below {n} connectors", v
@@ -246,11 +257,18 @@ def merge_phase(
             blob[v], kids = shed[v, p][:2] if merged else (atoms[v], below(v, p))
             parent.update(dict.fromkeys(kids, v))
             stack.extend(kids)
+        # A kept child w of the part headed by atom v joins it along the
+        # bridge between the two atoms, whose ends are its connectors.
         alive = sorted(blob)
         index = {v: i for i, v in enumerate(alive)}
-        parts = [tuple(sorted(blob[v])) for v in alive]
-        par = [index[parent[v]] if parent[v] != -1 else -1 for v in alive]
-        return SimpleTreeStructure.derive(g, parts, par)
+        par, uc, dc = [index.get(parent[w], -1) for w in alive], {}, {}
+        for j, w in enumerate(alive):
+            if par[j] != -1:
+                uc[j] = end[w, parent[w]]
+                dc.setdefault(par[j], {}).setdefault(end[parent[w], w], []).append(j)
+        parts = tuple(tuple(sorted(blob[v])) for v in alive)
+        dc = {i: {u: tuple(js) for u, js in m.items()} for i, m in dc.items()}
+        return SimpleTreeStructure(parts, tuple(par), uc, dc)
 
     last_error, h = None, len(atoms)
     try:
@@ -291,18 +309,18 @@ def accepted_report(
     """What `validate_structure` reports on a structure merging accepted.
 
     Merging keeps the rules by construction, so nothing is checked again.
-    Each part is in the first family whose gluing rule holds for its
-    atoms' flags and its order, as merging decided it; for one atom, that
-    is the atom's first family, and the part reuses the solver splitting
-    kept for it.  Any other part builds one solver for its family.
+    Each part is in the first family whose gluing rule holds for the AND
+    of its atoms' masks and its order, as merging decided it; for one atom,
+    that is the atom's first family, and the part reuses the solver
+    splitting kept for it.  Any other part builds one solver for its family.
     """
     families, solvers = [], []
     for part in structure.parts:
         ids = {forest.atom_of[v] for v in part}
-        flags = map(all, zip(*(forest.members[i] for i in ids)))
-        oracle = next(
-            o for o, f in zip(registry.oracles, flags) if o.glue(f, len(part))
-        )
+        mask = -1
+        for i in ids:
+            mask &= forest.members[i]
+        oracle = _first_glued(registry, mask, len(part))
         families.append(oracle.name)
         solvers.append(
             forest.solvers[ids.pop()] if len(ids) == 1 else oracle.solver(g, part)
@@ -318,6 +336,7 @@ def recognize(
     registry: FamilyRegistry,
     debug: bool = False,
     explain: bool = False,
+    cut=None,
 ) -> RecognitionOutcome:
     """Decide membership in the family of c-bounded tree-of-parts graphs.
 
@@ -325,11 +344,12 @@ def recognize(
     first.  A positive outcome carries a structure that validates with at
     most `c` downward connectors per part, with the report that validating
     it would give (`accepted_report`).  With `explain` the stats hold a
-    machine-readable trace of every cut and merge decision.
+    machine-readable trace of every cut and merge decision.  `cut` is
+    `g.bridge_split()` if known.
     """
     if g.n == 0:
         raise GraphError("cannot recognize the empty graph")
-    cut = g.bridge_split()
+    cut = cut or g.bridge_split()
     if not cut[2]:
         raise GraphError("recognition needs a connected graph; decompose first")
     if c < 1:

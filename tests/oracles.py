@@ -202,6 +202,38 @@ def is_chordal_by_elimination(n, edges):
     return True
 
 
+def mcs_elimination_order(g, vertices=None):
+    """Reversed maximum cardinality search order on the vertex sequence
+    `vertices` (all of g by default), the search run to the end with no
+    check along the way: the order the one-pass chordality test must give
+    on chordal inputs.  `g` needs only `n` and `neighbor_set(v)`.
+
+    Each step visits an unvisited vertex with the most visited neighbours,
+    the one pushed last among equals; buckets hold vertices by that count
+    and an entry left behind by a rising count is skipped.
+    """
+    vs = range(g.n) if vertices is None else vertices
+    count = dict.fromkeys(vs, 0)  # -1 once visited; vertices outside: absent
+    buckets = [list(reversed(vs))] + [[] for _ in vs]
+    order = []
+    top = 0
+    while top >= 0:
+        if not buckets[top]:
+            top -= 1
+            continue
+        v = buckets[top].pop()
+        if count[v] != top:
+            continue
+        count[v] = -1
+        order.append(v)
+        for w in g.neighbor_set(v):
+            if count.get(w, -1) >= 0:
+                count[w] += 1
+                buckets[count[w]].append(w)
+        top += 1
+    return order[::-1]
+
+
 def graph6_encode(n, edges):
     """Independent graph6 encoder (short form) built from a bit string."""
     assert 0 <= n <= 62

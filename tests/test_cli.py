@@ -285,6 +285,25 @@ def test_auto_answers_on_generated_members(tmp_path, capsys):
         assert (rec["value"], rec["stats"]["parts"]) == (int(value), int(parts)), seed
 
 
+def test_auto_record_of_disconnected_input(tmp_path, capsys):
+    """Two generated members, a 5-cycle and an isolated vertex, solved per
+    component: the record is pinned."""
+    a, _ = generate_member(4, 20, 2, profile="mixed")
+    b, _ = generate_member(8, 10, 2, profile="chordal")
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    n = a.n + b.n
+    edges += [(n + i, n + (i + 1) % 5) for i in range(5)]
+    path = write(tmp_path, "four.edges", emit_edge_list(Graph(n + 6, edges)))
+    code, out, _ = run_cli(capsys, ["minrank", path])
+    assert code == 0
+    assert out == (
+        '{"bounds": {"lower": 61, "upper": 61}, "exact": true, "index": 0, '
+        '"m": 145, "method": "components", "n": 121, "stats": {"components": 4, '
+        '"methods": ["dp", "dp", "dp", "dp"], "nodes": 0, "rows": 0}, '
+        '"value": 61, "witness": null}\n'
+    )
+
+
 def bridged_nonchordal(seed):
     """3-14 chordless or once-chorded cycles of order 4-7, joined by bridges
     between 2-4 attachment vertices each along a random recursive tree,
@@ -332,6 +351,43 @@ def test_recognize_explain_output_pinned(tmp_path):
     regenerate it to fit a change."""
     want = (Path(DATA_DIR) / "reject_explain.jsonl").read_text()
     assert recognize_explain_output(tmp_path) == want
+
+
+# (seed, k, profile) of generated members whose recognition absorbs parts.
+EXPLAINED_MEMBERS = [
+    (5, 10, "mixed"), (6, 10, "mixed"), (6, 20, "mixed"), (7, 20, "mixed"),
+    (5, 40, "mixed"), (12, 40, "mixed"), (2, 10, "chordal"), (5, 10, "chordal"),
+    (0, 20, "chordal"), (1, 20, "chordal"), (0, 40, "chordal"), (1, 40, "chordal"),
+]
+
+
+def members_explain_output(tmp_path) -> str:
+    """`recognize --explain --c 2` records of the EXPLAINED_MEMBERS, in order."""
+    text = []
+    for seed, k, profile in EXPLAINED_MEMBERS:
+        g, _ = generate_member(seed, k, 2, profile=profile)
+        path = write(tmp_path, f"member{seed}_{k}.edges", emit_edge_list(g))
+        out = tmp_path / f"member{seed}_{k}_{profile}.jsonl"
+        main(["recognize", path, "--explain", "--c", "2", "-o", str(out)])
+        text.append(out.read_text())
+    return "".join(text)
+
+
+def test_recognize_explain_members_pinned(tmp_path):
+    """Splits, visits, absorptions and structures of recognize --explain on
+    twelve generated members, each merging at least one part, are
+    byte-identical to members_explain.jsonl, written by this test's helper
+    before merge decisions carried family bitmasks; never regenerate it to
+    fit a change."""
+    want = (Path(DATA_DIR) / "members_explain.jsonl").read_text()
+    got = members_explain_output(tmp_path)
+    assert got == want
+    for line in got.splitlines():
+        rec = json.loads(line)
+        assert rec["member"] is True
+        assert any(
+            v["absorbed_via"] for root in rec["explain"]["roots"] for v in root["visits"]
+        )
 
 
 def test_recognize_and_validate_round_trip(tmp_path, capsys):

@@ -17,9 +17,8 @@ from minrank import families
 from minrank.exact import minrank_bnb
 from minrank.families import (
     BoundedOrderFamily,
-    elimination_order,
-    is_perfect_elimination,
     minrank_across_bridges,
+    perfect_elimination_order,
 )
 from minrank.generator import random_connected_chordal
 from conftest import random_edges, random_graph_in_budget
@@ -57,10 +56,11 @@ def test_chordal_recognition_matches_elimination_oracle():
 
 def test_perfect_elimination_checker():
     tri_tail = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    order = elimination_order(tri_tail)
-    assert is_perfect_elimination(tri_tail, order)
+    order = perfect_elimination_order(tri_tail)
+    assert order == oracles.mcs_elimination_order(tri_tail)
+    assert _perfect_by_definition(tri_tail, order)
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert not is_perfect_elimination(c4, elimination_order(c4))
+    assert perfect_elimination_order(c4) is None
 
 
 def _relabel(rng: random.Random, g: Graph) -> Graph:
@@ -70,20 +70,38 @@ def _relabel(rng: random.Random, g: Graph) -> Graph:
 
 
 def _perfect_by_definition(g: Graph, order) -> bool:
+    """Whether every pair of later neighbours along `order` is adjacent, in
+    the graph that g induces on the order's vertices."""
     pos = {v: i for i, v in enumerate(order)}
     return all(
         g.has_edge(a, b)
         for v in order
         for a, b in itertools.combinations(
-            [w for w in g.neighbor_set(v) if pos[w] > pos[v]], 2
+            [w for w in g.neighbor_set(v) if pos.get(w, -1) > pos[v]], 2
         )
     )
 
 
+def _assert_one_pass_order(g: Graph, vertices=None) -> bool:
+    """The one-pass test on g (induced on `vertices`) against deleting
+    simplicial vertices, the definition of a perfect elimination order,
+    and the order of a search run to the end; returns the verdict."""
+    vs = list(range(g.n)) if vertices is None else vertices
+    order = perfect_elimination_order(g, vertices)
+    sub, _ = g.induced_subgraph(vs)
+    want = oracles.is_chordal_by_elimination(sub.n, sub.edges)
+    assert (order is not None) == want, (g.edges, vertices)
+    if order is not None:
+        assert sorted(order) == sorted(vs)
+        assert _perfect_by_definition(g, order), (g.edges, vertices)
+        assert order == oracles.mcs_elimination_order(g, vertices), g.edges
+    return want
+
+
 def test_linear_elimination_order_decides_chordality():
-    """Maximum cardinality search against deleting simplicial vertices, on
-    relabelled chordal graphs, the same with one edge added, and G(n, p),
-    of order up to 40."""
+    """The one-pass search against deleting simplicial vertices and against
+    the search run to the end, on relabelled chordal graphs, the same with
+    one edge added, and G(n, p), of order up to 40."""
     rng = random.Random(520)
     chordal = 0
     for i in range(240):
@@ -96,17 +114,14 @@ def test_linear_elimination_order_decides_chordality():
                 u, v = rng.sample(range(n), 2)
                 g = Graph(n, set(g.edges) | {(min(u, v), max(u, v))})
             g = _relabel(rng, g)
-        order = elimination_order(g)
-        assert sorted(order) == list(range(n))
-        want = oracles.is_chordal_by_elimination(n, g.edges)
-        assert is_perfect_elimination(g, order) == want, g.edges
-        chordal += want
+        chordal += _assert_one_pass_order(g)
     assert 100 < chordal < 200
 
 
 def test_perfect_elimination_check_matches_definition():
-    """The earliest-later-neighbour shortcut against checking every pair
-    of later neighbours, on random orders of chordal and other graphs."""
+    """The check made during the search against the definition, on
+    shuffled vertex subsets of chordal and other host graphs, tested in
+    place on the host."""
     rng = random.Random(521)
     hits = 0
     for _ in range(600):
@@ -114,12 +129,30 @@ def test_perfect_elimination_check_matches_definition():
         g = _relabel(rng, random_connected_chordal(rng, n))
         if rng.random() < 0.3:
             g = Graph(n, random_edges(rng, n, 0.5))
-        order = list(range(n))
-        rng.shuffle(order)
-        want = _perfect_by_definition(g, order)
-        assert is_perfect_elimination(g, order) == want, (g.edges, order)
-        hits += want
-    assert 100 < hits < 500
+        subset = rng.sample(range(n), rng.randint(n // 2, n))
+        hits += _assert_one_pass_order(g, subset)
+    assert 500 < hits < 580  # at least 20 subsets are not chordal
+
+
+def test_one_pass_order_stops_at_first_failure(monkeypatch):
+    """On a 4-cycle with a 1,000-vertex path hung from it, the search stops
+    at the cycle's fourth visit, reading a few neighbour sets, where a
+    search run to the end would read all 1,004."""
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4)]
+    edges += [(v, v + 1) for v in range(4, 1003)]
+    g = Graph(1004, edges)
+    reads = []
+    real = Graph.neighbor_set
+
+    def counted(self, v):
+        reads.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(Graph, "neighbor_set", counted)
+    assert perfect_elimination_order(g) is None
+    assert len(set(reads)) <= 5 and len(reads) <= 10
+    reads.clear()
+    assert len(oracles.mcs_elimination_order(g)) == 1004 == len(reads)
 
 
 def test_chordal_solver_matches_bruteforce_on_deleted_subsets():

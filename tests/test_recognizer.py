@@ -22,6 +22,7 @@ from minrank import (
 from minrank import cli, families
 from minrank.generator import generate_member, random_connected_graph
 from minrank.recognizer import merge_phase, split_phase
+from minrank.structure import SimpleTreeStructure
 import oracles
 
 
@@ -463,16 +464,16 @@ def test_split_tests_atoms_in_place(monkeypatch):
 
     monkeypatch.setattr(Graph, "induced_subgraph", counted)
     tests = []
-    real_test = families.is_perfect_elimination
+    real_test = families.perfect_elimination_order
 
-    def counted_test(h, order):
-        tests.append(len(order))
-        return real_test(h, order)
+    def counted_test(h, vertices=None):
+        tests.append(h.n)
+        return real_test(h, vertices)
 
-    monkeypatch.setattr(families, "is_perfect_elimination", counted_test)
+    monkeypatch.setattr(families, "perfect_elimination_order", counted_test)
     forest = split_phase(g, default_registry())
     assert len(forest.atoms) == 60 and len(tests) == 60
-    assert set(forest.members) == {(False, True)}
+    assert set(forest.members) == {0b10}  # bounded:10 only
     out = recognize(g, 2, default_registry())
     assert out.member and len(out.structure.parts) == 60
     assert calls == [] and len(tests) == 120
@@ -494,13 +495,13 @@ def test_chordality_tested_once_per_atom_and_part(monkeypatch):
     merging and the dp fold test nothing."""
     member, _ = generate_member(5, 160, 2, profile="mixed", part_order=(2, 6))
     calls = []
-    real = families.is_perfect_elimination
+    real = families.perfect_elimination_order
 
-    def counted(g, order):
+    def counted(g, vertices=None):
         calls.append(g.n)
-        return real(g, order)
+        return real(g, vertices)
 
-    monkeypatch.setattr(families, "is_perfect_elimination", counted)
+    monkeypatch.setattr(families, "perfect_elimination_order", counted)
     reg = default_registry()
     out = recognize(star_of_atoms(400), 2, reg)
     assert not out.member and out.roots_tried == out.stats["atoms"] == 400
@@ -591,21 +592,65 @@ def test_auto_solve_validates_nothing(monkeypatch):
 
     validations, tests = [], []
     real_validate = validate_structure
-    real_test = families.is_perfect_elimination
+    real_test = families.perfect_elimination_order
 
     def counted_validate(*args):
         validations.append(args)
         return real_validate(*args)
 
-    def counted_test(h, order):
+    def counted_test(h, vertices=None):
         tests.append(h.n)
-        return real_test(h, order)
+        return real_test(h, vertices)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("minrank") and hasattr(module, "validate_structure"):
             monkeypatch.setattr(module, "validate_structure", counted_validate)
-    monkeypatch.setattr(families, "is_perfect_elimination", counted_test)
+    monkeypatch.setattr(families, "perfect_elimination_order", counted_test)
     res = cli.solve_graph(g, "auto", 2, reg, None, None)
     assert (res.method, res.value, res.exact) == ("dp", want, True)
     assert validations == []
     assert len(tests) <= len(atoms) + merged
+
+
+def test_recognize_derives_no_structure(monkeypatch):
+    """Recognition reads the connectors of the structure it accepts off the
+    bridges that merging kept: no structure is derived from the graph."""
+    calls = []
+    real = SimpleTreeStructure.derive.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return real(cls, *args)
+
+    for seed, profile in ((5, "mixed"), (0, "chordal")):
+        g, _ = generate_member(seed, 40, 2, profile=profile)
+        monkeypatch.setattr(SimpleTreeStructure, "derive", classmethod(counted))
+        out = recognize(g, 2, default_registry())
+        monkeypatch.undo()
+        assert out.member and len(out.structure.parts) < out.stats["atoms"]
+        assert calls == []
+        want = SimpleTreeStructure.derive(g, out.structure.parts, out.structure.parent)
+        assert out.structure == want
+
+
+def test_connected_auto_solve_searches_the_graph_once(monkeypatch):
+    """A connected auto solve finds the input's components, bridges and
+    atoms in one bridge_split, which recognize reuses.  (The bounded-order
+    oracle's searches split their own small graphs.)"""
+    g, _ = generate_member(5, 40, 2, profile="mixed")
+    splits, comps = [], []
+    real_split, real_comps = Graph.bridge_split, Graph.connected_components
+
+    def counted_split(self):
+        splits.append(self is g)
+        return real_split(self)
+
+    def counted_comps(self):
+        comps.append(self is g)
+        return real_comps(self)
+
+    monkeypatch.setattr(Graph, "bridge_split", counted_split)
+    monkeypatch.setattr(Graph, "connected_components", counted_comps)
+    res = cli.solve_graph(g, "auto", 2, default_registry(), None, None)
+    assert res.method == "dp" and res.exact
+    assert splits.count(True) == 1 and comps.count(True) == 0
