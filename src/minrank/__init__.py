@@ -10,6 +10,7 @@ from .exact import (
     BRUTE_FORCE_BIT_BUDGET,
     Bounds,
     MinrankResult,
+    combine_shared_vertex,
     minrank_bnb,
     minrank_bruteforce,
     minrank_components,
@@ -24,7 +25,6 @@ from .families import (
     parse_registry_spec,
 )
 from .formats import (
-    emit_dot,
     emit_edge_list,
     emit_graph6,
     parse_edge_list,
@@ -34,7 +34,7 @@ from .generator import generate_member
 from .gf2 import BitMatrix, fits, rank_gf2
 from .graph import Graph
 from .cnf import emit_cnf, minrank_via_cnf, run_solver
-from .dp import combine_shared_vertex, dp_fold, dp_minrank, star_merge
+from .dp import dp_fold, dp_minrank, star_merge
 from .recognizer import (
     AtomForest,
     RecognitionOutcome,
@@ -74,7 +74,6 @@ __all__ = [
     "dp_fold",
     "dp_minrank",
     "emit_cnf",
-    "emit_dot",
     "emit_edge_list",
     "emit_graph6",
     "fits",

@@ -19,6 +19,7 @@ from .cnf import emit_cnf, minrank_via_cnf, run_solver
 from .dp import dp_fold, dp_minrank
 from .errors import BudgetExceededError, GraphError, StructureError
 from .exact import MinrankResult, minrank_bnb, minrank_bruteforce
+from .families import default_registry, parse_registry_spec
 from .formats import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from .generator import generate_member
 from .graph import Graph
@@ -68,13 +69,6 @@ def _one_graph(args, command: str) -> Graph:
     if len(graphs) != 1:
         raise GraphError(f"{command} works on a single graph input")
     return graphs[0]
-
-
-def _registry_from(args, cfg):
-    from .families import parse_registry_spec
-
-    spec = args.registry or cfg.get("registry") or "chordal,bounded:10"
-    return parse_registry_spec(spec)
 
 
 def _result_record(g: Graph, res: MinrankResult, index: int) -> dict:
@@ -153,18 +147,15 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_minrank(args, cfg) -> int:
-    registry = _registry_from(args, cfg)
-    c = args.c if args.c is not None else int(cfg.get("c", 2))
-    sat_solver = args.sat_solver or cfg.get("sat_solver")
+def cmd_minrank(args) -> int:
     graphs = load_graphs(args.graph, args.format)
     lines = []
     worst = 0
     for idx, g in enumerate(graphs):
         try:
             res = solve_graph(
-                g, args.method, c, registry, sat_solver, args.node_budget,
-                trace=args.trace,
+                g, args.method, args.c, args.registry, args.sat_solver,
+                args.node_budget, trace=args.trace,
             )
         except BudgetExceededError as exc:
             lines.append(json.dumps({"index": idx, "error": str(exc)}))
@@ -178,9 +169,7 @@ def cmd_minrank(args, cfg) -> int:
     return worst
 
 
-def cmd_recognize(args, cfg) -> int:
-    registry = _registry_from(args, cfg)
-    c = args.c if args.c is not None else int(cfg.get("c", 2))
+def cmd_recognize(args) -> int:
     g = _one_graph(args, "recognize")
     targets = (
         [g.induced_subgraph(comp)[0] for comp in g.connected_components()]
@@ -190,7 +179,9 @@ def cmd_recognize(args, cfg) -> int:
     lines = []
     all_member = True
     for idx, piece in enumerate(targets):
-        outcome = recognize(piece, c, registry, debug=args.debug, explain=args.explain)
+        outcome = recognize(
+            piece, args.c, args.registry, debug=args.debug, explain=args.explain
+        )
         rec = {
             "component": idx,
             "n": piece.n,
@@ -212,16 +203,14 @@ def cmd_recognize(args, cfg) -> int:
     return 0 if all_member else 1
 
 
-def cmd_dp(args, cfg) -> int:
-    registry = _registry_from(args, cfg)
-    c = args.c if args.c is not None else int(cfg.get("c", 2))
+def cmd_dp(args) -> int:
     g = _one_graph(args, "dp")
     if args.structure:
         with open(args.structure) as fh:
             t = SimpleTreeStructure.from_json(fh.read())
-        res = dp_minrank(g, t, registry, trace=args.trace)
+        res = dp_minrank(g, t, args.registry, trace=args.trace)
     else:
-        outcome = recognize(g, c, registry)
+        outcome = recognize(g, args.c, args.registry)
         if not outcome.member:
             rec = {"member": False, "failure": outcome.failure_detail}
             _write_out(json.dumps(rec) + "\n", args.output)
@@ -232,12 +221,9 @@ def cmd_dp(args, cfg) -> int:
 
 
 def _batch_worker(payload):
-    idx, line, method, registry_spec, c, node_budget = payload
-    from .families import parse_registry_spec
-
+    idx, line, method, registry, c, node_budget = payload
     try:
         g = parse_graph6(line)
-        registry = parse_registry_spec(registry_spec)
         res = solve_graph(g, method, c, registry, None, node_budget)
         return idx, {
             "index": idx,
@@ -252,16 +238,14 @@ def _batch_worker(payload):
         return idx, {"index": idx, "graph": line, "error": error}, None
 
 
-def cmd_batch(args, cfg) -> int:
-    registry_spec = args.registry or cfg.get("registry") or "chordal,bounded:10"
-    c = args.c if args.c is not None else int(cfg.get("c", 2))
+def cmd_batch(args) -> int:
     if args.corpus == "-":
         text = sys.stdin.read()
     else:
         with open(args.corpus) as fh:
             text = fh.read()
     jobs = [
-        (idx, line.strip(), args.method, registry_spec, c, args.node_budget)
+        (idx, line.strip(), args.method, args.registry, args.c, args.node_budget)
         for idx, line in enumerate(text.splitlines())
         if line.strip() and not line.startswith("#")
     ]
@@ -299,16 +283,14 @@ def cmd_batch(args, cfg) -> int:
     return 0
 
 
-def cmd_gen(args, cfg) -> int:
-    registry = _registry_from(args, cfg)
-    c = args.c if args.c is not None else int(cfg.get("c", 2))
+def cmd_gen(args) -> int:
     g, t = generate_member(
         args.seed,
         args.parts,
-        c,
+        args.c,
         profile=args.profile,
         part_order=(args.order_min, args.order_max),
-        registry=registry,
+        registry=args.registry,
     )
     graph_text = emit_edge_list(g)
     structure_text = t.to_json()
@@ -326,26 +308,24 @@ def cmd_gen(args, cfg) -> int:
     return 0
 
 
-def cmd_cnf(args, cfg) -> int:
+def cmd_cnf(args) -> int:
     g = _one_graph(args, "cnf")
     text = emit_cnf(g, args.k)
     _write_out(text, args.output)
     if args.solve:
-        solver = args.sat_solver or cfg.get("sat_solver")
-        if not solver:
+        if not args.sat_solver:
             raise GraphError("--solve needs --sat-solver or a configured solver")
-        sat = run_solver(text, solver)
+        sat = run_solver(text, args.sat_solver)
         print("SATISFIABLE" if sat else "UNSATISFIABLE", file=sys.stderr)
         return 0 if sat else 1
     return 0
 
 
-def cmd_validate(args, cfg) -> int:
-    registry = _registry_from(args, cfg)
+def cmd_validate(args) -> int:
     g = _one_graph(args, "validate")
     with open(args.structure) as fh:
         t = SimpleTreeStructure.from_json(fh.read())
-    report = validate_structure(g, t, registry)
+    report = validate_structure(g, t, args.registry)
     rec = {
         "valid": report.valid,
         "violations": [{"rule": r, "detail": d} for r, d in report.violations],
@@ -378,10 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, histogram=False):
-        p.add_argument("--format", choices=("g6", "edges"), default=None)
-        p.add_argument("--registry", default=None, help="e.g. chordal,bounded:10")
-        p.add_argument("--c", type=int, default=None, help="connector bound (default 2)")
+    def common(p, graph_input=True, registry=True, c=True):
+        if graph_input:
+            p.add_argument("--format", choices=("g6", "edges"), default=None)
+        if registry:
+            p.add_argument("--registry", default=None, help="e.g. chordal,bounded:10")
+        if c:
+            p.add_argument("--c", type=int, default=None, help="connector bound (default 2)")
         p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("minrank", help="solve min-rank for one or more graphs")
@@ -415,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="solve a graph6 corpus and build a histogram")
     p.add_argument("corpus")
-    common(p)
+    common(p, graph_input=False)
     p.add_argument("--method", choices=("auto", "brute", "bnb"), default="auto")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--node-budget", type=non_negative, default=None)
@@ -436,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cnf", help="export (and optionally solve) a DIMACS encoding")
     p.add_argument("graph")
-    common(p)
+    common(p, registry=False, c=False)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--solve", action="store_true")
     p.add_argument("--sat-solver", default=None)
@@ -444,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a structure file against its graph")
     p.add_argument("graph")
-    common(p)
+    common(p, c=False)
     p.add_argument("--structure", required=True)
     p.add_argument("--dot", default=None, help="also write a Graphviz rendering here")
     p.set_defaults(func=cmd_validate)
@@ -455,8 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Each setting: its flag, else the config file, else the default.
         cfg = load_config()
-        return args.func(args, cfg)
+        if "registry" in args:
+            spec = args.registry or cfg.get("registry")
+            args.registry = parse_registry_spec(spec) if spec else default_registry()
+        if "c" in args and args.c is None:
+            args.c = int(cfg.get("c", 2))
+        if "sat_solver" in args:
+            args.sat_solver = args.sat_solver or cfg.get("sat_solver")
+        return args.func(args)
     except (GraphError, StructureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,8 @@ drive the fold:
   min-ranks add.  Restoring u costs one extra rank unit unless some child
   subtree loses a rank unit when its own connector is deleted; in that
   case the connector row can be reused and the sum stands.
-* `combine_shared_vertex` handles gluing two graphs that overlap in
+* `combine_shared_vertex` (kept in `exact` with the rules for components
+  and joins) handles gluing two graphs that overlap in
   exactly one vertex v: the min-rank of the union is the sum of the two
   with v deleted, plus 1 only when both halves strictly need v.
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceededError, StructureError
-from .exact import MinrankResult
+from .exact import MinrankResult, _check_pair, combine_shared_vertex
 from .families import FamilyRegistry
 from .graph import Graph
 from .structure import SimpleTreeStructure, StructureReport, validate_structure
@@ -50,28 +51,6 @@ class NodeTable:
 
     m_full: int
     m_minus: int | None
-
-
-def _check_pair(m: int, mv: int, what: str) -> None:
-    # Deleting one vertex changes min-rank by at most one, never upward.
-    if mv < 0 or m < 0:
-        raise ValueError(f"{what}: negative min-rank ({m}, {mv})")
-    if not m - 1 <= mv <= m:
-        raise ValueError(
-            f"{what}: deleting one vertex cannot take min-rank {m} to {mv}"
-        )
-
-
-def combine_shared_vertex(m1: int, m1v: int, m2: int, m2v: int) -> int:
-    """Min-rank of the union of two graphs meeting in exactly one vertex v.
-
-    Arguments are the min-ranks of each side with v present and with v
-    deleted.  The union needs the deleted-v parts regardless; one more
-    unit is paid exactly when both sides strictly need v.
-    """
-    _check_pair(m1, m1v, "left side")
-    _check_pair(m2, m2v, "right side")
-    return m1v + m2v + (m1 - m1v) * (m2 - m2v)
 
 
 def star_merge(children: list[tuple[int, int]]) -> tuple[int, int]:

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
-from .gf2 import BitMatrix, rank_gf2
+from .gf2 import BitMatrix, rank_gf2, reduce_row
 from .graph import Graph
 
 BRUTE_FORCE_BIT_BUDGET = 24
@@ -246,14 +246,9 @@ def minrank_bruteforce(g: Graph, budget_bits: int = BRUTE_FORCE_BIT_BUDGET) -> M
             return
         for cand in choices[i]:
             chosen[i] = cand
-            x = cand
-            while x:
-                top = x.bit_length() - 1
-                p = pivots.get(top)
-                if p is None:
-                    break
-                x ^= p
+            x = reduce_row(pivots, cand)
             if x:
+                top = x.bit_length() - 1
                 pivots[top] = x
                 walk(i + 1)
                 del pivots[top]
@@ -394,16 +389,11 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
         seen = set()
         for cand in _row_choices(g, v):
             rows += 1
-            x = cand
-            while x:
-                top = x.bit_length() - 1
-                p = pivots.get(top)
-                if p is None:
-                    break
-                x ^= p
+            x = reduce_row(pivots, cand)
             if x and x not in seen:
                 seen.add(x)
                 chosen[v] = cand
+                top = x.bit_length() - 1
                 pivots[top] = x
                 yield support | cand
                 del pivots[top]
@@ -510,6 +500,28 @@ def _combine_components(
     if any(traces):
         stats["trace"] = {"components": traces}
     return MinrankResult(value, method, witness, exact, stats)
+
+
+def _check_pair(m: int, mv: int, what: str) -> None:
+    # Deleting one vertex changes min-rank by at most one, never upward.
+    if mv < 0 or m < 0:
+        raise ValueError(f"{what}: negative min-rank ({m}, {mv})")
+    if not m - 1 <= mv <= m:
+        raise ValueError(
+            f"{what}: deleting one vertex cannot take min-rank {m} to {mv}"
+        )
+
+
+def combine_shared_vertex(m1: int, m1v: int, m2: int, m2v: int) -> int:
+    """Min-rank of the union of two graphs meeting in exactly one vertex v.
+
+    Arguments are the min-ranks of each side with v present and with v
+    deleted.  The union needs the deleted-v parts regardless; one more
+    unit is paid exactly when both sides strictly need v.
+    """
+    _check_pair(m1, m1v, "left side")
+    _check_pair(m2, m2v, "right side")
+    return m1v + m2v + (m1 - m1v) * (m2 - m2v)
 
 
 def _stack_factorizations(blocks: BitMatrix, parts) -> BitMatrix:

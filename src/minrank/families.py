@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .errors import GraphError
-from .exact import minrank_bnb
+from .exact import combine_shared_vertex, minrank_bnb
 from .graph import Graph
 
 
@@ -33,16 +33,6 @@ class FamilyOracle(ABC):
     def glue(self, pieces_member: bool, order: int) -> bool:
         """Membership of a union of pieces joined along a tree of bridges,
         from whether every piece is a member and the union's order."""
-
-    def is_member(self, g: Graph, part=None) -> bool:
-        return self.solver(g, part) is not None
-
-    def minrank(self, g: Graph) -> int:
-        """Exact min-rank of a member; raises ValueError on non-members."""
-        solve = self.solver(g)
-        if solve is None:
-            raise ValueError(f"graph of order {g.n} outside family {self.name}")
-        return solve(())
 
 
 # Branch-and-bound nodes the bounded-order oracle spends on a whole member
@@ -85,9 +75,8 @@ def minrank_across_bridges(g: Graph) -> int:
     A bridge xy splits g into a side A holding x and a side B holding y,
     and g is B glued at y to A plus the pendant edge xy.  A pendant vertex
     and its neighbour together cost one rank unit, so A + xy has min-rank
-    1 + mr(A - x).  The shared-vertex rule of the dp fold
-    (`dp.combine_shared_vertex`) then gives
-    mr(g) = mr(A) + mr(B - y) + (1 + mr(A - x) - mr(A)) * (mr(B) - mr(B - y)).
+    1 + mr(A - x), and A + xy - y is A.  The shared-vertex rule
+    (`exact.combine_shared_vertex`) glues the two sides at y.
     """
     memo: dict[frozenset, int] = {frozenset(): 0}
 
@@ -96,7 +85,7 @@ def minrank_across_bridges(g: Graph) -> int:
             return memo[vs]
         ids = sorted(vs)
         sub, _ = g.induced_subgraph(ids)
-        cut = sub.bridges()
+        cut = sub.bridge_split()[0]
         if not cut:
             memo[vs] = minrank_bnb(sub).value
             return memo[vs]
@@ -107,7 +96,7 @@ def minrank_across_bridges(g: Graph) -> int:
         b = vs - a
         m_a, m_ax = solve(a), solve(a - {ids[x]})
         m_b, m_by = solve(b), solve(b - {ids[y]})
-        memo[vs] = m_a + m_by + (1 + m_ax - m_a) * (m_b - m_by)
+        memo[vs] = combine_shared_vertex(1 + m_ax, m_a, m_b, m_by)
         return memo[vs]
 
     return solve(frozenset(range(g.n)))
@@ -219,10 +208,6 @@ class FamilyRegistry:
                 return oracle, solve
         return None
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(o.name for o in self.oracles)
-
 
 def parse_registry_spec(spec: str) -> FamilyRegistry:
     """Build a registry from a comma-separated spec like "chordal,bounded:10"."""
@@ -233,16 +218,13 @@ def parse_registry_spec(spec: str) -> FamilyRegistry:
             continue
         if item == "chordal":
             oracles.append(ChordalFamily())
-        elif item == "bounded" or item.startswith("bounded:"):
-            bound = 10
-            if ":" in item:
-                try:
-                    bound = int(item.split(":", 1)[1])
-                except ValueError:
-                    raise GraphError(f"bad bound in registry item {item!r}") from None
-            if bound < 1:
-                raise GraphError(f"bad bound in registry item {item!r}")
-            oracles.append(BoundedOrderFamily(bound))
+        elif item == "bounded":
+            oracles.append(BoundedOrderFamily())
+        elif item.startswith("bounded:"):
+            try:  # a bound that is no integer, or below 1
+                oracles.append(BoundedOrderFamily(int(item[len("bounded:") :])))
+            except ValueError:
+                raise GraphError(f"bad bound in registry item {item!r}") from None
         else:
             raise GraphError(f"unknown family {item!r}")
     if not oracles:

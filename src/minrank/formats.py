@@ -1,4 +1,4 @@
-"""Graph interchange formats: graph6 (short form), edge lists, DOT."""
+"""Graph interchange formats: graph6 (short form) and edge lists."""
 
 from __future__ import annotations
 
@@ -132,19 +132,3 @@ def emit_edge_list(g: Graph) -> str:
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
 
-
-def emit_dot(g: Graph, highlight_bridges: bool = False, name: str = "G") -> str:
-    """Graphviz source for the graph; cut edges drawn bold when requested."""
-    marked = set(g.bridges()) if highlight_bridges else set()
-    lines = [f"graph {name} {{"]
-    for v in range(g.n):
-        label = g.labels.get(v) if g.labels else None
-        if label is not None:
-            lines.append(f'  {v} [label="{label}"];')
-        else:
-            lines.append(f"  {v};")
-    for u, v in g.edges:
-        attr = " [style=bold, color=red]" if (u, v) in marked else ""
-        lines.append(f"  {u} -- {v}{attr};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

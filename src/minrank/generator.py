@@ -14,7 +14,7 @@ import random
 
 from .families import FamilyRegistry, default_registry
 from .graph import Graph
-from .structure import SimpleTreeStructure, mdc, validate_structure
+from .structure import SimpleTreeStructure, validate_structure
 
 PART_KINDS = ("chordal", "bounded", "mixed")
 
@@ -152,10 +152,11 @@ def generate_member(
         edges.append((parts[i][dc_local], parts[j][uc_local]))
 
     g = Graph(total, edges)
-    t = SimpleTreeStructure.derive(g, parts, parent)
+    # Validation reads the connectors off the graph.
+    t = SimpleTreeStructure(tuple(parts), tuple(parent))
     report = validate_structure(g, t, registry)
-    if not report.valid or mdc(t) > c:
+    if not report.valid or report.mdc > c:
         raise AssertionError(
             f"generator produced an invalid instance: {report.violations}"
         )
-    return g, t
+    return g, report.structure

@@ -25,17 +25,6 @@ class BitMatrix:
                 raise ValueError(f"row {i} has bits outside {self.cols} columns")
 
     @classmethod
-    def from_rows(cls, rows) -> "BitMatrix":
-        """Build from an iterable of 0/1 entry sequences."""
-        packed = []
-        width = 0
-        for row in rows:
-            row = list(row)
-            width = max(width, len(row))
-            packed.append(sum((1 << j) for j, x in enumerate(row) if x))
-        return cls(len(packed), width, tuple(packed))
-
-    @classmethod
     def from_strings(cls, lines) -> "BitMatrix":
         """Build from rows of '0'/'1' characters (the text certificate format)."""
         packed = []
@@ -50,10 +39,6 @@ class BitMatrix:
                 raise ValueError(f"bad matrix text row {line!r}")
             packed.append(sum(1 << j for j, c in enumerate(line) if c == "1"))
         return cls(len(packed), width or 0, tuple(packed))
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
     def block_diagonal(cls, blocks, placements) -> "BitMatrix":
@@ -89,17 +74,24 @@ class BitMatrix:
         return "\n".join(self.to_strings())
 
 
+def reduce_row(pivots: dict[int, int], x: int) -> int:
+    """Row x reduced against `pivots` (rows keyed by leading bit): 0 when x
+    lies in their span, else a row whose leading bit no pivot holds."""
+    while x:
+        p = pivots.get(x.bit_length() - 1)
+        if p is None:
+            return x
+        x ^= p
+    return 0
+
+
 def rank_gf2(m: BitMatrix) -> int:
     """Rank of a packed GF(2) matrix, by an XOR basis keyed by leading bit."""
     pivots: dict[int, int] = {}
     for row in m.data:
-        while row:
-            top = row.bit_length() - 1
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = row
-                break
-            row ^= p
+        x = reduce_row(pivots, row)
+        if x:
+            pivots[x.bit_length() - 1] = x
     return len(pivots)
 
 

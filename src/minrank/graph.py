@@ -41,9 +41,6 @@ class Graph:
         g.n, g._adj = len(adj), tuple(map(frozenset, adj))
         return g
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._adj[v]))
-
     def neighbor_set(self, v: int) -> frozenset:
         return self._adj[v]
 
@@ -89,15 +86,6 @@ class Graph:
             labels = {mapping[v]: self.labels[v] for v in vs if v in self.labels}
         return Graph._of_adjacency(adj, labels), mapping
 
-    def remove_vertices(self, vertices) -> "Graph":
-        """Subgraph induced on the complement of the given vertex set."""
-        drop = set(vertices)
-        for v in drop:
-            if not 0 <= v < self.n:
-                raise GraphError(f"vertex {v} out of range for n={self.n}")
-        keep = [v for v in range(self.n) if v not in drop]
-        return self.induced_subgraph(keep)[0]
-
     def connected_components(self) -> list[list[int]]:
         """Vertex sets of connected components, each sorted, ordered by minimum vertex."""
         seen = [False] * self.n
@@ -115,16 +103,12 @@ class Graph:
             comps.append(sorted(comp))
         return comps
 
-    def bridges(self) -> list[tuple[int, int]]:
-        """All cut edges as (min, max) pairs in ascending order."""
-        return self.bridge_split()[0]
-
     def bridge_split(self) -> tuple[list, list, bool]:
-        """One depth-first search (Tarjan 1974) for the bridges, as `bridges()`
-        lists them; the 2-edge-connected components, as sorted tuples ordered
-        by smallest vertex; and whether the graph is connected.  A vertex
-        heads a component when no back edge from its subtree climbs above it,
-        and the component is what the search entered from it on."""
+        """One depth-first search (Tarjan 1974) for the bridges, as (min, max)
+        pairs in ascending order; the 2-edge-connected components, as sorted
+        tuples ordered by smallest vertex; and whether the graph is connected.
+        A vertex heads a component when no back edge from its subtree climbs
+        above it, and the component is what the search entered from it on."""
         adj = self._adj
         disc = [-1] * self.n
         low = [0] * self.n

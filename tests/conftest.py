@@ -38,6 +38,11 @@ def random_graph_in_budget(
             return Graph(n, edges)
 
 
+def delete_vertex(g: Graph, v: int) -> Graph:
+    """g minus vertex v: the subgraph induced on the others, in order."""
+    return g.induced_subgraph([u for u in range(g.n) if u != v])[0]
+
+
 def random_connected_in_budget(
     rng: random.Random, n_max: int, edge_cap: int = 9
 ) -> Graph:

@@ -253,7 +253,7 @@ def graph6_encode(n, edges):
 def registry_lookup(reg, g):
     """The first oracle of registry `reg` whose family holds g, or None."""
     for oracle in reg.oracles:
-        if oracle.is_member(g):
+        if oracle.solver(g) is not None:
             return oracle
     return None
 

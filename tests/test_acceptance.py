@@ -42,7 +42,7 @@ from minrank import (
 from minrank.cli import main as cli_main
 from minrank.generator import random_connected_graph
 
-from conftest import random_graph_in_budget, solver_command
+from conftest import delete_vertex, random_graph_in_budget, solver_command
 
 ORDER4_VALUES = [4, 3, 3, 2, 3, 2, 2, 2, 2, 2, 1]
 
@@ -131,9 +131,9 @@ def test_c04_shared_vertex_composition():
             union = glue_at_vertex(g1, v1, g2, v2)
             got = combine_shared_vertex(
                 minrank_bruteforce(g1).value,
-                minrank_bruteforce(g1.remove_vertices([v1])).value,
+                minrank_bruteforce(delete_vertex(g1, v1)).value,
                 minrank_bruteforce(g2).value,
-                minrank_bruteforce(g2.remove_vertices([v2])).value,
+                minrank_bruteforce(delete_vertex(g2, v2)).value,
             )
             assert got == minrank_bruteforce(union).value
 
@@ -161,11 +161,11 @@ def test_c05_hub_merge_matches_realizations():
             pairs = []
             for child, uc_local in children:
                 m = minrank_bruteforce(child).value
-                mv = minrank_bruteforce(child.remove_vertices([uc_local])).value
+                mv = minrank_bruteforce(delete_vertex(child, uc_local)).value
                 pairs.append((m, mv))
             hub_graph = Graph(nxt, edges)
             want = minrank_bruteforce(hub_graph).value
-            want_minus = minrank_bruteforce(hub_graph.remove_vertices([0])).value
+            want_minus = minrank_bruteforce(delete_vertex(hub_graph, 0)).value
             assert star_merge(pairs) == (want, want_minus)
             if any(mv == m - 1 for m, mv in pairs):
                 drop_seen += 1
@@ -224,7 +224,7 @@ def test_c09_vertex_deletion_bounds():
             g = random_graph_in_budget(rng, 6, edge_cap=8)
             v = rng.randrange(g.n)
             m = minrank_bruteforce(g).value
-            mv = minrank_bruteforce(g.remove_vertices([v])).value
+            mv = minrank_bruteforce(delete_vertex(g, v)).value
             assert m - 1 <= mv <= m
 
 

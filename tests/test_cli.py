@@ -15,6 +15,7 @@ from minrank import (
     BitMatrix, Graph, MinrankResult, cli, emit_edge_list, verify_witness,
 )
 from minrank.cli import main
+from minrank.formats import parse_graph6
 from minrank.generator import generate_member
 
 from conftest import DATA_DIR, solver_command
@@ -266,6 +267,23 @@ def test_negative_node_budget_exits_two(tmp_path, capsys, command):
     assert code == 0 and records(out)[0]["value"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["batch", "IN", "--format", "g6"],
+        ["cnf", "IN", "--k", "2", "--registry", "chordal"],
+        ["cnf", "IN", "--k", "2", "--c", "2"],
+        ["validate", "IN", "--structure", "IN", "--c", "2"],
+    ],
+)
+def test_options_a_subcommand_ignores_are_refused(tmp_path, capsys, argv):
+    path = write(tmp_path, "k4.g6", "C~\n")
+    with pytest.raises(SystemExit) as exc:
+        main([path if a == "IN" else a for a in argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_auto_answers_on_generated_members(tmp_path, capsys):
     """Auto-solved generated members keep the value and part count pinned
     in members_auto.txt."""
@@ -388,6 +406,37 @@ def test_recognize_explain_members_pinned(tmp_path):
         assert any(
             v["absorbed_via"] for root in rec["explain"]["roots"] for v in root["visits"]
         )
+
+
+def exact_records_output(tmp_path, random1000_path) -> str:
+    """`minrank` records, `stats.elapsed` dropped: `--method bnb --node-budget
+    2000` on lines 709-858 of random1000.g6, then `--method brute` on its
+    first 100 lines with 2|E| <= 16."""
+    lines = Path(random1000_path).read_text().splitlines()
+    small = [line for line in lines if 2 * parse_graph6(line).edge_count <= 16]
+    runs = [
+        (lines[708:858], ["--method", "bnb", "--node-budget", "2000"]),
+        (small[:100], ["--method", "brute"]),
+    ]
+    text = []
+    for i, (chunk, options) in enumerate(runs):
+        path = write(tmp_path, f"chunk{i}.g6", "\n".join(chunk) + "\n")
+        out = tmp_path / f"chunk{i}.jsonl"
+        main(["minrank", path, *options, "-o", str(out)])
+        for line in out.read_text().splitlines():
+            rec = json.loads(line)
+            rec["stats"].pop("elapsed", None)
+            text.append(json.dumps(rec, sort_keys=True) + "\n")
+    return "".join(text)
+
+
+def test_exact_records_pinned(tmp_path, random1000_path):
+    """Values, witnesses, node and row counts of branch and bound and of
+    enumeration on 250 bundled graphs are byte-identical to
+    exact_records.jsonl, written by this test's helper before the solvers
+    shared one GF(2) row reduction; never regenerate it to fit a change."""
+    want = (Path(DATA_DIR) / "exact_records.jsonl").read_text()
+    assert exact_records_output(tmp_path, random1000_path) == want
 
 
 def test_recognize_and_validate_round_trip(tmp_path, capsys):
@@ -641,6 +690,7 @@ def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):
         ["minrank", "IN", "--registry", "nosuchfamily"],
         ["minrank", "IN", "--registry", "bounded:0"],
         ["recognize", "IN", "--c", "0"],
+        ["batch", "IN", "--registry", "nosuchfamily"],
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, argv):

@@ -24,7 +24,7 @@ from minrank import (
 from minrank import dp
 from minrank.dp import combine_shared_vertex, star_merge
 from minrank.generator import generate_member
-from conftest import random_connected_in_budget
+from conftest import delete_vertex, random_connected_in_budget
 
 
 @pytest.mark.parametrize(
@@ -69,9 +69,9 @@ def test_combine_matches_bruteforce_on_glued_graphs():
         )
         got = combine_shared_vertex(
             minrank_bruteforce(g1).value,
-            minrank_bruteforce(g1.remove_vertices([v1])).value,
+            minrank_bruteforce(delete_vertex(g1, v1)).value,
             minrank_bruteforce(g2).value,
-            minrank_bruteforce(g2.remove_vertices([v2])).value,
+            minrank_bruteforce(delete_vertex(g2, v2)).value,
         )
         assert got == minrank_bruteforce(union).value
 
@@ -120,11 +120,11 @@ def test_star_merge_matches_bruteforce_realizations():
         pairs = []
         for child, (uc_local, _) in zip(children, uc_map):
             m = minrank_bruteforce(child).value
-            mv = minrank_bruteforce(child.remove_vertices([uc_local])).value
+            mv = minrank_bruteforce(delete_vertex(child, uc_local)).value
             pairs.append((m, mv))
         hub_graph = Graph(nxt, edges)
         want = minrank_bruteforce(hub_graph).value
-        want_minus = minrank_bruteforce(hub_graph.remove_vertices([0])).value
+        want_minus = minrank_bruteforce(delete_vertex(hub_graph, 0)).value
         got = star_merge(pairs)
         assert got == (want, want_minus)
         if any(mv == m - 1 for m, mv in pairs):

@@ -9,6 +9,7 @@ from minrank import (
     ChordalFamily,
     FamilyRegistry,
     Graph,
+    GraphError,
     default_registry,
     minrank_bruteforce,
     parse_registry_spec,
@@ -27,15 +28,15 @@ import oracles
 
 def test_chordal_recognition_named_shapes():
     fam = ChordalFamily()
-    assert fam.is_member(Graph(1, []))
-    assert fam.is_member(Graph(4, [(0, 1), (1, 2), (2, 3)]))  # path
-    assert fam.is_member(Graph(3, [(0, 1), (0, 2), (1, 2)]))
-    assert not fam.is_member(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))  # C4
-    assert not fam.is_member(
+    assert fam.solver(Graph(1, [])) is not None
+    assert fam.solver(Graph(4, [(0, 1), (1, 2), (2, 3)])) is not None  # path
+    assert fam.solver(Graph(3, [(0, 1), (0, 2), (1, 2)])) is not None
+    assert fam.solver(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])) is None  # C4
+    assert fam.solver(
         Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    )  # C5
+    ) is None  # C5
     k5 = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
-    assert fam.is_member(k5)
+    assert fam.solver(k5) is not None
 
 
 def test_chordal_recognition_matches_elimination_oracle():
@@ -47,7 +48,7 @@ def test_chordal_recognition_matches_elimination_oracle():
         edges = random_edges(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
         g = Graph(n, edges)
         want = oracles.is_chordal_by_elimination(n, edges)
-        assert fam.is_member(g) == want
+        assert (fam.solver(g) is not None) == want
         agree += 1
         disagreeable += 0 if want else 1
     assert agree == 150
@@ -165,7 +166,7 @@ def test_chordal_solver_matches_bruteforce_on_deleted_subsets():
         solve = fam.solver(g)
         for _ in range(4):
             removed = rng.sample(range(g.n), rng.randint(0, g.n))
-            sub = g.remove_vertices(removed)
+            sub = g.induced_subgraph([v for v in range(g.n) if v not in removed])[0]
             if 2 * sub.edge_count <= 14:
                 assert solve(removed) == minrank_bruteforce(sub).value, g.edges
                 checked += 1
@@ -207,9 +208,10 @@ def test_gluing_rule_matches_lookup_on_bridged_unions(spec):
     for _ in range(400):
         pieces, union = _bridged_union(rng)
         glued = [
-            o.glue(all(o.is_member(p) for p in pieces), union.n) for o in reg.oracles
+            o.glue(all(o.solver(p) is not None for p in pieces), union.n)
+            for o in reg.oracles
         ]
-        assert glued == [o.is_member(union) for o in reg.oracles], union.edges
+        assert glued == [o.solver(union) is not None for o in reg.oracles], union.edges
         answers.append(any(glued))
         assert answers[-1] == (oracles.registry_lookup(reg, union) is not None)
     assert 0 < sum(answers) < len(answers)
@@ -223,15 +225,14 @@ def test_chordal_minrank_is_exact():
         g = random_connected_chordal(rng, rng.randint(1, 6))
         if 2 * g.edge_count > 18:
             continue
-        assert fam.is_member(g)
-        assert fam.minrank(g) == minrank_bruteforce(g).value
+        assert fam.solver(g) is not None
+        assert fam.solver(g)(()) == minrank_bruteforce(g).value
         checked += 1
 
 
 def test_chordal_minrank_rejects_nonmembers():
     fam = ChordalFamily()
-    with pytest.raises(ValueError):
-        fam.minrank(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
+    assert fam.solver(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])) is None
 
 
 def test_chordal_family_is_hereditary():
@@ -243,17 +244,15 @@ def test_chordal_family_is_hereditary():
             rng.sample(range(g.n), rng.randint(1, g.n))
         )
         sub, _ = g.induced_subgraph(keep)
-        assert fam.is_member(sub)
+        assert fam.solver(sub) is not None
 
 
 def test_bounded_family_contract():
     fam = BoundedOrderFamily(4)
     assert fam.name == "bounded:4"
-    assert fam.is_member(Graph(4, [(0, 1)]))
-    assert not fam.is_member(Graph(5, []))
-    assert fam.minrank(Graph(3, [(0, 1), (1, 2)])) == 2
-    with pytest.raises(ValueError):
-        fam.minrank(Graph(5, []))
+    assert fam.solver(Graph(4, [(0, 1)])) is not None
+    assert fam.solver(Graph(5, [])) is None
+    assert fam.solver(Graph(3, [(0, 1), (1, 2)]))(()) == 2
 
 
 @pytest.mark.parametrize("split_after", [1000, 0])
@@ -281,28 +280,6 @@ def test_bounded_solver_matches_bruteforce_on_deletions(monkeypatch, split_after
                 assert solve(removed) == want, (g.edges, part, removed)
         checked += 1
     assert fam.solver(Graph(9)) is None
-
-
-@pytest.mark.parametrize(
-    "fam", [ChordalFamily(), BoundedOrderFamily(6)], ids=lambda f: f.name
-)
-def test_membership_and_minrank_answer_through_the_solver(fam):
-    rng = random.Random(fam.name)
-    members = 0
-    for _ in range(80):
-        n = rng.randint(1, 8)
-        g = Graph(n, random_edges(rng, n, rng.choice([0.2, 0.4, 0.6])))
-        part = rng.sample(range(n), rng.randint(1, n))
-        assert fam.is_member(g, part) == (fam.solver(g, part) is not None)
-        solve = fam.solver(g)
-        assert fam.is_member(g) == (solve is not None)
-        if solve is None:
-            with pytest.raises(ValueError):
-                fam.minrank(g)
-        else:
-            assert fam.minrank(g) == solve(()) == minrank_bnb(g).value
-            members += 1
-    assert 10 < members < 70
 
 
 # A vertex with three pendant leaves bridged to a bridgeless 6-vertex piece,
@@ -339,7 +316,7 @@ def test_minrank_across_bridges_matches_bnb():
     for n, edges, want in BRIDGED_PARTS:
         g = Graph(n, edges)
         assert minrank_across_bridges(g) == want
-        assert BoundedOrderFamily(10).minrank(g) == want
+        assert BoundedOrderFamily(10).solver(g)(()) == want
 
 
 def test_minrank_across_bridges_matches_bruteforce():
@@ -369,16 +346,21 @@ def test_registry_rejects_duplicate_names():
 
 
 def test_parse_registry_spec():
-    assert parse_registry_spec("chordal").names == ("chordal",)
-    assert parse_registry_spec("bounded:3").names == ("bounded:3",)
-    assert parse_registry_spec("chordal,bounded:10").names == (
-        "chordal",
-        "bounded:10",
-    )
-    assert parse_registry_spec("bounded").names == ("bounded:10",)
+    def names(spec):
+        return tuple(o.name for o in parse_registry_spec(spec).oracles)
+
+    assert names("chordal") == ("chordal",)
+    assert names("bounded:3") == ("bounded:3",)
+    assert names("chordal,bounded:10") == ("chordal", "bounded:10")
+    assert names("bounded") == ("bounded:10",)
+    assert parse_registry_spec("bounded").oracles[0].bound == 10
     for bad in ("", "unknown", "bounded:x", "bounded:0"):
         with pytest.raises(ValueError):
             parse_registry_spec(bad)
+    for bad in ("bounded:0", "bounded:-3", "bounded:x", "bounded:"):
+        with pytest.raises(GraphError) as exc:
+            parse_registry_spec(f"chordal, {bad}")
+        assert str(exc.value) == f"bad bound in registry item {bad!r}"
 
 
 def test_bounded_minrank_agrees_with_bruteforce():
@@ -386,4 +368,4 @@ def test_bounded_minrank_agrees_with_bruteforce():
     fam = BoundedOrderFamily(6)
     for _ in range(40):
         g = random_graph_in_budget(rng, 6)
-        assert fam.minrank(g) == minrank_bruteforce(g).value
+        assert fam.solver(g)(()) == minrank_bruteforce(g).value

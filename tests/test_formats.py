@@ -1,4 +1,4 @@
-"""graph6, edge-list, and DOT serialization."""
+"""graph6 and edge-list serialization."""
 
 import random
 from pathlib import Path
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrank import Graph, GraphError, parse_graph6, emit_graph6
-from minrank.formats import parse_edge_list, emit_edge_list, emit_dot
+from minrank.formats import parse_edge_list, emit_edge_list
 from conftest import random_edges
 import oracles
 
@@ -155,11 +155,3 @@ def test_edge_list_round_trip(example1):
     back = parse_edge_list(text)
     assert back.edges == example1.edges
 
-
-def test_dot_output(example1):
-    dot = emit_dot(example1)
-    assert dot.startswith("graph")
-    assert "0 -- 1" in dot
-    tree = Graph(3, [(0, 1), (1, 2)])
-    styled = emit_dot(tree, highlight_bridges=True)
-    assert "bold" in styled

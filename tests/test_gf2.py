@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minrank import Graph, BitMatrix, rank_gf2, fits
+from minrank.gf2 import reduce_row
 import oracles
 
 
@@ -13,12 +14,15 @@ def to_lists(m: BitMatrix) -> list[list[int]]:
     return [[(m.data[i] >> j) & 1 for j in range(m.cols)] for i in range(m.rows)]
 
 
+def identity(n: int) -> BitMatrix:
+    return BitMatrix(n, n, tuple(1 << i for i in range(n)))
+
+
 def test_matrix_construction_round_trip():
     m = BitMatrix.from_strings(["101", "010"])
     assert m.rows == 2 and m.cols == 3
     assert (m.data[0] >> 2) & 1 == 1 and (m.data[1] >> 2) & 1 == 0
     assert m.to_strings() == ["101", "010"]
-    assert BitMatrix.from_rows([[1, 0, 1], [0, 1, 0]]).to_strings() == ["101", "010"]
 
 
 def test_construction_rejects_garbage():
@@ -33,7 +37,7 @@ def test_construction_rejects_garbage():
 
 
 def test_identity_and_block_diagonal():
-    assert rank_gf2(BitMatrix.identity(7)) == 7
+    assert rank_gf2(identity(7)) == 7
     a = BitMatrix.from_strings(["11", "11"])
     b = BitMatrix.from_strings(["1"])
     big = BitMatrix.block_diagonal([a, b], [[0, 1], [2]])
@@ -54,6 +58,29 @@ def test_rank_matches_naive_oracle():
         assert rank_gf2(packed) == oracles.naive_rank(rows)
 
 
+def test_reduce_row_decides_span():
+    """reduce_row gives 0 exactly on rows in the pivots' span, and otherwise
+    a row that differs from x by a sum of pivots and whose leading bit no
+    pivot holds."""
+    rng = random.Random(201)
+    for _ in range(300):
+        rows = [rng.randrange(64) for _ in range(rng.randint(0, 5))]
+        pivots: dict[int, int] = {}
+        for row in rows:
+            x = reduce_row(pivots, row)
+            if x:
+                pivots[x.bit_length() - 1] = x
+        span = {0}
+        for row in rows:
+            span |= {s ^ row for s in span}
+        for x in range(64):
+            y = reduce_row(pivots, x)
+            assert (y == 0) == (x in span)
+            assert x ^ y in span
+            if y:
+                assert y.bit_length() - 1 not in pivots
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 255), min_size=1, max_size=8), st.integers(0, 7))
 def test_rank_stable_under_row_xor(rows, idx):
@@ -69,7 +96,7 @@ def test_rank_stable_under_row_xor(rows, idx):
 
 
 def test_fits_semantics(example1):
-    assert fits(BitMatrix.identity(5), example1)
+    assert fits(identity(5), example1)
     # asymmetric edge use is allowed: row 0 may use column 1 without row 1
     # using column 0
     m = BitMatrix.from_strings(["11000", "01000", "00100", "00010", "00001"])
@@ -84,4 +111,4 @@ def test_fits_semantics(example1):
 
 def test_fits_rejects_wrong_shape(example1):
     with pytest.raises(ValueError):
-        fits(BitMatrix.identity(4), example1)
+        fits(identity(4), example1)
