@@ -41,6 +41,9 @@ def load_config() -> dict:
         raise GraphError(f"bad config file {path!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise GraphError(f"config file {path!r} must hold a JSON object")
+    for key, kind in (("c", int), ("registry", str), ("sat_solver", str)):
+        if key in cfg and type(cfg[key]) is not kind:
+            raise GraphError(f"bad config file {path!r}: {key} is not {kind.__name__}")
     return cfg
 
 
@@ -71,6 +74,12 @@ def _one_graph(args, command: str) -> Graph:
     return graphs[0]
 
 
+def _with_labels(rec: dict, g: Graph) -> dict:
+    if g.labels:  # the input's vertex ids, when they were not dense
+        rec["labels"] = {str(v): label for v, label in g.labels.items()}
+    return rec
+
+
 def _result_record(g: Graph, res: MinrankResult, index: int) -> dict:
     # What the solver proved: the value itself, or the interval it left.
     lower, upper = (res.value, res.value) if res.exact else res.stats["interval"]
@@ -89,7 +98,7 @@ def _result_record(g: Graph, res: MinrankResult, index: int) -> dict:
         rec["graph"] = emit_graph6(g)
     if "trace" in res.stats:
         rec["trace"] = res.stats["trace"]
-    return rec
+    return _with_labels(rec, g)
 
 
 def solve_graph(
@@ -194,7 +203,7 @@ def cmd_recognize(args) -> int:
         }
         if args.explain:
             rec["explain"] = outcome.stats["explain"]
-        lines.append(json.dumps(rec, sort_keys=True))
+        lines.append(json.dumps(_with_labels(rec, piece), sort_keys=True))
         all_member = all_member and outcome.member
         if outcome.member and args.structure_out and not args.components:
             with open(args.structure_out, "w") as fh:
@@ -213,7 +222,7 @@ def cmd_dp(args) -> int:
         outcome = recognize(g, args.c, args.registry)
         if not outcome.member:
             rec = {"member": False, "failure": outcome.failure_detail}
-            _write_out(json.dumps(rec) + "\n", args.output)
+            _write_out(json.dumps(_with_labels(rec, g)) + "\n", args.output)
             return 1
         res = dp_fold(outcome.report, trace=args.trace)
     _write_out(json.dumps(_result_record(g, res, 0), sort_keys=True) + "\n", args.output)
@@ -444,7 +453,7 @@ def main(argv=None) -> int:
             spec = args.registry or cfg.get("registry")
             args.registry = parse_registry_spec(spec) if spec else default_registry()
         if "c" in args and args.c is None:
-            args.c = int(cfg.get("c", 2))
+            args.c = cfg.get("c", 2)
         if "sat_solver" in args:
             args.sat_solver = args.sat_solver or cfg.get("sat_solver")
         return args.func(args)

@@ -20,10 +20,10 @@ A part with several downward connectors is folded one connector at a
 time.  Because each glue step needs values both with and without the
 shared connector, and the final answer needs both with and without the
 part's upward connector, the fold carries a table indexed by subsets of
-the still-pending connector vertices; the table at step t maps each
-subset U to the min-rank of the partial union minus U.  It starts as the
-bare part's min-rank minus each subset, read from one solver per part,
-and never exceeds 2^(d+1) entries for d downward connectors.
+the still-pending connector vertices, as bitmasks over the part's sorted
+connectors: entry U is the min-rank of the partial union minus U.  It
+starts as the bare part's min-rank minus each subset, read from one
+solver per part, and never exceeds 2^(d+1) entries for d connectors.
 
 `dp_fold` folds a valid `StructureReport`, which carries those solvers:
 on the auto path the one `recognize` builds, unchecked again, and in
@@ -33,7 +33,6 @@ on the auto path the one `recognize` builds, unchecked again, and in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import BudgetExceededError, StructureError
 from .exact import MinrankResult, _check_pair, combine_shared_vertex
@@ -68,12 +67,6 @@ def star_merge(children: list[tuple[int, int]]) -> tuple[int, int]:
     without_hub = sum(m for m, _ in children)
     reusable = any(mv == m - 1 for m, mv in children)
     return (without_hub if reusable else without_hub + 1, without_hub)
-
-
-def _subsets(items: list[int]):
-    for r in range(len(items) + 1):
-        for combo in combinations(items, r):
-            yield frozenset(combo)
 
 
 def dp_minrank(
@@ -122,38 +115,39 @@ def dp_fold(report: StructureReport, trace: bool = False) -> MinrankResult:
     oracle_calls = 0
     for i in order:
         uc = t.uc.get(i)
-        up = {uc} if uc is not None else set()
         dc_map = t.dc.get(i, {})
         dcs = sorted(dc_map)
-        d = len(dcs)
-        if 2**d > MAX_SUBSETS:
+        if 2 ** len(dcs) > MAX_SUBSETS:
             raise BudgetExceededError(
-                f"part {i} has {d} downward connectors; "
-                f"2^{d} subsets exceed the budget of {MAX_SUBSETS}"
+                f"part {i} has {len(dcs)} downward connectors; "
+                f"2^{len(dcs)} subsets exceed the budget of {MAX_SUBSETS}"
             )
         hub_values = {
             u: star_merge([(tables[j].m_full, tables[j].m_minus) for j in dc_map[u]])
             for u in dcs
         }
-        # Start from the bare part minus each subset of its connectors, then
-        # fold in one downward connector per step, which consumes its slot.
-        local = {v: x for x, v in enumerate(t.parts[i])}
-        cur = {
-            subset: report.solvers[i]([local[v] for v in subset])
-            for subset in _subsets(sorted(set(dcs) | up))
-        }
+        # Start from the bare part minus each subset of its connectors, bit j
+        # of a mask standing for keys[j]; then fold in one downward connector
+        # per step, in place, which retires its bit.
+        keys = sorted({*dcs, uc} - {None})
+        subsets = [[]]  # subsets[mask]: the positions in the part it deletes
+        for v in keys:
+            x = t.parts[i].index(v)
+            subsets += [s + [x] for s in subsets]
+        cur = list(map(report.solvers[i], subsets))
         oracle_calls += len(cur)
-        for step, u in enumerate(dcs):
-            nxt: dict[frozenset, int] = {}
-            for subset in _subsets(sorted(set(dcs[step + 1 :]) | up)):
-                if u == uc and u in subset:
-                    nxt[subset] = cur[subset] + hub_values[u][1]
+        retired = 0
+        for u in dcs:
+            bit, hub = 1 << keys.index(u), hub_values[u]
+            retired |= bit if u != uc else 0
+            for mask in range(len(cur)):  # ascending: cur[mask | bit] is unfolded
+                if mask & retired:
+                    continue
+                if mask & bit:  # u is also the upward connector, deleted
+                    cur[mask] += hub[1]
                 else:
-                    nxt[subset] = combine_shared_vertex(
-                        cur[subset], cur[subset | {u}], *hub_values[u]
-                    )
-            cur = nxt
-        table = NodeTable(cur[frozenset()], cur[frozenset(up)] if up else None)
+                    cur[mask] = combine_shared_vertex(cur[mask], cur[mask | bit], *hub)
+        table = NodeTable(cur[0], None if uc is None else cur[1 << keys.index(uc)])
         if table.m_minus is not None:
             _check_pair(table.m_full, table.m_minus, f"table at part {i}")
         tables[i] = table

@@ -44,31 +44,29 @@ class MinrankResult:
 
 
 def sandwich_bounds(g: Graph) -> Bounds:
-    """Greedy independent set (lower) and greedy clique cover (upper).
+    """Greedy independent set (lower) and greedy clique cover (upper); both
+    break ties toward the smallest vertex id, so the certificates are
+    deterministic."""
+    return greedy_bounds(g.adjacency_bits(), (1 << g.n) - 1)
 
-    Both greedy passes break ties toward the smallest vertex id, so the
-    certificates are deterministic.
-    """
-    chosen = []
-    blocked = set()
-    for v in range(g.n):
-        if v not in blocked:
+
+def greedy_bounds(adjacency, mask: int) -> Bounds:
+    """`sandwich_bounds` of the subgraph induced on the vertex bitset `mask`,
+    over per-vertex neighbour bitsets `adjacency`."""
+    chosen, cliques = [], []
+    blocked = covered = 0
+    for v in _iter_bits(mask):
+        low = 1 << v
+        if not blocked & low:
             chosen.append(v)
-            blocked.add(v)
-            blocked |= g.neighbor_set(v)
-    cliques = []
-    covered = set()
-    for v in range(g.n):
-        if v in covered:
-            continue
-        clique = [v]
-        cand = set(g.neighbor_set(v)) - covered
-        while cand:
-            w = min(cand)
-            clique.append(w)
-            cand &= g.neighbor_set(w)
-        covered.update(clique)
-        cliques.append(tuple(sorted(clique)))
+            blocked |= low | adjacency[v]
+        if not covered & low:
+            clique, cand = [v], adjacency[v] & mask & ~covered
+            while cand:
+                clique.append((cand & -cand).bit_length() - 1)
+                cand &= adjacency[clique[-1]]
+            covered |= sum(1 << w for w in clique)
+            cliques.append(tuple(clique))
     return Bounds(len(chosen), len(cliques), tuple(chosen), tuple(cliques))
 
 
@@ -119,7 +117,7 @@ def exact_clique_cover(
             return True
         nodes += 1
         v = min(
-            (b.bit_length() - 1 for b in _iter_bits(left)),
+            _iter_bits(left),
             key=lambda u: (
                 sum(c >> u & 1 for c in common),
                 (adjacency[u] & left).bit_count(),
@@ -146,29 +144,33 @@ def exact_clique_cover(
 
     if len(best) > lower:
         extend((1 << g.n) - 1)
-    cover = tuple(
-        tuple(b.bit_length() - 1 for b in _iter_bits(clique)) for clique in best
-    )
-    return cover, nodes
+    return tuple(tuple(_iter_bits(clique)) for clique in best), nodes
 
 
 def co_components(g: Graph) -> list[list[int]]:
     """Vertex sets of the complement's components, each sorted, ordered by
     minimum vertex."""
-    adjacency = g.adjacency_bits()
-    left = (1 << g.n) - 1
+    full = (1 << g.n) - 1
+    flip = [full ^ bits ^ (1 << v) for v, bits in enumerate(g.adjacency_bits())]
+    return [list(_iter_bits(part)) for part in bit_components(flip, full)]
+
+
+def bit_components(adjacency, mask: int) -> list[int]:
+    """Vertex bitsets of the components of the subgraph induced on the
+    bitset `mask`, over per-vertex neighbour bitsets `adjacency`, ordered
+    by lowest vertex."""
     parts = []
-    while left:
-        frontier = part = left & -left
-        left ^= part
+    while mask:
+        frontier = part = mask & -mask
+        mask ^= part
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            reach = left & ~adjacency[low.bit_length() - 1]
-            left ^= reach
+            reach = mask & adjacency[low.bit_length() - 1]
+            mask ^= reach
             part |= reach
             frontier |= reach
-        parts.append([b.bit_length() - 1 for b in _iter_bits(part)])
+        parts.append(part)
     return parts
 
 
@@ -186,7 +188,12 @@ def _row_choices(g: Graph, v: int):
 
 def exact_independence_number(g: Graph) -> int:
     """Maximum independent set size by branch and bound on vertex bitsets."""
-    closed = [bits | (1 << v) for v, bits in enumerate(g.adjacency_bits())]
+    return independence_number(g.adjacency_bits(), (1 << g.n) - 1)
+
+
+def independence_number(adjacency, mask: int) -> int:
+    """`exact_independence_number` of the subgraph induced on the vertex
+    bitset `mask`, over per-vertex neighbour bitsets `adjacency`."""
     best = 0
 
     def grow(avail: int, size: int) -> None:
@@ -194,24 +201,29 @@ def exact_independence_number(g: Graph) -> int:
         if size + avail.bit_count() <= best:
             return
         if avail == 0:
-            best = max(best, size)
+            best = size  # more than best, by the test above
             return
-        # Branch on a highest-degree-in-avail vertex: skip it or take it.
-        v = max(
-            (x.bit_length() - 1 for x in _iter_bits(avail)),
-            key=lambda u: (closed[u] & avail).bit_count(),
-        )
+        # A vertex with at most one neighbour left is in some largest set:
+        # take it.  Else skip or take the lowest vertex of highest degree.
+        v, top = 0, -1
+        for u in _iter_bits(avail):
+            degree = (adjacency[u] & avail).bit_count()
+            if degree <= 1:
+                return grow(avail & ~adjacency[u] & ~(1 << u), size + 1)
+            if degree > top:
+                v, top = u, degree
         grow(avail & ~(1 << v), size)
-        grow(avail & ~closed[v], size + 1)
+        grow(avail & ~adjacency[v] & ~(1 << v), size + 1)
 
-    grow((1 << g.n) - 1 if g.n else 0, 0)
+    grow(mask, 0)
     return best
 
 
 def _iter_bits(mask: int):
+    """The positions of the set bits of `mask`, ascending."""
     while mask:
         low = mask & -mask
-        yield low
+        yield low.bit_length() - 1
         mask ^= low
 
 
@@ -285,7 +297,7 @@ def _first_spanned_row(pivots: dict[int, int], v: int, mask: int) -> int | None:
     has none of those bits, which makes it the least s.
     """
     own: dict[int, tuple[int, int]] = {}  # leading bit -> (row, columns summed)
-    for unit in [*_iter_bits(mask), 1 << v]:
+    for unit in [1 << u for u in (*_iter_bits(mask), v)]:
         x = combo = unit
         while x:
             top = x.bit_length() - 1
@@ -363,10 +375,7 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
             avail = free
             while avail:
                 size += 1
-                v = min(
-                    (b.bit_length() - 1 for b in _iter_bits(avail)),
-                    key=lambda u: (closed[u] & avail).bit_count(),
-                )
+                v = min(_iter_bits(avail), key=lambda u: (closed[u] & avail).bit_count())
                 avail &= ~closed[v]
             gain_memo[free] = size
         return gain_memo[free]
@@ -560,7 +569,7 @@ def _stack_factorizations(blocks: BitMatrix, parts) -> BitMatrix:
     for combo in combos:
         row = 0
         for b in _iter_bits(combo):
-            row ^= shared[b.bit_length() - 1]
+            row ^= shared[b]
         rows.append(row)
     return BitMatrix(blocks.rows, blocks.cols, tuple(rows))
 

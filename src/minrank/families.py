@@ -14,7 +14,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .errors import GraphError
-from .exact import combine_shared_vertex, minrank_bnb
+from .exact import (
+    bit_components, combine_shared_vertex, greedy_bounds, independence_number,
+    minrank_bnb,
+)
 from .graph import Graph
 
 
@@ -35,13 +38,16 @@ class FamilyOracle(ABC):
         from whether every piece is a member and the union's order."""
 
 
-# Branch-and-bound nodes the bounded-order oracle spends on a whole member
-# before it splits the member at its bridges.
+# Branch-and-bound nodes the bounded-order oracle spends on a component
+# before it splits the component at its bridges: most settle within a few
+# hundred, and the split keeps one search from growing with the whole part.
 SPLIT_AFTER_NODES = 1000
 
 
 class BoundedOrderFamily(FamilyOracle):
-    """All graphs on at most `bound` vertices; min-rank via exhaustive search."""
+    """All graphs on at most `bound` vertices; min-rank via exhaustive search,
+    per component of what a deletion leaves, and only for a component whose
+    bounds (on bitsets over the part's positions) leave a gap."""
 
     def __init__(self, bound: int = 10):
         if bound < 1:
@@ -56,15 +62,31 @@ class BoundedOrderFamily(FamilyOracle):
         vs = range(g.n) if part is None else part
         if len(vs) > self.bound:
             return None
+        adjacency, memo = (), {}  # on positions in vs: neighbours; component -> mr
 
-        def solve(removed) -> int:
-            gone = set(removed)
-            sub, _ = g.induced_subgraph([v for i, v in enumerate(vs) if i not in gone])
-            # Most members settle within a few hundred nodes.  Past that,
-            # cutting at bridges first keeps one search from growing with
-            # the whole part.
+        def component(comp: int) -> int:
+            b = greedy_bounds(adjacency, comp)
+            if b.lower == b.upper or independence_number(adjacency, comp) == b.upper:
+                return b.upper
+            sub, _ = g.induced_subgraph([v for i, v in enumerate(vs) if comp >> i & 1])
             res = minrank_bnb(sub, node_budget=SPLIT_AFTER_NODES)
             return res.value if res.exact else minrank_across_bridges(sub)
+
+        def solve(removed) -> int:
+            # Min-rank adds over components; each is solved once per solver.
+            nonlocal adjacency
+            if not adjacency:  # the first query
+                pos = {v: i for i, v in enumerate(vs)}
+                adjacency = tuple(
+                    sum(1 << pos[w] for w in g.neighbor_set(v) if w in pos) for v in vs
+                )
+            left = ((1 << len(vs)) - 1) & ~sum(1 << i for i in set(removed))
+            total = 0
+            for comp in bit_components(adjacency, left):
+                if comp not in memo:
+                    memo[comp] = component(comp)
+                total += memo[comp]
+            return total
 
         return solve
 

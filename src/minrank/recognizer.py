@@ -186,27 +186,31 @@ def merge_phase(
     def over_at(v: int, p: int, kids: list[int]) -> bool:
         return len({end[v, w] for w in kids}) > c
 
-    # (v, p) -> (merged vertex set, surviving children, mask of the registry
-    # oracles holding every merged atom), or (None, why, atom) when that
-    # atom in the subtree cannot shed enough connectors.
+    # (v, p) -> (children absorbed, surviving children, mask of the registry
+    # oracles holding every merged atom, merged order), or (None, why, atom)
+    # when that atom in the subtree cannot shed enough connectors.
     shed: dict[tuple[int, int], tuple] = {}
     visits: list | None = None
 
-    def union(v: int, absorbed: list[int]) -> frozenset:
-        return frozenset(atoms[v]).union(*(shed[w, v][0] for w in absorbed))
+    def merged(v: int, p: int) -> list[int]:
+        # The vertices of atom v and of every atom absorbed below it.
+        stack = [(v, p)]
+        for a, b in stack:  # the loop reaches what it appends
+            stack += [(w, a) for w in shed[a, b][0]]
+        return sorted(x for a, _ in stack for x in atoms[a])
 
     def visit(v: int, p: int, connectors: list[int], chosen, absorbed) -> None:
         if visits is not None:
             visits.append({
                 "part": list(atoms[v]), "parent": p, "dc_vertices": connectors,
                 "absorbed_via": None if chosen is None else list(chosen),
-                "absorbed_parts": [sorted(shed[w, v][0]) for w in absorbed],
+                "absorbed_parts": [merged(w, v) for w in absorbed],
             })
 
     def shed_at(v: int, p: int, kids: list[int]) -> tuple:
         if not kids:
             visit(v, p, [], (), ())
-            return frozenset(atoms[v]), (), members[v]
+            return (), (), members[v], len(atoms[v])
         groups: dict[int, list[int]] = {}
         for w in kids:
             groups.setdefault(end[v, w], []).append(w)
@@ -217,10 +221,10 @@ def merge_phase(
         for u in connectors:
             leaf, mask, order = True, -1, 0
             for w in groups[u]:
-                part, kept, m = shed[w, v]
+                _, kept, m, count = shed[w, v]
                 leaf = leaf and not kept
                 mask &= m
-                order += len(part)
+                order += count
             if leaf:
                 free[u] = mask, order
         for size in range(len(connectors), max(0, len(connectors) - c) - 1, -1):
@@ -237,7 +241,7 @@ def merge_phase(
                 absorbed = [w for u in chosen for w in groups[u]]
                 visit(v, p, connectors, chosen, absorbed)
                 kept = tuple(w for w in kids if end[v, w] not in chosen)
-                return union(v, absorbed), kept, mask
+                return tuple(absorbed), kept, mask, order
         visit(v, p, connectors, None, ())
         n = len(connectors)
         return None, f"part at atom {v} cannot reduce below {n} connectors", v
@@ -249,12 +253,14 @@ def merge_phase(
         # Every root's atom tree holds `a` below a neighbour or as the root.
         return all(shed_below(a, p)[0] is None for p in [*neighbors[a], -1])
 
-    def structure_at(r: int, merged: bool) -> SimpleTreeStructure:
+    def structure_at(r: int, merging: bool) -> SimpleTreeStructure:
         parent, blob, stack = {r: -1}, {}, [r]
         while stack:
             v = stack.pop()
             p = parent[v]
-            blob[v], kids = shed[v, p][:2] if merged else (atoms[v], below(v, p))
+            blob[v], kids = (
+                (merged(v, p), shed[v, p][1]) if merging else (atoms[v], below(v, p))
+            )
             parent.update(dict.fromkeys(kids, v))
             stack.extend(kids)
         # A kept child w of the part headed by atom v joins it along the
@@ -266,7 +272,7 @@ def merge_phase(
             if par[j] != -1:
                 uc[j] = end[w, parent[w]]
                 dc.setdefault(par[j], {}).setdefault(end[parent[w], w], []).append(j)
-        parts = tuple(tuple(sorted(blob[v])) for v in alive)
+        parts = tuple(tuple(blob[v]) for v in alive)
         dc = {i: {u: tuple(js) for u, js in m.items()} for i, m in dc.items()}
         return SimpleTreeStructure(parts, tuple(par), uc, dc)
 

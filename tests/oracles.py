@@ -151,6 +151,67 @@ def max_independent_set(n, edges):
     return best
 
 
+def greedy_bounds_by_sets(n, edges):
+    """The greedy independent set and greedy clique cover of the exact
+    solver's bounds, as they were computed on Python sets: vertices in
+    ascending order, each one not yet blocked joins the set, and each one
+    not yet covered starts a clique that its lowest candidate neighbour
+    joins until none is left.  Returns (independent set, cliques)."""
+    nbrs = [set() for _ in range(n)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    chosen = []
+    blocked = set()
+    for v in range(n):
+        if v not in blocked:
+            chosen.append(v)
+            blocked.add(v)
+            blocked |= nbrs[v]
+    cliques = []
+    covered = set()
+    for v in range(n):
+        if v in covered:
+            continue
+        clique = [v]
+        cand = set(nbrs[v]) - covered
+        while cand:
+            w = min(cand)
+            clique.append(w)
+            cand &= nbrs[w]
+        covered.update(clique)
+        cliques.append(tuple(sorted(clique)))
+    return tuple(chosen), tuple(cliques)
+
+
+def independence_number_by_branching(n, edges):
+    """The exact solver's independence number as it was written for a whole
+    graph: skip or take a vertex of highest degree among those left (the
+    lowest such id), pruning when the rest cannot beat the best."""
+    closed = [1 << v for v in range(n)]
+    for a, b in edges:
+        closed[a] |= 1 << b
+        closed[b] |= 1 << a
+    best = 0
+
+    def grow(avail, size):
+        nonlocal best
+        if size + bin(avail).count("1") <= best:
+            return
+        if avail == 0:
+            best = max(best, size)
+            return
+        v = max(
+            (u for u in range(n) if avail >> u & 1),
+            key=lambda u: bin(closed[u] & avail).count("1"),
+        )
+        grow(avail & ~(1 << v), size)
+        grow(avail & ~closed[v], size + 1)
+
+    grow((1 << n) - 1, 0)
+    return best
+
+
 def min_clique_partition(n, edges):
     """Fewest cliques partitioning the vertices, by listing every way to
     put each vertex into a block of the earlier vertices or a new block,

@@ -408,6 +408,48 @@ def test_recognize_explain_members_pinned(tmp_path):
         )
 
 
+# (seed, k, profile, part orders) of generated members for the dp pin:
+# bounded parts up to order 10, and parts whose upward connector also
+# serves children.
+DP_MEMBERS = [
+    (0, 3, "bounded", (2, 6)), (1, 5, "bounded", (2, 6)),
+    (2, 8, "bounded", (2, 6)), (3, 12, "bounded", (2, 6)),
+    (0, 20, "bounded", (2, 6)), (1, 40, "bounded", (2, 6)),
+    (0, 3, "bounded", (4, 10)), (2, 5, "bounded", (4, 10)),
+    (5, 8, "bounded", (4, 10)), (3, 12, "bounded", (4, 10)),
+    (1, 20, "bounded", (4, 10)), (2, 40, "bounded", (4, 10)),
+    (2, 3, "mixed", (2, 6)), (1, 5, "mixed", (2, 6)),
+    (3, 8, "mixed", (2, 6)), (3, 12, "mixed", (2, 6)),
+    (1, 20, "mixed", (2, 6)), (5, 30, "mixed", (2, 6)),
+    (0, 3, "mixed", (4, 10)), (5, 5, "mixed", (4, 10)),
+    (5, 8, "mixed", (4, 10)), (0, 12, "mixed", (4, 10)),
+    (1, 20, "mixed", (4, 10)), (5, 40, "mixed", (4, 10)),
+]
+
+
+def members_dp_trace_output(tmp_path) -> str:
+    """`dp --c 2 --trace` records of the DP_MEMBERS, in order."""
+    text = []
+    for i, (seed, k, profile, orders) in enumerate(DP_MEMBERS):
+        g, _ = generate_member(seed, k, 2, profile=profile, part_order=orders)
+        path = write(tmp_path, f"dp{i}.edges", emit_edge_list(g))
+        out = tmp_path / f"dp{i}.jsonl"
+        main(["dp", path, "--c", "2", "--trace", "-o", str(out)])
+        text.append(out.read_text())
+    return "".join(text)
+
+
+def test_dp_trace_of_members_pinned(tmp_path):
+    """Values, oracle call counts and every part's table of dp --trace on
+    24 generated members, with bounded parts of order up to 10 and parts
+    whose upward connector is also a downward one, are byte-identical to
+    members_dp_trace.jsonl, written by this test's helper before the dp
+    tables were indexed by connector bitmask; never regenerate it to fit a
+    change."""
+    want = (Path(DATA_DIR) / "members_dp_trace.jsonl").read_text()
+    assert members_dp_trace_output(tmp_path) == want
+
+
 def exact_records_output(tmp_path, random1000_path) -> str:
     """`minrank` records, `stats.elapsed` dropped: `--method bnb --node-budget
     2000` on lines 709-858 of random1000.g6, then `--method brute` on its
@@ -708,6 +750,34 @@ def test_bad_config_file_exits_two(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["minrank", path])
     assert code == 2
     assert "config" in err
+
+
+@pytest.mark.parametrize("config", [{"c": "x"}, {"registry": 5}, {"sat_solver": 1}])
+def test_config_value_of_wrong_type_exits_two(tmp_path, capsys, monkeypatch, config):
+    path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
+    monkeypatch.setenv("MINRANK_CONFIG", write(tmp_path, "cfg.json", json.dumps(config)))
+    code, out, err = run_cli(capsys, ["recognize", path])
+    assert code == 2 and out == ""
+    key = next(iter(config))
+    assert err.startswith("error: bad config file") and key in err
+
+
+def test_records_carry_the_input_vertex_ids(tmp_path, capsys):
+    """An edge list with ids other than 0..n-1 is solved on dense ids, and
+    every record maps them back; a dense input's records have no labels."""
+    sparse = write(tmp_path, "sparse.edges", "5 7\n7 9\n9 5\n9 11\n")
+    dense = write(tmp_path, "dense.edges", "0 1\n1 2\n2 0\n2 3\n")
+    labels = {"0": "5", "1": "7", "2": "9", "3": "11"}
+    for argv in (["recognize"], ["recognize", "--components"], ["minrank"], ["dp"]):
+        code, out, _ = run_cli(capsys, [*argv, sparse])
+        assert code == 0
+        rec = records(out)[0]
+        assert rec["labels"] == labels
+        code, out, _ = run_cli(capsys, [*argv, dense])
+        assert code == 0 and "labels" not in records(out)[0]
+        rec.pop("labels")
+        assert records(out)[0] == rec
+    assert rec["value"] == 2
 
 
 def test_console_script_entry_point(tmp_path):

@@ -33,6 +33,8 @@ from minrank.exact import (
     co_components,
     exact_clique_cover,
     exact_independence_number,
+    greedy_bounds,
+    independence_number,
 )
 from minrank.formats import parse_graph6
 from conftest import random_edges, random_graph_in_budget
@@ -186,6 +188,36 @@ def test_exact_independence_number_matches_oracle():
         g = random_graph_in_budget(rng, n, edge_cap=30)
         assert exact_independence_number(g) == oracles.max_independent_set(
             g.n, g.edges
+        )
+
+
+def test_bounds_match_set_based_references():
+    """The greedy bounds and the exact independence number, of whole graphs
+    and (on bitsets) of induced subgraphs, equal the set-based copies kept
+    in oracles, certificates included, on 300 random graphs of up to 40
+    vertices."""
+    rng = random.Random(312)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        g = Graph(n, random_edges(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.8])))
+        b = sandwich_bounds(g)
+        assert (b.independent_set, b.cliques) == oracles.greedy_bounds_by_sets(
+            n, g.edges
+        )
+        assert (b.lower, b.upper) == (len(b.independent_set), len(b.cliques))
+        assert exact_independence_number(g) == (
+            oracles.independence_number_by_branching(n, g.edges)
+        )
+        keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+        mask = sum(1 << v for v in keep)
+        sub = g.induced_subgraph(keep)[0]
+        chosen, cliques = oracles.greedy_bounds_by_sets(sub.n, sub.edges)
+        got = greedy_bounds(g.adjacency_bits(), mask)
+        assert got.independent_set == tuple(keep[i] for i in chosen)
+        assert got.cliques == tuple(tuple(keep[i] for i in c) for c in cliques)
+        assert (got.lower, got.upper) == (len(chosen), len(cliques))
+        assert independence_number(g.adjacency_bits(), mask) == (
+            oracles.independence_number_by_branching(sub.n, sub.edges)
         )
 
 

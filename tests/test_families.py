@@ -282,6 +282,79 @@ def test_bounded_solver_matches_bruteforce_on_deletions(monkeypatch, split_after
     assert fam.solver(Graph(9)) is None
 
 
+def _host_with_part(rng: random.Random, c5: bool) -> tuple[Graph, list[int]]:
+    """A random host graph and a part of 1-10 of its vertices in random
+    order; with `c5`, five of the part's vertices induce a 5-cycle."""
+    n = rng.randint(8, 14)
+    edges = set(random_edges(rng, n, rng.choice([0.15, 0.25, 0.4])))
+    part = rng.sample(range(n), rng.randint(6 if c5 else 1, min(10, n)))
+    if c5:
+        ring = part[:5]
+        edges -= {(min(u, v), max(u, v)) for u, v in itertools.combinations(ring, 2)}
+        edges |= {(min(u, v), max(u, v)) for u, v in zip(ring, ring[1:] + ring[:1])}
+    return Graph(n, sorted(edges)), part
+
+
+def test_bounded_solver_answers_every_deletion_through_one_solver():
+    """Every deletion from parts of up to 10 vertices, half of them holding
+    a 5-cycle, asked in shuffled order of one solver so that components
+    solved before are met again: each answer is the min-rank of what is
+    left, by enumeration where 2|E| <= 16 and by branch and bound elsewhere.
+    Some deletions split what is left into more components than the part
+    has."""
+    rng = random.Random(507)
+    fam = BoundedOrderFamily(10)
+    splits = 0
+    known: dict[Graph, int] = {}  # equal subgraphs recur across parts
+    for trial in range(8):
+        g, part = _host_with_part(rng, c5=trial % 2 == 0)
+        solve = fam.solver(g, part)
+        whole = len(g.induced_subgraph(part)[0].connected_components())
+        masks = list(range(1 << len(part)))
+        rng.shuffle(masks)
+        for mask in masks:
+            removed = [i for i in range(len(part)) if mask >> i & 1]
+            sub = g.induced_subgraph([v for i, v in enumerate(part) if i not in removed])[0]
+            if sub not in known:
+                exhaustive = 2 * sub.edge_count <= 16
+                known[sub] = (minrank_bruteforce if exhaustive else minrank_bnb)(sub).value
+            assert solve(removed) == known[sub], (g.edges, part, removed)
+            splits += len(sub.connected_components()) > whole
+    assert splits > 0
+
+
+def test_bounded_solver_searches_only_components_with_a_gap(monkeypatch):
+    """A 4-cycle with a pendant closes at its bounds under every deletion:
+    no subgraph is built and nothing is searched.  On a 5-cycle with a
+    pendant path, the first query that leaves the 5-cycle searches it once,
+    and a later query meeting the same component searches no more."""
+    calls = {"bnb": 0, "induced": 0}
+    real_bnb, real_induced = families.minrank_bnb, Graph.induced_subgraph
+
+    def counted_bnb(*args, **kwargs):
+        calls["bnb"] += 1
+        return real_bnb(*args, **kwargs)
+
+    def counted_induced(self, vertices):
+        calls["induced"] += 1
+        return real_induced(self, vertices)
+
+    c4 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
+    c5 = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6)])
+    c4_solve = BoundedOrderFamily(10).solver(c4, [0, 1, 2, 3, 4])
+    c5_solve = BoundedOrderFamily(10).solver(c5)
+    monkeypatch.setattr(families, "minrank_bnb", counted_bnb)
+    monkeypatch.setattr(Graph, "induced_subgraph", counted_induced)
+    for r in range(6):
+        for removed in itertools.combinations(range(5), r):
+            c4_solve(removed)
+    assert calls == {"bnb": 0, "induced": 0}
+    assert c5_solve([5]) == 4
+    assert calls == {"bnb": 1, "induced": 1}
+    assert c5_solve([5, 6]) == 3
+    assert calls == {"bnb": 1, "induced": 1}
+
+
 # A vertex with three pendant leaves bridged to a bridgeless 6-vertex piece,
 # and a 5-cycle joined by one bridge to a 5-vertex piece: parts of order 10
 # that dp_minrank hands to the bounded-order oracle on generated members.
