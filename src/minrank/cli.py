@@ -454,6 +454,8 @@ def main(argv=None) -> int:
             args.registry = parse_registry_spec(spec) if spec else default_registry()
         if "c" in args and args.c is None:
             args.c = cfg.get("c", 2)
+        if "c" in args and args.c < 1:
+            raise GraphError(f"connector bound must be positive, got {args.c}")
         if "sat_solver" in args:
             args.sat_solver = args.sat_solver or cfg.get("sat_solver")
         return args.func(args)

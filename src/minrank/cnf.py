@@ -14,6 +14,7 @@ import shlex
 import subprocess
 import time
 
+from .errors import GraphError
 from .exact import MinrankResult, sandwich_bounds
 from .graph import Graph
 
@@ -26,7 +27,7 @@ def build_cnf(g: Graph, k: int) -> tuple[int, list[tuple[int, ...]], list[str]]:
     and the rest are AND/XOR gadget outputs.
     """
     if not 1 <= k <= g.n:
-        raise ValueError(f"rank bound k={k} outside 1..{g.n}")
+        raise GraphError(f"rank bound k={k} outside 1..{g.n}")
     n = g.n
     comments = []
     a = [[i * k + t + 1 for t in range(k)] for i in range(n)]

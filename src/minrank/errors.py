@@ -2,7 +2,7 @@
 
 
 class GraphError(ValueError):
-    """Malformed graph data or graph format input."""
+    """Malformed graph data or graph format input, or bad graph arguments."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -35,7 +35,8 @@ class FamilyOracle(ABC):
     @abstractmethod
     def glue(self, pieces_member: bool, order: int) -> bool:
         """Membership of a union of pieces joined along a tree of bridges,
-        from whether every piece is a member and the union's order."""
+        from whether every piece is a member and its order; `glue(False, k)`
+        means every graph of order k is a member, and implies `glue(True, k)`."""
 
 
 # Branch-and-bound nodes the bounded-order oracle spends on a component

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import random
 
+from .errors import GraphError
 from .families import FamilyRegistry, default_registry
 from .graph import Graph
 from .structure import SimpleTreeStructure, validate_structure
@@ -107,11 +108,13 @@ def generate_member(
     the registry with at most `c` downward connectors per part.
     """
     if k < 1:
-        raise ValueError(f"need at least one part, got k={k}")
+        raise GraphError(f"need at least one part, got k={k}")
     if c < 1:
-        raise ValueError(f"connector bound must be positive, got c={c}")
+        raise GraphError(f"connector bound must be positive, got c={c}")
     if profile not in PART_KINDS:
-        raise ValueError(f"unknown profile {profile!r}, pick from {PART_KINDS}")
+        raise GraphError(f"unknown profile {profile!r}, pick from {PART_KINDS}")
+    if not 1 <= part_order[0] <= part_order[1]:
+        raise GraphError(f"part orders need 1 <= min <= max, got {part_order}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     registry = registry or default_registry()
 

@@ -3,28 +3,30 @@
 Two phases.  Splitting takes from one depth-first search (Tarjan 1974)
 every bridge and the components left once they are deleted, the
 2-edge-connected components or atoms; each atom must belong to a
-registered family, tested on the graph itself, and the atoms and the
-bridges between them form a tree.  Merging tries each atom as the root in
-turn.  A root under which no atom has more than `c` downward connectors
-takes the atom tree as it is.  Otherwise each atom, children first,
-absorbs leaf children through a largest-possible set of its downward
-connectors so that at most `c` survive and the enlarged part stays in a
-family; each family's gluing rule decides that from the atoms' own
-memberships, found once by splitting and kept as one bitmask per atom,
-and the part's order.  What an atom v decides below its parent p depends
-on v, p and the decisions below v, never on the root, so each directed
-(v, p) decision is computed once and shared by every root: at most 3h - 2
-of them for h atoms.  If every root fails, the graph has no structure with
-the requested bound.  A decision fails only at an atom with more than `c`
-connectors, and a failure reaches the root, so when a root fails the atom
-behind it is decided under each of its neighbours and as the root: every
-root's tree holds it in one of those places, and if all of them fail, so
-does every root, and the walk stops after computing the last root's
-failure for the report.  Without that proof, or when a trace of every root
-is asked for, the walk goes on to the next root.  An accepted structure
-comes with the report that validating it would give, built from what
-splitting proved rather than by checking it again, and with the
-connectors read off the bridges merging kept.
+registered family, tested on the graph itself unless a family holds its
+order outright, and the atoms and the bridges between them form a tree.
+Merging tries each atom as the root in turn.  A root under which no atom
+has more than `c` downward connectors takes the atom tree as it is.
+Otherwise each atom, children first, absorbs leaf children through a
+largest-possible set of its downward connectors so that at most `c`
+survive and the enlarged part stays in a family; each family's gluing
+rule decides that from the part's order or, unless a family holds that
+order outright, from the atoms' memberships, one bitmask per atom decided
+when first read, head first up to an atom in no family whose rule holds.
+What an atom v decides below its parent p depends on v, p and the
+decisions below v, never on the root, so each directed (v, p) decision is
+computed once and shared by every root: at most 3h - 2 of them for h
+atoms.  If every root fails, the graph has no structure with the requested
+bound.  A decision fails only at an atom with more than `c` connectors,
+and a failure reaches the root, so when a root fails the atom behind it is
+decided under each of its neighbours and as the root: every root's tree
+holds it in one of those places, and if all of them fail, so does every
+root, and the walk stops after computing the last root's failure for the
+report.  Without that proof, or when a trace of every root is asked for,
+the walk goes on to the next root.  An accepted structure comes with the
+report that validating it would give, built from the atoms' memberships
+rather than by checking it again, and with the connectors read off the
+bridges merging kept.
 """
 
 from __future__ import annotations
@@ -38,14 +40,25 @@ from .graph import Graph
 from .structure import SimpleTreeStructure, StructureReport, mdc, validate_structure
 
 
+class _Memo(dict):
+    """A dict that fills in a missing key k with `make(k)` when it is read."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = self.make(key)
+        return self[key]
+
+
 @dataclass(frozen=True)
 class AtomForest:
     """Bridgeless family pieces and the single edges joining them."""
 
     atoms: tuple[tuple[int, ...], ...]
     links: dict[tuple[int, int], tuple[int, int]]  # (atom l, atom m) -> edge (x, y)
-    members: tuple[int, ...]  # per atom, bit i set when registry oracle i holds it
-    solvers: tuple  # per atom, its first family's solver
+    families: _Memo  # atom -> (mask of the oracles holding it, first one's solver)
+    glue_bits: _Memo  # order -> -1 if a family holds every graph of it, else glue(True) mask
     atom_of: dict[int, int]  # per vertex, its atom
 
 
@@ -74,54 +87,44 @@ def split_phase(
     atom; `cut` is `g.bridge_split()` if known.  Each atom's membership in
     every registered family is decided on g and kept, so that merging can
     glue atoms without testing their unions, with its first family's
-    solver, reused by a part of that atom alone.  Raises NotInFamilyError
-    on the first atom in no registered family.  When `events` is a list,
-    one record per bridge is appended to it.
+    solver, reused by a part of that atom alone; an atom whose order some
+    family holds outright is decided only when it is first read.  Raises
+    NotInFamilyError on the first atom in no registered family.  When
+    `events` is a list, one record per bridge is appended to it.
     """
     bridges, atoms = (cut or g.bridge_split())[:2]
     if events is not None:
         events.extend({"bridge": [x, y]} for x, y in bridges)
     atom_of = {v: i for i, atom in enumerate(atoms) for v in atom}
+    oracles = registry.oracles
 
-    def test(h: Graph, part) -> tuple:
+    def test(a: int) -> tuple:
         # The mask of member families; and the first member family's solver.
         mask, first = 0, None
-        for i, o in enumerate(registry.oracles):
-            solve = o.solver(h, part)
+        for i, o in enumerate(oracles):
+            solve = o.solver(g, atoms[a])
             mask |= (solve is not None) << i
             first = first or solve
         return mask, first
 
-    masks, solvers, single = [], [], None
-    for atom in atoms:
-        if len(atom) > 1:
-            mask, solve = test(g, atom)
-        else:  # every one-vertex atom induces the same graph: test it once
-            mask, solve = single = single or test(Graph(1), (0,))
-        if not mask:
+    families, single = _Memo(test), None
+    glue_bits = _Memo(lambda k: -1 if any(o.glue(False, k) for o in oracles) else sum(
+        o.glue(True, k) << i for i, o in enumerate(oracles)))
+    for a, atom in enumerate(atoms):
+        if len(atom) == 1:  # every one-vertex atom induces the same graph
+            families[a] = single = single or test(a)
+        if glue_bits[len(atom)] != -1 and not families[a][0]:
             raise NotInFamilyError(
                 f"bridgeless piece {list(atom)} fits no registered family", atom=atom
             )
-        masks.append(mask)
-        solvers.append(solve)
     links: dict[tuple[int, int], tuple[int, int]] = {}
     for x, y in bridges:
         if atom_of[x] > atom_of[y]:
             x, y = y, x
         links[(atom_of[x], atom_of[y])] = (x, y)
     return AtomForest(
-        tuple(atoms), dict(sorted(links.items())), tuple(masks), tuple(solvers),
-        atom_of,
+        tuple(atoms), dict(sorted(links.items())), families, glue_bits, atom_of
     )
-
-
-def _first_glued(registry: FamilyRegistry, mask: int, order: int):
-    """The first oracle whose gluing rule holds for pieces in the families
-    of bitmask `mask` joined into `order` vertices, or None."""
-    for i, o in enumerate(registry.oracles):
-        if o.glue(bool(mask >> i & 1), order):
-            return o
-    return None
 
 
 def _post_order(memo: dict, start: tuple, below, decide, settles) -> object:
@@ -169,7 +172,7 @@ def merge_phase(
     when `stats` is a dict, `stats["decisions"]` counts the (atom, parent)
     decisions computed.
     """
-    atoms, members = forest.atoms, forest.members
+    atoms, families, glue_bits = forest.atoms, forest.families, forest.glue_bits
     end: dict[tuple[int, int], int] = {}  # (atom, neighbour) -> link end in atom
     for (l, m), (x, y) in forest.links.items():
         end[l, m], end[m, l] = x, y
@@ -186,9 +189,9 @@ def merge_phase(
     def over_at(v: int, p: int, kids: list[int]) -> bool:
         return len({end[v, w] for w in kids}) > c
 
-    # (v, p) -> (children absorbed, surviving children, mask of the registry
-    # oracles holding every merged atom, merged order), or (None, why, atom)
-    # when that atom in the subtree cannot shed enough connectors.
+    # (v, p) -> (children absorbed, surviving children, AND of the merged
+    # atoms' masks or None until all are read, merged order), or (None, why,
+    # atom) when that atom in the subtree cannot shed enough connectors.
     shed: dict[tuple[int, int], tuple] = {}
     visits: list | None = None
 
@@ -207,36 +210,61 @@ def merge_phase(
                 "absorbed_parts": [merged(w, v) for w in absorbed],
             })
 
+    def glued(v: int, groups: dict, free: dict, chosen, order: int) -> int | None:
+        # 0 when no family holds the union of atom v and its children at the
+        # connectors `chosen`, which are joined along a tree of bridges; else
+        # the AND of their atoms' masks, or None when its order decides.
+        need = glue_bits[order]
+        if need == -1:
+            return None
+        mask = families[v][0] if need else 0
+        for u in chosen:
+            if not mask & need:
+                return 0
+            part = free[u][1]
+            if part is None:  # its atoms in turn, up to one lacking every need bit
+                part, stack = -1, [(w, v) for w in groups[u]]
+                for a, b in stack:  # the loop reaches what it appends
+                    absorbed, _, known, _ = shed[a, b]
+                    if known is None:
+                        known = families[a][0]
+                        stack += [(x, a) for x in absorbed]
+                    part &= known
+                    if not part & mask & need:
+                        break
+                else:
+                    free[u][1] = part
+            mask &= part
+        return mask if mask & need else 0
+
     def shed_at(v: int, p: int, kids: list[int]) -> tuple:
         if not kids:
             visit(v, p, [], (), ())
-            return (), (), members[v], len(atoms[v])
+            return (), (), None, len(atoms[v])
         groups: dict[int, list[int]] = {}
         for w in kids:
             groups.setdefault(end[v, w], []).append(w)
         connectors = sorted(groups)
         # Per connector whose children are all childless (only those may be
-        # absorbed): the AND of their parts' masks and the sum of their orders.
+        # absorbed): the sum of their parts' orders and, once read, the AND
+        # of their masks.
         free = {}
         for u in connectors:
-            leaf, mask, order = True, -1, 0
+            leaf, order = True, 0
             for w in groups[u]:
-                _, kept, m, count = shed[w, v]
+                _, kept, _, count = shed[w, v]
                 leaf = leaf and not kept
-                mask &= m
                 order += count
             if leaf:
-                free[u] = mask, order
+                free[u] = [order, None]
         for size in range(len(connectors), max(0, len(connectors) - c) - 1, -1):
             for chosen in combinations(free, size):
-                mask, order = members[v], len(atoms[v])
+                order = len(atoms[v])
                 for u in chosen:
-                    mask &= free[u][0]
-                    order += free[u][1]
-                # The atoms merged are joined along a tree of bridges, so
-                # their masks and the part's order decide its families; a
-                # bare atom was already found in a family by split_phase.
-                if chosen and _first_glued(registry, mask, order) is None:
+                    order += free[u][0]
+                # A bare atom was already found in a family by split_phase.
+                mask = glued(v, groups, free, chosen, order) if chosen else None
+                if mask == 0:
                     continue
                 absorbed = [w for u in chosen for w in groups[u]]
                 visit(v, p, connectors, chosen, absorbed)
@@ -316,21 +344,22 @@ def accepted_report(
 
     Merging keeps the rules by construction, so nothing is checked again.
     Each part is in the first family whose gluing rule holds for the AND
-    of its atoms' masks and its order, as merging decided it; for one atom,
-    that is the atom's first family, and the part reuses the solver
-    splitting kept for it.  Any other part builds one solver for its family.
+    of its atoms' masks, read here if merging did not, and its order; for
+    one atom, that is the atom's first family, and the part reuses the
+    solver kept with it.  Any other part builds one solver for its family.
     """
+    decided = [forest.families[a] for a in range(len(forest.atoms))]
     families, solvers = [], []
     for part in structure.parts:
         ids = {forest.atom_of[v] for v in part}
         mask = -1
         for i in ids:
-            mask &= forest.members[i]
-        oracle = _first_glued(registry, mask, len(part))
+            mask &= decided[i][0]
+        for i, oracle in enumerate(registry.oracles):  # the first whose rule holds
+            if oracle.glue(bool(mask >> i & 1), len(part)):
+                break
         families.append(oracle.name)
-        solvers.append(
-            forest.solvers[ids.pop()] if len(ids) == 1 else oracle.solver(g, part)
-        )
+        solvers.append(decided[ids.pop()][1] if len(ids) == 1 else oracle.solver(g, part))
     return StructureReport(
         True, [], mdc(structure), tuple(families), structure, tuple(solvers)
     )

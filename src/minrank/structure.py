@@ -83,13 +83,13 @@ class SimpleTreeStructure:
         try:
             parts = tuple(tuple(int(v) for v in p) for p in obj["parts"])
             parent = tuple(int(p) for p in obj["parent"])
-        except (KeyError, TypeError, ValueError) as exc:
+            uc = {int(i): int(v) for i, v in obj.get("uc", {}).items()}
+            dc = {
+                int(i): {int(u): tuple(sorted(int(j) for j in js)) for u, js in m.items()}
+                for i, m in obj.get("dc", {}).items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise StructureError(f"bad structure JSON: {exc}") from None
-        uc = {int(i): int(v) for i, v in obj.get("uc", {}).items()}
-        dc = {
-            int(i): {int(u): tuple(sorted(int(j) for j in js)) for u, js in m.items()}
-            for i, m in obj.get("dc", {}).items()
-        }
         return cls(parts, parent, uc, dc)
 
     def to_json(self) -> str:

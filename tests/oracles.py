@@ -3,7 +3,10 @@
 Everything in this module favors obviousness over speed: matrices are
 plain lists of 0/1 ints, rank comes from textbook elimination, and
 searches enumerate outright.  Tests compare the fast library code
-against these, so nothing here may import from minrank.
+against these, so nothing here may import from minrank, with one
+exception: `recognize_decided_first` runs the package's own merge over
+atoms whose families it decided up front, to pin what deciding them
+later must not change.
 """
 
 import itertools
@@ -458,3 +461,49 @@ def structure_exists(n, edges, c, in_family):
             if all(len(ds) <= c for ds in down.values()):
                 return True
     return False
+
+
+def recognize_decided_first(g, c, registry, explain=False):
+    """`recognize` with every atom's families decided before merging.
+
+    Each atom of the connected graph g is tested by every family of
+    `registry` up front, in atom order, on the graph itself; the first atom
+    in no family fails the split with recognize's message.  The package's
+    `merge_phase` and `accepted_report` then run on a forest whose every
+    atom is decided, with the gluing masks of every order precomputed, so
+    they read no test.  Returns (member, roots tried, failure detail,
+    report or None, explain trace of the roots or None, decisions).
+    """
+    from minrank.errors import NotInFamilyError
+    from minrank.recognizer import AtomForest, accepted_report, merge_phase
+
+    bridges, atoms, _ = g.bridge_split()
+    families = {}
+    for a, atom in enumerate(atoms):
+        solvers = [o.solver(g, atom) for o in registry.oracles]
+        if all(s is None for s in solvers):
+            detail = f"bridgeless piece {list(atom)} fits no registered family"
+            return False, 0, detail, None, None, 0
+        mask = sum(1 << i for i, s in enumerate(solvers) if s is not None)
+        families[a] = mask, next(s for s in solvers if s is not None)
+    glue_bits = {}
+    for k in range(1, g.n + 1):
+        if any(o.glue(False, k) for o in registry.oracles):
+            glue_bits[k] = -1
+        else:
+            glue_bits[k] = sum(o.glue(True, k) << i for i, o in enumerate(registry.oracles))
+    atom_of = {v: a for a, atom in enumerate(atoms) for v in atom}
+    links = {}
+    for x, y in bridges:
+        if atom_of[x] > atom_of[y]:
+            x, y = y, x
+        links[atom_of[x], atom_of[y]] = (x, y)
+    forest = AtomForest(tuple(atoms), dict(sorted(links.items())), families,
+                        glue_bits, atom_of)
+    trace, stats = ([] if explain else None), {}
+    try:
+        structure, roots = merge_phase(g, forest, c, registry, trace=trace, stats=stats)
+    except NotInFamilyError as exc:
+        return False, len(atoms), exc.detail, None, trace, stats["decisions"]
+    report = accepted_report(g, forest, structure, registry)
+    return True, roots, None, report, trace, stats["decisions"]

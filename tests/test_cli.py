@@ -733,6 +733,11 @@ def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):
         ["minrank", "IN", "--registry", "bounded:0"],
         ["recognize", "IN", "--c", "0"],
         ["batch", "IN", "--registry", "nosuchfamily"],
+        ["batch", "IN", "--c", "0"],
+        ["gen", "--seed", "1", "--parts", "0"],
+        ["gen", "--seed", "1", "--parts", "3", "--order-min", "5", "--order-max", "2"],
+        ["cnf", "IN", "--k", "0"],
+        ["cnf", "IN", "--k", "9"],
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, argv):
@@ -741,6 +746,33 @@ def test_usage_errors_exit_two(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["minrank", "recognize", "dp", "batch", "gen"])
+def test_connector_bound_below_one_exits_two_before_reading_input(
+    tmp_path, capsys, monkeypatch, command
+):
+    """A connector bound below 1, from --c or from the config file, is
+    refused once with the other settings, before the input is read: the
+    input named here does not exist."""
+    missing = str(tmp_path / "missing.g6")
+    argv = ["gen", "--seed", "1", "--parts", "2"] if command == "gen" else [command, missing]
+    code, out, err = run_cli(capsys, [*argv, "--c", "0"])
+    assert (code, out, err) == (2, "", "error: connector bound must be positive, got 0\n")
+    monkeypatch.setenv("MINRANK_CONFIG", write(tmp_path, "cfg.json", '{"c": 0}'))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", "error: connector bound must be positive, got 0\n")
+
+
+@pytest.mark.parametrize("command", ["dp", "validate"])
+@pytest.mark.parametrize("connectors", [{"uc": {"x": 1}}, {"dc": {"0": 5}}])
+def test_bad_structure_connectors_exit_two(tmp_path, capsys, command, connectors):
+    path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
+    structure = {"parts": [[0, 1, 2, 3, 4]], "parent": [-1], **connectors}
+    struct_path = write(tmp_path, "s.json", json.dumps(structure))
+    code, out, err = run_cli(capsys, [command, path, "--structure", struct_path])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad structure JSON")
 
 
 def test_bad_config_file_exits_two(tmp_path, capsys, monkeypatch):

@@ -255,6 +255,27 @@ def test_bounded_family_contract():
     assert fam.solver(Graph(3, [(0, 1), (1, 2)]))(()) == 2
 
 
+@pytest.mark.parametrize(
+    "family", [ChordalFamily(), *map(BoundedOrderFamily, (1, 3, 4, 10, 12))],
+    ids=lambda f: f.name,
+)
+def test_glue_contract(family):
+    """Recognition skips the tests of an atom whose order some family glues
+    without member pieces: `glue(False, k)` must mean that the family holds
+    every graph of order k, so its solver accepts random graphs of that
+    order, non-chordal ones included, and it must imply `glue(True, k)`."""
+    rng = random.Random(1512)
+    for k in range(1, 13):
+        if not family.glue(False, k):
+            continue
+        assert family.glue(True, k), k
+        cycle = [(i, (i + 1) % k) for i in range(k)] if k >= 4 else []
+        graphs = [Graph(k, cycle), Graph(k, random_edges(rng, k, 1.0))]
+        graphs += [Graph(k, random_edges(rng, k, p)) for p in (0.2, 0.5, 0.8) * 5]
+        for g in graphs:
+            assert family.solver(g) is not None, (k, g.edges)
+
+
 @pytest.mark.parametrize("split_after", [1000, 0])
 def test_bounded_solver_matches_bruteforce_on_deletions(monkeypatch, split_after):
     """Parts of up to 8 vertices of random host graphs, listed in random

@@ -440,10 +440,11 @@ def test_merge_glues_without_induced_subgraphs(monkeypatch):
 
 
 def test_split_tests_atoms_in_place(monkeypatch):
-    """A bridged chain of 60 non-chordal atoms of order 6-8: splitting
-    decides each atom's families on the graph itself, one chordality test
-    per atom, and the bounded:10 solver induces nothing until it is
-    queried, so neither splitting nor recognition induces a subgraph."""
+    """A bridged chain of 60 non-chordal atoms of order 6-8: bounded:10
+    holds every atom outright, so splitting tests none of them; recognition
+    decides each atom's families once, on the graph itself, and the
+    bounded:10 solver induces nothing until it is queried, so neither
+    splitting nor recognition induces a subgraph."""
     rng = random.Random(9)
     edges, n, last = [], 0, None
     for _ in range(60):
@@ -472,11 +473,12 @@ def test_split_tests_atoms_in_place(monkeypatch):
 
     monkeypatch.setattr(families, "perfect_elimination_order", counted_test)
     forest = split_phase(g, default_registry())
-    assert len(forest.atoms) == 60 and len(tests) == 60
-    assert set(forest.members) == {0b10}  # bounded:10 only
+    assert len(forest.atoms) == 60 and max(map(len, forest.atoms)) <= 10
+    assert tests == []
     out = recognize(g, 2, default_registry())
     assert out.member and len(out.structure.parts) == 60
-    assert calls == [] and len(tests) == 120
+    assert set(out.report.families) == {"bounded:10"}
+    assert calls == [] and len(tests) == 60
 
 
 def star_of_atoms(h):
@@ -488,6 +490,29 @@ def star_of_atoms(h):
         edges += [(b + i, b + (i + 1) % 4) for i in range(4)]
         edges.append(((0, 1, 3, 4)[j % 4], b))
     return Graph(6 + 4 * (h - 1), edges)
+
+
+@pytest.mark.parametrize("h", [50, 400])
+def test_star_rejection_makes_one_chordality_test(monkeypatch, h):
+    """Every atom of the star has order at most 10, so splitting tests none,
+    and every union merging tries at the centre is too large for bounded:10
+    and needs the chordal bit, which the centre, read first, lacks: one
+    chordality test in all, where deciding every atom made h.  The answer is
+    the one a forest decided before merging gives."""
+    g, reg = star_of_atoms(h), default_registry()
+    want = oracles.recognize_decided_first(g, 2, reg)[:3]
+    tests = []
+    real = families.perfect_elimination_order
+
+    def counted(graph, vertices=None):
+        tests.append(graph.n)
+        return real(graph, vertices)
+
+    monkeypatch.setattr(families, "perfect_elimination_order", counted)
+    out = recognize(g, 2, reg)
+    assert len(tests) == 1
+    assert (out.member, out.roots_tried, out.failure_detail) == want
+    assert not out.member and out.roots_tried == h
 
 
 def test_chordality_tested_once_per_atom_and_part(monkeypatch):
@@ -654,3 +679,81 @@ def test_connected_auto_solve_searches_the_graph_once(monkeypatch):
     res = cli.solve_graph(g, "auto", 2, default_registry(), None, None)
     assert res.method == "dp" and res.exact
     assert splits.count(True) == 1 and comps.count(True) == 0
+
+
+def bridged_cycles(rng, n):
+    """A connected graph on n vertices: pieces of 1-12 vertices (a cycle with
+    random chords from 3 on, so chordal or not, and past order 10 too),
+    each joined to an earlier piece by one edge."""
+    edges, start = [], 0
+    while start < n:
+        order = min(rng.randint(1, 12), n - start)
+        piece = range(start, start + order)
+        if order >= 3:
+            edges += [(v, start + (v - start + 1) % order) for v in piece]
+            p = rng.choice([0.0, 0.2, 0.5])
+            edges += [e for e in combinations(piece, 2) if rng.random() < p]
+        elif order == 2:
+            edges.append((start, start + 1))
+        if start:
+            edges.append((rng.randrange(start), rng.choice(piece)))
+        start += order
+    return Graph(n, sorted({(min(e), max(e)) for e in edges if e[0] != e[1]}))
+
+
+AGREEMENT_REGISTRIES = (
+    "chordal,bounded:10", "chordal", "bounded:3", "bounded:1",
+    "chordal,bounded:4", "bounded:4,chordal",
+)
+
+
+def test_lazy_decisions_agree_with_a_forest_decided_first():
+    """Deciding an atom's families only when merging or the report reads
+    them answers as deciding every atom before merging does: verdict, roots
+    tried, failure, the trace of every root, structure, families and every
+    solver's answers, on 2,000 random connected bridged graphs (n <= 40)
+    under each registry of AGREEMENT_REGISTRIES, with c in {1, 2}, with and
+    without a trace."""
+    rng = random.Random(1511)
+    seen = Counter()
+    for i in range(2000):
+        n = rng.randint(1, 40)
+        if i % 4 == 0:
+            g = random_connected_graph(rng, n, extra_p=rng.choice([0.0, 0.04, 0.08]))
+        elif i % 4 == 1:
+            g = bridged_blocks(rng, n)
+        elif i % 4 == 2:
+            g = bridged_cycles(rng, n)
+        else:
+            g, _ = generate_member(
+                rng.randrange(1 << 30), rng.randint(1, 10), 3,
+                profile=rng.choice(("mixed", "chordal", "bounded")), part_order=(1, 6),
+            )
+        spec, c = rng.choice(AGREEMENT_REGISTRIES), rng.choice((1, 2))
+        reg = parse_registry_spec(spec)
+        for explain in (False, True):
+            member, roots, detail, report, trace, decisions = (
+                oracles.recognize_decided_first(g, c, reg, explain)
+            )
+            out = recognize(g, c, reg, explain=explain)
+            case = (spec, c, explain, g.n, g.edges)
+            assert (out.member, out.roots_tried, out.failure_detail) == (
+                member, roots, detail
+            ), case
+            if out.stats.get("phase") == "split":
+                seen["split rejection"] += 1
+                continue
+            assert out.stats["decisions"] == decisions, case
+            if explain:
+                assert out.stats["explain"]["roots"] == trace, case
+            if not member:
+                seen["merge rejection"] += 1
+                continue
+            got = out.report
+            assert got.structure.to_json() == report.structure.to_json(), case
+            assert got.families == report.families, case
+            for j in range(len(report.structure.parts)):
+                for removed in connector_subsets(report.structure, j):
+                    assert got.solvers[j](removed) == report.solvers[j](removed), case
+            seen["merged" if len(got.structure.parts) < out.stats["atoms"] else "as cut"] += 1
+    assert min(seen[k] for k in ("split rejection", "merge rejection", "merged", "as cut")) >= 50, seen
