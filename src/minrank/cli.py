@@ -37,7 +37,7 @@ def load_config() -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GraphError(f"bad config file {path!r}: {exc}") from None
     if not isinstance(cfg, dict):
         raise GraphError(f"config file {path!r} must hold a JSON object")
@@ -47,17 +47,21 @@ def load_config() -> dict:
     return cfg
 
 
+def read_input(path: str) -> str:
+    """The text of a file, or of stdin for '-'.  Both decode strictly: bytes
+    that are not text raise UnicodeDecodeError rather than pass on escaped."""
+    if path != "-":
+        with open(path) as fh:
+            return fh.read()
+    raw = getattr(sys.stdin, "buffer", None)  # None when stdin is text only
+    return sys.stdin.read() if raw is None else raw.read().decode(sys.stdin.encoding)
+
+
 def load_graphs(path: str, fmt: str | None) -> list[Graph]:
     """Graphs from a file or '-' (stdin); graph6 files may hold many."""
-    if path == "-":
-        text = sys.stdin.read()
-        name = ""
-    else:
-        with open(path) as fh:
-            text = fh.read()
-        name = path
+    text = read_input(path)
     if fmt is None:
-        fmt = "g6" if name.endswith(".g6") else "edges"
+        fmt = "g6" if path.endswith(".g6") else "edges"
     if fmt == "g6":
         return [
             parse_graph6(line)
@@ -248,11 +252,7 @@ def _batch_worker(payload):
 
 
 def cmd_batch(args) -> int:
-    if args.corpus == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.corpus) as fh:
-            text = fh.read()
+    text = read_input(args.corpus)
     jobs = [
         (idx, line.strip(), args.method, args.registry, args.c, args.node_budget)
         for idx, line in enumerate(text.splitlines())
@@ -459,7 +459,8 @@ def main(argv=None) -> int:
         if "sat_solver" in args:
             args.sat_solver = args.sat_solver or cfg.get("sat_solver")
         return args.func(args)
-    except (GraphError, StructureError, OSError) as exc:
+    except (GraphError, StructureError, OSError, UnicodeDecodeError) as exc:
+        # UnicodeDecodeError: an input file or stdin that is not text.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

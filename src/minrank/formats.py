@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .errors import GraphError
 from .graph import Graph
+
+
+# graph6 lists the pairs (i, j), i < j, column by column: j ascending, then
+# i; pair (i, j) is bit j(j - 1)/2 + i for every order up to 62.  The body
+# packs the bits six to a character, most significant first, offset by 63.
+_PAIRS = [(i, j) for j in range(1, 62) for i in range(j)]
+_BITS_OF = {chr(k + 63): format(k, "06b") for k in range(64)}
+_CHAR_OF = {bits: ch for ch, bits in _BITS_OF.items()}
 
 
 def parse_graph6(line: str) -> Graph:
@@ -24,42 +34,66 @@ def parse_graph6(line: str) -> Graph:
         raise GraphError(
             f"graph6 body has {len(body)} bytes, expected {need} for n={n}"
         )
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val <= 63:
-            raise GraphError(f"bad graph6 body byte {ch!r}")
-        for k in range(5, -1, -1):
-            bits.append((val >> k) & 1)
-    if any(bits[nbits:]):
+    try:
+        bits = "".join(map(_BITS_OF.__getitem__, body))
+    except KeyError as exc:
+        raise GraphError(f"bad graph6 body byte {exc.args[0]!r}") from None
+    if "1" in bits[nbits:]:
         raise GraphError("nonzero padding bits in graph6 string")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph(n, edges)
+    adj = [set() for _ in range(n)]
+    for i, j in compress(_PAIRS, map(int, bits[:nbits])):
+        adj[i].add(j)
+        adj[j].add(i)
+    return Graph._of_adjacency(adj)
 
 
 def emit_graph6(g: Graph) -> str:
     """Encode a graph as a graph6 string (short form, order at most 62)."""
     if g.n > 62:
         raise GraphError(f"graph6 short form limited to 62 vertices, got {g.n}")
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    rows = g.adjacency_bits()
+    # Column j: bit i of row j for i < j, lowest first.
+    bits = "".join(
+        format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)
+    )
+    bits += "0" * (-len(bits) % 6)
+    return chr(g.n + 63) + "".join(
+        _CHAR_OF[bits[k : k + 6]] for k in range(0, len(bits), 6)
+    )
+
+
+_DIGITS = b"0123456789"
+
+
+def _canonical_adjacency(text: str) -> list[set] | None:
+    """Adjacency sets of a document in the shape `emit_edge_list` writes, in
+    one pass over the whole text; None when it has another shape or fails a
+    check, for the line loop of `parse_edge_list` to settle.
+
+    The shape: an `n=<count>` header line, then one `u v` line per edge,
+    each of ASCII digits with one space between and a newline after.
+    Deleting the digits must leave one space and newline per pair of ids.
+    An id out of range indexes past the sets; a loop adds one entry to
+    them and a repeated edge none, so both show in the sum of their sizes.
+    """
+    if not (text.startswith("n=") and text.isascii()):
+        return None
+    head, _, body = text.encode().partition(b"\n")
+    ids = body.split()
+    if not (
+        head[2:].isdigit()
+        and body.translate(None, _DIGITS) == b" \n" * (len(ids) // 2)
+    ):
+        return None
+    try:
+        adj = [set() for _ in range(int(head[2:]))]
+        pairs = iter(map(int, ids))
+        for u, v in zip(pairs, pairs):
+            adj[u].add(v)
+            adj[v].add(u)
+    except (IndexError, ValueError):  # past the sets, or past int's digit limit
+        return None
+    return adj if sum(map(len, adj)) == len(ids) else None
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -70,7 +104,16 @@ def parse_edge_list(text: str) -> Graph:
     isolated vertices are allowed.  Without it, arbitrary integer ids are
     accepted and remapped in sorted order to 0..n-1, with the originals kept
     in the label map.  Loops and repeated edges are rejected.
+
+    A document in the shape `emit_edge_list` writes is read in bulk
+    (`_canonical_adjacency`).  Any other document, or one that fails a
+    check there, goes through the loop over its lines below, the one place
+    that knows every case of the grammar and every error message with its
+    line number.
     """
+    adj = _canonical_adjacency(text)
+    if adj is not None:
+        return Graph._of_adjacency(adj)
     n_header = None
     raw_edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):

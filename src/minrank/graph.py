@@ -1,13 +1,14 @@
 """Simple undirected graphs with dense 0-based vertex ids.
 
-Graphs are immutable after construction.  An optional label map carries
-external vertex names (for instance 1-based ids from an input file); all
-algorithms work on the dense ids only.
+Graphs are immutable after construction.  Each vertex's neighbours are
+kept in a plain set that the graph owns and never mutates: the sets a
+graph is built from are kept as they are, without a copy, and the sets
+`neighbor_set` returns must not be mutated by its callers either.  An
+optional label map carries external vertex names (for instance 1-based ids
+from an input file); all algorithms work on the dense ids only.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .errors import GraphError
 
@@ -30,18 +31,21 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._adj = tuple(adj)
         self.labels = dict(labels) if labels else None
         self._bits = None
 
     @classmethod
     def _of_adjacency(cls, adj, labels=None) -> "Graph":
-        """A graph over adjacency sets known to be symmetric, in range and loop-free."""
+        """A graph over adjacency sets known to be symmetric, in range and
+        loop-free.  The graph keeps the sets themselves: nothing may mutate
+        them afterwards."""
         g = cls(0, (), labels)
-        g.n, g._adj = len(adj), tuple(map(frozenset, adj))
+        g.n, g._adj = len(adj), tuple(adj)
         return g
 
-    def neighbor_set(self, v: int) -> frozenset:
+    def neighbor_set(self, v: int) -> set:
+        """The neighbours of v: the graph's own set, to be read, never mutated."""
         return self._adj[v]
 
     def degree(self, v: int) -> int:
@@ -80,7 +84,7 @@ class Graph:
             if v in mapping:
                 raise GraphError(f"duplicate vertex {v} in induced subgraph")
             mapping[v] = pos
-        adj = [[mapping[w] for w in self._adj[v] if w in mapping] for v in vs]
+        adj = [{mapping[w] for w in self._adj[v] if w in mapping} for v in vs]
         labels = None
         if self.labels is not None:
             labels = {mapping[v]: self.labels[v] for v in vs if v in self.labels}
@@ -113,32 +117,37 @@ class Graph:
         disc = [-1] * self.n
         low = [0] * self.n
         bridges, atoms, entered = [], [], []
-        clock = itertools.count()
+        clock = 0
         for root in range(self.n):
             if disc[root] != -1:
                 continue
-            disc[root] = low[root] = next(clock)
+            disc[root] = low[root] = clock
+            clock += 1
             stack = [(root, -1, iter(adj[root]), 0)]
             entered.append(root)
             while stack:
                 v, parent, it, start = stack[-1]
+                lv = low[v]  # v's low point while its neighbours are scanned
                 for w in it:
-                    if disc[w] == -1:
-                        disc[w] = low[w] = next(clock)
+                    dw = disc[w]
+                    if dw == -1:
+                        low[v] = lv
+                        disc[w] = low[w] = clock
+                        clock += 1
                         stack.append((w, v, iter(adj[w]), len(entered)))
                         entered.append(w)
                         break
-                    if w != parent and disc[w] < low[v]:
-                        low[v] = disc[w]
+                    if dw < lv and w != parent:
+                        lv = dw
                 else:
                     stack.pop()
-                    if low[v] == disc[v]:
+                    if lv == disc[v]:
                         atoms.append(tuple(sorted(entered[start:])))
                         del entered[start:]
                         if parent != -1:
                             bridges.append((min(parent, v), max(parent, v)))
-                    elif low[v] < low[parent]:
-                        low[parent] = low[v]
+                    elif lv < low[parent]:
+                        low[parent] = lv
         bridges.sort()
         atoms.sort()
         # The atoms and bridges form a forest, one tree per component.
@@ -152,7 +161,7 @@ class Graph:
         )
 
     def __hash__(self):
-        return hash((self.n, self._adj))
+        return hash((self.n, tuple(map(frozenset, self._adj))))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"

@@ -3,14 +3,19 @@
 Everything in this module favors obviousness over speed: matrices are
 plain lists of 0/1 ints, rank comes from textbook elimination, and
 searches enumerate outright.  Tests compare the fast library code
-against these, so nothing here may import from minrank, with one
-exception: `recognize_decided_first` runs the package's own merge over
+against these, so nothing here may import from minrank, with two
+exceptions: `recognize_decided_first` runs the package's own merge over
 atoms whose families it decided up front, to pin what deciding them
-later must not change.
+later must not change; and `parse_edge_list`, the edge-list parser as it
+stood before it read documents in bulk, builds the package's `Graph` and
+raises its `GraphError`, so that its outcomes compare with the parser's.
 """
 
 import itertools
 from collections import deque
+
+from minrank.errors import GraphError
+from minrank.graph import Graph
 
 
 def naive_rank(rows):
@@ -507,3 +512,69 @@ def recognize_decided_first(g, c, registry, explain=False):
         return False, len(atoms), exc.detail, None, trace, stats["decisions"]
     report = accepted_report(g, forest, structure, registry)
     return True, roots, None, report, trace, stats["decisions"]
+
+
+# The parser that checked every line in a loop, kept verbatim: the reference
+# that reading a document in bulk must agree with, graph, labels and errors.
+def parse_edge_list(text: str) -> Graph:
+    """Parse an edge-list document.
+
+    Each non-comment line holds one `u v` pair; `#` starts a comment.  With
+    an `n=<count>` header line, vertex ids must already be dense 0-based and
+    isolated vertices are allowed.  Without it, arbitrary integer ids are
+    accepted and remapped in sorted order to 0..n-1, with the originals kept
+    in the label map.  Loops and repeated edges are rejected.
+    """
+    n_header = None
+    raw_edges = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:  # a bare `u v` line, the common case
+            u, v = map(int, line.split())
+        except ValueError:
+            u = None
+        if u is None:
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if body.startswith("n="):
+                if n_header is not None:
+                    raise GraphError(f"line {lineno}: repeated n= header")
+                try:
+                    n_header = int(body[2:])
+                except ValueError:
+                    raise GraphError(f"line {lineno}: bad vertex count {body!r}") from None
+                if n_header < 0:
+                    raise GraphError(f"line {lineno}: negative vertex count")
+                continue
+            toks = body.split()
+            if len(toks) != 2:
+                raise GraphError(f"line {lineno}: expected two vertex ids, got {body!r}")
+            try:
+                u, v = int(toks[0]), int(toks[1])
+            except ValueError:
+                raise GraphError(f"line {lineno}: non-integer vertex id in {body!r}") from None
+        if u == v:
+            raise GraphError(f"line {lineno}: loop at vertex {u}")
+        raw_edges.append((lineno, u, v))
+
+    n, labels = n_header, None
+    if n is None:
+        ids = sorted({u for _, u, v in raw_edges} | {v for _, u, v in raw_edges})
+        remap = {orig: i for i, orig in enumerate(ids)}
+        raw_edges = [(lineno, remap[u], remap[v]) for lineno, u, v in raw_edges]
+        n = len(ids)
+        if ids != list(range(n)):
+            labels = {i: str(orig) for i, orig in enumerate(ids)}
+    # Out-of-range ids anywhere are reported before a duplicate edge.
+    adj = [set() for _ in range(n)]
+    duplicate = None
+    for lineno, u, v in raw_edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"line {lineno}: vertex out of range for n={n}")
+        if v in adj[u] and duplicate is None:
+            duplicate = f"line {lineno}: duplicate edge {(min(u, v), max(u, v))}"
+        adj[u].add(v)
+        adj[v].add(u)
+    if duplicate is not None:
+        raise GraphError(duplicate)
+    return Graph._of_adjacency(adj, labels)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import io
 import json
 import os
 import random
@@ -738,11 +739,30 @@ def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):
         ["gen", "--seed", "1", "--parts", "3", "--order-min", "5", "--order-max", "2"],
         ["cnf", "IN", "--k", "0"],
         ["cnf", "IN", "--k", "9"],
+        # BAD names a file, and stdin holds bytes, that are not UTF-8.
+        ["minrank", "BAD"],
+        ["minrank", "-"],
+        ["recognize", "BAD"],
+        ["recognize", "-"],
+        ["dp", "BAD"],
+        ["dp", "IN", "--structure", "BAD"],
+        ["batch", "BAD"],
+        ["batch", "-"],
+        ["cnf", "BAD", "--k", "1"],
+        ["validate", "BAD", "--structure", "IN"],
+        ["validate", "IN", "--structure", "BAD"],
     ],
 )
-def test_usage_errors_exit_two(tmp_path, capsys, argv):
+def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
     path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
-    argv = [path if a == "IN" else a for a in argv]
+    bad = tmp_path / "bad.edges"
+    bad.write_bytes(b"\xff\xfe\n")
+    # Under Python's UTF-8 mode stdin escapes bytes that do not decode.
+    stdin = io.TextIOWrapper(
+        io.BytesIO(b"\xff\xfe\n"), encoding="utf-8", errors="surrogateescape"
+    )
+    monkeypatch.setattr(sys, "stdin", stdin)
+    argv = [{"IN": path, "BAD": str(bad)}.get(a, a) for a in argv]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error:")

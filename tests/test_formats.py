@@ -30,6 +30,18 @@ def test_emit_matches_reference_encoder():
         assert emit_graph6(g) == oracles.graph6_encode(n, edges)
 
 
+def test_graph6_up_to_order_62_matches_reference_encoder():
+    """Orders past the corpus and the encoder test above, up to the largest
+    the short form holds: emitted as the reference does, and read back."""
+    rng = random.Random(62)
+    for n in [31, 47, 61, 62] + [rng.randint(31, 62) for _ in range(30)]:
+        edges = random_edges(rng, n, rng.choice([0.05, 0.5, 0.95]))
+        g = Graph(n, edges)
+        text = emit_graph6(g)
+        assert text == oracles.graph6_encode(n, edges)
+        assert parse_graph6(text) == g
+
+
 def test_corpus_round_trip(random1000_path):
     count = 0
     for line in Path(random1000_path).read_text().splitlines():
@@ -155,3 +167,85 @@ def test_edge_list_round_trip(example1):
     back = parse_edge_list(text)
     assert back.edges == example1.edges
 
+
+
+def _id_text(draw, value: int) -> str:
+    """A vertex id as int() reads it: plain, or with a sign, a leading zero,
+    an underscore or non-ASCII digits."""
+    style = draw(st.sampled_from(["plain"] * 6 + ["plus", "zero", "underscore", "unicode"]))
+    text = str(abs(value))
+    if style == "plus" and value >= 0:
+        return "+" + text
+    if style == "zero":
+        text = "0" + text
+    elif style == "underscore":
+        text = "0_" + text
+    elif style == "unicode":
+        text = "".join(chr(0xFF10 + int(d)) for d in text)  # fullwidth digits
+    return "-" + text if value < 0 else text
+
+
+@st.composite
+def edge_list_documents(draw):
+    """Documents near the canonical shape `emit_edge_list` writes, and with
+    every kind of departure from it the grammar knows: comments, blank
+    lines, CRLF and tabs, ids spelled other ways, a late, repeated, spaced
+    or missing header, loops, reversed duplicates and out-of-range ids."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    defects = st.sampled_from([None, None, "loop", "duplicate", "range"])
+    for defect in filter(None, draw(st.lists(defects, max_size=2))):
+        u = draw(st.integers(0, max(n - 1, 0)))
+        if defect == "loop":
+            extra = (u, u)
+        elif defect == "duplicate" and edges:
+            x, y = draw(st.sampled_from(edges))
+            extra = (y, x)
+        else:
+            extra = (u, draw(st.sampled_from([n, n + 3, -1])))
+        edges.insert(draw(st.integers(0, len(edges))), extra)
+    plain = draw(st.booleans())
+    lines = []
+    for u, v in edges:
+        if plain:
+            lines.append(f"{u} {v}")
+            continue
+        sep = draw(st.sampled_from([" "] * 4 + ["\t", "  ", " \t "]))
+        line = _id_text(draw, u) + sep + _id_text(draw, v)
+        if draw(st.sampled_from([False] * 9 + [True])):
+            line += draw(st.sampled_from([" # edge", "\t#", "  "]))
+        lines.append(line)
+    header = f"n={n}" if plain else draw(st.sampled_from(
+        [f"n={n}"] * 6 + [f"n= {n}", f"n={n} # order", f"n=0{n}", "n=x", "n=-1", None]
+    ))
+    if header is not None:
+        at = 0 if plain else draw(st.sampled_from([0, 0, 0, len(lines), len(lines) // 2]))
+        lines.insert(at, header)
+        if not plain and draw(st.sampled_from([False] * 9 + [True])):
+            lines.append(header)
+    if not plain:
+        for _ in range(draw(st.integers(0, 2))):
+            filler = draw(st.sampled_from(["", "# comment", "   # note", " \t "]))
+            lines.insert(draw(st.integers(0, len(lines))), filler)
+    newline = "\n" if plain else draw(st.sampled_from(["\n"] * 3 + ["\r\n"]))
+    end = newline if plain or draw(st.sampled_from([True] * 4 + [False])) else ""
+    return newline.join(lines) + end if lines else ""
+
+
+def _parse_outcome(parse, text):
+    try:
+        g = parse(text)
+    except GraphError as exc:
+        return str(exc)
+    return g, g.edges, g.labels
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(edge_list_documents())
+def test_edge_list_matches_line_by_line_reference(text):
+    """Every document reads as the parser that checked it line by line read
+    it: an equal graph with equal labels, or the same error message."""
+    assert _parse_outcome(parse_edge_list, text) == _parse_outcome(
+        oracles.parse_edge_list, text
+    )

@@ -127,6 +127,16 @@ def test_internal_constructor_matches_public_one():
     assert Graph._of_adjacency([set(), set()], {}).labels is None
 
 
+def test_graph_keeps_the_adjacency_sets_it_is_handed():
+    """The internal constructor stores the sets themselves, not copies, and
+    neighbor_set hands out the graph's own set; hashing reads them on
+    demand, equal to a graph built from its edges."""
+    adj = [{1}, {0, 2}, {1}]
+    g = Graph._of_adjacency(adj)
+    assert all(g.neighbor_set(v) is adj[v] for v in range(3))
+    assert g == Graph(3, [(0, 1), (1, 2)]) and hash(g) == hash(Graph(3, [(0, 1), (1, 2)]))
+
+
 def test_induced_subgraph_mapping(example1):
     sub, mapping = example1.induced_subgraph([0, 2, 3])
     assert sub.n == 3
