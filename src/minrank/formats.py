@@ -73,8 +73,10 @@ def _canonical_adjacency(text: str) -> list[set] | None:
     The shape: an `n=<count>` header line, then one `u v` line per edge,
     each of ASCII digits with one space between and a newline after.
     Deleting the digits must leave one space and newline per pair of ids.
-    An id out of range indexes past the sets; a loop adds one entry to
-    them and a repeated edge none, so both show in the sum of their sizes.
+    With the body ending in a newline, the ids then fill every slot before
+    a space or a newline, so no line can lack one.  An id out of range
+    indexes past the sets; a loop adds one entry to them and a repeated
+    edge none, so both show in the sum of their sizes.
     """
     if not (text.startswith("n=") and text.isascii()):
         return None
@@ -82,6 +84,7 @@ def _canonical_adjacency(text: str) -> list[set] | None:
     ids = body.split()
     if not (
         head[2:].isdigit()
+        and (not body or body.endswith(b"\n"))
         and body.translate(None, _DIGITS) == b" \n" * (len(ids) // 2)
     ):
         return None

@@ -10,6 +10,8 @@ from an input file); all algorithms work on the dense ids only.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import GraphError
 
 
@@ -117,37 +119,32 @@ class Graph:
         disc = [-1] * self.n
         low = [0] * self.n
         bridges, atoms, entered = [], [], []
-        clock = 0
+        clock = itertools.count()
         for root in range(self.n):
             if disc[root] != -1:
                 continue
-            disc[root] = low[root] = clock
-            clock += 1
+            disc[root] = low[root] = next(clock)
             stack = [(root, -1, iter(adj[root]), 0)]
             entered.append(root)
             while stack:
                 v, parent, it, start = stack[-1]
-                lv = low[v]  # v's low point while its neighbours are scanned
                 for w in it:
-                    dw = disc[w]
-                    if dw == -1:
-                        low[v] = lv
-                        disc[w] = low[w] = clock
-                        clock += 1
+                    if disc[w] == -1:
+                        disc[w] = low[w] = next(clock)
                         stack.append((w, v, iter(adj[w]), len(entered)))
                         entered.append(w)
                         break
-                    if dw < lv and w != parent:
-                        lv = dw
+                    if w != parent and disc[w] < low[v]:
+                        low[v] = disc[w]
                 else:
                     stack.pop()
-                    if lv == disc[v]:
+                    if low[v] == disc[v]:
                         atoms.append(tuple(sorted(entered[start:])))
                         del entered[start:]
                         if parent != -1:
                             bridges.append((min(parent, v), max(parent, v)))
-                    elif lv < low[parent]:
-                        low[parent] = lv
+                    elif low[v] < low[parent]:
+                        low[parent] = low[v]
         bridges.sort()
         atoms.sort()
         # The atoms and bridges form a forest, one tree per component.

@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minrank import Graph, GraphError, parse_graph6, emit_graph6
 from minrank.formats import parse_edge_list, emit_edge_list
@@ -190,7 +190,8 @@ def edge_list_documents(draw):
     """Documents near the canonical shape `emit_edge_list` writes, and with
     every kind of departure from it the grammar knows: comments, blank
     lines, CRLF and tabs, ids spelled other ways, a late, repeated, spaced
-    or missing header, loops, reversed duplicates and out-of-range ids."""
+    or missing header, loops, reversed duplicates, out-of-range ids, lines
+    with one id and a missing final newline."""
     n = draw(st.integers(0, 9))
     pairs = [(u, v) for v in range(n) for u in range(v)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -216,6 +217,15 @@ def edge_list_documents(draw):
         if draw(st.sampled_from([False] * 9 + [True])):
             line += draw(st.sampled_from([" # edge", "\t#", "  "]))
         lines.append(line)
+    # An edge broken over two lines, each with one id and maybe a space
+    # beside it; at the end of a document without a final newline, its
+    # spaces and newlines fall as a canonical document's do.
+    broken = bool(lines) and draw(st.booleans())
+    if broken:
+        at = draw(st.sampled_from([len(lines) - 1] * 3 + [0]))
+        u, _, v = lines[at].partition(" ")
+        first = draw(st.sampled_from([u + " ", " " + u, u]))
+        lines[at : at + 1] = [first] + draw(st.sampled_from([[v], [v], [" " + v], []]))
     header = f"n={n}" if plain else draw(st.sampled_from(
         [f"n={n}"] * 6 + [f"n= {n}", f"n={n} # order", f"n=0{n}", "n=x", "n=-1", None]
     ))
@@ -229,7 +239,7 @@ def edge_list_documents(draw):
             filler = draw(st.sampled_from(["", "# comment", "   # note", " \t "]))
             lines.insert(draw(st.integers(0, len(lines))), filler)
     newline = "\n" if plain else draw(st.sampled_from(["\n"] * 3 + ["\r\n"]))
-    end = newline if plain or draw(st.sampled_from([True] * 4 + [False])) else ""
+    end = newline if draw(st.sampled_from([True] * (1 if broken else 4) + [False])) else ""
     return newline.join(lines) + end if lines else ""
 
 
@@ -243,6 +253,11 @@ def _parse_outcome(parse, text):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(edge_list_documents())
+# Digits, spaces and newlines as in a canonical document, but a line lacks
+# an id and the last line, with no newline after it, holds the missing one.
+@example("n=3\n1 \n2")
+@example("n=3\n 1\n2")
+@example("n=4\n0 1\n2 \n3")
 def test_edge_list_matches_line_by_line_reference(text):
     """Every document reads as the parser that checked it line by line read
     it: an equal graph with equal labels, or the same error message."""
