@@ -178,7 +178,7 @@ def cmd_minrank(args) -> int:
         lines.append(json.dumps(rec, sort_keys=True))
         if not res.exact:
             worst = max(worst, 3)
-    _write_out("\n".join(lines) + "\n", args.output)
+    _write_out("".join(line + "\n" for line in lines), args.output)
     return worst
 
 
@@ -212,7 +212,7 @@ def cmd_recognize(args) -> int:
         if outcome.member and args.structure_out and not args.components:
             with open(args.structure_out, "w") as fh:
                 fh.write(outcome.structure.to_json())
-    _write_out("\n".join(lines) + "\n", args.output)
+    _write_out("".join(line + "\n" for line in lines), args.output)
     return 0 if all_member else 1
 
 
@@ -274,7 +274,7 @@ def cmd_batch(args) -> int:
             skipped += 1
         else:
             histogram[value] = histogram.get(value, 0) + 1
-    _write_out("\n".join(lines) + "\n", args.output)
+    _write_out("".join(line + "\n" for line in lines), args.output)
     if args.histogram:
         if args.histogram.endswith(".json"):
             payload = {

@@ -39,16 +39,11 @@ class FamilyOracle(ABC):
         means every graph of order k is a member, and implies `glue(True, k)`."""
 
 
-# Branch-and-bound nodes the bounded-order oracle spends on a component
-# before it splits the component at its bridges: most settle within a few
-# hundred, and the split keeps one search from growing with the whole part.
-SPLIT_AFTER_NODES = 1000
-
-
 class BoundedOrderFamily(FamilyOracle):
-    """All graphs on at most `bound` vertices; min-rank via exhaustive search,
-    per component of what a deletion leaves, and only for a component whose
-    bounds (on bitsets over the part's positions) leave a gap."""
+    """All graphs on at most `bound` vertices; min-rank per component of what
+    a deletion leaves.  A component whose bounds (on bitsets over the part's
+    positions) leave a gap is cut at a bridge, and only a bridgeless one
+    goes to exhaustive search."""
 
     def __init__(self, bound: int = 10):
         if bound < 1:
@@ -65,16 +60,7 @@ class BoundedOrderFamily(FamilyOracle):
             return None
         adjacency, memo = (), {}  # on positions in vs: neighbours; component -> mr
 
-        def component(comp: int) -> int:
-            b = greedy_bounds(adjacency, comp)
-            if b.lower == b.upper or independence_number(adjacency, comp) == b.upper:
-                return b.upper
-            sub, _ = g.induced_subgraph([v for i, v in enumerate(vs) if comp >> i & 1])
-            res = minrank_bnb(sub, node_budget=SPLIT_AFTER_NODES)
-            return res.value if res.exact else minrank_across_bridges(sub)
-
         def solve(removed) -> int:
-            # Min-rank adds over components; each is solved once per solver.
             nonlocal adjacency
             if not adjacency:  # the first query
                 pos = {v: i for i, v in enumerate(vs)}
@@ -82,47 +68,41 @@ class BoundedOrderFamily(FamilyOracle):
                     sum(1 << pos[w] for w in g.neighbor_set(v) if w in pos) for v in vs
                 )
             left = ((1 << len(vs)) - 1) & ~sum(1 << i for i in set(removed))
-            total = 0
-            for comp in bit_components(adjacency, left):
-                if comp not in memo:
-                    memo[comp] = component(comp)
-                total += memo[comp]
-            return total
+            return _minrank_on(g, vs, adjacency, memo, left)
 
         return solve
 
 
-def minrank_across_bridges(g: Graph) -> int:
-    """Exact min-rank, with branch and bound run only on bridgeless pieces.
+def _minrank_on(g: Graph, vs, adjacency, memo: dict, mask: int) -> int:
+    """Min-rank of g's subgraph induced on the positions of vertex sequence
+    vs in the bitset `mask`: the sum over its components, each solved once
+    per `memo`.  Module functions, not closures that call each other, carry
+    the recursion, so that no solver is held in a reference cycle."""
+    total = 0
+    for comp in bit_components(adjacency, mask):
+        if comp not in memo:
+            memo[comp] = _component_minrank(g, vs, adjacency, memo, comp)
+        total += memo[comp]
+    return total
 
-    A bridge xy splits g into a side A holding x and a side B holding y,
-    and g is B glued at y to A plus the pendant edge xy.  A pendant vertex
-    and its neighbour together cost one rank unit, so A + xy has min-rank
-    1 + mr(A - x), and A + xy - y is A.  The shared-vertex rule
-    (`exact.combine_shared_vertex`) glues the two sides at y.
-    """
-    memo: dict[frozenset, int] = {frozenset(): 0}
 
-    def solve(vs: frozenset) -> int:
-        if vs in memo:
-            return memo[vs]
-        ids = sorted(vs)
-        sub, _ = g.induced_subgraph(ids)
-        cut = sub.bridge_split()[0]
-        if not cut:
-            memo[vs] = minrank_bnb(sub).value
-            return memo[vs]
-        x, y = cut[0]
-        rest = Graph(sub.n, [e for e in sub.edges if e != (x, y)])
-        side = next(c for c in rest.connected_components() if x in c)
-        a = frozenset(ids[v] for v in side)
-        b = vs - a
-        m_a, m_ax = solve(a), solve(a - {ids[x]})
-        m_b, m_by = solve(b), solve(b - {ids[y]})
-        memo[vs] = combine_shared_vertex(1 + m_ax, m_a, m_b, m_by)
-        return memo[vs]
-
-    return solve(frozenset(range(g.n)))
+def _component_minrank(g: Graph, vs, adjacency, memo: dict, comp: int) -> int:
+    gb = greedy_bounds(adjacency, comp)
+    if gb.lower == gb.upper or independence_number(adjacency, comp) == gb.upper:
+        return gb.upper
+    ids = [i for i in range(len(vs)) if comp >> i & 1]
+    sub, _ = g.induced_subgraph([vs[i] for i in ids])
+    bridges = sub.bridge_split()[0]
+    if not bridges:
+        return minrank_bnb(sub).value
+    # The bridge xy splits comp into a side a holding x and b holding y.
+    x, y = (ids[v] for v in bridges[0])
+    a = next(c for c in bit_components(adjacency, comp ^ 1 << y) if c >> x & 1)
+    b = comp ^ a
+    # A pendant vertex and its neighbour cost one rank unit together, so
+    # a + xy has min-rank 1 + mr(a - x); glue it to b at y.
+    m = [_minrank_on(g, vs, adjacency, memo, s) for s in (a ^ 1 << x, a, b, b ^ 1 << y)]
+    return combine_shared_vertex(1 + m[0], m[1], m[2], m[3])
 
 
 def perfect_elimination_order(g: Graph, vertices=None) -> list[int] | None:

@@ -32,41 +32,6 @@ class SimpleTreeStructure:
                 return i
         raise StructureError("no root part (parent -1) present")
 
-    @classmethod
-    def derive(cls, g: Graph, parts, parent) -> "SimpleTreeStructure":
-        """Build a structure from parts and parent links, reading connectors off g.
-
-        Requires exactly one edge between every child part and its parent.
-        """
-        parts = tuple(tuple(sorted(p)) for p in parts)
-        parent = tuple(parent)
-        part_of = {}
-        for i, p in enumerate(parts):
-            for v in p:
-                part_of[v] = i
-        uc: dict[int, int] = {}
-        dc: dict[int, dict[int, list[int]]] = {}
-        for j, i in enumerate(parent):
-            if i == -1:
-                continue
-            links = [
-                (u, v)
-                for v in parts[j]
-                for u in g.neighbor_set(v)
-                if part_of.get(u) == i
-            ]
-            if len(links) != 1:
-                raise StructureError(
-                    f"parts {i} and {j} joined by {len(links)} edges, need exactly 1"
-                )
-            u, v = links[0]
-            uc[j] = v
-            dc.setdefault(i, {}).setdefault(u, []).append(j)
-        frozen_dc = {
-            i: {u: tuple(sorted(js)) for u, js in m.items()} for i, m in dc.items()
-        }
-        return cls(parts, parent, uc, frozen_dc)
-
     def to_json_dict(self) -> dict:
         return {
             "parts": [list(p) for p in self.parts],
@@ -177,20 +142,19 @@ def validate_structure(
         return StructureReport(False, violations, None, ())
 
     part_of = {v: i for i, p in enumerate(t.parts) for v in p}
-    cross: dict[tuple[int, int], int] = {}
+    cross: dict[tuple[int, int], list[tuple[int, int]]] = {}  # part pair -> edges
     for u, v in g.edges:
         i, j = part_of[u], part_of[v]
         if i != j:
-            pair = (min(i, j), max(i, j))
-            cross[pair] = cross.get(pair, 0) + 1
-    for (i, j), s in sorted(cross.items()):
-        if s > 1:
-            violations.append(("R2", f"parts {i} and {j} joined by {s} edges"))
+            cross.setdefault((min(i, j), max(i, j)), []).append((u, v))
+    for (i, j), edges in sorted(cross.items()):
+        if len(edges) > 1:
+            violations.append(("R2", f"parts {i} and {j} joined by {len(edges)} edges"))
     tree_pairs = {
         (min(i, p), max(i, p)) for i, p in enumerate(t.parent) if p != -1
     }
     for pair in sorted(tree_pairs | set(cross)):
-        s = cross.get(pair, 0)
+        s = len(cross.get(pair, ()))
         if s == 1 and pair not in tree_pairs:
             violations.append(
                 ("R3", f"parts {pair[0]} and {pair[1]} share an edge but are not tree-adjacent")
@@ -211,7 +175,20 @@ def validate_structure(
 
     derived = None
     if not any(rule in ("R2", "R3") for rule, _ in violations):
-        derived = SimpleTreeStructure.derive(g, t.parts, t.parent)
+        # Each child shares one edge with its parent: its uc and a dc of the
+        # parent's, read with the children in ascending order.
+        uc: dict[int, int] = {}
+        dc: dict[int, dict[int, tuple[int, ...]]] = {}
+        for j, i in enumerate(t.parent):
+            if i != -1:
+                ((u, v),) = cross[min(i, j), max(i, j)]
+                if part_of[u] == j:
+                    u, v = v, u
+                uc[j] = v
+                served = dc.setdefault(i, {})
+                served[u] = served.get(u, ()) + (j,)
+        parts = tuple(tuple(sorted(p)) for p in t.parts)
+        derived = SimpleTreeStructure(parts, tuple(t.parent), uc, dc)
         if t.uc and t.uc != derived.uc:
             violations.append(
                 ("connectors", f"stored uc map {t.uc} != derived {derived.uc}")

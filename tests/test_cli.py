@@ -528,6 +528,18 @@ def test_recognize_components_flag(tmp_path, capsys):
     assert all(r["member"] for r in recs)
 
 
+@pytest.mark.parametrize(
+    "text, argv",
+    [("", ["minrank"]), ("", ["batch"]), ("?\n", ["recognize", "--components"])],
+    ids=["minrank-empty-file", "batch-empty-corpus", "recognize-components-n0"],
+)
+def test_no_records_print_nothing(tmp_path, capsys, text, argv):
+    """One JSON line per record: an input that yields none (no graphs, or a
+    graph with no components) prints no line at all, not a blank one."""
+    path = write(tmp_path, "input.g6", text)
+    assert run_cli(capsys, [argv[0], path, *argv[1:]]) == (0, "", "")
+
+
 def test_recognize_explain_payload(tmp_path, capsys):
     path = write(tmp_path, "tt.edges", TWO_TRIANGLES_EDGES)
     code, out, _ = run_cli(capsys, ["recognize", path, "--explain"])

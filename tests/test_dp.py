@@ -20,6 +20,7 @@ from minrank import (
     minrank_bruteforce,
     parse_registry_spec,
     recognize,
+    validate_structure,
 )
 from minrank import dp
 from minrank.dp import combine_shared_vertex, star_merge
@@ -137,8 +138,8 @@ def test_star_merge_matches_bruteforce_realizations():
 
 def two_triangles_instance():
     g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-    t = SimpleTreeStructure.derive(g, [(0, 1, 2), (3, 4, 5)], [-1, 0])
-    return g, t
+    t = SimpleTreeStructure([(0, 1, 2), (3, 4, 5)], [-1, 0])
+    return g, validate_structure(g, t, default_registry()).structure
 
 
 def test_two_triangles_joined_by_edge():
@@ -152,7 +153,8 @@ def test_two_triangles_joined_by_edge():
 
 def test_single_part_degenerates_to_family_oracle():
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    t = SimpleTreeStructure.derive(g, [(0, 1, 2, 3)], [-1])
+    t = SimpleTreeStructure([(0, 1, 2, 3)], [-1])
+    t = validate_structure(g, t, default_registry()).structure
     assert dp_minrank(g, t, default_registry()).value == 2
 
 
@@ -162,9 +164,8 @@ def test_dp_handles_connector_coincidence():
         7,
         [(0, 1), (0, 2), (1, 2), (3, 4), (5, 6), (0, 3), (3, 5)],
     )
-    t = SimpleTreeStructure.derive(
-        g, [(0, 1, 2), (3, 4), (5, 6)], [-1, 0, 1]
-    )
+    t = SimpleTreeStructure([(0, 1, 2), (3, 4), (5, 6)], [-1, 0, 1])
+    t = validate_structure(g, t, default_registry()).structure
     assert t.uc[1] == 3 and 3 in t.dc[1]  # the coincidence is real
     res = dp_minrank(g, t, default_registry())
     assert res.value == minrank_bruteforce(g).value
@@ -213,9 +214,8 @@ def test_dp_subset_budget(monkeypatch):
     g = Graph(
         6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)]
     )
-    t = SimpleTreeStructure.derive(
-        g, [(0, 1, 2), (3,), (4,), (5,)], [-1, 0, 0, 0]
-    )
+    t = SimpleTreeStructure([(0, 1, 2), (3,), (4,), (5,)], [-1, 0, 0, 0])
+    t = validate_structure(g, t, default_registry()).structure
     assert dp_minrank(g, t, default_registry()).value == minrank_bruteforce(g).value
     monkeypatch.setattr(dp, "MAX_SUBSETS", 4)
     with pytest.raises(BudgetExceededError):

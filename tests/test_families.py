@@ -1,7 +1,10 @@
 """Family oracles: chordal recognition and per-family min-rank."""
 
+import gc
+import inspect
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -16,11 +19,8 @@ from minrank import (
 )
 from minrank import families
 from minrank.exact import minrank_bnb
-from minrank.families import (
-    BoundedOrderFamily,
-    minrank_across_bridges,
-    perfect_elimination_order,
-)
+from minrank.families import BoundedOrderFamily, perfect_elimination_order
+from minrank.formats import parse_graph6
 from minrank.generator import random_connected_chordal
 from conftest import random_edges, random_graph_in_budget
 import oracles
@@ -276,18 +276,14 @@ def test_glue_contract(family):
             assert family.solver(g) is not None, (k, g.edges)
 
 
-@pytest.mark.parametrize("split_after", [1000, 0])
-def test_bounded_solver_matches_bruteforce_on_deletions(monkeypatch, split_after):
+def test_bounded_solver_matches_bruteforce_on_deletions():
     """Parts of up to 8 vertices of random host graphs, listed in random
     order: for every set of at most 3 deleted positions, the solver gives
-    the brute-force min-rank of the part minus those vertices.  With no
-    branch-and-bound nodes before the split, every query that needs a
-    search goes through `minrank_across_bridges`."""
-    monkeypatch.setattr(families, "SPLIT_AFTER_NODES", split_after)
-    rng = random.Random(506 + split_after)
+    the brute-force min-rank of the part minus those vertices."""
+    rng = random.Random(506)
     fam = BoundedOrderFamily(8)
     checked = 0
-    while checked < 30:
+    while checked < 60:
         n = rng.randint(1, 14)
         g = Graph(n, random_edges(rng, n, rng.choice([0.15, 0.3, 0.5])))
         part = rng.sample(range(n), rng.randint(1, min(8, n)))
@@ -379,11 +375,22 @@ def test_bounded_solver_searches_only_components_with_a_gap(monkeypatch):
 # A vertex with three pendant leaves bridged to a bridgeless 6-vertex piece,
 # and a 5-cycle joined by one bridge to a 5-vertex piece: parts of order 10
 # that dp_minrank hands to the bounded-order oracle on generated members.
+# Then, in graph6, the bridged parts of the benchmark's tree inputs (seeds
+# 1-10) on which a plain branch and bound runs past 1,000 nodes.
 BRIDGED_PARTS = [
-    (10, [(0, 1), (0, 2), (0, 3), (0, 8), (4, 5), (4, 7), (4, 8), (4, 9),
-          (5, 6), (5, 8), (6, 7), (7, 8), (7, 9), (8, 9)], 5),
-    (10, [(0, 1), (0, 3), (1, 2), (2, 4), (2, 7), (3, 4), (5, 6), (5, 7),
-          (5, 8), (5, 9), (6, 7), (7, 8), (7, 9)], 6),
+    (Graph(10, [(0, 1), (0, 2), (0, 3), (0, 8), (4, 5), (4, 7), (4, 8), (4, 9),
+                (5, 6), (5, 8), (6, 7), (7, 8), (7, 9), (8, 9)]), 5),
+    (Graph(10, [(0, 1), (0, 3), (1, 2), (2, 4), (2, 7), (3, 4), (5, 6), (5, 7),
+                (5, 8), (5, 9), (6, 7), (7, 8), (7, 9)]), 6),
+] + [
+    (parse_graph6(text), want)
+    for want, texts in (
+        (5, "HkCG_sU GgD?gW I]iWACB?o IbgOGGD@o HbgOGKE I}sO?KC?g I|W_GGA?W "
+            "H|GGOGB HpCOwGH IpSOGKF?O GW?gog HLo?G?V I|_GGKLB_ IvOw_?@AW HuL_?E@"),
+        (6, "HF??gWI IkK?HKD@O"),
+        (4, "FbhoG FqkwO"),
+    )
+    for text in texts.split()
 ]
 
 
@@ -400,27 +407,79 @@ def _bridged_graph(rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
-def test_minrank_across_bridges_matches_bnb():
+def test_bounded_solver_cut_at_bridges_matches_bnb():
     rng = random.Random(504)
     for _ in range(150):
         g = _bridged_graph(rng) if rng.random() < 0.7 else random_graph_in_budget(
             rng, 9, edge_cap=16
         )
-        assert minrank_across_bridges(g) == minrank_bnb(g).value, g.edges
-    for n, edges, want in BRIDGED_PARTS:
-        g = Graph(n, edges)
-        assert minrank_across_bridges(g) == want
-        assert BoundedOrderFamily(10).solver(g)(()) == want
+        want = minrank_bnb(g).value
+        assert BoundedOrderFamily(max(g.n, 1)).solver(g)(()) == want, g.edges
 
 
-def test_minrank_across_bridges_matches_bruteforce():
+def test_bounded_solver_cut_at_bridges_matches_bruteforce():
     rng = random.Random(505)
     checked = 0
     while checked < 40:
         g = _bridged_graph(rng)
         if 2 * g.edge_count <= 18:
-            assert minrank_across_bridges(g) == minrank_bruteforce(g).value
+            want = minrank_bruteforce(g).value
+            assert BoundedOrderFamily(max(g.n, 1)).solver(g)(()) == want, g.edges
             checked += 1
+
+
+def test_bounded_solver_on_bridged_parts():
+    """Every deletion of at most 2 positions from each bridged part: the
+    solver agrees with branch and bound on the whole of what is left."""
+    assert len(BRIDGED_PARTS) == 21
+    for g, want in BRIDGED_PARTS:
+        solve = BoundedOrderFamily(10).solver(g)
+        assert solve(()) == want, g.edges
+        for r in (1, 2):
+            for removed in itertools.combinations(range(g.n), r):
+                sub = g.induced_subgraph([v for v in range(g.n) if v not in removed])[0]
+                assert solve(removed) == minrank_bnb(sub).value, (g.edges, removed)
+
+
+def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
+    """A component with a gap is cut at a bridge: every graph that branch
+    and bound is given has none."""
+    searched = []
+    real_bnb = families.minrank_bnb
+
+    def bridgeless_bnb(g, *args, **kwargs):
+        assert not g.bridge_split()[0], g.edges
+        searched.append(g.n)
+        return real_bnb(g, *args, **kwargs)
+
+    monkeypatch.setattr(families, "minrank_bnb", bridgeless_bnb)
+    rng = random.Random(508)
+    for _ in range(150):
+        g = _bridged_graph(rng)
+        solve = BoundedOrderFamily(g.n).solver(g)
+        for removed in [(), *((v,) for v in range(g.n))]:
+            solve(removed)
+    for g, want in BRIDGED_PARTS:
+        assert BoundedOrderFamily(10).solver(g)(()) == want
+    assert searched
+
+
+def test_dropped_bounded_solver_leaves_no_cycle():
+    """Solvers that have cut components at their bridges are freed by
+    reference counting alone once dropped, so the solvers of a large part
+    tree do not pile up waiting for the cyclic collector: with it off, no
+    function a solver holds outlives it."""
+    gc.disable()
+    try:
+        for g, want in BRIDGED_PARTS:
+            solve = BoundedOrderFamily(10).solver(g)
+            assert solve(()) == want
+            held = [solve] + [c.cell_contents for c in solve.__closure__]
+            refs = [weakref.ref(f) for f in held if inspect.isfunction(f)]
+            del solve, held
+            assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_registry_first_match_wins():

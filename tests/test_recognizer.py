@@ -639,23 +639,26 @@ def test_auto_solve_validates_nothing(monkeypatch):
 
 def test_recognize_derives_no_structure(monkeypatch):
     """Recognition reads the connectors of the structure it accepts off the
-    bridges that merging kept: no structure is derived from the graph."""
+    bridges that merging kept: no structure is validated, which is where
+    connectors are otherwise read off the graph."""
     calls = []
-    real = SimpleTreeStructure.derive.__func__
 
-    def counted(cls, *args):
+    def counted(*args):
         calls.append(args)
-        return real(cls, *args)
+        return validate_structure(*args)
 
+    reg = default_registry()
     for seed, profile in ((5, "mixed"), (0, "chordal")):
         g, _ = generate_member(seed, 40, 2, profile=profile)
-        monkeypatch.setattr(SimpleTreeStructure, "derive", classmethod(counted))
-        out = recognize(g, 2, default_registry())
+        for name, module in list(sys.modules.items()):
+            if name.startswith("minrank") and hasattr(module, "validate_structure"):
+                monkeypatch.setattr(module, "validate_structure", counted)
+        out = recognize(g, 2, reg)
         monkeypatch.undo()
         assert out.member and len(out.structure.parts) < out.stats["atoms"]
         assert calls == []
-        want = SimpleTreeStructure.derive(g, out.structure.parts, out.structure.parent)
-        assert out.structure == want
+        bare = SimpleTreeStructure(out.structure.parts, out.structure.parent)
+        assert out.structure == validate_structure(g, bare, reg).structure
 
 
 def test_connected_auto_solve_searches_the_graph_once(monkeypatch):

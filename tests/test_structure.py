@@ -16,10 +16,16 @@ from minrank import (
 from minrank.structure import structure_to_dot
 
 
+def derived(g, parts, parent):
+    """The structure on `parts` and `parent`, with the connectors that
+    validation reads off g."""
+    t = SimpleTreeStructure(parts, parent)
+    return validate_structure(g, t, default_registry()).structure
+
+
 def two_triangles():
     g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
-    t = SimpleTreeStructure.derive(g, [(0, 1, 2), (3, 4, 5)], [-1, 0])
-    return g, t
+    return g, derived(g, [(0, 1, 2), (3, 4, 5)], [-1, 0])
 
 
 def test_derive_reads_connectors():
@@ -29,12 +35,6 @@ def test_derive_reads_connectors():
     assert t.uc == {1: 3}
     assert t.dc == {0: {2: (1,)}}
     assert 1 not in t.parent and t.parts[1] == (3, 4, 5)  # a leaf holding 3..5
-
-
-def test_derive_requires_single_link():
-    g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])  # two edges cross the cut
-    with pytest.raises(StructureError, match="2 edges"):
-        SimpleTreeStructure.derive(g, [(0, 1), (2, 3)], [-1, 0])
 
 
 def test_validate_good_structure():
@@ -49,13 +49,11 @@ def test_validate_good_structure():
 def test_mdc_counts_distinct_vertices():
     # one hub vertex serving two children counts once
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-    star_two = SimpleTreeStructure.derive(
-        g, [(0, 1), (2,), (3,), (4,)], [-1, 0, 0, 0]
-    )
+    star_two = derived(g, [(0, 1), (2,), (3,), (4,)], [-1, 0, 0, 0])
     assert mdc(star_two) == 1
     # distinct serving vertices count separately
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    t = SimpleTreeStructure.derive(path, [(1, 2), (0,), (3,)], [-1, 0, 0])
+    t = derived(path, [(1, 2), (0,), (3,)], [-1, 0, 0])
     assert mdc(t) == 2
 
 
@@ -67,12 +65,6 @@ def test_json_round_trip():
         SimpleTreeStructure.from_json("{not json")
     with pytest.raises(StructureError):
         SimpleTreeStructure.from_json('{"parts": 3}')
-
-
-def violations_of(g, parts, parent, registry=None):
-    t = SimpleTreeStructure.derive(g, parts, parent)
-    report = validate_structure(g, t, registry or default_registry())
-    return [rule for rule, _ in report.violations]
 
 
 def test_validate_flags_partition_problems():
@@ -163,7 +155,7 @@ def test_validate_returns_derived_structure():
 def test_validate_flags_unregistered_part():
     g, _ = two_triangles()
     registry = parse_registry_spec("bounded:2")  # triangles are too big
-    t = SimpleTreeStructure.derive(g, [(0, 1, 2), (3, 4, 5)], [-1, 0])
+    t = derived(g, [(0, 1, 2), (3, 4, 5)], [-1, 0])
     report = validate_structure(g, t, registry)
     assert not report.valid
     assert any(rule == "R1" for rule, _ in report.violations)
