@@ -18,7 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from .cnf import emit_cnf, minrank_via_cnf, run_solver
 from .dp import dp_fold, dp_minrank
 from .errors import BudgetExceededError, GraphError, StructureError
-from .exact import MinrankResult, minrank_bnb, minrank_bruteforce
+from .exact import (
+    MinrankResult, component_subgraphs, minrank_bnb, minrank_bruteforce,
+    minrank_components,
+)
 from .families import default_registry, parse_registry_spec
 from .formats import emit_edge_list, emit_graph6, parse_edge_list, parse_graph6
 from .generator import generate_member
@@ -118,8 +121,8 @@ def solve_graph(
 
     Auto mode splits into components and, per component: use the
     tree-of-parts program when recognition succeeds, otherwise branch and
-    bound, falling back to an external SAT solver only when branch and
-    bound gave up inexactly.
+    bound on the component's vertex bitset, falling back to an external
+    SAT solver only when branch and bound gave up inexactly.
     """
     if method == "brute":
         return minrank_bruteforce(g)
@@ -131,25 +134,23 @@ def solve_graph(
         return minrank_via_cnf(g, sat_solver)
     if method == "dp":
         raise GraphError("method dp needs the dp subcommand or --structure")
-    # auto: one search finds the components, bridges and atoms
+
+    def solve(sub: Graph, mask: int | None = None, cut=None) -> MinrankResult:
+        """Auto on g's component sub, at vertex bitset `mask` (None: all of g)."""
+        if sub.n and registry is not None:
+            outcome = recognize(sub, c, registry, cut=cut)
+            if outcome.member:
+                return dp_fold(outcome.report, trace=trace)
+        res = minrank_bnb(g, node_budget, mask)
+        if not res.exact and sat_solver:
+            return minrank_via_cnf(sub, sat_solver)
+        return res
+
+    # auto: one search finds the bridges and atoms, and whether g is connected
     cut = g.bridge_split()
     if g.n and not cut[2]:
-        from .exact import minrank_components
-
-        return minrank_components(
-            g,
-            lambda sub: solve_graph(
-                sub, "auto", c, registry, sat_solver, node_budget, trace=trace
-            ),
-        )
-    if g.n and registry is not None:
-        outcome = recognize(g, c, registry, cut=cut)
-        if outcome.member:
-            return dp_fold(outcome.report, trace=trace)
-    res = minrank_bnb(g, node_budget)
-    if not res.exact and sat_solver:
-        return minrank_via_cnf(g, sat_solver)
-    return res
+        return minrank_components(g, solve)
+    return solve(g, cut=cut)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -183,12 +184,10 @@ def cmd_minrank(args) -> int:
 
 
 def cmd_recognize(args) -> int:
+    if args.components and args.structure_out:
+        raise GraphError("--structure-out takes one structure, not one per component")
     g = _one_graph(args, "recognize")
-    targets = (
-        [g.induced_subgraph(comp)[0] for comp in g.connected_components()]
-        if args.components
-        else [g]
-    )
+    targets = [sub for _, sub in component_subgraphs(g)] if args.components else [g]
     lines = []
     all_member = True
     for idx, piece in enumerate(targets):
@@ -209,7 +208,7 @@ def cmd_recognize(args) -> int:
             rec["explain"] = outcome.stats["explain"]
         lines.append(json.dumps(_with_labels(rec, piece), sort_keys=True))
         all_member = all_member and outcome.member
-        if outcome.member and args.structure_out and not args.components:
+        if outcome.member and args.structure_out:
             with open(args.structure_out, "w") as fh:
                 fh.write(outcome.structure.to_json())
     _write_out("".join(line + "\n" for line in lines), args.output)
@@ -252,6 +251,8 @@ def _batch_worker(payload):
 
 
 def cmd_batch(args) -> int:
+    if args.jobs < 1:
+        raise GraphError(f"--jobs must be at least 1, got {args.jobs}")
     text = read_input(args.corpus)
     jobs = [
         (idx, line.strip(), args.method, args.registry, args.c, args.node_budget)

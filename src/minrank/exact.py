@@ -9,7 +9,8 @@ lists every row of every vertex; branch and bound finds a vertex's first
 spanned row by elimination and lists its other rows only as far as the
 search gets.  Before it branches, branch and bound splits a join into its
 co-components and tries to close the gap between the independence number
-and the clique-cover number outright.
+and the clique-cover number outright.  It solves a part of a graph on the
+graph's neighbour bitsets and the part's vertex bitset, never on a copy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
-from .gf2 import BitMatrix, rank_gf2, reduce_row
+from .gf2 import BitMatrix, fits, rank_gf2, reduce_row
 from .graph import Graph
 
 BRUTE_FORCE_BIT_BUDGET = 24
@@ -70,26 +71,11 @@ def greedy_bounds(adjacency, mask: int) -> Bounds:
     return Bounds(len(chosen), len(cliques), tuple(chosen), tuple(cliques))
 
 
-def clique_cover_matrix(g: Graph, cliques) -> BitMatrix:
-    """Fitting matrix whose rank equals the number of cover cliques.
-
-    Every vertex row is the indicator of its clique; indicators of disjoint
-    cliques are independent, so the rank is exactly the clique count.
-    """
-    rows = [0] * g.n
-    for clique in cliques:
-        mask = 0
-        for v in clique:
-            mask |= 1 << v
-        for v in clique:
-            rows[v] = mask
-    return BitMatrix(g.n, g.n, tuple(rows))
-
-
 def exact_clique_cover(
-    g: Graph, lower: int, cliques, node_budget: int | None
+    adjacency, mask: int, lower: int, cliques, node_budget: int | None
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Fewest cliques partitioning the vertices, and the search nodes spent.
+    """Fewest cliques partitioning the vertex bitset `mask`, over per-vertex
+    neighbour bitsets `adjacency`, and the search nodes spent.
 
     Branch and bound in DSATUR order, which is DSATUR colouring of the
     complement: each node places the uncovered vertex that can join the
@@ -99,60 +85,50 @@ def exact_clique_cover(
     the independence number) or after `node_budget` nodes; the best cover
     found is returned either way.
     """
-    adjacency = g.adjacency_bits()
-    best = [sum(1 << v for v in clique) for clique in cliques]
-    classes: list[int] = []  # the cliques being built, as vertex bitsets
-    common: list[int] = []  # common[c]: vertices adjacent to all of classes[c]
-    nodes = 0
-
-    def extend(left: int) -> bool:
-        """Cover the vertices `left`; True once the search should stop."""
-        nonlocal best, nodes
-        if not left:
-            best = list(classes)
-            return len(best) <= lower
-        if len(classes) >= len(best):
-            return False
-        if node_budget is not None and nodes >= node_budget:
-            return True
-        nodes += 1
-        v = min(
-            _iter_bits(left),
-            key=lambda u: (
-                sum(c >> u & 1 for c in common),
-                (adjacency[u] & left).bit_count(),
-            ),
-        )
-        bit = 1 << v
-        for c, members in enumerate(common):
-            if members & bit:
-                classes[c] |= bit
-                common[c] &= adjacency[v]
-                stop = extend(left ^ bit)
-                classes[c] ^= bit
-                common[c] = members
-                if stop:
-                    return True
-        if len(classes) + 1 < len(best):
-            classes.append(bit)
-            common.append(adjacency[v])
-            stop = extend(left ^ bit)
-            classes.pop()
-            common.pop()
-            return stop
-        return False
-
-    if len(best) > lower:
-        extend((1 << g.n) - 1)
+    search = [[sum(1 << v for v in clique) for clique in cliques], 0]
+    if len(search[0]) > lower:
+        _cover(adjacency, lower, node_budget, search, [], [], mask)
+    best, nodes = search
     return tuple(tuple(_iter_bits(clique)) for clique in best), nodes
 
 
-def co_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the complement's components, each sorted, ordered by
-    minimum vertex."""
-    full = (1 << g.n) - 1
-    flip = [full ^ bits ^ (1 << v) for v, bits in enumerate(g.adjacency_bits())]
-    return [list(_iter_bits(part)) for part in bit_components(flip, full)]
+def _cover(adjacency, lower, budget, search, classes, common, left) -> bool:
+    """Cover `left` given the cliques built, `classes`, and the vertices
+    adjacent to all of each, `common`; `search` holds the best cover and the
+    nodes spent.  True once `exact_clique_cover`'s search should stop."""
+    if not left:
+        search[0] = list(classes)
+        return len(classes) <= lower
+    if len(classes) >= len(search[0]):
+        return False
+    if budget is not None and search[1] >= budget:
+        return True
+    search[1] += 1
+    v = min(
+        _iter_bits(left),
+        key=lambda u: (
+            sum(c >> u & 1 for c in common),
+            (adjacency[u] & left).bit_count(),
+        ),
+    )
+    bit = 1 << v
+    for c, members in enumerate(common):
+        if members & bit:
+            classes[c] |= bit
+            common[c] &= adjacency[v]
+            stop = _cover(adjacency, lower, budget, search, classes, common, left ^ bit)
+            classes[c] ^= bit
+            common[c] = members
+            if stop:
+                return True
+    if len(classes) + 1 < len(search[0]):
+        classes.append(bit)
+        common.append(adjacency[v])
+        stop = _cover(adjacency, lower, budget, search, classes, common, left ^ bit)
+        classes.pop()
+        common.pop()
+        return stop
+    return False
 
 
 def bit_components(adjacency, mask: int) -> list[int]:
@@ -174,48 +150,44 @@ def bit_components(adjacency, mask: int) -> list[int]:
     return parts
 
 
-def _row_choices(g: Graph, v: int):
-    """Yield every admissible row for vertex v: unit bit plus any neighbor subset."""
+def _row_choices(v: int, neighbours: int):
+    """Yield every admissible row for vertex v: unit bit plus any subset of
+    the neighbour bitset `neighbours`."""
     base = 1 << v
-    mask = g.adjacency_bits()[v]
     sub = 0
     while True:
         yield base | sub
-        if sub == mask:
+        if sub == neighbours:
             break
-        sub = (sub - mask) & mask
-
-
-def exact_independence_number(g: Graph) -> int:
-    """Maximum independent set size by branch and bound on vertex bitsets."""
-    return independence_number(g.adjacency_bits(), (1 << g.n) - 1)
+        sub = (sub - neighbours) & neighbours
 
 
 def independence_number(adjacency, mask: int) -> int:
-    """`exact_independence_number` of the subgraph induced on the vertex
-    bitset `mask`, over per-vertex neighbour bitsets `adjacency`."""
+    """Maximum independent set size of the subgraph induced on the vertex
+    bitset `mask`, over per-vertex neighbour bitsets `adjacency`: branch and
+    bound, depth first on a stack of (vertices left, vertices taken)."""
     best = 0
-
-    def grow(avail: int, size: int) -> None:
-        nonlocal best
+    stack = [(mask, 0)]
+    while stack:
+        avail, size = stack.pop()
         if size + avail.bit_count() <= best:
-            return
+            continue
         if avail == 0:
             best = size  # more than best, by the test above
-            return
+            continue
         # A vertex with at most one neighbour left is in some largest set:
-        # take it.  Else skip or take the lowest vertex of highest degree.
+        # take it.  Else skip, then take, the lowest vertex of highest degree.
         v, top = 0, -1
         for u in _iter_bits(avail):
             degree = (adjacency[u] & avail).bit_count()
             if degree <= 1:
-                return grow(avail & ~adjacency[u] & ~(1 << u), size + 1)
+                stack.append((avail & ~adjacency[u] & ~(1 << u), size + 1))
+                break
             if degree > top:
                 v, top = u, degree
-        grow(avail & ~(1 << v), size)
-        grow(avail & ~adjacency[v] & ~(1 << v), size + 1)
-
-    grow(mask, 0)
+        else:
+            stack.append((avail & ~adjacency[v] & ~(1 << v), size + 1))
+            stack.append((avail & ~(1 << v), size))
     return best
 
 
@@ -241,45 +213,41 @@ def minrank_bruteforce(g: Graph, budget_bits: int = BRUTE_FORCE_BIT_BUDGET) -> M
             f"brute force needs 2^{free_bits} matrices; budget is 2|E| <= {budget_bits}"
         )
     n = g.n
-    choices = [list(_row_choices(g, v)) for v in range(n)]
-    chosen = [0] * n
-    best_value = n + 1
-    best_rows: tuple[int, ...] = ()
-    pivots: dict[int, int] = {}
-    visited = 0
-
-    def walk(i: int) -> None:
-        nonlocal best_value, best_rows, visited
-        visited += 1
-        if i == n:
-            if len(pivots) < best_value:
-                best_value = len(pivots)
-                best_rows = tuple(chosen)
-            return
-        for cand in choices[i]:
-            chosen[i] = cand
-            x = reduce_row(pivots, cand)
-            if x:
-                top = x.bit_length() - 1
-                pivots[top] = x
-                walk(i + 1)
-                del pivots[top]
-            else:
-                walk(i + 1)
-
+    adjacency = g.adjacency_bits()
+    choices = [list(_row_choices(v, adjacency[v])) for v in range(n)]
+    best = [n + 1, ()]
     start = time.perf_counter()
-    walk(0)
-    witness = BitMatrix(n, n, best_rows)
+    visited = _walk(choices, [0] * n, {}, 0, best)
     return MinrankResult(
-        value=best_value if n else 0,
+        value=best[0],
         method="brute",
-        witness=witness,
+        witness=BitMatrix(n, n, best[1]),
         stats={
             "free_bits": free_bits,
             "nodes": visited,
             "elapsed": time.perf_counter() - start,
         },
     )
+
+
+def _walk(choices, chosen: list, pivots: dict, i: int, best: list) -> int:
+    """Visit every choice of the rows from i on in `minrank_bruteforce`'s
+    enumeration, keeping the least rank found and its rows in `best`;
+    returns the nodes visited."""
+    if i == len(choices):
+        if len(pivots) < best[0]:
+            best[:] = len(pivots), tuple(chosen)
+        return 1
+    visited = 1
+    for cand in choices[i]:
+        chosen[i] = cand
+        x = reduce_row(pivots, cand)
+        if x:
+            pivots[x.bit_length() - 1] = x
+        visited += _walk(choices, chosen, pivots, i + 1, best)
+        if x:
+            del pivots[x.bit_length() - 1]
+    return visited
 
 
 def _first_spanned_row(pivots: dict[int, int], v: int, mask: int) -> int | None:
@@ -314,54 +282,65 @@ def _first_spanned_row(pivots: dict[int, int], v: int, mask: int) -> int | None:
     return None if x else combo
 
 
-def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
-    """Branch-and-bound on one connected graph.
+def _bnb_connected(
+    adjacency, mask: int, node_budget: int | None, bounds=None
+) -> MinrankResult:
+    """Branch-and-bound on the connected subgraph induced on the vertex
+    bitset `mask`, over per-vertex neighbour bitsets `adjacency`.
 
-    The bounds come first: the greedy ones and, up to 40 vertices when they
-    leave a gap, the exact independence number.  If a gap remains at that
-    size, a join is split into its co-components, and otherwise the exact
-    clique cover becomes the incumbent; the search runs only if that still
-    leaves a gap.
+    The bounds come first: `bounds`, a lower bound and a clique cover, when
+    the caller has them; else the greedy ones and, up to 40 vertices when
+    they leave a gap, the exact independence number.  If a gap remains at
+    that size, a join is split into its co-components, and otherwise the
+    exact clique cover becomes the incumbent; the search runs only if that
+    still leaves a gap.
     """
     start = time.perf_counter()
-    bounds = sandwich_bounds(g)
-    lower = bounds.lower
-    cliques = bounds.cliques
+    n = mask.bit_count()
+    if bounds is None:
+        greedy = greedy_bounds(adjacency, mask)
+        lower, cliques = greedy.lower, greedy.cliques
+        if n <= 40 and lower < greedy.upper:
+            # The exact independence number is cheap at this size and lets
+            # the search stop as soon as it matches the incumbent; when the
+            # greedy bounds meet, it is squeezed to their value already.
+            lower = independence_number(adjacency, mask)
+    else:
+        lower, cliques = bounds
     cover_nodes = 0
-    if g.n <= 40 and lower < bounds.upper:
-        # The exact independence number is cheap at this size and lets the
-        # search stop as soon as it matches the incumbent; when the greedy
-        # bounds meet, it is squeezed to their value already.
-        lower = max(lower, exact_independence_number(g))
-        if lower < bounds.upper:
-            parts = co_components(g)
-            if len(parts) > 1:
-                return _combine_components(
-                    g, parts, lambda sub: minrank_bnb(sub, node_budget), "bnb",
-                    join=True,
-                )
-            cliques, cover_nodes = exact_clique_cover(
-                g, lower, cliques, node_budget
+    if n <= 40 and lower < len(cliques):
+        # In the complement a vertex reaches the non-neighbours left in mask.
+        flip = {v: ~adjacency[v] for v in _iter_bits(mask)}
+        parts = bit_components(flip, mask)
+        if len(parts) > 1:
+            return _combine_components(
+                len(adjacency), parts,
+                lambda part: _bnb_on(adjacency, part, node_budget), "bnb", join=True,
             )
-    cover = clique_cover_matrix(g, cliques)
+        cliques, cover_nodes = exact_clique_cover(
+            adjacency, mask, lower, cliques, node_budget
+        )
+    # The incumbent: each row is its cover clique's indicator, and disjoint
+    # cliques' indicators are independent, so the rank is the clique count.
+    best_rows = {}
+    for clique in cliques:
+        best_rows.update(dict.fromkeys(clique, sum(1 << v for v in clique)))
     stats = {"lower": lower, "upper_init": len(cliques), "nodes": 0, "rows": 0,
              "cover_nodes": cover_nodes}
     if lower == len(cliques):
         stats["elapsed"] = time.perf_counter() - start
-        return MinrankResult(lower, "bnb", cover, True, stats)
+        return MinrankResult(lower, "bnb", _witness(len(adjacency), best_rows), True, stats)
 
+    local = {v: adjacency[v] & mask for v in _iter_bits(mask)}
     # Assign rows in descending-degree order; ties go to the smaller id.
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    n = g.n
-    adjacency = g.adjacency_bits()
-    closed = [bits | (1 << v) for v, bits in enumerate(adjacency)]
+    order = sorted(local, key=lambda v: (-local[v].bit_count(), v))
+    closed = {v: bits | (1 << v) for v, bits in local.items()}
     # unassigned[i]: the vertices order[i:], as a bitset.
     unassigned = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         unassigned[i] = unassigned[i + 1] | (1 << order[i])
     best_value = len(cliques)
-    best_rows = list(cover.data)
-    chosen = [0] * n
+    chosen: dict[int, int] = {}
     pivots: dict[int, int] = {}
     nodes = 0
     rows = 0
@@ -391,12 +370,12 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
         """
         nonlocal rows
         v = order[i]
-        row = _first_spanned_row(pivots, v, adjacency[v])
+        row = _first_spanned_row(pivots, v, local[v])
         if row is not None:
             chosen[v] = row
             yield support | row
         seen = set()
-        for cand in _row_choices(g, v):
+        for cand in _row_choices(v, local[v]):
             rows += 1
             x = reduce_row(pivots, cand)
             if x and x not in seen:
@@ -426,7 +405,7 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
                 stack.append(branches(i, support))
             else:
                 best_value = len(pivots)
-                best_rows = list(chosen)
+                best_rows = dict(chosen)
                 if best_value == lower:
                     break
         # Go on to the next branch of the deepest node that has one left.
@@ -441,54 +420,85 @@ def _bnb_connected(g: Graph, node_budget: int | None) -> MinrankResult:
     stats["nodes"] = nodes
     stats["rows"] = rows
     stats["elapsed"] = time.perf_counter() - start
-    witness = BitMatrix(n, n, tuple(best_rows))
+    witness = _witness(len(adjacency), best_rows)
     return MinrankResult(best_value, "bnb", witness, exact, stats)
 
 
-def minrank_bnb(g: Graph, node_budget: int | None = None) -> MinrankResult:
-    """Exact min-rank by branch and bound.
+def _witness(cols: int, rows: dict[int, int]) -> BitMatrix:
+    """A part's witness: the rows of its vertices, ascending, over `cols`
+    columns."""
+    return BitMatrix(len(rows), cols, tuple(rows[v] for v in sorted(rows)))
 
-    Disconnected inputs are solved per component and the block-diagonal
-    witness reassembled, since min-rank is additive over components.  When
-    the node budget runs out the incumbent is returned with `exact=False`
-    and a bound interval in `stats`.
+
+def minrank_bnb(
+    g: Graph, node_budget: int | None = None, mask: int | None = None
+) -> MinrankResult:
+    """Exact min-rank by branch and bound of g, or of its subgraph induced
+    on the vertex bitset `mask`, whose vertices' rows over g's columns make
+    the witness.
+
+    Disconnected inputs are solved per component, since min-rank is
+    additive over components.  When the node budget runs out the incumbent
+    is returned with `exact=False` and a bound interval in `stats`.
     """
-    comps = g.connected_components()
+    full = (1 << g.n) - 1
+    return _bnb_on(g.adjacency_bits(), full if mask is None else mask, node_budget)
+
+
+def _bnb_on(adjacency, mask: int, node_budget: int | None) -> MinrankResult:
+    """`minrank_bnb` of the subgraph induced on the vertex bitset `mask`."""
+    comps = bit_components(adjacency, mask)
     if len(comps) <= 1:
-        return _bnb_connected(g, node_budget)
+        return _bnb_connected(adjacency, mask, node_budget)
     return _combine_components(
-        g, comps, lambda sub: _bnb_connected(sub, node_budget), method="bnb"
+        len(adjacency), comps,
+        lambda part: _bnb_connected(adjacency, part, node_budget), "bnb",
     )
 
 
+def component_subgraphs(g: Graph) -> list[tuple[int, Graph]]:
+    """The connected components of g, each as its vertex bitset and its
+    induced subgraph, ordered by lowest vertex."""
+    comps = bit_components(g.adjacency_bits(), (1 << g.n) - 1)
+    return [(comp, g.induced_subgraph(_iter_bits(comp))[0]) for comp in comps]
+
+
 def minrank_components(g: Graph, solver) -> MinrankResult:
-    """Solve each connected component with `solver` and sum the values."""
-    return _combine_components(g, g.connected_components(), solver, method="components")
+    """Sum `solver(sub, mask)` over the connected components of g, sub the
+    induced subgraph of one and mask its vertex bitset; a component's
+    witness, if any, holds mask's vertices' rows over g's columns."""
+    subs = dict(component_subgraphs(g))
+    return _combine_components(g.n, subs, lambda m: solver(subs[m], m), "components")
 
 
 def _combine_components(
-    g: Graph, comps, solver, method: str, join: bool = False
+    cols: int, parts, solver, method: str, join: bool = False
 ) -> MinrankResult:
-    """Solve each part with `solver` and combine the answers.
+    """Solve each part, a vertex bitset, with `solver` and combine the
+    answers, merging the parts' witness rows by vertex over `cols` columns.
 
     Connected components add up.  With `join`, the parts are co-components
     and the min-rank is their maximum: every entry between two parts is
     free, so the parts' factorizations pad to a common inner dimension and
     stack.  Inexact parts give the interval of summed (or largest) bounds.
     When some part's answer carries a trace, `stats["trace"]` lists each
-    part's trace (or None) under "components", in the order of `comps`.
+    part's trace (or None) under "components", in the order of `parts`.
     """
-    values, lowers, blocks, methods, traces = [], [], [], [], []
+    values, lowers, methods, traces = [], [], [], []
+    rows: dict | None = {}  # vertex -> witness row, while every part has one
     exact = True
     counts = {"nodes": 0, "rows": 0}
-    for comp in comps:
-        res = solver(g.induced_subgraph(comp)[0])
+    for part in parts:
+        res = solver(part)
         values.append(res.value)
         lowers.append(res.stats.get("interval", (res.value,))[0])
-        blocks.append(res.witness)
         methods.append(res.method)
         traces.append(res.stats.get("trace"))
         exact = exact and res.exact
+        if rows is not None and res.witness is not None:
+            rows.update(zip(_iter_bits(part), res.witness.data))
+        else:
+            rows = None
         for key in ("nodes", "rows", "cover_nodes"):
             if key in res.stats:
                 counts[key] = counts.get(key, 0) + res.stats[key]
@@ -498,11 +508,9 @@ def _combine_components(
         value, lower = sum(values), sum(lowers)
     exact = exact or (join and lower == value)
     witness = None
-    if None not in blocks:
-        witness = BitMatrix.block_diagonal(blocks, comps)
-        if join:
-            witness = _stack_factorizations(witness, comps)
-    stats: dict = {"co_components" if join else "components": len(comps),
+    if rows is not None:
+        witness = _witness(cols, _stack_factorizations(rows, parts) if join else rows)
+    stats: dict = {"co_components" if join else "components": len(parts),
                    "methods": methods, **counts}
     if not exact:
         stats["interval"] = [lower, value]
@@ -533,23 +541,23 @@ def combine_shared_vertex(m1: int, m1v: int, m2: int, m2v: int) -> int:
     return m1v + m2v + (m1 - m1v) * (m2 - m2v)
 
 
-def _stack_factorizations(blocks: BitMatrix, parts) -> BitMatrix:
-    """One fitting matrix for a join from a block-diagonal matrix whose
-    diagonal blocks, one per part, fit the parts.
+def _stack_factorizations(rows: dict[int, int], parts) -> dict[int, int]:
+    """The rows of one fitting matrix for a join, by vertex, from `rows`,
+    which fit each part (a vertex bitset) on its own.
 
-    Each block factors as A_i B_i over a basis of its own rows.  Summing the
-    pieces' j-th basis rows gives a shared row R_j; a vertex's row becomes
-    the sum of the R_j its block row combines.  On each diagonal block that
-    is the block again, the other entries are free, and the rank is the
-    largest block rank.
+    Each part's rows factor as A_i B_i over a basis of those rows.  Summing
+    the parts' j-th basis rows gives a shared row R_j; a vertex's row
+    becomes the sum of the R_j its own row combines.  On each part that is
+    its rows again, the entries between parts are free, and the rank is
+    the largest part rank.
     """
-    combos = [0] * blocks.rows  # vertex -> basis rows of its part it sums
+    combos = {}  # vertex -> basis rows of its part it sums
     shared: list[int] = []
     for part in parts:
         basis = 0
         pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (row, combo)
-        for v in part:
-            x, combo = blocks.data[v], 0
+        for v in _iter_bits(part):
+            x, combo = rows[v], 0
             while x:
                 top = x.bit_length() - 1
                 if top not in pivots:
@@ -560,24 +568,22 @@ def _stack_factorizations(blocks: BitMatrix, parts) -> BitMatrix:
             if x:
                 if basis == len(shared):
                     shared.append(0)
-                shared[basis] ^= blocks.data[v]
+                shared[basis] ^= rows[v]
                 pivots[top] = (x, combo ^ (1 << basis))
                 combo = 1 << basis
                 basis += 1
             combos[v] = combo
-    rows = []
-    for combo in combos:
+    stacked = {}
+    for v, combo in combos.items():
         row = 0
         for b in _iter_bits(combo):
             row ^= shared[b]
-        rows.append(row)
-    return BitMatrix(blocks.rows, blocks.cols, tuple(rows))
+        stacked[v] = row
+    return stacked
 
 
 def verify_witness(result: MinrankResult, g: Graph) -> bool:
     """Check a solver certificate: the witness fits and has the claimed rank."""
     if result.witness is None:
         return False
-    from .gf2 import fits
-
     return fits(result.witness, g) and rank_gf2(result.witness) == result.value

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import GraphError
 from .exact import (
-    bit_components, combine_shared_vertex, greedy_bounds, independence_number,
-    minrank_bnb,
+    _bnb_connected, _iter_bits, bit_components, combine_shared_vertex,
+    greedy_bounds, independence_number,
 )
 from .graph import Graph
 
@@ -41,9 +41,9 @@ class FamilyOracle(ABC):
 
 class BoundedOrderFamily(FamilyOracle):
     """All graphs on at most `bound` vertices; min-rank per component of what
-    a deletion leaves.  A component whose bounds (on bitsets over the part's
-    positions) leave a gap is cut at a bridge, and only a bridgeless one
-    goes to exhaustive search."""
+    a deletion leaves, on bitsets over the part's positions.  A component
+    whose bounds leave a gap is cut at a bridge, and only a bridgeless one
+    goes to exhaustive search, with the bounds already found."""
 
     def __init__(self, bound: int = 10):
         if bound < 1:
@@ -68,40 +68,46 @@ class BoundedOrderFamily(FamilyOracle):
                     sum(1 << pos[w] for w in g.neighbor_set(v) if w in pos) for v in vs
                 )
             left = ((1 << len(vs)) - 1) & ~sum(1 << i for i in set(removed))
-            return _minrank_on(g, vs, adjacency, memo, left)
+            return _minrank_on(adjacency, memo, left)
 
         return solve
 
 
-def _minrank_on(g: Graph, vs, adjacency, memo: dict, mask: int) -> int:
-    """Min-rank of g's subgraph induced on the positions of vertex sequence
-    vs in the bitset `mask`: the sum over its components, each solved once
-    per `memo`.  Module functions, not closures that call each other, carry
-    the recursion, so that no solver is held in a reference cycle."""
+def _minrank_on(adjacency, memo: dict, mask: int) -> int:
+    """Min-rank of the subgraph induced on the vertex bitset `mask`: the sum
+    over its components, each solved once per `memo`.  Module functions,
+    not closures that call each other, carry the recursion, so that no
+    solver is held in a reference cycle."""
     total = 0
     for comp in bit_components(adjacency, mask):
         if comp not in memo:
-            memo[comp] = _component_minrank(g, vs, adjacency, memo, comp)
+            memo[comp] = _component_minrank(adjacency, memo, comp)
         total += memo[comp]
     return total
 
 
-def _component_minrank(g: Graph, vs, adjacency, memo: dict, comp: int) -> int:
+def _component_minrank(adjacency, memo: dict, comp: int) -> int:
     gb = greedy_bounds(adjacency, comp)
-    if gb.lower == gb.upper or independence_number(adjacency, comp) == gb.upper:
+    if gb.lower == gb.upper:
         return gb.upper
-    ids = [i for i in range(len(vs)) if comp >> i & 1]
-    sub, _ = g.induced_subgraph([vs[i] for i in ids])
-    bridges = sub.bridge_split()[0]
-    if not bridges:
-        return minrank_bnb(sub).value
-    # The bridge xy splits comp into a side a holding x and b holding y.
-    x, y = (ids[v] for v in bridges[0])
-    a = next(c for c in bit_components(adjacency, comp ^ 1 << y) if c >> x & 1)
-    b = comp ^ a
+    alpha = independence_number(adjacency, comp)
+    if alpha == gb.upper:
+        return alpha
+    for x in _iter_bits(comp):
+        # xy is a bridge, x < y, just when deleting x leaves a piece b that
+        # holds y and no other neighbour of x; b is then y's side of it.
+        ends = [(b & adjacency[x], b) for b in bit_components(adjacency, comp ^ 1 << x)]
+        sides = [(near, b) for near, b in ends if near & (near - 1) == 0 and near >> x > 1]
+        if sides:
+            break
+    else:
+        return _bnb_connected(adjacency, comp, None, (alpha, gb.cliques)).value
+    # The least bridge xy splits comp into a side a holding x and b holding y.
+    near, b = min(sides)
+    y, a = near.bit_length() - 1, comp ^ b
     # A pendant vertex and its neighbour cost one rank unit together, so
     # a + xy has min-rank 1 + mr(a - x); glue it to b at y.
-    m = [_minrank_on(g, vs, adjacency, memo, s) for s in (a ^ 1 << x, a, b, b ^ 1 << y)]
+    m = [_minrank_on(adjacency, memo, s) for s in (a ^ 1 << x, a, b, b ^ 1 << y)]
     return combine_shared_vertex(1 + m[0], m[1], m[2], m[3])
 
 

@@ -40,30 +40,6 @@ class BitMatrix:
             packed.append(sum(1 << j for j, c in enumerate(line) if c == "1"))
         return cls(len(packed), width or 0, tuple(packed))
 
-    @classmethod
-    def block_diagonal(cls, blocks, placements) -> "BitMatrix":
-        """Assemble square blocks onto disjoint index sets of a larger square matrix.
-
-        `placements[k][j]` is the global index of local row/column j of block k.
-        Unplaced positions stay zero.
-        """
-        size = 0
-        for pl in placements:
-            size = max(size, max(pl, default=-1) + 1)
-        rows = [0] * size
-        for block, pl in zip(blocks, placements):
-            if block.rows != block.cols or block.rows != len(pl):
-                raise ValueError("block shape does not match placement")
-            for j in range(block.rows):
-                row = block.data[j]
-                out = 0
-                while row:
-                    b = row & -row
-                    out |= 1 << pl[b.bit_length() - 1]
-                    row ^= b
-                rows[pl[j]] = out
-        return cls(size, size, tuple(rows))
-
     def to_strings(self) -> list[str]:
         return [
             "".join("1" if (r >> j) & 1 else "0" for j in range(self.cols))

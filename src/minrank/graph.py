@@ -92,23 +92,6 @@ class Graph:
             labels = {mapping[v]: self.labels[v] for v in vs if v in self.labels}
         return Graph._of_adjacency(adj, labels), mapping
 
-    def connected_components(self) -> list[list[int]]:
-        """Vertex sets of connected components, each sorted, ordered by minimum vertex."""
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp = [s]
-            for v in comp:  # the loop reaches what it appends
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-            comps.append(sorted(comp))
-        return comps
-
     def bridge_split(self) -> tuple[list, list, bool]:
         """One depth-first search (Tarjan 1974) for the bridges, as (min, max)
         pairs in ascending order; the 2-edge-connected components, as sorted

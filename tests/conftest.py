@@ -10,6 +10,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from minrank import Graph
+from minrank.exact import bit_components
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 SOLVER_SCRIPT = os.path.join(os.path.dirname(__file__), "dimacs_dpll.py")
@@ -43,12 +44,17 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return g.induced_subgraph([u for u in range(g.n) if u != v])[0]
 
 
+def component_count(g: Graph) -> int:
+    """The number of connected components of g."""
+    return len(bit_components(g.adjacency_bits(), (1 << g.n) - 1))
+
+
 def random_connected_in_budget(
     rng: random.Random, n_max: int, edge_cap: int = 9
 ) -> Graph:
     while True:
         g = random_graph_in_budget(rng, n_max, edge_cap)
-        if g.n > 0 and len(g.connected_components()) == 1:
+        if g.n > 0 and component_count(g) == 1:
             return g
 
 

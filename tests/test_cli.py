@@ -763,6 +763,11 @@ def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):
         ["cnf", "BAD", "--k", "1"],
         ["validate", "BAD", "--structure", "IN"],
         ["validate", "IN", "--structure", "BAD"],
+        # One structure file cannot hold one structure per component.
+        ["recognize", "IN", "--components", "--structure-out", "OUT"],
+        # A batch runs in at least one process.
+        ["batch", "IN", "--jobs", "0"],
+        ["batch", "IN", "--jobs", "-2"],
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
@@ -774,10 +779,12 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
         io.BytesIO(b"\xff\xfe\n"), encoding="utf-8", errors="surrogateescape"
     )
     monkeypatch.setattr(sys, "stdin", stdin)
-    argv = [{"IN": path, "BAD": str(bad)}.get(a, a) for a in argv]
+    out = tmp_path / "out.json"
+    argv = [{"IN": path, "BAD": str(bad), "OUT": str(out)}.get(a, a) for a in argv]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["minrank", "recognize", "dp", "batch", "gen"])

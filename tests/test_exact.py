@@ -5,6 +5,7 @@ enumeration oracle (tests/oracles.py) that materializes every fitting
 matrix and runs textbook elimination, then frozen here.
 """
 
+import gc
 import itertools
 import random
 import sys
@@ -30,9 +31,8 @@ from minrank.exact import (
     _combine_components,
     _first_spanned_row,
     _row_choices,
-    co_components,
+    bit_components,
     exact_clique_cover,
-    exact_independence_number,
     greedy_bounds,
     independence_number,
 )
@@ -54,6 +54,18 @@ FROZEN = {
     "star4": (4, [(0, 1), (0, 2), (0, 3)], 3),
     "empty3": (3, [], 3),
 }
+
+
+def alpha(g):
+    """The independence number of the whole of g."""
+    return independence_number(g.adjacency_bits(), (1 << g.n) - 1)
+
+
+def co_components(g):
+    """Vertex bitsets of the components of g's complement."""
+    full = (1 << g.n) - 1
+    flip = [full ^ bits ^ (1 << v) for v, bits in enumerate(g.adjacency_bits())]
+    return bit_components(flip, full)
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -150,7 +162,7 @@ def test_component_additivity():
     # triangle plus one far-away edge
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     whole = minrank_bruteforce(g)
-    split = minrank_components(g, minrank_bruteforce)
+    split = minrank_components(g, lambda sub, mask: minrank_bnb(g, None, mask))
     assert split.value == whole.value == 2
     assert split.method == "components"
     assert verify_witness(split, g)
@@ -186,7 +198,7 @@ def test_exact_independence_number_matches_oracle():
     for _ in range(60):
         n = rng.randint(1, 11)
         g = random_graph_in_budget(rng, n, edge_cap=30)
-        assert exact_independence_number(g) == oracles.max_independent_set(
+        assert alpha(g) == oracles.max_independent_set(
             g.n, g.edges
         )
 
@@ -205,7 +217,7 @@ def test_bounds_match_set_based_references():
             n, g.edges
         )
         assert (b.lower, b.upper) == (len(b.independent_set), len(b.cliques))
-        assert exact_independence_number(g) == (
+        assert alpha(g) == (
             oracles.independence_number_by_branching(n, g.edges)
         )
         keep = sorted(rng.sample(range(n), rng.randint(0, n)))
@@ -225,13 +237,13 @@ def test_bnb_skips_independence_number_when_greedy_bounds_meet(monkeypatch):
     """On a path and a clique the greedy independent set and clique cover
     have the same size, which squeezes alpha to it: bnb computes no alpha."""
     calls = []
-    real = exact.exact_independence_number
+    real = exact.independence_number
 
-    def counted(g):
-        calls.append(g.n)
-        return real(g)
+    def counted(adjacency, mask):
+        calls.append(mask)
+        return real(adjacency, mask)
 
-    monkeypatch.setattr(exact, "exact_independence_number", counted)
+    monkeypatch.setattr(exact, "independence_number", counted)
     path = Graph(6, [(i, i + 1) for i in range(5)])
     clique = Graph(5, list(itertools.combinations(range(5), 2)))
     for g, value in ((path, 3), (clique, 1)):
@@ -248,7 +260,7 @@ def test_petersen_resolved_exactly(petersen):
     assert res.exact
     assert res.value == 5
     assert verify_witness(res, petersen)
-    assert exact_independence_number(petersen) == 4
+    assert alpha(petersen) == 4
     assert oracles.max_independent_set(10, petersen.edges) == 4
 
 
@@ -286,11 +298,12 @@ def test_first_spanned_row_is_first_enumerated_spanned_row():
         g = random_graph_in_budget(rng, 9, edge_cap=36)
         pivots = {}
         for u in rng.sample(range(g.n), rng.randint(0, g.n)):
-            oracles.insert_pivot(pivots, rng.choice(list(_row_choices(g, u))))
+            row = rng.choice(list(_row_choices(u, g.adjacency_bits()[u])))
+            oracles.insert_pivot(pivots, row)
         v = rng.randrange(g.n)
         want = next(
             (
-                row for row in _row_choices(g, v)
+                row for row in _row_choices(v, g.adjacency_bits()[v])
                 if oracles.reduce_by_pivots(pivots, row) == 0
             ),
             None,
@@ -365,11 +378,12 @@ def test_exact_clique_cover_matches_partition_oracle():
         g = random_graph_in_budget(rng, 9, edge_cap=36)
         greedy = sandwich_bounds(g).cliques
         want = oracles.min_clique_partition(g.n, g.edges)
-        for lower in (0, exact_independence_number(g)):
-            cover, _ = exact_clique_cover(g, lower, greedy, None)
+        adjacency, full = g.adjacency_bits(), (1 << g.n) - 1
+        for lower in (0, alpha(g)):
+            cover, _ = exact_clique_cover(adjacency, full, lower, greedy, None)
             assert _is_clique_partition(g, cover)
             assert len(cover) == want <= len(greedy)
-        cover, spent = exact_clique_cover(g, 0, greedy, 3)
+        cover, spent = exact_clique_cover(adjacency, full, 0, greedy, 3)
         assert _is_clique_partition(g, cover)
         assert spent <= 3 and want <= len(cover) <= len(greedy)
 
@@ -412,7 +426,9 @@ def test_bnb_matches_bruteforce_on_dense_graphs():
         parts = co_components(g)
         if len(parts) > 1:
             joins += 1
-            res = _combine_components(g, parts, minrank_bnb, "bnb", join=True)
+            res = _combine_components(
+                g.n, parts, lambda part: minrank_bnb(g, None, part), "bnb", join=True
+            )
             assert res.exact and res.value == want and verify_witness(res, g)
     assert joins > 60
 
@@ -429,10 +445,9 @@ def test_alternating_union_and_join_stays_exact():
                 edges += [(u, v) for u in range(v)]
         g = Graph(40, edges)
         res = minrank_bnb(g)
-        alpha = exact_independence_number(g)
-        assert res.exact and res.value == alpha
+        assert res.exact and res.value == alpha(g)
         assert verify_witness(res, g)
-    assert sandwich_bounds(g).upper == alpha + 1
+    assert sandwich_bounds(g).upper == alpha(g) + 1
     assert res.stats["co_components"] == 2
 
 
@@ -449,4 +464,50 @@ def test_budgeted_join_reports_largest_bounds(petersen):
     res = minrank_bnb(g, node_budget=40)
     assert (res.value, res.exact) == (5, True)
     assert res.stats["co_components"] == 2
+    assert verify_witness(res, g)
+
+
+def test_exact_solvers_leave_no_cycle():
+    """Every recursion runs in module functions, so a call leaves nothing
+    for the cyclic collector: with it off, it finds no garbage after each
+    solver on a 5-cycle, whose bounds leave a gap that every solver works
+    through."""
+    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    adjacency, full = c5.adjacency_bits(), (1 << c5.n) - 1
+    calls = [
+        lambda: independence_number(adjacency, full),
+        lambda: minrank_bruteforce(c5),
+        lambda: exact_clique_cover(adjacency, full, 2, sandwich_bounds(c5).cliques, None),
+        lambda: minrank_bnb(c5),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0, call
+    finally:
+        gc.enable()
+
+
+def test_bnb_witness_rows_are_part_sized(monkeypatch):
+    """750 disjoint edges and 1,500 isolated vertices: each of the 2,250
+    components gets a witness of its own rows, and the whole one is n x n,
+    so at most 2n rows are validated in all (an n x n witness per part
+    would take n^2)."""
+    validated = []
+    real = BitMatrix.__post_init__
+
+    def counted(self):
+        validated.append(self.rows)
+        real(self)
+
+    monkeypatch.setattr(BitMatrix, "__post_init__", counted)
+    n = 3000
+    g = Graph(n, [(2 * i, 2 * i + 1) for i in range(750)])
+    res = minrank_bnb(g)
+    assert res.value == 2250 and res.stats["components"] == 2250
+    assert (res.witness.rows, res.witness.cols) == (n, n)
+    assert sum(validated) <= 2 * n
+    monkeypatch.undo()
     assert verify_witness(res, g)

@@ -17,12 +17,12 @@ from minrank import (
     minrank_bruteforce,
     parse_registry_spec,
 )
-from minrank import families
+from minrank import exact, families
 from minrank.exact import minrank_bnb
 from minrank.families import BoundedOrderFamily, perfect_elimination_order
 from minrank.formats import parse_graph6
 from minrank.generator import random_connected_chordal
-from conftest import random_edges, random_graph_in_budget
+from conftest import component_count, random_edges, random_graph_in_budget
 import oracles
 
 
@@ -327,7 +327,7 @@ def test_bounded_solver_answers_every_deletion_through_one_solver():
     for trial in range(8):
         g, part = _host_with_part(rng, c5=trial % 2 == 0)
         solve = fam.solver(g, part)
-        whole = len(g.induced_subgraph(part)[0].connected_components())
+        whole = component_count(g.induced_subgraph(part)[0])
         masks = list(range(1 << len(part)))
         rng.shuffle(masks)
         for mask in masks:
@@ -337,17 +337,17 @@ def test_bounded_solver_answers_every_deletion_through_one_solver():
                 exhaustive = 2 * sub.edge_count <= 16
                 known[sub] = (minrank_bruteforce if exhaustive else minrank_bnb)(sub).value
             assert solve(removed) == known[sub], (g.edges, part, removed)
-            splits += len(sub.connected_components()) > whole
+            splits += component_count(sub) > whole
     assert splits > 0
 
 
 def test_bounded_solver_searches_only_components_with_a_gap(monkeypatch):
     """A 4-cycle with a pendant closes at its bounds under every deletion:
-    no subgraph is built and nothing is searched.  On a 5-cycle with a
-    pendant path, the first query that leaves the 5-cycle searches it once,
-    and a later query meeting the same component searches no more."""
+    nothing is searched.  On a 5-cycle with a pendant path, the first query
+    that leaves the 5-cycle searches it once, and a later query meeting the
+    same component searches no more.  No subgraph is ever built."""
     calls = {"bnb": 0, "induced": 0}
-    real_bnb, real_induced = families.minrank_bnb, Graph.induced_subgraph
+    real_bnb, real_induced = families._bnb_connected, Graph.induced_subgraph
 
     def counted_bnb(*args, **kwargs):
         calls["bnb"] += 1
@@ -361,16 +361,16 @@ def test_bounded_solver_searches_only_components_with_a_gap(monkeypatch):
     c5 = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6)])
     c4_solve = BoundedOrderFamily(10).solver(c4, [0, 1, 2, 3, 4])
     c5_solve = BoundedOrderFamily(10).solver(c5)
-    monkeypatch.setattr(families, "minrank_bnb", counted_bnb)
+    monkeypatch.setattr(families, "_bnb_connected", counted_bnb)
     monkeypatch.setattr(Graph, "induced_subgraph", counted_induced)
     for r in range(6):
         for removed in itertools.combinations(range(5), r):
             c4_solve(removed)
     assert calls == {"bnb": 0, "induced": 0}
     assert c5_solve([5]) == 4
-    assert calls == {"bnb": 1, "induced": 1}
+    assert calls == {"bnb": 1, "induced": 0}
     assert c5_solve([5, 6]) == 3
-    assert calls == {"bnb": 1, "induced": 1}
+    assert calls == {"bnb": 1, "induced": 0}
 
 
 # A vertex with three pendant leaves bridged to a bridgeless 6-vertex piece,
@@ -442,18 +442,43 @@ def test_bounded_solver_on_bridged_parts():
                 assert solve(removed) == minrank_bnb(sub).value, (g.edges, removed)
 
 
+def _mask_graph(adjacency, mask: int) -> Graph:
+    """The subgraph induced on the vertex bitset `mask` of the graph with
+    neighbour bitsets `adjacency`, its vertices renumbered in order."""
+    ids = [v for v in range(len(adjacency)) if mask >> v & 1]
+    return Graph(len(ids), [(i, j) for i, u in enumerate(ids)
+                            for j, w in enumerate(ids) if i < j and adjacency[u] >> w & 1])
+
+
 def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
-    """A component with a gap is cut at a bridge: every graph that branch
-    and bound is given has none."""
+    """A component with a gap is cut at a bridge: every component that
+    branch and bound is given has none, and comes with the bounds the
+    oracle found, so the search computes neither bound of it again (the
+    co-components of a join get their own)."""
     searched = []
-    real_bnb = families.minrank_bnb
+    real_bnb = families._bnb_connected
+    bounded = []
 
-    def bridgeless_bnb(g, *args, **kwargs):
-        assert not g.bridge_split()[0], g.edges
-        searched.append(g.n)
-        return real_bnb(g, *args, **kwargs)
+    def bridgeless_bnb(adjacency, mask, node_budget, bounds):
+        sub = _mask_graph(adjacency, mask)
+        assert not sub.bridge_split()[0], sub.edges
+        assert bounds == (exact.independence_number(adjacency, mask),
+                          exact.greedy_bounds(adjacency, mask).cliques)
+        searched.append(sub.n)
+        bounded.clear()
+        res = real_bnb(adjacency, mask, node_budget, bounds)
+        assert mask not in bounded, sub.edges
+        return res
 
-    monkeypatch.setattr(families, "minrank_bnb", bridgeless_bnb)
+    def counting(real):
+        def counted(adjacency, mask):
+            bounded.append(mask)
+            return real(adjacency, mask)
+        return counted
+
+    monkeypatch.setattr(families, "_bnb_connected", bridgeless_bnb)
+    for name in ("greedy_bounds", "independence_number"):
+        monkeypatch.setattr(exact, name, counting(getattr(exact, name)))
     rng = random.Random(508)
     for _ in range(150):
         g = _bridged_graph(rng)
@@ -463,6 +488,24 @@ def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
     for g, want in BRIDGED_PARTS:
         assert BoundedOrderFamily(10).solver(g)(()) == want
     assert searched
+
+
+def test_bounded_solver_builds_no_graph(monkeypatch):
+    """Every deletion of at most 2 positions from each bridged part is
+    answered on the solver's bitsets: no induced subgraph is built and no
+    graph's bridges are searched."""
+
+    def refuse(*args):
+        raise AssertionError("the bounded-order oracle built or split a graph")
+
+    monkeypatch.setattr(Graph, "induced_subgraph", refuse)
+    monkeypatch.setattr(Graph, "bridge_split", refuse)
+    for g, want in BRIDGED_PARTS:
+        solve = BoundedOrderFamily(10).solver(g)
+        assert solve(()) == want
+        for r in (1, 2):
+            for removed in itertools.combinations(range(g.n), r):
+                solve(removed)
 
 
 def test_dropped_bounded_solver_leaves_no_cycle():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from minrank import Graph, GraphError
+from minrank.exact import bit_components
 from minrank.formats import emit_edge_list, parse_edge_list
 from conftest import random_edges
 import oracles
@@ -36,7 +37,9 @@ def test_components_match_bfs_oracle():
         n = rng.randint(0, 12)
         edges = random_edges(rng, n, rng.choice([0.05, 0.15, 0.4]))
         g = Graph(n, edges)
-        assert g.connected_components() == oracles.components_bfs(n, edges)
+        comps = bit_components(g.adjacency_bits(), (1 << n) - 1)
+        got = [[v for v in range(n) if comp >> v & 1] for comp in comps]
+        assert got == oracles.components_bfs(n, edges)
 
 
 def test_bridges_match_removal_oracle():

@@ -663,25 +663,20 @@ def test_recognize_derives_no_structure(monkeypatch):
 
 def test_connected_auto_solve_searches_the_graph_once(monkeypatch):
     """A connected auto solve finds the input's components, bridges and
-    atoms in one bridge_split, which recognize reuses.  (The bounded-order
-    oracle's searches split their own small graphs.)"""
+    atoms in one bridge_split, which recognize reuses; the bounded-order
+    oracle finds its bridges on bitsets, so no other graph is split."""
     g, _ = generate_member(5, 40, 2, profile="mixed")
-    splits, comps = [], []
-    real_split, real_comps = Graph.bridge_split, Graph.connected_components
+    splits = []
+    real_split = Graph.bridge_split
 
     def counted_split(self):
         splits.append(self is g)
         return real_split(self)
 
-    def counted_comps(self):
-        comps.append(self is g)
-        return real_comps(self)
-
     monkeypatch.setattr(Graph, "bridge_split", counted_split)
-    monkeypatch.setattr(Graph, "connected_components", counted_comps)
     res = cli.solve_graph(g, "auto", 2, default_registry(), None, None)
     assert res.method == "dp" and res.exact
-    assert splits.count(True) == 1 and comps.count(True) == 0
+    assert splits == [True]
 
 
 def bridged_cycles(rng, n):
