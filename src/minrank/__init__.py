@@ -13,7 +13,6 @@ from .exact import (
     combine_shared_vertex,
     minrank_bnb,
     minrank_bruteforce,
-    minrank_components,
     sandwich_bounds,
     verify_witness,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "merge_phase",
     "minrank_bnb",
     "minrank_bruteforce",
-    "minrank_components",
     "minrank_via_cnf",
     "run_solver",
     "parse_edge_list",

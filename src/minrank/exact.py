@@ -456,21 +456,6 @@ def _bnb_on(adjacency, mask: int, node_budget: int | None) -> MinrankResult:
     )
 
 
-def component_subgraphs(g: Graph) -> list[tuple[int, Graph]]:
-    """The connected components of g, each as its vertex bitset and its
-    induced subgraph, ordered by lowest vertex."""
-    comps = bit_components(g.adjacency_bits(), (1 << g.n) - 1)
-    return [(comp, g.induced_subgraph(_iter_bits(comp))[0]) for comp in comps]
-
-
-def minrank_components(g: Graph, solver) -> MinrankResult:
-    """Sum `solver(sub, mask)` over the connected components of g, sub the
-    induced subgraph of one and mask its vertex bitset; a component's
-    witness, if any, holds mask's vertices' rows over g's columns."""
-    subs = dict(component_subgraphs(g))
-    return _combine_components(g.n, subs, lambda m: solver(subs[m], m), "components")
-
-
 def _combine_components(
     cols: int, parts, solver, method: str, join: bool = False
 ) -> MinrankResult:

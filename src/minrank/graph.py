@@ -92,20 +92,22 @@ class Graph:
             labels = {mapping[v]: self.labels[v] for v in vs if v in self.labels}
         return Graph._of_adjacency(adj, labels), mapping
 
-    def bridge_split(self) -> tuple[list, list, bool]:
-        """One depth-first search (Tarjan 1974) for the bridges, as (min, max)
-        pairs in ascending order; the 2-edge-connected components, as sorted
-        tuples ordered by smallest vertex; and whether the graph is connected.
-        A vertex heads a component when no back edge from its subtree climbs
-        above it, and the component is what the search entered from it on."""
+    def bridge_split(self) -> list[tuple[list, list]]:
+        """One depth-first search (Tarjan 1974): per connected component, by
+        lowest vertex, its bridges as (min, max) pairs in ascending order and
+        its 2-edge-connected components, or atoms, as sorted tuples ordered by
+        smallest vertex, which with the bridges form a tree.  A vertex heads
+        an atom when no back edge from its subtree climbs above it, and the
+        atom is what the search entered from it on."""
         adj = self._adj
         disc = [-1] * self.n
         low = [0] * self.n
-        bridges, atoms, entered = [], [], []
+        forest, entered = [], []
         clock = itertools.count()
         for root in range(self.n):
             if disc[root] != -1:
                 continue
+            bridges, atoms = [], []
             disc[root] = low[root] = next(clock)
             stack = [(root, -1, iter(adj[root]), 0)]
             entered.append(root)
@@ -128,10 +130,10 @@ class Graph:
                             bridges.append((min(parent, v), max(parent, v)))
                     elif low[v] < low[parent]:
                         low[parent] = low[v]
-        bridges.sort()
-        atoms.sort()
-        # The atoms and bridges form a forest, one tree per component.
-        return bridges, atoms, len(atoms) - len(bridges) == 1
+            bridges.sort()
+            atoms.sort()
+            forest.append((bridges, atoms))
+        return forest
 
     def __eq__(self, other):
         return (

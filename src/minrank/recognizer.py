@@ -76,23 +76,24 @@ class RecognitionOutcome:
 
 
 def split_phase(
-    g: Graph, registry: FamilyRegistry, events: list | None = None, cut=None
+    g: Graph, registry: FamilyRegistry, events: list | None = None, tree=None
 ) -> AtomForest:
     """Cut every bridge at once, then check each atom's family membership.
 
-    The atoms are the components left after deleting all bridges of the
-    connected graph `g` (its 2-edge-connected components), ordered by
-    smallest vertex; the links are the bridges themselves, each keyed by
+    The atoms are the components left after deleting all bridges of one
+    connected component of `g` (its 2-edge-connected components), ordered
+    by smallest vertex; the links are the bridges themselves, each keyed by
     its pair of atoms and oriented so that x lies in the lower-numbered
-    atom; `cut` is `g.bridge_split()` if known.  Each atom's membership in
-    every registered family is decided on g and kept, so that merging can
+    atom; `tree` is that component's `g.bridge_split()` pair, by default
+    the connected g's.  Each atom's membership in every registered family
+    is decided on g and kept, so that merging can
     glue atoms without testing their unions, with its first family's
     solver, reused by a part of that atom alone; an atom whose order some
     family holds outright is decided only when it is first read.  Raises
     NotInFamilyError on the first atom in no registered family.  When
     `events` is a list, one record per bridge is appended to it.
     """
-    bridges, atoms = (cut or g.bridge_split())[:2]
+    bridges, atoms = tree or g.bridge_split()[0]
     if events is not None:
         events.extend({"bridge": [x, y]} for x, y in bridges)
     atom_of = {v: i for i, atom in enumerate(atoms) for v in atom}
@@ -322,8 +323,15 @@ def merge_phase(
                     break
                 continue
             structure = structure_at(r, merging)
-            if debug:
-                report = validate_structure(g, structure, registry)
+            if debug:  # on the component's own graph, which it partitions
+                sub, index = g.induced_subgraph(sorted(forest.atom_of))
+                report = validate_structure(sub, SimpleTreeStructure(
+                    tuple(tuple(index[v] for v in part) for part in structure.parts),
+                    structure.parent,
+                    {j: index[v] for j, v in structure.uc.items()},
+                    {i: {index[u]: js for u, js in m.items()}
+                     for i, m in structure.dc.items()},
+                ), registry)
                 assert report.valid, f"merge broke the structure: {report.violations}"
             record["accepted"] = True
             return structure, r + 1
@@ -371,28 +379,30 @@ def recognize(
     registry: FamilyRegistry,
     debug: bool = False,
     explain: bool = False,
-    cut=None,
+    tree=None,
 ) -> RecognitionOutcome:
     """Decide membership in the family of c-bounded tree-of-parts graphs.
 
-    The graph must be connected; split disconnected inputs into components
-    first.  A positive outcome carries a structure that validates with at
-    most `c` downward connectors per part, with the report that validating
-    it would give (`accepted_report`).  With `explain` the stats hold a
-    machine-readable trace of every cut and merge decision.  `cut` is
-    `g.bridge_split()` if known.
+    Recognises g's component whose `g.bridge_split()` pair is `tree`, or
+    g itself, which must then be connected, on g's own vertex ids.  A
+    positive outcome carries a structure that validates against the
+    component with at most `c` downward connectors per part, with the
+    report that validating it would give (`accepted_report`).  With
+    `explain` the stats hold a machine-readable trace of every cut and
+    merge decision; with `debug` merging validates what it accepts.
     """
     if g.n == 0:
         raise GraphError("cannot recognize the empty graph")
-    cut = cut or g.bridge_split()
-    if not cut[2]:
-        raise GraphError("recognition needs a connected graph; decompose first")
+    if tree is None:
+        tree, *others = g.bridge_split()
+        if others:
+            raise GraphError("recognition needs a connected graph; decompose first")
     if c < 1:
         raise GraphError(f"connector bound must be positive, got {c}")
     splits, trace = ([], []) if explain else (None, None)
     stats: dict = {"explain": {"splits": splits, "roots": trace}} if explain else {}
     try:
-        forest = split_phase(g, registry, events=splits, cut=cut)
+        forest = split_phase(g, registry, events=splits, tree=tree)
     except NotInFamilyError as exc:
         return RecognitionOutcome(
             False, None, 0, exc.detail, {"phase": "split", **stats}

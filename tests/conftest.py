@@ -49,6 +49,15 @@ def component_count(g: Graph) -> int:
     return len(bit_components(g.adjacency_bits(), (1 << g.n) - 1))
 
 
+def flat_bridge_split(g: Graph) -> tuple[list, list, bool]:
+    """`g.bridge_split()` flattened: every component's bridges as one
+    sorted list, its atoms as another, and whether g is connected."""
+    forest = g.bridge_split()
+    bridges = sorted(b for pairs, _ in forest for b in pairs)
+    atoms = sorted(a for _, tree_atoms in forest for a in tree_atoms)
+    return bridges, atoms, len(forest) == 1
+
+
 def random_connected_in_budget(
     rng: random.Random, n_max: int, edge_cap: int = 9
 ) -> Graph:

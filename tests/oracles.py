@@ -482,7 +482,7 @@ def recognize_decided_first(g, c, registry, explain=False):
     from minrank.errors import NotInFamilyError
     from minrank.recognizer import AtomForest, accepted_report, merge_phase
 
-    bridges, atoms, _ = g.bridge_split()
+    ((bridges, atoms),) = g.bridge_split()  # g is connected
     families = {}
     for a, atom in enumerate(atoms):
         solvers = [o.solver(g, atom) for o in registry.oracles]

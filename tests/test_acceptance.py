@@ -29,7 +29,6 @@ from minrank import (
     mdc,
     minrank_bnb,
     minrank_bruteforce,
-    minrank_components,
     minrank_via_cnf,
     parse_graph6,
     rank_gf2,
@@ -39,7 +38,7 @@ from minrank import (
     validate_structure,
     verify_witness,
 )
-from minrank.cli import main as cli_main
+from minrank.cli import main as cli_main, solve_graph
 from minrank.generator import random_connected_graph
 
 from conftest import (
@@ -249,10 +248,10 @@ def test_c10_disconnected_graphs_add_up():
                 n += b.n
             g = Graph(n, edges)
             assert component_count(g) >= 2
-            res = minrank_components(g, lambda sub, mask: minrank_bnb(g, None, mask))
+            res = solve_graph(g, "auto", 2, None, None, None)  # bnb per component
             brute = minrank_bruteforce(g)
             assert res.value == brute.value and res.exact
-            assert verify_witness(res, g)
+            assert res.method == "components" and verify_witness(res, g)
 
 
 def test_c11_order_four_histogram(tmp_path, order4_path):

@@ -13,11 +13,13 @@ import jsonschema
 import pytest
 
 from minrank import (
-    BitMatrix, Graph, MinrankResult, cli, emit_edge_list, verify_witness,
+    BitMatrix, Graph, MinrankResult, cli, default_registry, emit_edge_list, recognizer,
+    validate_structure, verify_witness,
 )
 from minrank.cli import main
-from minrank.formats import parse_graph6
+from minrank.formats import parse_edge_list, parse_graph6
 from minrank.generator import generate_member
+from minrank.structure import SimpleTreeStructure
 
 from conftest import DATA_DIR, solver_command
 
@@ -528,6 +530,105 @@ def test_recognize_components_flag(tmp_path, capsys):
     assert all(r["member"] for r in recs)
 
 
+# A triangle with a pendant vertex, and a 4-cycle with one at vertex 6.
+TWO_BRIDGED_EDGES = "n=9\n0 1\n1 2\n0 2\n2 3\n4 5\n5 6\n6 7\n7 4\n6 8\n"
+# The same graph with sparse ids v -> 10 v + 5.
+TWO_BRIDGED_SPARSE = "5 15\n15 25\n5 25\n25 35\n45 55\n55 65\n65 75\n75 45\n65 85\n"
+
+
+def on_component(g, obj):
+    """The component of g that a structure record spans, as its induced
+    graph, and the structure renumbered onto that graph."""
+    sub, index = g.induced_subgraph(sorted(v for part in obj["parts"] for v in part))
+    return sub, SimpleTreeStructure(
+        tuple(tuple(index[v] for v in part) for part in obj["parts"]),
+        tuple(obj["parent"]),
+        {int(j): index[v] for j, v in obj["uc"].items()},
+        {int(i): {index[int(u)]: tuple(js) for u, js in m.items()}
+         for i, m in obj["dc"].items()},
+    )
+
+
+def test_component_records_name_the_input_vertices(tmp_path, capsys):
+    """`recognize --components` and `minrank --trace` name each component's
+    vertices by the input's ids, every structure validates against its
+    component, and a sparse-id input's structures map through `labels`."""
+    path = write(tmp_path, "two.edges", TWO_BRIDGED_EDGES)
+    code, out, _ = run_cli(capsys, ["recognize", path, "--components", "--explain"])
+    assert code == 0
+    first, second = records(out)
+    assert first["structure"]["parts"] == [[0, 1, 2], [3]]
+    assert second["structure"]["parts"] == [[4, 5, 6, 7], [8]]
+    assert second["structure"]["uc"] == {"1": 8}
+    assert second["structure"]["dc"] == {"0": {"6": [1]}}
+    assert second["explain"]["splits"] == [{"bridge": [6, 8]}]
+    assert (first["n"], second["n"]) == (4, 5)
+    g = parse_edge_list(TWO_BRIDGED_EDGES)
+    for rec in (first, second):
+        assert validate_structure(*on_component(g, rec["structure"]), default_registry()).valid
+    code, out, _ = run_cli(capsys, ["minrank", path, "--trace"])
+    (rec,) = records(out)
+    hubs = [[list(node["hub_values"]) for node in trace["nodes"]]
+            for trace in rec["trace"]["components"]]
+    assert code == 0 and hubs == [[[], ["2"]], [[], ["6"]]]
+    # With sparse ids, each record carries the labels of its own vertices,
+    # through which its structure maps to the input's ids.
+    path = write(tmp_path, "sparse.edges", TWO_BRIDGED_SPARSE)
+    code, out, _ = run_cli(capsys, ["recognize", path, "--components"])
+    assert code == 0
+    mapped = []
+    for rec in records(out):
+        labels, t = rec["labels"], rec["structure"]
+        assert sorted(map(int, labels)) == sorted(v for part in t["parts"] for v in part)
+        mapped.append({
+            "parts": [[labels[str(v)] for v in part] for part in t["parts"]],
+            "uc": {j: labels[str(v)] for j, v in t["uc"].items()},
+            "dc": {i: {labels[u]: js for u, js in m.items()} for i, m in t["dc"].items()},
+        })
+    assert mapped == [
+        {"parts": [["5", "15", "25"], ["35"]], "uc": {"1": "35"},
+         "dc": {"0": {"25": [1]}}},
+        {"parts": [["45", "55", "65", "75"], ["85"]], "uc": {"1": "85"},
+         "dc": {"0": {"65": [1]}}},
+    ]
+
+
+def test_recognize_components_debug_validates_each_component(tmp_path, capsys, monkeypatch):
+    """`recognize --components` searches the input once and copies nothing;
+    with `--debug` each accepted structure is validated in full against
+    its component, and every component is a member."""
+    g = parse_edge_list(TWO_BRIDGED_EDGES)
+    path = write(tmp_path, "two.edges", TWO_BRIDGED_EDGES)
+    splits, copies, checked = [], [], []
+    real_split, real_induced = Graph.bridge_split, Graph.induced_subgraph
+    real_validate = recognizer.validate_structure
+
+    def counted_split(self):
+        splits.append(self.n)
+        return real_split(self)
+
+    def counted_induced(self, vertices):
+        copies.append(self.n)
+        return real_induced(self, vertices)
+
+    def counted_validate(graph, t, registry):
+        report = real_validate(graph, t, registry)
+        checked.append((graph.n, report.valid))
+        return report
+
+    monkeypatch.setattr(Graph, "bridge_split", counted_split)
+    monkeypatch.setattr(Graph, "induced_subgraph", counted_induced)
+    monkeypatch.setattr(recognizer, "validate_structure", counted_validate)
+    code, out, _ = run_cli(capsys, ["recognize", path, "--components"])
+    assert code == 0 and all(rec["member"] for rec in records(out))
+    assert (splits, copies, checked) == ([g.n], [], [])
+    plain = out
+    code, out, _ = run_cli(capsys, ["recognize", path, "--components", "--debug"])
+    assert code == 0 and out == plain
+    assert splits == [g.n, g.n] and copies == [g.n, g.n]
+    assert checked == [(4, True), (5, True)]
+
+
 @pytest.mark.parametrize(
     "text, argv",
     [("", ["minrank"]), ("", ["batch"]), ("?\n", ["recognize", "--components"])],
@@ -725,6 +826,31 @@ def test_config_file_sets_defaults(tmp_path, capsys, monkeypatch):
     assert code == 1  # config registry rejects a 5-cycle
     code, _, _ = run_cli(capsys, ["recognize", path, "--registry", "bounded:10"])
     assert code == 0  # explicit flag wins over the config file
+
+
+def test_auto_sends_an_inexact_component_to_the_sat_solver(tmp_path, capsys, monkeypatch):
+    """Under auto, a component that recognition rejects and branch and
+    bound leaves inexact goes to the SAT solver as a graph of its own, the
+    one copy auto makes; without a solver nothing is copied."""
+    edges = [(0, 1), (1, 2), (0, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)]
+    path = write(tmp_path, "two.edges", emit_edge_list(Graph(8, edges)))
+    copies = []
+    real_induced = Graph.induced_subgraph
+
+    def counted(self, vertices):
+        copies.append(list(vertices))
+        return real_induced(self, copies[-1])
+
+    monkeypatch.setattr(Graph, "induced_subgraph", counted)
+    argv = ["minrank", path, "--registry", "chordal", "--node-budget", "0"]
+    code, out, _ = run_cli(capsys, argv)
+    (rec,) = records(out)
+    assert code == 3 and not rec["exact"] and copies == []
+    code, out, _ = run_cli(capsys, [*argv, "--sat-solver", solver_command()])
+    (rec,) = records(out)
+    assert code == 0 and rec["exact"] and rec["value"] == 1 + 3  # mr(C5) = 3
+    assert rec["stats"]["methods"] == ["dp", "cnf"]
+    assert copies == [list(range(3, 8))]
 
 
 def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):

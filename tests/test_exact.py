@@ -21,12 +21,12 @@ from minrank import (
     fits,
     minrank_bnb,
     minrank_bruteforce,
-    minrank_components,
     rank_gf2,
     sandwich_bounds,
     verify_witness,
 )
 from minrank import exact
+from minrank.cli import solve_graph
 from minrank.exact import (
     _combine_components,
     _first_spanned_row,
@@ -162,7 +162,7 @@ def test_component_additivity():
     # triangle plus one far-away edge
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     whole = minrank_bruteforce(g)
-    split = minrank_components(g, lambda sub, mask: minrank_bnb(g, None, mask))
+    split = solve_graph(g, "auto", 2, None, None, None)  # no family: bnb per component
     assert split.value == whole.value == 2
     assert split.method == "components"
     assert verify_witness(split, g)

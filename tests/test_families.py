@@ -22,7 +22,9 @@ from minrank.exact import minrank_bnb
 from minrank.families import BoundedOrderFamily, perfect_elimination_order
 from minrank.formats import parse_graph6
 from minrank.generator import random_connected_chordal
-from conftest import component_count, random_edges, random_graph_in_budget
+from conftest import (
+    component_count, flat_bridge_split, random_edges, random_graph_in_budget,
+)
 import oracles
 
 
@@ -461,7 +463,7 @@ def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
 
     def bridgeless_bnb(adjacency, mask, node_budget, bounds):
         sub = _mask_graph(adjacency, mask)
-        assert not sub.bridge_split()[0], sub.edges
+        assert not flat_bridge_split(sub)[0], sub.edges
         assert bounds == (exact.independence_number(adjacency, mask),
                           exact.greedy_bounds(adjacency, mask).cliques)
         searched.append(sub.n)

@@ -7,7 +7,7 @@ import pytest
 from minrank import Graph, GraphError
 from minrank.exact import bit_components
 from minrank.formats import emit_edge_list, parse_edge_list
-from conftest import random_edges
+from conftest import flat_bridge_split, random_edges
 import oracles
 
 
@@ -48,15 +48,15 @@ def test_bridges_match_removal_oracle():
         n = rng.randint(2, 10)
         edges = random_edges(rng, n, rng.choice([0.15, 0.3, 0.5]))
         g = Graph(n, edges)
-        assert g.bridge_split()[0] == oracles.bridges_by_removal(n, edges)
+        assert flat_bridge_split(g)[0] == oracles.bridges_by_removal(n, edges)
 
 
 def test_bridges_named_shapes(petersen):
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert path.bridge_split()[0] == [(0, 1), (1, 2), (2, 3)]
+    assert flat_bridge_split(path)[0] == [(0, 1), (1, 2), (2, 3)]
     cycle = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    assert cycle.bridge_split()[0] == []
-    assert petersen.bridge_split()[0] == []
+    assert flat_bridge_split(cycle)[0] == []
+    assert flat_bridge_split(petersen)[0] == []
 
 
 def bridge_split_test_graphs():
@@ -81,10 +81,20 @@ def bridge_split_test_graphs():
 def test_bridge_split_matches_oracles():
     disconnected = 0
     for n, edges in bridge_split_test_graphs():
-        bridges, atoms, connected = Graph(n, edges).bridge_split()
+        g = Graph(n, edges)
+        bridges, atoms, connected = flat_bridge_split(g)
         assert bridges == oracles.bridges_by_removal(n, edges), edges
         assert atoms == list(oracles.two_edge_connected_components(n, edges)[0])
         assert connected == (len(oracles.components_bfs(n, edges)) == 1), edges
+        # One (bridges, atoms) pair per component, by lowest vertex, each
+        # sorted, its atoms covering the component and its bridges inside it.
+        forest, comps = g.bridge_split(), oracles.components_bfs(n, edges)
+        assert len(forest) == len(comps), edges
+        for comp, (pairs, pieces) in zip(comps, forest):
+            assert sorted(v for atom in pieces for v in atom) == comp
+            assert pairs == sorted(pairs) and pieces == sorted(pieces)
+            assert all(u in comp and v in comp for u, v in pairs)
+            assert len(pieces) == len(pairs) + 1
         disconnected += n > 1 and not connected
     assert disconnected > 100
 
@@ -92,7 +102,7 @@ def test_bridge_split_matches_oracles():
 def test_bridge_split_long_path_needs_no_recursion():
     n = 20000
     path = Graph(n, [(i, i + 1) for i in range(n - 1)])
-    bridges, atoms, connected = path.bridge_split()
+    bridges, atoms, connected = flat_bridge_split(path)
     assert len(bridges) == n - 1 and len(atoms) == n and connected
 
 

@@ -661,22 +661,41 @@ def test_recognize_derives_no_structure(monkeypatch):
         assert out.structure == validate_structure(g, bare, reg).structure
 
 
-def test_connected_auto_solve_searches_the_graph_once(monkeypatch):
-    """A connected auto solve finds the input's components, bridges and
-    atoms in one bridge_split, which recognize reuses; the bounded-order
-    oracle finds its bridges on bitsets, so no other graph is split."""
-    g, _ = generate_member(5, 40, 2, profile="mixed")
-    splits = []
-    real_split = Graph.bridge_split
+def disjoint_members():
+    """Two generated members side by side and an isolated vertex."""
+    a, _ = generate_member(5, 40, 2, profile="mixed")
+    b, _ = generate_member(8, 10, 2, profile="chordal")
+    edges = [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)]
+    return Graph(a.n + b.n + 1, edges)
+
+
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "disconnected"])
+def test_auto_solve_searches_the_graph_once(monkeypatch, connected):
+    """An auto solve finds every component's bridges and atoms in one
+    bridge_split of the input, which recognize reuses per component, and
+    copies no component; the bounded-order oracle finds its bridges on
+    bitsets, so no other graph is split."""
+    g = generate_member(5, 40, 2, profile="mixed")[0] if connected else disjoint_members()
+    splits, copies = [], []
+    real_split, real_induced = Graph.bridge_split, Graph.induced_subgraph
 
     def counted_split(self):
         splits.append(self is g)
         return real_split(self)
 
+    def counted_induced(self, vertices):
+        copies.append(self.n)
+        return real_induced(self, vertices)
+
     monkeypatch.setattr(Graph, "bridge_split", counted_split)
+    monkeypatch.setattr(Graph, "induced_subgraph", counted_induced)
     res = cli.solve_graph(g, "auto", 2, default_registry(), None, None)
-    assert res.method == "dp" and res.exact
-    assert splits == [True]
+    assert res.exact
+    if connected:
+        assert res.method == "dp"
+    else:
+        assert res.method == "components" and res.stats["methods"] == ["dp"] * 3
+    assert splits == [True] and copies == []
 
 
 def bridged_cycles(rng, n):
