@@ -133,11 +133,11 @@ def solve_graph(
             raise GraphError("method cnf needs --sat-solver or a configured solver")
         return minrank_via_cnf(g, sat_solver)
     if method == "dp":
-        raise GraphError("method dp needs the dp subcommand or --structure")
+        raise GraphError("method dp needs the dp subcommand")
 
     def solve(tree, mask: int | None = None) -> MinrankResult:
         """Auto on g's component `tree`, at vertex bitset `mask` (None: all)."""
-        if tree and registry is not None:
+        if tree:
             outcome = recognize(g, c, registry, tree=tree)
             if outcome.member:
                 return dp_fold(outcome.report, trace=trace)
@@ -193,10 +193,7 @@ def cmd_recognize(args) -> int:
     lines = []
     all_member = True
     for idx, tree in enumerate(trees):
-        outcome = recognize(
-            g, args.c, args.registry, debug=args.debug, explain=args.explain,
-            tree=tree,
-        )
+        outcome = recognize(g, args.c, args.registry, explain=args.explain, tree=tree)
         vertices = range(g.n) if tree is None else {v for a in tree[1] for v in a}
         rec = {
             "component": idx,
@@ -325,14 +322,15 @@ def cmd_gen(args) -> int:
 def cmd_cnf(args) -> int:
     g = _one_graph(args, "cnf")
     text = emit_cnf(g, args.k)
+    if not args.solve:
+        _write_out(text, args.output)
+        return 0
+    if not args.sat_solver:
+        raise GraphError("--solve needs --sat-solver or a configured solver")
+    sat = run_solver(text, args.sat_solver)  # before writing: it may fail
     _write_out(text, args.output)
-    if args.solve:
-        if not args.sat_solver:
-            raise GraphError("--solve needs --sat-solver or a configured solver")
-        sat = run_solver(text, args.sat_solver)
-        print("SATISFIABLE" if sat else "UNSATISFIABLE", file=sys.stderr)
-        return 0 if sat else 1
-    return 0
+    print("SATISFIABLE" if sat else "UNSATISFIABLE", file=sys.stderr)
+    return 0 if sat else 1
 
 
 def cmd_validate(args) -> int:
@@ -399,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--components", action="store_true")
     p.add_argument("--structure-out", default=None)
-    p.add_argument("--debug", action="store_true")
     p.add_argument("--explain", action="store_true")
     p.set_defaults(func=cmd_recognize)
 

@@ -5,7 +5,8 @@ of an n-by-k times k-by-n product M = A*B whose constrained entries come
 out right: each m_ij is the XOR over t of (a_it AND b_tj), forced to 1 on
 the diagonal and 0 at non-adjacent off-diagonal pairs.  Edge positions are
 left unconstrained.  No solver is bundled; any executable that reads
-DIMACS on stdin and prints a line containing SAT or UNSAT can be used.
+DIMACS on stdin and prints its verdict, SAT or UNSAT, as a word of a line
+that is not a comment can be used.
 """
 
 from __future__ import annotations
@@ -85,13 +86,17 @@ def emit_cnf(g: Graph, k: int) -> str:
 def run_solver(dimacs: str, solver_path: str, timeout: float | None = None) -> bool:
     """Feed DIMACS to an external solver; True means satisfiable.
 
-    The solver gets the formula on stdin and must print SAT or UNSAT
-    (s-line or bare verdict) on stdout.  solver_path is a command line,
-    split shell-style, so "python3 /path/to/solver.py" works.
+    The solver gets the formula on stdin and must print its verdict on
+    stdout (s-line or bare verdict).  The first line that is not a comment
+    (one beginning with c) and holds, in any case, the word UNSAT or
+    UNSATISFIABLE means unsatisfiable, and one holding SAT or SATISFIABLE
+    satisfiable.  solver_path is a command line, split shell-style, so
+    "python3 /path/to/solver.py" works.  Raises GraphError for an empty
+    command or a solver that gives no verdict.
     """
     cmd = shlex.split(solver_path)
     if not cmd:
-        raise ValueError("empty solver command")
+        raise GraphError("empty solver command")
     proc = subprocess.run(
         cmd,
         input=dimacs.encode(),
@@ -99,13 +104,15 @@ def run_solver(dimacs: str, solver_path: str, timeout: float | None = None) -> b
         stderr=subprocess.PIPE,
         timeout=timeout,
     )
-    text = proc.stdout.decode(errors="replace").upper()
-    for line in text.splitlines():
-        if "UNSAT" in line:
+    for line in proc.stdout.decode(errors="replace").upper().splitlines():
+        if line.lstrip().startswith("C"):  # a comment
+            continue
+        words = set(line.split())
+        if words & {"UNSAT", "UNSATISFIABLE"}:
             return False
-        if "SAT" in line:
+        if words & {"SAT", "SATISFIABLE"}:
             return True
-    raise RuntimeError(
+    raise GraphError(
         f"solver {solver_path!r} gave no SAT/UNSAT verdict "
         f"(exit {proc.returncode})"
     )

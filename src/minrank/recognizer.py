@@ -37,7 +37,7 @@ from itertools import combinations
 from .errors import GraphError, NotInFamilyError
 from .families import FamilyRegistry
 from .graph import Graph
-from .structure import SimpleTreeStructure, StructureReport, mdc, validate_structure
+from .structure import SimpleTreeStructure, StructureReport, mdc
 
 
 class _Memo(dict):
@@ -75,9 +75,7 @@ class RecognitionOutcome:
         return self.report.structure if self.report else None
 
 
-def split_phase(
-    g: Graph, registry: FamilyRegistry, events: list | None = None, tree=None
-) -> AtomForest:
+def split_phase(g: Graph, registry: FamilyRegistry, tree=None) -> AtomForest:
     """Cut every bridge at once, then check each atom's family membership.
 
     The atoms are the components left after deleting all bridges of one
@@ -90,12 +88,9 @@ def split_phase(
     glue atoms without testing their unions, with its first family's
     solver, reused by a part of that atom alone; an atom whose order some
     family holds outright is decided only when it is first read.  Raises
-    NotInFamilyError on the first atom in no registered family.  When
-    `events` is a list, one record per bridge is appended to it.
+    NotInFamilyError on the first atom in no registered family.
     """
     bridges, atoms = tree or g.bridge_split()[0]
-    if events is not None:
-        events.extend({"bridge": [x, y]} for x, y in bridges)
     atom_of = {v: i for i, atom in enumerate(atoms) for v in atom}
     oracles = registry.oracles
 
@@ -159,8 +154,7 @@ def _failed(entry: tuple) -> bool:
 
 
 def merge_phase(
-    g: Graph, forest: AtomForest, c: int, registry: FamilyRegistry,
-    debug: bool = False, trace: list | None = None, stats: dict | None = None,
+    forest: AtomForest, c: int, trace: list | None = None, stats: dict | None = None
 ) -> tuple[SimpleTreeStructure, int]:
     """Search root choices and leaf merges for a structure with <= c connectors.
 
@@ -322,19 +316,8 @@ def merge_phase(
                     last_error = f"root {h - 1}: {shed_below(h - 1, -1)[1]}"
                     break
                 continue
-            structure = structure_at(r, merging)
-            if debug:  # on the component's own graph, which it partitions
-                sub, index = g.induced_subgraph(sorted(forest.atom_of))
-                report = validate_structure(sub, SimpleTreeStructure(
-                    tuple(tuple(index[v] for v in part) for part in structure.parts),
-                    structure.parent,
-                    {j: index[v] for j, v in structure.uc.items()},
-                    {i: {index[u]: js for u, js in m.items()}
-                     for i, m in structure.dc.items()},
-                ), registry)
-                assert report.valid, f"merge broke the structure: {report.violations}"
             record["accepted"] = True
-            return structure, r + 1
+            return structure_at(r, merging), r + 1
     finally:
         if stats is not None:
             stats["decisions"] = len(shed)
@@ -377,7 +360,6 @@ def recognize(
     g: Graph,
     c: int,
     registry: FamilyRegistry,
-    debug: bool = False,
     explain: bool = False,
     tree=None,
 ) -> RecognitionOutcome:
@@ -389,7 +371,7 @@ def recognize(
     component with at most `c` downward connectors per part, with the
     report that validating it would give (`accepted_report`).  With
     `explain` the stats hold a machine-readable trace of every cut and
-    merge decision; with `debug` merging validates what it accepts.
+    merge decision.
     """
     if g.n == 0:
         raise GraphError("cannot recognize the empty graph")
@@ -399,19 +381,20 @@ def recognize(
             raise GraphError("recognition needs a connected graph; decompose first")
     if c < 1:
         raise GraphError(f"connector bound must be positive, got {c}")
-    splits, trace = ([], []) if explain else (None, None)
-    stats: dict = {"explain": {"splits": splits, "roots": trace}} if explain else {}
+    trace = [] if explain else None
+    stats: dict = {}
+    if explain:  # every bridge, listed before the split can fail
+        splits = [{"bridge": [x, y]} for x, y in tree[0]]
+        stats["explain"] = {"splits": splits, "roots": trace}
     try:
-        forest = split_phase(g, registry, events=splits, tree=tree)
+        forest = split_phase(g, registry, tree=tree)
     except NotInFamilyError as exc:
         return RecognitionOutcome(
             False, None, 0, exc.detail, {"phase": "split", **stats}
         )
     stats["atoms"] = len(forest.atoms)
     try:
-        structure, roots = merge_phase(
-            g, forest, c, registry, debug=debug, trace=trace, stats=stats
-        )
+        structure, roots = merge_phase(forest, c, trace=trace, stats=stats)
     except NotInFamilyError as exc:
         return RecognitionOutcome(
             False, None, len(forest.atoms), exc.detail, {"phase": "merge", **stats}

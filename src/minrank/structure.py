@@ -208,10 +208,10 @@ def validate_structure(
     )
 
 
-def structure_to_dot(g: Graph, t: SimpleTreeStructure, name: str = "G") -> str:
+def structure_to_dot(g: Graph, t: SimpleTreeStructure) -> str:
     """Graphviz source with parts as clusters and cross edges drawn bold."""
     part_of = {v: i for i, p in enumerate(t.parts) for v in p}
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for i, part in enumerate(t.parts):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="part {i}";')

@@ -507,7 +507,7 @@ def recognize_decided_first(g, c, registry, explain=False):
                         glue_bits, atom_of)
     trace, stats = ([] if explain else None), {}
     try:
-        structure, roots = merge_phase(g, forest, c, registry, trace=trace, stats=stats)
+        structure, roots = merge_phase(forest, c, trace=trace, stats=stats)
     except NotInFamilyError as exc:
         return False, len(atoms), exc.detail, None, trace, stats["decisions"]
     report = accepted_report(g, forest, structure, registry)

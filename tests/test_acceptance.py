@@ -20,6 +20,7 @@ import pytest
 
 from minrank import (
     BitMatrix,
+    FamilyRegistry,
     Graph,
     combine_shared_vertex,
     default_registry,
@@ -232,6 +233,7 @@ def test_c09_vertex_deletion_bounds():
 def test_c10_disconnected_graphs_add_up():
     with budget(120, "C10 disconnected graphs solved per component, 100 graphs"):
         rng = random.Random(1010)
+        no_family = FamilyRegistry(())
         for _ in range(100):
             blocks = []
             while True:
@@ -248,7 +250,7 @@ def test_c10_disconnected_graphs_add_up():
                 n += b.n
             g = Graph(n, edges)
             assert component_count(g) >= 2
-            res = solve_graph(g, "auto", 2, None, None, None)  # bnb per component
+            res = solve_graph(g, "auto", 2, no_family, None, None)  # bnb per component
             brute = minrank_bruteforce(g)
             assert res.value == brute.value and res.exact
             assert res.method == "components" and verify_witness(res, g)

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 from minrank import (
-    BitMatrix, Graph, MinrankResult, cli, default_registry, emit_edge_list, recognizer,
+    BitMatrix, Graph, MinrankResult, cli, default_registry, emit_edge_list,
     validate_structure, verify_witness,
 )
 from minrank.cli import main
@@ -52,6 +52,7 @@ RECORD_SCHEMA = {
 
 EXAMPLE_EDGES = "n=5\n0 1\n0 2\n0 4\n1 2\n2 3\n3 4\n"
 TWO_TRIANGLES_EDGES = "n=6\n0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n4 5\n"
+NO_VERDICT = f"{sys.executable} -c pass"  # a solver that prints nothing
 
 
 def run_cli(capsys, argv):
@@ -277,6 +278,7 @@ def test_negative_node_budget_exits_two(tmp_path, capsys, command):
         ["cnf", "IN", "--k", "2", "--registry", "chordal"],
         ["cnf", "IN", "--k", "2", "--c", "2"],
         ["validate", "IN", "--structure", "IN", "--c", "2"],
+        ["recognize", "IN", "--debug"],
     ],
 )
 def test_options_a_subcommand_ignores_are_refused(tmp_path, capsys, argv):
@@ -593,15 +595,14 @@ def test_component_records_name_the_input_vertices(tmp_path, capsys):
     ]
 
 
-def test_recognize_components_debug_validates_each_component(tmp_path, capsys, monkeypatch):
-    """`recognize --components` searches the input once and copies nothing;
-    with `--debug` each accepted structure is validated in full against
+def test_recognize_components_searches_once_and_copies_nothing(tmp_path, capsys, monkeypatch):
+    """`recognize --components` searches the input once, copies nothing and
+    validates nothing; each structure it prints validates in full against
     its component, and every component is a member."""
     g = parse_edge_list(TWO_BRIDGED_EDGES)
     path = write(tmp_path, "two.edges", TWO_BRIDGED_EDGES)
     splits, copies, checked = [], [], []
     real_split, real_induced = Graph.bridge_split, Graph.induced_subgraph
-    real_validate = recognizer.validate_structure
 
     def counted_split(self):
         splits.append(self.n)
@@ -611,21 +612,23 @@ def test_recognize_components_debug_validates_each_component(tmp_path, capsys, m
         copies.append(self.n)
         return real_induced(self, vertices)
 
-    def counted_validate(graph, t, registry):
-        report = real_validate(graph, t, registry)
-        checked.append((graph.n, report.valid))
-        return report
+    def counted_validate(*args):
+        checked.append(args)
+        return validate_structure(*args)
 
     monkeypatch.setattr(Graph, "bridge_split", counted_split)
     monkeypatch.setattr(Graph, "induced_subgraph", counted_induced)
-    monkeypatch.setattr(recognizer, "validate_structure", counted_validate)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minrank") and hasattr(module, "validate_structure"):
+            monkeypatch.setattr(module, "validate_structure", counted_validate)
     code, out, _ = run_cli(capsys, ["recognize", path, "--components"])
+    monkeypatch.undo()
     assert code == 0 and all(rec["member"] for rec in records(out))
     assert (splits, copies, checked) == ([g.n], [], [])
-    plain = out
-    code, out, _ = run_cli(capsys, ["recognize", path, "--components", "--debug"])
-    assert code == 0 and out == plain
-    assert splits == [g.n, g.n] and copies == [g.n, g.n]
+    checked = []
+    for rec in records(out):
+        sub, t = on_component(g, rec["structure"])
+        checked.append((sub.n, validate_structure(sub, t, default_registry()).valid))
     assert checked == [(4, True), (5, True)]
 
 
@@ -894,10 +897,22 @@ def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):
         # A batch runs in at least one process.
         ["batch", "IN", "--jobs", "0"],
         ["batch", "IN", "--jobs", "-2"],
+        # A solver that cannot be run, or that gives no verdict; C5's
+        # bounds leave a gap, so its solve calls the solver.
+        *[
+            [*args, "--sat-solver", solver]
+            for solver in (" ", NO_VERDICT)
+            for args in (
+                ["cnf", "IN", "--k", "2", "--solve", "-o", "OUT"],
+                ["minrank", "C5", "--method", "cnf"],
+                ["minrank", "C5", "--registry", "chordal", "--node-budget", "0"],
+            )
+        ],
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
     path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
+    c5 = write(tmp_path, "c5.edges", "n=5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
     bad = tmp_path / "bad.edges"
     bad.write_bytes(b"\xff\xfe\n")
     # Under Python's UTF-8 mode stdin escapes bytes that do not decode.
@@ -906,7 +921,7 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
     )
     monkeypatch.setattr(sys, "stdin", stdin)
     out = tmp_path / "out.json"
-    argv = [{"IN": path, "BAD": str(bad), "OUT": str(out)}.get(a, a) for a in argv]
+    argv = [{"IN": path, "C5": c5, "BAD": str(bad), "OUT": str(out)}.get(a, a) for a in argv]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error:")

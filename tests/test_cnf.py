@@ -1,12 +1,15 @@
 """DIMACS export of bounded-rank questions and external-solver glue."""
 
 import random
+import shlex
+import sys
 
 import pytest
 
 from minrank import Graph, minrank_bruteforce, minrank_via_cnf
 from minrank.cnf import build_cnf, emit_cnf, run_solver
-from conftest import random_graph_in_budget, solver_command
+from minrank.errors import GraphError
+from conftest import SOLVER_SCRIPT, random_graph_in_budget, solver_command
 
 
 def parse_dimacs(text: str):
@@ -59,10 +62,47 @@ def test_run_solver_verdicts():
 
 
 def test_run_solver_contract_errors():
-    with pytest.raises(RuntimeError, match="verdict"):
+    with pytest.raises(GraphError, match="verdict"):
         run_solver("p cnf 1 1\n1 0\n", "true")  # prints nothing
-    with pytest.raises(ValueError):
+    with pytest.raises(GraphError):
         run_solver("p cnf 1 1\n1 0\n", "")
+
+
+BANNER = "c CaDiCaL Simplified Satisfiability Solver"
+
+
+@pytest.mark.parametrize(
+    "lines, sat",
+    [
+        ([BANNER, "s UNSATISFIABLE"], False),
+        ([BANNER, "s SATISFIABLE", "v 1 0"], True),
+        (["UNSAT"], False),
+        (["sat"], True),
+        (["c no verdict here: UNSAT", "SAT"], True),
+    ],
+    ids=["banner-unsat", "banner-sat", "bare-unsat", "bare-lower-sat", "comment-words"],
+)
+def test_run_solver_reads_the_verdict_not_the_comments(lines, sat):
+    """Comment lines never decide the verdict, even when a word in them is
+    one; a verdict is a whole word, in any case, UNSAT or UNSATISFIABLE
+    before SAT or SATISFIABLE."""
+    fake = shlex.join([sys.executable, "-c", f"print({chr(10).join(lines)!r})"])
+    assert run_solver("p cnf 1 1\n1 0\n", fake) is sat
+
+
+def test_banner_does_not_turn_a_wrong_answer_exact(tmp_path):
+    """A solver that prints a banner holding the word "Satisfiability"
+    before the bundled solver's verdict: C5's min-rank is 3, so every rank
+    bound below it must still read as unsatisfiable."""
+    script = tmp_path / "banner_solver.py"
+    script.write_text(
+        "import subprocess, sys\n"
+        f"print({BANNER!r}, flush=True)\n"
+        f"sys.exit(subprocess.run([sys.executable, {SOLVER_SCRIPT!r}]).returncode)\n"
+    )
+    c5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    res = minrank_via_cnf(c5, shlex.join([sys.executable, str(script)]))
+    assert (res.value, res.exact) == (minrank_bruteforce(c5).value, True) == (3, True)
 
 
 def test_binary_search_matches_bruteforce():

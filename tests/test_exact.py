@@ -17,6 +17,7 @@ from minrank import (
     BRUTE_FORCE_BIT_BUDGET,
     BitMatrix,
     BudgetExceededError,
+    FamilyRegistry,
     Graph,
     fits,
     minrank_bnb,
@@ -162,7 +163,8 @@ def test_component_additivity():
     # triangle plus one far-away edge
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     whole = minrank_bruteforce(g)
-    split = solve_graph(g, "auto", 2, None, None, None)  # no family: bnb per component
+    no_family = FamilyRegistry(())  # bnb per component
+    split = solve_graph(g, "auto", 2, no_family, None, None)
     assert split.value == whole.value == 2
     assert split.method == "components"
     assert verify_witness(split, g)

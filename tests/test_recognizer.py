@@ -91,9 +91,12 @@ def test_recognize_finds_bridges_once(monkeypatch):
 
 def test_split_events_list_every_bridge():
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    events = []
-    split_phase(path, default_registry(), events=events)
+    events = recognize(path, 2, default_registry(), explain=True).stats["explain"]["splits"]
     assert events == [{"bridge": [0, 1]}, {"bridge": [1, 2]}, {"bridge": [2, 3]}]
+    # A split that fails still lists every bridge.
+    out = recognize(triangles_with_bridge(), 2, parse_registry_spec("bounded:2"), explain=True)
+    assert out.stats["phase"] == "split"
+    assert out.stats["explain"]["splits"] == [{"bridge": [2, 3]}]
 
 
 def test_split_rejects_unregistered_atom():
@@ -153,8 +156,8 @@ def central_triangle_with_pendants():
 def test_merge_absorbs_when_connectors_exceed_bound():
     g = central_triangle_with_pendants()
     reg = parse_registry_spec("bounded:6")
-    out = recognize(g, 2, reg, debug=True, explain=True)
-    assert out.member
+    out = recognize(g, 2, reg, explain=True)
+    assert out.member and validate_structure(g, out.structure, reg).valid
     parts = [tuple(p) for p in out.structure.parts]
     assert len(parts) == 3  # one absorbed pendant, two survivors
     assert mdc(out.structure) == 2
@@ -241,9 +244,7 @@ def test_soundness_on_arbitrary_graphs():
 
 def test_merge_phase_counts_roots():
     forest = split_phase(triangles_with_bridge(), default_registry())
-    structure, roots = merge_phase(
-        triangles_with_bridge(), forest, 2, default_registry()
-    )
+    structure, roots = merge_phase(forest, 2)
     assert roots == 1
     assert len(structure.parts) == 2
 
@@ -289,7 +290,7 @@ def test_merge_phase_matches_every_root_reference():
         trace, runs = [], []
         for t in (trace, None):
             try:
-                runs.append(merge_phase(g, forest, c, reg, trace=t))
+                runs.append(merge_phase(forest, c, trace=t))
             except NotInFamilyError as exc:
                 runs.append(exc.detail)
         traced, plain = runs
@@ -434,7 +435,7 @@ def test_merge_glues_without_induced_subgraphs(monkeypatch):
         return real(self, vertices)
 
     monkeypatch.setattr(Graph, "induced_subgraph", counted)
-    structure, roots = merge_phase(g, forest, 2, reg)
+    structure, roots = merge_phase(forest, 2)
     assert len(forest.atoms) > 1000 and len(structure.parts) == 1
     assert calls == []
 
