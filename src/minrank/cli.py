@@ -132,8 +132,6 @@ def solve_graph(
         if not sat_solver:
             raise GraphError("method cnf needs --sat-solver or a configured solver")
         return minrank_via_cnf(g, sat_solver)
-    if method == "dp":
-        raise GraphError("method dp needs the dp subcommand")
 
     def solve(tree, mask: int | None = None) -> MinrankResult:
         """Auto on g's component `tree`, at vertex bitset `mask` (None: all)."""
@@ -295,6 +293,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.dot and not args.prefix:
+        raise GraphError("--dot writes <prefix>.dot and needs a prefix")
     g, t = generate_member(
         args.seed,
         args.parts,
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument(
         "--method",
-        choices=("auto", "brute", "bnb", "cnf", "dp"),
+        choices=("auto", "brute", "bnb", "cnf"),
         default="auto",
     )
     p.add_argument("--sat-solver", default=None)

@@ -83,7 +83,7 @@ def emit_cnf(g: Graph, k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_solver(dimacs: str, solver_path: str, timeout: float | None = None) -> bool:
+def run_solver(dimacs: str, solver_path: str) -> bool:
     """Feed DIMACS to an external solver; True means satisfiable.
 
     The solver gets the formula on stdin and must print its verdict on
@@ -102,7 +102,6 @@ def run_solver(dimacs: str, solver_path: str, timeout: float | None = None) -> b
         input=dimacs.encode(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        timeout=timeout,
     )
     for line in proc.stdout.decode(errors="replace").upper().splitlines():
         if line.lstrip().startswith("C"):  # a comment
@@ -118,9 +117,7 @@ def run_solver(dimacs: str, solver_path: str, timeout: float | None = None) -> b
     )
 
 
-def minrank_via_cnf(
-    g: Graph, solver_path: str, timeout: float | None = None
-) -> MinrankResult:
+def minrank_via_cnf(g: Graph, solver_path: str) -> MinrankResult:
     """Exact min-rank by binary search on k with an external SAT solver.
 
     No witness matrix is recovered; only the value is reported.
@@ -134,7 +131,7 @@ def minrank_via_cnf(
     while lo < hi:
         mid = (lo + hi) // 2
         calls += 1
-        if run_solver(emit_cnf(g, mid), solver_path, timeout):
+        if run_solver(emit_cnf(g, mid), solver_path):
             hi = mid
         else:
             lo = mid + 1

@@ -32,8 +32,6 @@ on the auto path the one `recognize` builds, unchecked again, and in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BudgetExceededError, StructureError
 from .exact import MinrankResult, _check_pair, combine_shared_vertex
 from .families import FamilyRegistry
@@ -42,14 +40,6 @@ from .structure import SimpleTreeStructure, StructureReport, validate_structure
 
 # Largest connector-subset table the fold builds for one part.
 MAX_SUBSETS = 1 << 16
-
-
-@dataclass
-class NodeTable:
-    """Subtree min-rank with and without the part's upward connector."""
-
-    m_full: int
-    m_minus: int | None
 
 
 def star_merge(children: list[tuple[int, int]]) -> tuple[int, int]:
@@ -110,7 +100,9 @@ def dp_fold(report: StructureReport, trace: bool = False) -> MinrankResult:
         stack.extend(children[node])
     order.reverse()  # every part now comes after all of its children
 
-    tables: dict[int, NodeTable] = {}
+    # Per part: the subtree min-rank, and the same without its upward
+    # connector (None at the root).
+    tables: dict[int, tuple[int, int | None]] = {}
     trace_nodes = []
     oracle_calls = 0
     for i in order:
@@ -122,10 +114,7 @@ def dp_fold(report: StructureReport, trace: bool = False) -> MinrankResult:
                 f"part {i} has {len(dcs)} downward connectors; "
                 f"2^{len(dcs)} subsets exceed the budget of {MAX_SUBSETS}"
             )
-        hub_values = {
-            u: star_merge([(tables[j].m_full, tables[j].m_minus) for j in dc_map[u]])
-            for u in dcs
-        }
+        hub_values = {u: star_merge([tables[j] for j in dc_map[u]]) for u in dcs}
         # Start from the bare part minus each subset of its connectors, bit j
         # of a mask standing for keys[j]; then fold in one downward connector
         # per step, in place, which retires its bit.
@@ -147,17 +136,17 @@ def dp_fold(report: StructureReport, trace: bool = False) -> MinrankResult:
                     cur[mask] += hub[1]
                 else:
                     cur[mask] = combine_shared_vertex(cur[mask], cur[mask | bit], *hub)
-        table = NodeTable(cur[0], None if uc is None else cur[1 << keys.index(uc)])
-        if table.m_minus is not None:
-            _check_pair(table.m_full, table.m_minus, f"table at part {i}")
-        tables[i] = table
+        m_full, m_minus = cur[0], None if uc is None else cur[1 << keys.index(uc)]
+        if m_minus is not None:
+            _check_pair(m_full, m_minus, f"table at part {i}")
+        tables[i] = m_full, m_minus
         if trace:
             trace_nodes.append(
                 {
                     "part": i,
                     "family": report.families[i],
-                    "m_full": table.m_full,
-                    "m_minus": table.m_minus,
+                    "m_full": m_full,
+                    "m_minus": m_minus,
                     "hub_values": {str(u): list(hv) for u, hv in hub_values.items()},
                 }
             )
@@ -165,4 +154,4 @@ def dp_fold(report: StructureReport, trace: bool = False) -> MinrankResult:
     stats = {"oracle_calls": oracle_calls, "parts": k}
     if trace:
         stats["trace"] = {"order": order, "nodes": trace_nodes}
-    return MinrankResult(tables[t.root].m_full, "dp", None, True, stats)
+    return MinrankResult(tables[t.root][0], "dp", None, True, stats)

@@ -206,7 +206,7 @@ class FamilyRegistry:
     def __post_init__(self):
         names = [o.name for o in self.oracles]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate family names: {names}")
+            raise GraphError(f"duplicate family names: {names}")
 
     def claim(self, g: Graph, part) -> tuple[FamilyOracle, object] | None:
         """The first family holding g's subgraph induced on `part`, with its

@@ -120,31 +120,26 @@ def parse_edge_list(text: str) -> Graph:
     n_header = None
     raw_edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        try:  # a bare `u v` line, the common case
-            u, v = map(int, line.split())
-        except ValueError:
-            u = None
-        if u is None:
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if body.startswith("n="):
-                if n_header is not None:
-                    raise GraphError(f"line {lineno}: repeated n= header")
-                try:
-                    n_header = int(body[2:])
-                except ValueError:
-                    raise GraphError(f"line {lineno}: bad vertex count {body!r}") from None
-                if n_header < 0:
-                    raise GraphError(f"line {lineno}: negative vertex count")
-                continue
-            toks = body.split()
-            if len(toks) != 2:
-                raise GraphError(f"line {lineno}: expected two vertex ids, got {body!r}")
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if body.startswith("n="):
+            if n_header is not None:
+                raise GraphError(f"line {lineno}: repeated n= header")
             try:
-                u, v = int(toks[0]), int(toks[1])
+                n_header = int(body[2:])
             except ValueError:
-                raise GraphError(f"line {lineno}: non-integer vertex id in {body!r}") from None
+                raise GraphError(f"line {lineno}: bad vertex count {body!r}") from None
+            if n_header < 0:
+                raise GraphError(f"line {lineno}: negative vertex count")
+            continue
+        toks = body.split()
+        if len(toks) != 2:
+            raise GraphError(f"line {lineno}: expected two vertex ids, got {body!r}")
+        try:
+            u, v = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise GraphError(f"line {lineno}: non-integer vertex id in {body!r}") from None
         if u == v:
             raise GraphError(f"line {lineno}: loop at vertex {u}")
         raw_edges.append((lineno, u, v))

@@ -59,8 +59,6 @@ def _random_tree_parents(rng: random.Random, k: int) -> list[int]:
     """Parent array of a uniformly random labeled tree rooted at 0."""
     if k == 1:
         return [-1]
-    if k == 2:
-        return [-1, 0]
     seq = [rng.randrange(k) for _ in range(k - 2)]
     degree = [1] * k
     for x in seq:
@@ -158,6 +156,13 @@ def generate_member(
     # Validation reads the connectors off the graph.
     t = SimpleTreeStructure(tuple(parts), tuple(parent))
     report = validate_structure(g, t, registry)
+    # A part in no family comes from the orders and registry asked for.
+    for i, family in enumerate(report.families):
+        if family is None:
+            names = ",".join(o.name for o in registry.oracles)
+            raise GraphError(
+                f"part {i} of order {len(parts[i])} is in no family of registry {names}"
+            )
     if not report.valid or report.mdc > c:
         raise AssertionError(
             f"generator produced an invalid instance: {report.violations}"

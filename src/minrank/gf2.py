@@ -24,30 +24,11 @@ class BitMatrix:
             if not 0 <= r < limit:
                 raise ValueError(f"row {i} has bits outside {self.cols} columns")
 
-    @classmethod
-    def from_strings(cls, lines) -> "BitMatrix":
-        """Build from rows of '0'/'1' characters (the text certificate format)."""
-        packed = []
-        width = None
-        for line in lines:
-            line = line.strip()
-            if width is None:
-                width = len(line)
-            elif len(line) != width:
-                raise ValueError("ragged rows in matrix text")
-            if set(line) - {"0", "1"}:
-                raise ValueError(f"bad matrix text row {line!r}")
-            packed.append(sum(1 << j for j, c in enumerate(line) if c == "1"))
-        return cls(len(packed), width or 0, tuple(packed))
-
     def to_strings(self) -> list[str]:
         return [
             "".join("1" if (r >> j) & 1 else "0" for j in range(self.cols))
             for r in self.data
         ]
-
-    def __str__(self):
-        return "\n".join(self.to_strings())
 
 
 def reduce_row(pivots: dict[int, int], x: int) -> int:

@@ -50,9 +50,6 @@ class Graph:
         """The neighbours of v: the graph's own set, to be read, never mutated."""
         return self._adj[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 

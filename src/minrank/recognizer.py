@@ -205,7 +205,7 @@ def merge_phase(
                 "absorbed_parts": [merged(w, v) for w in absorbed],
             })
 
-    def glued(v: int, groups: dict, free: dict, chosen, order: int) -> int | None:
+    def glued(v: int, groups: dict, chosen, order: int) -> int | None:
         # 0 when no family holds the union of atom v and its children at the
         # connectors `chosen`, which are joined along a tree of bridges; else
         # the AND of their atoms' masks, or None when its order decides.
@@ -216,20 +216,16 @@ def merge_phase(
         for u in chosen:
             if not mask & need:
                 return 0
-            part = free[u][1]
-            if part is None:  # its atoms in turn, up to one lacking every need bit
-                part, stack = -1, [(w, v) for w in groups[u]]
-                for a, b in stack:  # the loop reaches what it appends
-                    absorbed, _, known, _ = shed[a, b]
-                    if known is None:
-                        known = families[a][0]
-                        stack += [(x, a) for x in absorbed]
-                    part &= known
-                    if not part & mask & need:
-                        break
-                else:
-                    free[u][1] = part
-            mask &= part
+            # Its atoms in turn, up to one lacking every need bit.
+            stack = [(w, v) for w in groups[u]]
+            for a, b in stack:  # the loop reaches what it appends
+                absorbed, _, known, _ = shed[a, b]
+                if known is None:
+                    known = families[a][0]
+                    stack += [(x, a) for x in absorbed]
+                mask &= known
+                if not mask & need:
+                    break
         return mask if mask & need else 0
 
     def shed_at(v: int, p: int, kids: list[int]) -> tuple:
@@ -241,8 +237,7 @@ def merge_phase(
             groups.setdefault(end[v, w], []).append(w)
         connectors = sorted(groups)
         # Per connector whose children are all childless (only those may be
-        # absorbed): the sum of their parts' orders and, once read, the AND
-        # of their masks.
+        # absorbed): the sum of their parts' orders.
         free = {}
         for u in connectors:
             leaf, order = True, 0
@@ -251,14 +246,12 @@ def merge_phase(
                 leaf = leaf and not kept
                 order += count
             if leaf:
-                free[u] = [order, None]
+                free[u] = order
         for size in range(len(connectors), max(0, len(connectors) - c) - 1, -1):
             for chosen in combinations(free, size):
-                order = len(atoms[v])
-                for u in chosen:
-                    order += free[u][0]
+                order = len(atoms[v]) + sum(free[u] for u in chosen)
                 # A bare atom was already found in a family by split_phase.
-                mask = glued(v, groups, free, chosen, order) if chosen else None
+                mask = glued(v, groups, chosen, order) if chosen else None
                 if mask == 0:
                     continue
                 absorbed = [w for u in chosen for w in groups[u]]

