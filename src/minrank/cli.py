@@ -465,9 +465,6 @@ def main(argv=None) -> int:
         # UnicodeDecodeError: an input file or stdin that is not text.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
-        print(f"budget: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -17,13 +17,13 @@ drive the fold:
   with v deleted, plus 1 only when both halves strictly need v.
 
 A part with several downward connectors is folded one connector at a
-time.  Because each glue step needs values both with and without the
-shared connector, and the final answer needs both with and without the
-part's upward connector, the fold carries a table indexed by subsets of
-the still-pending connector vertices, as bitmasks over the part's sorted
-connectors: entry U is the min-rank of the partial union minus U.  It
-starts as the bare part's min-rank minus each subset, read from one
-solver per part, and never exceeds 2^(d+1) entries for d connectors.
+time.  Both differences in `combine_shared_vertex` are 0 or 1, so gluing
+the hub at connector u adds the hub's value without u and, when the hub
+does not need u (its two values are equal), deletes u from the part;
+otherwise the part stays whole.  So with D the downward connectors whose
+hubs do not need them, m_full = mr(P - D) + the hubs' values without u,
+and m_minus is the same with the upward connector deleted too: two
+solver queries per part, one at the root, 2k - 1 for k parts.
 
 `dp_fold` folds a valid `StructureReport`, which carries those solvers:
 on the auto path the one `recognize` builds, unchecked again, and in
@@ -32,14 +32,11 @@ on the auto path the one `recognize` builds, unchecked again, and in
 
 from __future__ import annotations
 
-from .errors import BudgetExceededError, StructureError
-from .exact import MinrankResult, _check_pair, combine_shared_vertex
+from .errors import StructureError
+from .exact import MinrankResult, _check_pair
 from .families import FamilyRegistry
 from .graph import Graph
 from .structure import SimpleTreeStructure, StructureReport, validate_structure
-
-# Largest connector-subset table the fold builds for one part.
-MAX_SUBSETS = 1 << 16
 
 
 def star_merge(children: list[tuple[int, int]]) -> tuple[int, int]:
@@ -78,68 +75,43 @@ def dp_fold(report: StructureReport, trace: bool = False) -> MinrankResult:
 
     The fold runs on the report's structure, whose connectors were read
     off the graph.  Each part's solver answers min-rank queries on the
-    part with connector subsets deleted (families are closed under vertex
+    part with connectors deleted (families are closed under vertex
     deletion, so those stay members), so no part is tested again.  No
-    witness matrix is produced.  Parts whose connector subset table would
-    exceed `MAX_SUBSETS` entries are refused.
+    witness matrix is produced.
     """
     if not report.valid:
         raise StructureError(f"invalid structure: {report.violations}")
     t = report.structure
     k = len(t.parts)
 
-    children: list[list[int]] = [[] for _ in range(k)]
-    for j, p in enumerate(t.parent):
-        if p != -1:
-            children[p].append(j)
     order = []
     stack = [t.root]
     while stack:
         node = stack.pop()
         order.append(node)
-        stack.extend(children[node])
+        stack += sorted(j for js in t.dc.get(node, {}).values() for j in js)
     order.reverse()  # every part now comes after all of its children
 
     # Per part: the subtree min-rank, and the same without its upward
     # connector (None at the root).
-    tables: dict[int, tuple[int, int | None]] = {}
+    pairs: dict[int, tuple[int, int | None]] = {}
     trace_nodes = []
     oracle_calls = 0
     for i in order:
         uc = t.uc.get(i)
         dc_map = t.dc.get(i, {})
-        dcs = sorted(dc_map)
-        if 2 ** len(dcs) > MAX_SUBSETS:
-            raise BudgetExceededError(
-                f"part {i} has {len(dcs)} downward connectors; "
-                f"2^{len(dcs)} subsets exceed the budget of {MAX_SUBSETS}"
-            )
-        hub_values = {u: star_merge([tables[j] for j in dc_map[u]]) for u in dcs}
-        # Start from the bare part minus each subset of its connectors, bit j
-        # of a mask standing for keys[j]; then fold in one downward connector
-        # per step, in place, which retires its bit.
-        keys = sorted({*dcs, uc} - {None})
-        subsets = [[]]  # subsets[mask]: the positions in the part it deletes
-        for v in keys:
-            x = t.parts[i].index(v)
-            subsets += [s + [x] for s in subsets]
-        cur = list(map(report.solvers[i], subsets))
-        oracle_calls += len(cur)
-        retired = 0
-        for u in dcs:
-            bit, hub = 1 << keys.index(u), hub_values[u]
-            retired |= bit if u != uc else 0
-            for mask in range(len(cur)):  # ascending: cur[mask | bit] is unfolded
-                if mask & retired:
-                    continue
-                if mask & bit:  # u is also the upward connector, deleted
-                    cur[mask] += hub[1]
-                else:
-                    cur[mask] = combine_shared_vertex(cur[mask], cur[mask | bit], *hub)
-        m_full, m_minus = cur[0], None if uc is None else cur[1 << keys.index(uc)]
-        if m_minus is not None:
-            _check_pair(m_full, m_minus, f"table at part {i}")
-        tables[i] = m_full, m_minus
+        hub_values = {u: star_merge([pairs[j] for j in dc_map[u]]) for u in sorted(dc_map)}
+        # Each hub adds its value without u, and deletes u unless it needs u.
+        deleted = {u for u, hub in hub_values.items() if hub[0] == hub[1]}
+        glued = sum(hub[1] for hub in hub_values.values())
+        solve, index = report.solvers[i], t.parts[i].index
+        m_full = solve(map(index, deleted)) + glued
+        m_minus = None
+        if uc is not None:
+            m_minus = solve(map(index, deleted | {uc})) + glued
+            _check_pair(m_full, m_minus, f"pair at part {i}")
+        oracle_calls += 1 if uc is None else 2
+        pairs[i] = m_full, m_minus
         if trace:
             trace_nodes.append(
                 {
@@ -154,4 +126,4 @@ def dp_fold(report: StructureReport, trace: bool = False) -> MinrankResult:
     stats = {"oracle_calls": oracle_calls, "parts": k}
     if trace:
         stats["trace"] = {"order": order, "nodes": trace_nodes}
-    return MinrankResult(tables[t.root][0], "dp", None, True, stats)
+    return MinrankResult(pairs[t.root][0], "dp", None, True, stats)

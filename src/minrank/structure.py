@@ -24,6 +24,13 @@ def _id(v) -> int:
     return v
 
 
+def _key(s) -> int:
+    """A `uc` or `dc` key: a part or vertex id as a canonical decimal string."""
+    if str(i := int(s)) != s or i < 0:
+        raise ValueError(f"key {s!r} is not a canonical non-negative decimal")
+    return i
+
+
 @dataclass(frozen=True)
 class SimpleTreeStructure:
     parts: tuple[tuple[int, ...], ...]
@@ -53,13 +60,14 @@ class SimpleTreeStructure:
     def from_json_dict(cls, obj: dict) -> "SimpleTreeStructure":
         """Read the dict `to_json_dict` writes.  Vertex ids, parents, `uc`
         values and `dc` child lists must be JSON integers (no bools, floats
-        or strings); the `uc` and `dc` keys are decimal strings."""
+        or strings); the `uc` and `dc` keys are canonical decimal strings
+        such as "0" and "12"."""
         try:
             parts = tuple(tuple(map(_id, p)) for p in obj["parts"])
             parent = tuple(map(_id, obj["parent"]))
-            uc = {int(i): _id(v) for i, v in obj.get("uc", {}).items()}
+            uc = {_key(i): _id(v) for i, v in obj.get("uc", {}).items()}
             dc = {
-                int(i): {int(u): tuple(sorted(map(_id, js))) for u, js in m.items()}
+                _key(i): {_key(u): tuple(sorted(map(_id, js))) for u, js in m.items()}
                 for i, m in obj.get("dc", {}).items()
             }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

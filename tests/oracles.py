@@ -6,9 +6,12 @@ searches enumerate outright.  Tests compare the fast library code
 against these, so nothing here may import from minrank, with two
 exceptions: `recognize_decided_first` runs the package's own merge over
 atoms whose families it decided up front, to pin what deciding them
-later must not change; and `parse_edge_list`, the edge-list parser as it
+later must not change; `parse_edge_list`, the edge-list parser as it
 stood before it read documents in bulk, builds the package's `Graph` and
-raises its `GraphError`, so that its outcomes compare with the parser's.
+raises its `GraphError`, so that its outcomes compare with the parser's;
+and `dp_fold_by_subset_table`, the dp fold as it stood before it made two
+queries per part, reads a structure report's solvers and glues with the
+package's `star_merge` and `combine_shared_vertex`.
 """
 
 import itertools
@@ -578,3 +581,86 @@ def parse_edge_list(text: str) -> Graph:
     if duplicate is not None:
         raise GraphError(duplicate)
     return Graph._of_adjacency(adj, labels)
+
+
+# The dp fold that tabled every subset of a part's connectors, kept as it
+# stood (less its refusal above 2^16 subsets): the reference that the
+# two-query fold must agree with, value and trace.
+def dp_fold_by_subset_table(report, trace=False):
+    """Exact min-rank from a valid structure report, in one bottom-up fold.
+
+    Per part the fold carries a table indexed by subsets of the still-pending
+    connector vertices, as bitmasks over the part's sorted connectors: entry
+    U is the min-rank of the partial union minus U.  It starts as the bare
+    part's min-rank minus each subset, read from the part's solver, so a part
+    with d connectors costs 2^d queries.
+    """
+    from minrank.dp import star_merge
+    from minrank.errors import StructureError
+    from minrank.exact import MinrankResult, _check_pair, combine_shared_vertex
+
+    if not report.valid:
+        raise StructureError(f"invalid structure: {report.violations}")
+    t = report.structure
+    k = len(t.parts)
+
+    children = [[] for _ in range(k)]
+    for j, p in enumerate(t.parent):
+        if p != -1:
+            children[p].append(j)
+    order = []
+    stack = [t.root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(children[node])
+    order.reverse()  # every part now comes after all of its children
+
+    tables = {}
+    trace_nodes = []
+    oracle_calls = 0
+    for i in order:
+        uc = t.uc.get(i)
+        dc_map = t.dc.get(i, {})
+        dcs = sorted(dc_map)
+        hub_values = {u: star_merge([tables[j] for j in dc_map[u]]) for u in dcs}
+        # Start from the bare part minus each subset of its connectors, bit j
+        # of a mask standing for keys[j]; then fold in one downward connector
+        # per step, in place, which retires its bit.
+        keys = sorted({*dcs, uc} - {None})
+        subsets = [[]]  # subsets[mask]: the positions in the part it deletes
+        for v in keys:
+            x = t.parts[i].index(v)
+            subsets += [s + [x] for s in subsets]
+        cur = list(map(report.solvers[i], subsets))
+        oracle_calls += len(cur)
+        retired = 0
+        for u in dcs:
+            bit, hub = 1 << keys.index(u), hub_values[u]
+            retired |= bit if u != uc else 0
+            for mask in range(len(cur)):  # ascending: cur[mask | bit] is unfolded
+                if mask & retired:
+                    continue
+                if mask & bit:  # u is also the upward connector, deleted
+                    cur[mask] += hub[1]
+                else:
+                    cur[mask] = combine_shared_vertex(cur[mask], cur[mask | bit], *hub)
+        m_full, m_minus = cur[0], None if uc is None else cur[1 << keys.index(uc)]
+        if m_minus is not None:
+            _check_pair(m_full, m_minus, f"table at part {i}")
+        tables[i] = m_full, m_minus
+        if trace:
+            trace_nodes.append(
+                {
+                    "part": i,
+                    "family": report.families[i],
+                    "m_full": m_full,
+                    "m_minus": m_minus,
+                    "hub_values": {str(u): list(hv) for u, hv in hub_values.items()},
+                }
+            )
+
+    stats = {"oracle_calls": oracle_calls, "parts": k}
+    if trace:
+        stats["trace"] = {"order": order, "nodes": trace_nodes}
+    return MinrankResult(tables[t.root][0], "dp", None, True, stats)

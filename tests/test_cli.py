@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -231,7 +232,7 @@ def test_minrank_trace_included(tmp_path, capsys):
 # were kept.
 TWO_TRIANGLES_TRACE = (
     '{"bounds": {"lower": 2, "upper": 2}, "exact": true, "graph": "ExCW", '
-    '"index": 0, "m": 7, "method": "dp", "n": 6, "stats": {"oracle_calls": 4, '
+    '"index": 0, "m": 7, "method": "dp", "n": 6, "stats": {"oracle_calls": 3, '
     '"parts": 2}, "trace": {"nodes": [{"family": "chordal", "hub_values": {}, '
     '"m_full": 1, "m_minus": 1, "part": 1}, {"family": "chordal", '
     '"hub_values": {"2": [2, 1]}, "m_full": 2, "m_minus": null, "part": 0}], '
@@ -446,14 +447,20 @@ def members_dp_trace_output(tmp_path) -> str:
 
 
 def test_dp_trace_of_members_pinned(tmp_path):
-    """Values, oracle call counts and every part's table of dp --trace on
-    24 generated members, with bounded parts of order up to 10 and parts
-    whose upward connector is also a downward one, are byte-identical to
-    members_dp_trace.jsonl, written by this test's helper before the dp
-    tables were indexed by connector bitmask; never regenerate it to fit a
-    change."""
+    """Values and every part's pair and hub values of dp --trace on 24
+    generated members, with bounded parts of order up to 10 and parts whose
+    upward connector is also a downward one, equal members_dp_trace.jsonl,
+    written by this test's helper before the dp tables were indexed by
+    connector bitmask; never regenerate it to fit a change.  The oracle call
+    count, which that file pins for a fold that queried every connector
+    subset, is dropped from both sides: the fold now queries each part twice
+    and the root once."""
     want = (Path(DATA_DIR) / "members_dp_trace.jsonl").read_text()
-    assert members_dp_trace_output(tmp_path) == want
+    got = members_dp_trace_output(tmp_path)
+    for rec in records(got):
+        assert rec["stats"]["oracle_calls"] == 2 * rec["stats"]["parts"] - 1
+    calls = re.compile(r'"oracle_calls": \d+, ')
+    assert calls.sub("", got) == calls.sub("", want)
 
 
 def exact_records_output(tmp_path, random1000_path) -> str:
@@ -664,6 +671,19 @@ def test_dp_on_nonmember_exits_one(tmp_path, capsys):
     assert code == 1
     (rec,) = records(out)
     assert rec["member"] is False
+
+
+def test_dp_folds_a_part_with_twenty_connectors(tmp_path, capsys):
+    """K_20 with a pendant at each vertex, recognised at c = 20: the clique
+    part has 20 downward connectors, and dp and auto answer exactly 20."""
+    d = 20
+    edges = [(u, v) for v in range(d) for u in range(v)] + [(v, d + v) for v in range(d)]
+    path = write(tmp_path, "k20.edges", emit_edge_list(Graph(2 * d, edges)))
+    for command in ("dp", "minrank"):
+        code, out, _ = run_cli(capsys, [command, path, "--c", str(d)])
+        (rec,) = records(out)
+        assert (code, rec["method"], rec["exact"], rec["value"]) == (0, "dp", True, d)
+        assert rec["stats"]["oracle_calls"] == 2 * rec["stats"]["parts"] - 1 == 41
 
 
 def test_dp_on_nonmember_writes_output_file(tmp_path, capsys):
@@ -924,11 +944,16 @@ def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):
          "--order-min", "11", "--order-max", "14"],
         # --dot writes <prefix>.dot, so it needs a prefix.
         ["gen", "--seed", "1", "--parts", "2", "--dot"],
+        # A structure of the path 0-1-2 whose uc key is no canonical decimal.
+        ["validate", "P3", "--structure", "KEY"],
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
     path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
     c5 = write(tmp_path, "c5.edges", "n=5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    p3 = write(tmp_path, "p3.edges", "n=3\n0 1\n1 2\n")
+    key = json.dumps({"parts": [[0, 1], [2]], "parent": [-1, 0], "uc": {" +1 ": 2}})
+    key = write(tmp_path, "key.json", key)
     bad = tmp_path / "bad.edges"
     bad.write_bytes(b"\xff\xfe\n")
     # Under Python's UTF-8 mode stdin escapes bytes that do not decode.
@@ -937,7 +962,8 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
     )
     monkeypatch.setattr(sys, "stdin", stdin)
     out = tmp_path / "out.json"
-    argv = [{"IN": path, "C5": c5, "BAD": str(bad), "OUT": str(out)}.get(a, a) for a in argv]
+    names = {"IN": path, "C5": c5, "P3": p3, "KEY": key, "BAD": str(bad), "OUT": str(out)}
+    argv = [names.get(a, a) for a in argv]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error:")

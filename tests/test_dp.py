@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 from minrank import (
-    BudgetExceededError,
     Graph,
     SimpleTreeStructure,
     StructureError,
+    combine_shared_vertex,
     default_registry,
+    dp_fold,
     dp_minrank,
     minrank_bnb,
     minrank_bruteforce,
@@ -24,10 +25,10 @@ from minrank import (
     recognize,
     validate_structure,
 )
-from minrank import dp
-from minrank.dp import combine_shared_vertex, star_merge
+from minrank.dp import star_merge
 from minrank.generator import generate_member
 from conftest import delete_vertex, random_connected_in_budget
+from oracles import dp_fold_by_subset_table
 
 
 @pytest.mark.parametrize(
@@ -211,17 +212,54 @@ def test_dp_rejects_unregistered_parts():
         dp_minrank(g, t, parse_registry_spec("bounded:2"))
 
 
-def test_dp_subset_budget(monkeypatch):
-    # a part with three downward connectors needs 2^3 subsets at the fold
+def clique_with_pendants(d):
+    """K_d on 0..d-1 with the pendant d + v hung off each vertex v."""
+    edges = [(u, v) for v in range(d) for u in range(v)]
+    return Graph(2 * d, edges + [(v, d + v) for v in range(d)])
+
+
+def test_dp_subset_budget():
+    """No part is refused for its connector count: the fold queries no
+    connector subsets, so it needs no budget on them."""
+    # a part with three downward connectors agrees with brute force
     g = Graph(
         6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)]
     )
     t = SimpleTreeStructure([(0, 1, 2), (3,), (4,), (5,)], [-1, 0, 0, 0])
     t = validate_structure(g, t, default_registry()).structure
     assert dp_minrank(g, t, default_registry()).value == minrank_bruteforce(g).value
-    monkeypatch.setattr(dp, "MAX_SUBSETS", 4)
-    with pytest.raises(BudgetExceededError):
-        dp_minrank(g, t, default_registry())
+    # K_64 with pendants: 64 downward connectors on the clique, two queries
+    # for each of the 64 pendant parts and one at the root
+    outcome = recognize(clique_with_pendants(64), 64, default_registry())
+    assert outcome.member and len(outcome.structure.parts) == 65
+    res = dp_fold(outcome.report)
+    assert (res.value, res.exact, res.stats["oracle_calls"]) == (64, True, 129)
+
+
+@pytest.mark.parametrize("profile", ["chordal", "bounded", "mixed"])
+def test_dp_fold_matches_the_subset_table_fold(profile):
+    """The two-query fold gives the value, and at every part the pair and
+    hub values, of the fold that tabled every subset of a part's
+    connectors: on generated members at connector bounds 1 to 8, parts whose
+    upward connector is also a downward one among them, and on K_d with
+    pendants at c = d, whose clique has d connectors."""
+    reg = default_registry()
+    reports = [recognize(clique_with_pendants(d), d, reg).report for d in range(2, 9)]
+    for c in range(1, 9):
+        for seed in range(8):
+            orders = (4, 10) if profile == "chordal" and seed % 2 else (2, 6)
+            g, t = generate_member(seed, 4 + 6 * seed, c, profile=profile, part_order=orders)
+            reports.append(validate_structure(g, t, reg))
+    coincide = 0
+    for report in reports:
+        got = dp_fold(report, trace=True)
+        want = dp_fold_by_subset_table(report, trace=True)
+        assert got.value == want.value
+        assert got.stats["trace"] == want.stats["trace"]
+        assert got.stats["oracle_calls"] == 2 * len(report.structure.parts) - 1
+        s = report.structure
+        coincide += sum(s.uc.get(i) in m for i, m in s.dc.items())
+    assert len(reports) == 71 and coincide > 0
 
 
 def test_dp_trace_records_tables():

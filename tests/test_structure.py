@@ -91,10 +91,28 @@ def test_from_json_takes_only_integer_ids(doc):
         SimpleTreeStructure.from_json(doc)
 
 
+# Keys that `int()` reads as a number but that no `to_json_dict` writes.
+NONCANONICAL_KEYS = ["01", "-1", " +1 ", "1_0", "\u0661", "+1", "-0", "1\n"]
+
+
+@pytest.mark.parametrize("key", NONCANONICAL_KEYS)
+def test_from_json_takes_only_canonical_decimal_keys(key):
+    """On the path 0-1-2 with parts [0, 1] and [2], a `uc` or `dc` key
+    that is not a canonical non-negative ASCII decimal is refused rather
+    than read as part 1 (or 10, or 0)."""
+    base = {"parts": [[0, 1], [2]], "parent": [-1, 0]}
+    for connectors in ({"uc": {key: 2}}, {"dc": {key: {"1": [1]}}}, {"dc": {"0": {key: [1]}}}):
+        with pytest.raises(StructureError, match="not a canonical"):
+            SimpleTreeStructure.from_json(json.dumps({**base, **connectors}))
+    canonical = {**base, "uc": {"1": 2}, "dc": {"0": {"1": [1]}}}
+    t = SimpleTreeStructure.from_json(json.dumps(canonical))
+    assert (t.uc, t.dc) == ({1: 2}, {0: {1: (1,)}})
+
+
 JSON_VALUES = st.one_of(
     st.integers(-2, 6), st.floats(), st.text(max_size=2), st.booleans(), st.none()
 )
-KEYS = st.integers(0, 4).map(str)
+KEYS = st.one_of(st.integers(0, 4).map(str), st.sampled_from(NONCANONICAL_KEYS))
 
 
 @settings(derandomize=True, deadline=500, max_examples=100)
@@ -107,12 +125,14 @@ KEYS = st.integers(0, 4).map(str)
 )
 def test_from_json_returns_a_structure_only_for_integer_ids(parts, parent, uc, dc):
     """Documents holding ints, floats (Infinity and NaN among them), strings,
-    bools and null: a structure exactly when every id is a JSON integer,
-    else StructureError."""
+    bools and null, with canonical and other decimal keys: a structure
+    exactly when every id is a JSON integer and every key canonical, else
+    StructureError."""
     doc = json.dumps({"parts": parts, "parent": parent, "uc": uc, "dc": dc})
     ids = [v for p in parts for v in p] + parent + list(uc.values())
     ids += [j for m in dc.values() for js in m.values() for j in js]
-    if all(type(v) is int for v in ids):
+    keys = [*uc, *dc, *(u for m in dc.values() for u in m)]
+    if all(type(v) is int for v in ids) and not set(keys) & set(NONCANONICAL_KEYS):
         t = SimpleTreeStructure.from_json(doc)
         assert t.parts == tuple(map(tuple, parts)) and t.parent == tuple(parent)
         assert t.uc == {int(i): v for i, v in uc.items()}
