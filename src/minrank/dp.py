@@ -25,9 +25,11 @@ hubs do not need them, m_full = mr(P - D) + the hubs' values without u,
 and m_minus is the same with the upward connector deleted too: two
 solver queries per part, one at the root, 2k - 1 for k parts.
 
-`dp_fold` folds a valid `StructureReport`, which carries those solvers:
-on the auto path the one `recognize` builds, unchecked again, and in
-`dp_minrank` the one validating a structure it is handed gives.
+One fold loop serves two trees.  `atom_fold`, auto's path, folds a
+component's atom tree as it stands: the fold's cost does not depend on how
+many connectors a part has, so it needs no merge and no connector bound.
+`dp_fold` folds a valid `StructureReport`: for `minrank dp`, the c-bounded
+one `recognize` accepts, and in `dp_minrank`, one that validation gives.
 """
 
 from __future__ import annotations
@@ -82,48 +84,78 @@ def dp_fold(report: StructureReport, trace: bool = False) -> MinrankResult:
     if not report.valid:
         raise StructureError(f"invalid structure: {report.violations}")
     t = report.structure
-    k = len(t.parts)
+    claims = list(zip(report.families, report.solvers))
+    return _fold(t.parts, t.root, t.uc, t.dc, claims, trace)
 
-    order = []
-    stack = [t.root]
+
+def atom_fold(g: Graph, tree, registry: FamilyRegistry, trace: bool = False):
+    """Exact min-rank of g's component whose `g.bridge_split()` pair is
+    `tree`, folded over its atom tree as it stands, rooted at atom 0, with
+    the bridge ends as connectors and each atom asking its first family's
+    solver (`FamilyRegistry.claim`; one claim serves every one-vertex atom);
+    None when some atom is in no family.  No merge or structure is built."""
+    bridges, atoms = tree
+    claims, single = [], None
+    for atom in atoms:
+        if len(atom) == 1:  # every one-vertex atom induces the same graph
+            single = claim = single or registry.claim(g, atom)
+        else:
+            claim = registry.claim(g, atom)
+        if claim is None:
+            return None
+        claims.append((claim[0].name, claim[1]))
+    atom_of = {v: i for i, atom in enumerate(atoms) for v in atom}
+    ends: list[list] = [[] for _ in atoms]  # per atom: (its end, other atom, other end)
+    for x, y in bridges:
+        ends[atom_of[x]].append((x, atom_of[y], y))
+        ends[atom_of[y]].append((y, atom_of[x], x))
+    uc, dc, stack = {}, {}, [0]  # as in SimpleTreeStructure
+    while stack:  # orient every bridge away from atom 0
+        a = stack.pop()
+        for x, b, y in ends[a]:
+            if b and b not in uc:
+                uc[b] = y
+                dc.setdefault(a, {}).setdefault(x, []).append(b)
+                stack.append(b)
+    return _fold(atoms, 0, uc, dc, claims, trace)
+
+
+def _fold(parts, root: int, uc: dict, dc: dict, claims, trace: bool) -> MinrankResult:
+    """The bottom-up fold over a tree of `parts` (sorted vertex tuples), each
+    child part j joined to its parent's downward connector u (j in
+    dc[parent][u]) at its upward connector uc[j]; claims[i] is part i's
+    family name and its solver, queried at positions in parts[i]."""
+    order, stack = [], [root]
     while stack:
         node = stack.pop()
         order.append(node)
-        stack += sorted(j for js in t.dc.get(node, {}).values() for j in js)
+        stack += sorted(j for js in dc.get(node, {}).values() for j in js)
     order.reverse()  # every part now comes after all of its children
 
     # Per part: the subtree min-rank, and the same without its upward
     # connector (None at the root).
     pairs: dict[int, tuple[int, int | None]] = {}
     trace_nodes = []
-    oracle_calls = 0
     for i in order:
-        uc = t.uc.get(i)
-        dc_map = t.dc.get(i, {})
+        up = uc.get(i)
+        dc_map = dc.get(i, {})
         hub_values = {u: star_merge([pairs[j] for j in dc_map[u]]) for u in sorted(dc_map)}
         # Each hub adds its value without u, and deletes u unless it needs u.
         deleted = {u for u, hub in hub_values.items() if hub[0] == hub[1]}
         glued = sum(hub[1] for hub in hub_values.values())
-        solve, index = report.solvers[i], t.parts[i].index
+        (family, solve), index = claims[i], parts[i].index
         m_full = solve(map(index, deleted)) + glued
         m_minus = None
-        if uc is not None:
-            m_minus = solve(map(index, deleted | {uc})) + glued
+        if up is not None:
+            m_minus = solve(map(index, deleted | {up})) + glued
             _check_pair(m_full, m_minus, f"pair at part {i}")
-        oracle_calls += 1 if uc is None else 2
         pairs[i] = m_full, m_minus
         if trace:
-            trace_nodes.append(
-                {
-                    "part": i,
-                    "family": report.families[i],
-                    "m_full": m_full,
-                    "m_minus": m_minus,
-                    "hub_values": {str(u): list(hv) for u, hv in hub_values.items()},
-                }
-            )
+            hubs = {str(u): list(hv) for u, hv in hub_values.items()}
+            trace_nodes.append({"part": i, "family": family, "m_full": m_full,
+                                "m_minus": m_minus, "hub_values": hubs})
 
-    stats = {"oracle_calls": oracle_calls, "parts": k}
+    stats = {"oracle_calls": 2 * len(parts) - 1, "parts": len(parts)}  # one at the root
     if trace:
         stats["trace"] = {"order": order, "nodes": trace_nodes}
-    return MinrankResult(pairs[t.root][0], "dp", None, True, stats)
+    return MinrankResult(pairs[root][0], "dp", None, True, stats)

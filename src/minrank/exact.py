@@ -315,7 +315,7 @@ def _bnb_connected(
         if len(parts) > 1:
             return _combine_components(
                 len(adjacency), parts,
-                lambda part: _bnb_on(adjacency, part, node_budget), "bnb", join=True,
+                lambda part: (part, _bnb_on(adjacency, part, node_budget)), "bnb", join=True,
             )
         cliques, cover_nodes = exact_clique_cover(
             adjacency, mask, lower, cliques, node_budget
@@ -452,15 +452,16 @@ def _bnb_on(adjacency, mask: int, node_budget: int | None) -> MinrankResult:
         return _bnb_connected(adjacency, mask, node_budget)
     return _combine_components(
         len(adjacency), comps,
-        lambda part: _bnb_connected(adjacency, part, node_budget), "bnb",
+        lambda part: (part, _bnb_connected(adjacency, part, node_budget)), "bnb",
     )
 
 
 def _combine_components(
     cols: int, parts, solver, method: str, join: bool = False
 ) -> MinrankResult:
-    """Solve each part, a vertex bitset, with `solver` and combine the
-    answers, merging the parts' witness rows by vertex over `cols` columns.
+    """Solve each part with `solver`, which gives its vertex bitset (None
+    if it built none, and then no witness) and its answer, and combine the
+    answers, merging the witness rows by vertex over `cols` columns.
 
     Connected components add up.  With `join`, the parts are co-components
     and the min-rank is their maximum: every entry between two parts is
@@ -473,15 +474,17 @@ def _combine_components(
     rows: dict | None = {}  # vertex -> witness row, while every part has one
     exact = True
     counts = {"nodes": 0, "rows": 0}
+    masks = []
     for part in parts:
-        res = solver(part)
+        mask, res = solver(part)
+        masks.append(mask)
         values.append(res.value)
         lowers.append(res.stats.get("interval", (res.value,))[0])
         methods.append(res.method)
         traces.append(res.stats.get("trace"))
         exact = exact and res.exact
         if rows is not None and res.witness is not None:
-            rows.update(zip(_iter_bits(part), res.witness.data))
+            rows.update(zip(_iter_bits(mask), res.witness.data))
         else:
             rows = None
         for key in ("nodes", "rows", "cover_nodes"):
@@ -494,7 +497,7 @@ def _combine_components(
     exact = exact or (join and lower == value)
     witness = None
     if rows is not None:
-        witness = _witness(cols, _stack_factorizations(rows, parts) if join else rows)
+        witness = _witness(cols, _stack_factorizations(rows, masks) if join else rows)
     stats: dict = {"co_components" if join else "components": len(parts),
                    "methods": methods, **counts}
     if not exact:

@@ -31,6 +31,7 @@ bridges merging kept.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -330,7 +331,8 @@ def accepted_report(
     Each part is in the first family whose gluing rule holds for the AND
     of its atoms' masks, read here if merging did not, and its order; for
     one atom, that is the atom's first family, and the part reuses the
-    solver kept with it.  Any other part builds one solver for its family.
+    solver kept with it.  Any other part builds its family's solver at its
+    first query, so a structure that is only printed builds none.
     """
     decided = [forest.families[a] for a in range(len(forest.atoms))]
     families, solvers = [], []
@@ -343,10 +345,17 @@ def accepted_report(
             if oracle.glue(bool(mask >> i & 1), len(part)):
                 break
         families.append(oracle.name)
-        solvers.append(decided[ids.pop()][1] if len(ids) == 1 else oracle.solver(g, part))
+        one = len(ids) == 1
+        solvers.append(decided[ids.pop()][1] if one else _built_when_queried(oracle, g, part))
     return StructureReport(
         True, [], mdc(structure), tuple(families), structure, tuple(solvers)
     )
+
+
+def _built_when_queried(oracle, g: Graph, part):
+    """`oracle.solver(g, part)`, built on its first query and kept."""
+    build = functools.cache(lambda: oracle.solver(g, part))
+    return lambda removed: build()(removed)
 
 
 def recognize(

@@ -250,7 +250,7 @@ def test_c10_disconnected_graphs_add_up():
                 n += b.n
             g = Graph(n, edges)
             assert component_count(g) >= 2
-            res = solve_graph(g, "auto", 2, no_family, None, None)  # bnb per component
+            res = solve_graph(g, "auto", no_family, None, None)  # bnb per component
             brute = minrank_bruteforce(g)
             assert res.value == brute.value and res.exact
             assert res.method == "components" and verify_witness(res, g)

@@ -292,8 +292,10 @@ def test_options_a_subcommand_ignores_are_refused(tmp_path, capsys, argv):
 
 
 def test_auto_answers_on_generated_members(tmp_path, capsys):
-    """Auto-solved generated members keep the value and part count pinned
-    in members_auto.txt."""
+    """The value and merged part count pinned in members_auto.txt, written
+    when auto folded the merged structure, still come out of `dp`, which
+    merges at c = 2; auto folds the atoms, so it keeps the value and
+    counts one part per atom."""
     rows = [
         line.split()
         for line in (Path(DATA_DIR) / "members_auto.txt").read_text().splitlines()
@@ -304,10 +306,70 @@ def test_auto_answers_on_generated_members(tmp_path, capsys):
     for seed, k, profile, value, parts in rows:
         g, _ = generate_member(int(seed), int(k), 2, profile=profile)
         path = write(tmp_path, "member.edges", emit_edge_list(g))
-        code, out, _ = run_cli(capsys, ["minrank", path])
+        code, out, _ = run_cli(capsys, ["dp", path])
         (rec,) = records(out)
         assert code == 0 and (rec["method"], rec["exact"]) == ("dp", True), seed
         assert (rec["value"], rec["stats"]["parts"]) == (int(value), int(parts)), seed
+        code, out, _ = run_cli(capsys, ["minrank", path])
+        (rec,) = records(out)
+        assert code == 0 and (rec["method"], rec["exact"]) == ("dp", True), seed
+        atoms = len(g.bridge_split()[0][1])
+        assert (rec["value"], rec["stats"]["parts"]) == (int(value), atoms), seed
+
+
+def reject_style_graph(rng: random.Random, atoms: int) -> Graph:
+    """Atoms that are cycles of 6 to 8 vertices with one chord, so not
+    chordal and too large for two to share a bounded:10 part, joined along a
+    random tree by bridges between four attachment vertices per atom; the
+    first four children of atom 0 attach at its four distinct ones, so no
+    root leaves atom 0 with at most 2 downward connectors."""
+    edges, pools, n = [], [], 0
+    for _ in range(atoms):
+        order = rng.randint(6, 8)
+        edges += [(n + i, n + (i + 1) % order) for i in range(order)] + [(n, n + 2)]
+        pools.append([n + x for x in rng.sample(range(order), 4)])
+        n += order
+    for j in range(1, atoms):
+        x = pools[0][j - 1] if j <= 4 else rng.choice(pools[rng.randrange(j)])
+        edges.append((x, rng.choice(pools[j])))
+    return Graph(n, edges)
+
+
+def test_auto_answers_a_nonmember_whose_atoms_lie_in_families(tmp_path, capsys):
+    """A 25-atom graph with no structure at c = 2 is answered exactly by
+    auto's atom fold, with the value of `dp --c 8`, under which no atom has
+    more than 8 connectors and merging keeps the atom tree as it is."""
+    g = reject_style_graph(random.Random(5), 25)
+    path = write(tmp_path, "reject.edges", emit_edge_list(g))
+    code, out, _ = run_cli(capsys, ["recognize", path, "--c", "2"])
+    assert code == 1 and records(out)[0]["member"] is False
+    code, out, _ = run_cli(capsys, ["minrank", path, "--c", "2"])
+    (auto,) = records(out)
+    assert (code, auto["method"], auto["exact"], auto["stats"]["parts"]) == (0, "dp", True, 25)
+    code, out, _ = run_cli(capsys, ["dp", path, "--c", "8"])
+    (dp,) = records(out)
+    assert (code, dp["value"], dp["stats"]["parts"]) == (0, auto["value"], 25)
+
+
+def test_auto_runs_no_recognition(tmp_path, capsys, monkeypatch):
+    """Auto folds atoms straight off the input's bridge split: with
+    recognition, merging and the accepted report made to fail, `minrank`
+    and `batch` still answer members and non-members exactly."""
+    from minrank import recognizer
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the auto path recognised")
+
+    for name in ("recognize", "merge_phase", "accepted_report"):
+        monkeypatch.setattr(recognizer, name, refuse)
+    monkeypatch.setattr(cli, "recognize", refuse)
+    member, _ = generate_member(5, 40, 2, profile="mixed")
+    path = write(tmp_path, "member.edges", emit_edge_list(member))
+    code, out, _ = run_cli(capsys, ["minrank", path])
+    assert code == 0 and (records(out)[0]["method"], records(out)[0]["exact"]) == ("dp", True)
+    path = write(tmp_path, "two.g6", "ExCW\nEhcG\n")
+    code, out, _ = run_cli(capsys, ["batch", path])
+    assert code == 0 and [(r["method"], r["exact"]) for r in records(out)] == [("dp", True)] * 2
 
 
 def test_auto_record_of_disconnected_input(tmp_path, capsys):

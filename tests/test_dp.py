@@ -25,7 +25,7 @@ from minrank import (
     recognize,
     validate_structure,
 )
-from minrank.dp import star_merge
+from minrank.dp import atom_fold, star_merge
 from minrank.generator import generate_member
 from conftest import delete_vertex, random_connected_in_budget
 from oracles import dp_fold_by_subset_table
@@ -185,6 +185,51 @@ def test_dp_agrees_with_bnb_on_generated_members():
             continue
         assert dp_minrank(g, t, reg).value == minrank_bnb(g).value
         checked += 1
+
+
+def random_bridge_tree(rng: random.Random, n_max: int = 16) -> Graph:
+    """Random connected pieces of 1 to 6 vertices, each joined to an
+    earlier one by a single edge between random vertices, n <= n_max."""
+    pieces, edges, n = [], [], 0
+    while True:
+        piece = random_connected_in_budget(rng, 6)
+        if n + piece.n > n_max:
+            break
+        edges += [(u + n, v + n) for u, v in piece.edges]
+        if pieces:
+            base, order = rng.choice(pieces)
+            edges.append((base + rng.randrange(order), n + rng.randrange(piece.n)))
+        pieces.append((n, piece.n))
+        n += piece.n
+    return Graph(n, edges)
+
+
+def test_atom_fold_matches_bnb_on_random_bridge_trees():
+    """Under four registries, the atom fold of a random bridge tree is
+    exact and equals branch and bound, with one part, one trace node and
+    two oracle calls (one at the root) per atom; it declines just when
+    some atom is in no family."""
+    rng = random.Random(2027)
+    registries = [default_registry()] + [
+        parse_registry_spec(spec) for spec in ("chordal", "bounded:4", "bounded:5,chordal")
+    ]
+    folded = declined = 0
+    for _ in range(300):
+        g = random_bridge_tree(rng)
+        want = minrank_bnb(g).value
+        tree = g.bridge_split()[0]
+        atoms = len(tree[1])
+        for reg in registries:
+            res = atom_fold(g, tree, reg, trace=True)
+            if res is None:
+                assert any(reg.claim(g, atom) is None for atom in tree[1]), g.edges
+                declined += 1
+                continue
+            assert (res.value, res.method, res.exact) == (want, "dp", True), g.edges
+            assert res.stats["parts"] == len(res.stats["trace"]["nodes"]) == atoms
+            assert res.stats["oracle_calls"] == 2 * atoms - 1
+            folded += 1
+    assert folded >= 900 and declined >= 250
 
 
 def test_dp_value_is_structure_independent():

@@ -164,7 +164,7 @@ def test_component_additivity():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     whole = minrank_bruteforce(g)
     no_family = FamilyRegistry(())  # bnb per component
-    split = solve_graph(g, "auto", 2, no_family, None, None)
+    split = solve_graph(g, "auto", no_family, None, None)
     assert split.value == whole.value == 2
     assert split.method == "components"
     assert verify_witness(split, g)
@@ -429,7 +429,8 @@ def test_bnb_matches_bruteforce_on_dense_graphs():
         if len(parts) > 1:
             joins += 1
             res = _combine_components(
-                g.n, parts, lambda part: minrank_bnb(g, None, part), "bnb", join=True
+                g.n, parts, lambda part: (part, minrank_bnb(g, None, part)), "bnb",
+                join=True,
             )
             assert res.exact and res.value == want and verify_witness(res, g)
     assert joins > 60

@@ -12,6 +12,7 @@ from minrank import (
     GraphError,
     NotInFamilyError,
     default_registry,
+    dp_fold,
     dp_minrank,
     mdc,
     minrank_bruteforce,
@@ -603,18 +604,24 @@ def test_recognize_report_matches_validation():
     assert accepted >= 400 and merged >= 40
 
 
-def test_auto_solve_validates_nothing(monkeypatch):
-    """The auto path folds recognize's report: no structure is validated
-    again, and chordality is tested at most once per atom and once per
-    part that merging made of several atoms."""
+def merged_member():
+    """A member some of whose parts merging makes of several atoms, its
+    atoms and those parts' indices in the structure recognised at c = 2."""
     g, _ = generate_member(5, 160, 2, profile="mixed", part_order=(2, 6))
-    reg = default_registry()
-    atoms = split_phase(g, reg).atoms
+    atoms = split_phase(g, default_registry()).atoms
     atom_of = {v: a for a, atom in enumerate(atoms) for v in atom}
-    structure = recognize(g, 2, reg).structure
-    merged = sum(len({atom_of[v] for v in p}) > 1 for p in structure.parts)
+    structure = recognize(g, 2, default_registry()).structure
+    merged = [i for i, p in enumerate(structure.parts) if len({atom_of[v] for v in p}) > 1]
+    assert 0 < len(merged) < len(structure.parts)
+    return g, atoms, structure, merged
+
+
+def test_auto_solve_validates_nothing(monkeypatch):
+    """The auto path folds the atom tree: no structure is validated, and
+    chordality is tested at most once per atom."""
+    g, atoms, structure, _ = merged_member()
+    reg = default_registry()
     want = dp_minrank(g, structure, reg).value
-    assert 0 < merged < len(structure.parts)
 
     validations, tests = [], []
     real_validate = validate_structure
@@ -632,10 +639,31 @@ def test_auto_solve_validates_nothing(monkeypatch):
         if name.startswith("minrank") and hasattr(module, "validate_structure"):
             monkeypatch.setattr(module, "validate_structure", counted_validate)
     monkeypatch.setattr(families, "perfect_elimination_order", counted_test)
-    res = cli.solve_graph(g, "auto", 2, reg, None, None)
+    res = cli.solve_graph(g, "auto", reg, None, None)
     assert (res.method, res.value, res.exact) == ("dp", want, True)
     assert validations == []
-    assert len(tests) <= len(atoms) + merged
+    assert len(tests) <= len(atoms)
+
+
+def test_recognize_builds_a_merged_part_solver_on_its_first_query(monkeypatch):
+    """Recognition tests chordality on atoms only; the solver of a chordal
+    part merged of several atoms is built once, when the fold first asks."""
+    g, atoms, _, merged = merged_member()
+    tested = []
+    real_test = families.perfect_elimination_order
+
+    def counted_test(h, vertices=None):
+        tested.append(tuple(vertices))
+        return real_test(h, vertices)
+
+    monkeypatch.setattr(families, "perfect_elimination_order", counted_test)
+    out = recognize(g, 2, default_registry())
+    assert set(tested) <= set(atoms)
+    chordal = [i for i in merged if out.report.families[i] == "chordal"]
+    assert chordal
+    tested.clear()
+    dp_fold(out.report)
+    assert sorted(tested) == sorted(out.structure.parts[i] for i in chordal)
 
 
 def test_recognize_derives_no_structure(monkeypatch):
@@ -690,7 +718,7 @@ def test_auto_solve_searches_the_graph_once(monkeypatch, connected):
 
     monkeypatch.setattr(Graph, "bridge_split", counted_split)
     monkeypatch.setattr(Graph, "induced_subgraph", counted_induced)
-    res = cli.solve_graph(g, "auto", 2, default_registry(), None, None)
+    res = cli.solve_graph(g, "auto", default_registry(), None, None)
     assert res.exact
     if connected:
         assert res.method == "dp"
