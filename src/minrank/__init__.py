@@ -33,7 +33,7 @@ from .generator import generate_member
 from .gf2 import BitMatrix, fits, rank_gf2
 from .graph import Graph
 from .cnf import emit_cnf, minrank_via_cnf, run_solver
-from .dp import dp_fold, dp_minrank, star_merge
+from .dp import dp_fold, dp_minrank
 from .recognizer import (
     AtomForest,
     RecognitionOutcome,

@@ -2,34 +2,29 @@
 
 The algorithm folds the tree bottom-up.  For every part it tracks two
 numbers: the min-rank of the subtree graph hanging off that part, and the
-same after deleting the part's upward connector.  Two combination rules
-drive the fold:
+same after deleting the part's upward connector.  Two numbers per vertex
+u carry the children hung at u: without[u], the sum of their min-ranks,
+and reuse[u], whether one of them drops a unit at its connector.
 
-* `star_merge` handles one downward connector u and the child subtrees
-  attached through it.  The graph there is u joined to each child's upward
-  connector, and deleting u leaves the disjoint child subtrees, whose
-  min-ranks add.  Restoring u costs one extra rank unit unless some child
-  subtree loses a rank unit when its own connector is deleted; in that
-  case the connector row can be reused and the sum stands.
-* `combine_shared_vertex` (kept in `exact` with the rules for components
-  and joins) handles gluing two graphs that overlap in
-  exactly one vertex v: the min-rank of the union is the sum of the two
-  with v deleted, plus 1 only when both halves strictly need v.
+The hub at u, u joined to the children's upward connectors, has min-rank
+without[u] once u is deleted, and one unit more with u unless reuse[u],
+when a connector row can be reused.  `combine_shared_vertex` (in `exact`)
+glues two graphs meeting in one vertex v: the sum of the two with v
+deleted, plus 1 only when both halves strictly need v.  Both differences
+are 0 or 1, so gluing the hub at u adds without[u] and, when reuse[u],
+deletes u from the part.  So with D the vertices u of a part P with
+reuse[u], m_full = mr(P - D) + the sum of without[u] over P, and m_minus
+is the same with the upward connector deleted too: two solver queries
+per part, one at the root, 2k - 1 for k parts.  A one-vertex part v is
+answered by arithmetic: m_minus = without[v], and m_full one more unless
+reuse[v].
 
-A part with several downward connectors is folded one connector at a
-time.  Both differences in `combine_shared_vertex` are 0 or 1, so gluing
-the hub at connector u adds the hub's value without u and, when the hub
-does not need u (its two values are equal), deletes u from the part;
-otherwise the part stays whole.  So with D the downward connectors whose
-hubs do not need them, m_full = mr(P - D) + the hubs' values without u,
-and m_minus is the same with the upward connector deleted too: two
-solver queries per part, one at the root, 2k - 1 for k parts.
-
-One fold loop serves two trees.  `atom_fold`, auto's path, folds a
-component's atom tree as it stands: the fold's cost does not depend on how
-many connectors a part has, so it needs no merge and no connector bound.
-`dp_fold` folds a valid `StructureReport`: for `minrank dp`, the c-bounded
-one `recognize` accepts, and in `dp_minrank`, one that validation gives.
+One per-part step serves two folds.  `atom_fold`, auto's path, folds each
+component's atoms as the bridge search closes them, so it builds no tree,
+and needs no merge or connector bound, the fold's cost not depending on
+how many connectors a part has.  `dp_fold` folds a valid
+`StructureReport`: for `minrank dp`, the c-bounded one `recognize`
+accepts, and in `dp_minrank`, one that validation gives.
 """
 
 from __future__ import annotations
@@ -39,23 +34,6 @@ from .exact import MinrankResult, _check_pair
 from .families import FamilyRegistry
 from .graph import Graph
 from .structure import SimpleTreeStructure, StructureReport, validate_structure
-
-
-def star_merge(children: list[tuple[int, int]]) -> tuple[int, int]:
-    """Min-rank of child subtrees joined to one new hub vertex.
-
-    Each pair is (subtree min-rank, min-rank after deleting the subtree's
-    connector).  Returns (with hub, without hub).  Without the hub the
-    subtrees are disjoint and their values add; the hub costs one extra
-    unit unless some subtree drops a unit at its connector.
-    """
-    if not children:
-        raise ValueError("star merge needs at least one child subtree")
-    for idx, (m, mv) in enumerate(children):
-        _check_pair(m, mv, f"child {idx}")
-    without_hub = sum(m for m, _ in children)
-    reusable = any(mv == m - 1 for m, mv in children)
-    return (without_hub if reusable else without_hub + 1, without_hub)
 
 
 def dp_minrank(
@@ -84,78 +62,88 @@ def dp_fold(report: StructureReport, trace: bool = False) -> MinrankResult:
     if not report.valid:
         raise StructureError(f"invalid structure: {report.violations}")
     t = report.structure
-    claims = list(zip(report.families, report.solvers))
-    return _fold(t.parts, t.root, t.uc, t.dc, claims, trace)
-
-
-def atom_fold(g: Graph, tree, registry: FamilyRegistry, trace: bool = False):
-    """Exact min-rank of g's component whose `g.bridge_split()` pair is
-    `tree`, folded over its atom tree as it stands, rooted at atom 0, with
-    the bridge ends as connectors and each atom asking its first family's
-    solver (`FamilyRegistry.claim`; one claim serves every one-vertex atom);
-    None when some atom is in no family.  No merge or structure is built."""
-    bridges, atoms = tree
-    claims, single = [], None
-    for atom in atoms:
-        if len(atom) == 1:  # every one-vertex atom induces the same graph
-            single = claim = single or registry.claim(g, atom)
-        else:
-            claim = registry.claim(g, atom)
-        if claim is None:
-            return None
-        claims.append((claim[0].name, claim[1]))
-    atom_of = {v: i for i, atom in enumerate(atoms) for v in atom}
-    ends: list[list] = [[] for _ in atoms]  # per atom: (its end, other atom, other end)
-    for x, y in bridges:
-        ends[atom_of[x]].append((x, atom_of[y], y))
-        ends[atom_of[y]].append((y, atom_of[x], x))
-    uc, dc, stack = {}, {}, [0]  # as in SimpleTreeStructure
-    while stack:  # orient every bridge away from atom 0
-        a = stack.pop()
-        for x, b, y in ends[a]:
-            if b and b not in uc:
-                uc[b] = y
-                dc.setdefault(a, {}).setdefault(x, []).append(b)
-                stack.append(b)
-    return _fold(atoms, 0, uc, dc, claims, trace)
-
-
-def _fold(parts, root: int, uc: dict, dc: dict, claims, trace: bool) -> MinrankResult:
-    """The bottom-up fold over a tree of `parts` (sorted vertex tuples), each
-    child part j joined to its parent's downward connector u (j in
-    dc[parent][u]) at its upward connector uc[j]; claims[i] is part i's
-    family name and its solver, queried at positions in parts[i]."""
-    order, stack = [], [root]
+    order, stack = [], [t.root]
     while stack:
-        node = stack.pop()
-        order.append(node)
-        stack += sorted(j for js in dc.get(node, {}).values() for j in js)
+        order.append(stack.pop())
+        stack += sorted(j for js in t.dc.get(order[-1], {}).values() for j in js)
     order.reverse()  # every part now comes after all of its children
-
-    # Per part: the subtree min-rank, and the same without its upward
-    # connector (None at the root).
-    pairs: dict[int, tuple[int, int | None]] = {}
-    trace_nodes = []
+    ends = {j: (t.uc[j], u) for m in t.dc.values() for u, js in m.items() for j in js}
+    n = 1 + max(map(max, t.parts))  # parts may name a component's vertices in g
+    without, reuse, nodes = [0] * n, [False] * n, []
     for i in order:
-        up = uc.get(i)
-        dc_map = dc.get(i, {})
-        hub_values = {u: star_merge([pairs[j] for j in dc_map[u]]) for u in sorted(dc_map)}
-        # Each hub adds its value without u, and deletes u unless it needs u.
-        deleted = {u for u, hub in hub_values.items() if hub[0] == hub[1]}
-        glued = sum(hub[1] for hub in hub_values.values())
-        (family, solve), index = claims[i], parts[i].index
-        m_full = solve(map(index, deleted)) + glued
-        m_minus = None
-        if up is not None:
-            m_minus = solve(map(index, deleted | {up})) + glued
-            _check_pair(m_full, m_minus, f"pair at part {i}")
-        pairs[i] = m_full, m_minus
+        pair = _fold_part(t.parts[i], report.solvers[i], ends.get(i), without, reuse)
         if trace:
-            hubs = {str(u): list(hv) for u, hv in hub_values.items()}
-            trace_nodes.append({"part": i, "family": family, "m_full": m_full,
-                                "m_minus": m_minus, "hub_values": hubs})
-
-    stats = {"oracle_calls": 2 * len(parts) - 1, "parts": len(parts)}  # one at the root
+            nodes.append(_trace_node(i, report.families[i], t.parts[i], pair, without, reuse))
+    stats = {"oracle_calls": 2 * len(t.parts) - 1, "parts": len(t.parts)}  # one at the root
     if trace:
-        stats["trace"] = {"order": order, "nodes": trace_nodes}
-    return MinrankResult(pairs[root][0], "dp", None, True, stats)
+        stats["trace"] = {"order": order, "nodes": nodes}
+    return MinrankResult(pair[0], "dp", None, True, stats)
+
+
+def atom_fold(g: Graph, registry: FamilyRegistry, trace: bool = False) -> list:
+    """Per component of g, by lowest vertex: its vertices and its exact
+    min-rank, folded over its atoms as `g.closed_atoms()` closes them, an
+    atom of two or more vertices asking its first family's solver; None when
+    some atom is in no family.  Traced parts are numbered as the sorted
+    atoms, and `order` is the order in which they closed."""
+    without, reuse = [0] * g.n, [False] * g.n
+    # Every family holds K1, and the first one claims it.
+    single = registry.oracles[0].name if registry.oracles else None
+    folds, vertices, nodes, parts, folding = [], [], [], 0, True
+    for atom, p in g.closed_atoms():
+        vertices += atom
+        if folding:
+            part, family, solve = atom, single, None
+            if len(atom) > 1:
+                part = tuple(sorted(atom))
+                claim = registry.claim(g, part)
+                family, solve = (claim[0].name, claim[1]) if claim else (None, None)
+            folding = family is not None
+        if folding:
+            pair = _fold_part(part, solve, None if p == -1 else (atom[0], p), without, reuse)
+            parts += 1
+            if trace:
+                nodes.append(_trace_node(tuple(part), family, part, pair, without, reuse))
+        if p != -1:
+            continue
+        res = None  # the component's root atom closed it
+        if folding:
+            stats = {"oracle_calls": 2 * parts - 1, "parts": parts}
+            if trace:  # number the parts as the sorted atoms
+                index = {a: i for i, a in enumerate(sorted(node["part"] for node in nodes))}
+                for node in nodes:
+                    node["part"] = index[node["part"]]
+                stats["trace"] = {"order": [node["part"] for node in nodes], "nodes": nodes}
+            res = MinrankResult(pair[0], "dp", None, True, stats)
+        folds.append((vertices, res))
+        vertices, nodes, parts, folding = [], [], 0, True
+    return folds
+
+
+def _fold_part(part, solve, ends, without, reuse) -> tuple[int, int | None]:
+    """The pair of a part (sorted, its `solve` queried at positions in it)
+    whose children are folded, added at its parent end; `ends` is its upward
+    connector and that end, None at the root.  One vertex needs no solver."""
+    if len(part) == 1:
+        m_minus = without[part[0]]
+        m_full = m_minus if reuse[part[0]] else m_minus + 1
+    else:
+        deleted = [i for i, v in enumerate(part) if reuse[v]]
+        glued = sum([without[v] for v in part])
+        m_full = solve(deleted) + glued
+        if ends is not None:
+            m_minus = solve(deleted + [part.index(ends[0])]) + glued
+            _check_pair(m_full, m_minus, f"pair at part {list(part)}")
+    if ends is None:
+        return m_full, None
+    without[ends[1]] += m_full
+    reuse[ends[1]] |= m_minus < m_full
+    return m_full, m_minus
+
+
+def _trace_node(part_id, family, part, pair, without, reuse) -> dict:
+    """A folded part's pair and, at each vertex with children, its hub."""
+    hubs = {str(u): [without[u] if reuse[u] else without[u] + 1, without[u]]
+            for u in part if without[u]}
+    return {"part": part_id, "family": family, "m_full": pair[0], "m_minus": pair[1],
+            "hub_values": hubs}

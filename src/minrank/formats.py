@@ -16,9 +16,14 @@ _BITS_OF = {chr(k + 63): format(k, "06b") for k in range(64)}
 _CHAR_OF = {bits: ch for ch, bits in _BITS_OF.items()}
 
 
+def graph6_text(line: str) -> str:
+    """A graph6 line without whitespace or an optional `>>graph6<<` header."""
+    return line.strip().removeprefix(">>graph6<<")
+
+
 def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 string (short form, order at most 62)."""
-    s = line.strip()
+    """Decode one graph6 string (short form, order at most 62) after an optional header."""
+    s = graph6_text(line)
     if not s:
         raise GraphError("empty graph6 string")
     if s[0] == "~":

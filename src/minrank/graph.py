@@ -89,22 +89,21 @@ class Graph:
             labels = {mapping[v]: self.labels[v] for v in vs if v in self.labels}
         return Graph._of_adjacency(adj, labels), mapping
 
-    def bridge_split(self) -> list[tuple[list, list]]:
-        """One depth-first search (Tarjan 1974): per connected component, by
-        lowest vertex, its bridges as (min, max) pairs in ascending order and
-        its 2-edge-connected components, or atoms, as sorted tuples ordered by
-        smallest vertex, which with the bridges form a tree.  A vertex heads
-        an atom when no back edge from its subtree climbs above it, and the
-        atom is what the search entered from it on."""
+    def closed_atoms(self):
+        """One depth-first search (Tarjan 1974), yielding each 2-edge-connected
+        component, or atom, as it closes: its vertices, head first, and the
+        other end of the head's bridge, or -1 at a component's root atom, which
+        holds its lowest vertex and closes last.  A vertex heads an atom when no
+        back edge from its subtree climbs above it; the atom is what the search
+        entered from it on.  Components come by lowest vertex."""
         adj = self._adj
         disc = [-1] * self.n
         low = [0] * self.n
-        forest, entered = [], []
+        entered = []
         clock = itertools.count()
         for root in range(self.n):
             if disc[root] != -1:
                 continue
-            bridges, atoms = [], []
             disc[root] = low[root] = next(clock)
             stack = [(root, -1, iter(adj[root]), 0)]
             entered.append(root)
@@ -121,15 +120,23 @@ class Graph:
                 else:
                     stack.pop()
                     if low[v] == disc[v]:
-                        atoms.append(tuple(sorted(entered[start:])))
+                        yield entered[start:], parent
                         del entered[start:]
-                        if parent != -1:
-                            bridges.append((min(parent, v), max(parent, v)))
                     elif low[v] < low[parent]:
                         low[parent] = low[v]
-            bridges.sort()
-            atoms.sort()
-            forest.append((bridges, atoms))
+
+    def bridge_split(self) -> list[tuple[list, list]]:
+        """`closed_atoms` per connected component, by lowest vertex: its
+        bridges as sorted (min, max) pairs and its atoms as sorted tuples,
+        ordered by smallest vertex, which with the bridges form a tree."""
+        forest, bridges, atoms = [], [], []
+        for atom, parent in self.closed_atoms():
+            atoms.append(tuple(sorted(atom)))
+            if parent != -1:
+                bridges.append((min(atom[0], parent), max(atom[0], parent)))
+            else:  # the component's root atom closes it
+                forest.append((sorted(bridges), sorted(atoms)))
+                bridges, atoms = [], []
         return forest
 
     def __eq__(self, other):

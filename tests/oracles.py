@@ -9,9 +9,12 @@ atoms whose families it decided up front, to pin what deciding them
 later must not change; `parse_edge_list`, the edge-list parser as it
 stood before it read documents in bulk, builds the package's `Graph` and
 raises its `GraphError`, so that its outcomes compare with the parser's;
-and `dp_fold_by_subset_table`, the dp fold as it stood before it made two
-queries per part, reads a structure report's solvers and glues with the
-package's `star_merge` and `combine_shared_vertex`.
+`dp_fold_by_subset_table`, the dp fold as it stood before it made two
+queries per part, reads a structure report's solvers and glues with
+`star_merge` and the package's `combine_shared_vertex`; and
+`atom_fold_by_atom_tree`, auto's fold as it stood before it ran as the
+bridge search closed atoms, reads the package's `bridge_split` and family
+claims and rebuilds each component's atom tree.
 """
 
 import itertools
@@ -595,7 +598,6 @@ def dp_fold_by_subset_table(report, trace=False):
     part's min-rank minus each subset, read from the part's solver, so a part
     with d connectors costs 2^d queries.
     """
-    from minrank.dp import star_merge
     from minrank.errors import StructureError
     from minrank.exact import MinrankResult, _check_pair, combine_shared_vertex
 
@@ -664,3 +666,88 @@ def dp_fold_by_subset_table(report, trace=False):
     if trace:
         stats["trace"] = {"order": order, "nodes": trace_nodes}
     return MinrankResult(tables[t.root][0], "dp", None, True, stats)
+
+
+def star_merge(children):
+    """Min-rank of child subtrees joined to one new hub vertex.
+
+    Each pair is (subtree min-rank, min-rank after deleting the subtree's
+    connector).  Returns (with hub, without hub).  Without the hub the
+    subtrees are disjoint and their values add; the hub costs one extra
+    unit unless some subtree drops a unit at its connector.
+    """
+    from minrank.exact import _check_pair
+
+    if not children:
+        raise ValueError("star merge needs at least one child subtree")
+    for idx, (m, mv) in enumerate(children):
+        _check_pair(m, mv, f"child {idx}")
+    without_hub = sum(m for m, _ in children)
+    reusable = any(mv == m - 1 for m, mv in children)
+    return (without_hub if reusable else without_hub + 1, without_hub)
+
+
+# Auto's fold as it stood when it rebuilt each component's atom tree from
+# `bridge_split` and folded it with `star_merge`: the reference that the fold
+# run as the search closes atoms must agree with, value, stats and trace.
+def atom_fold_by_atom_tree(g, tree, registry, trace=False):
+    """Exact min-rank of g's component whose `g.bridge_split()` pair is
+    `tree`, folded over its atom tree as it stands, rooted at atom 0, with
+    the bridge ends as connectors and each atom asking its first family's
+    solver (`FamilyRegistry.claim`; one claim serves every one-vertex atom);
+    None when some atom is in no family.  No merge or structure is built."""
+    from minrank.exact import MinrankResult, _check_pair
+
+    bridges, atoms = tree
+    claims, single = [], None
+    for atom in atoms:
+        if len(atom) == 1:  # every one-vertex atom induces the same graph
+            single = claim = single or registry.claim(g, atom)
+        else:
+            claim = registry.claim(g, atom)
+        if claim is None:
+            return None
+        claims.append((claim[0].name, claim[1]))
+    atom_of = {v: i for i, atom in enumerate(atoms) for v in atom}
+    ends = [[] for _ in atoms]  # per atom: (its end, other atom, other end)
+    for x, y in bridges:
+        ends[atom_of[x]].append((x, atom_of[y], y))
+        ends[atom_of[y]].append((y, atom_of[x], x))
+    uc, dc, stack = {}, {}, [0]  # as in SimpleTreeStructure
+    while stack:  # orient every bridge away from atom 0
+        a = stack.pop()
+        for x, b, y in ends[a]:
+            if b and b not in uc:
+                uc[b] = y
+                dc.setdefault(a, {}).setdefault(x, []).append(b)
+                stack.append(b)
+
+    order, stack = [], [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack += sorted(j for js in dc.get(node, {}).values() for j in js)
+    order.reverse()  # every part now comes after all of its children
+    pairs, trace_nodes = {}, []
+    for i in order:
+        up = uc.get(i)
+        dc_map = dc.get(i, {})
+        hub_values = {u: star_merge([pairs[j] for j in dc_map[u]]) for u in sorted(dc_map)}
+        # Each hub adds its value without u, and deletes u unless it needs u.
+        deleted = {u for u, hub in hub_values.items() if hub[0] == hub[1]}
+        glued = sum(hub[1] for hub in hub_values.values())
+        (family, solve), index = claims[i], atoms[i].index
+        m_full = solve(map(index, deleted)) + glued
+        m_minus = None
+        if up is not None:
+            m_minus = solve(map(index, deleted | {up})) + glued
+            _check_pair(m_full, m_minus, f"pair at part {i}")
+        pairs[i] = m_full, m_minus
+        if trace:
+            hubs = {str(u): list(hv) for u, hv in hub_values.items()}
+            trace_nodes.append({"part": i, "family": family, "m_full": m_full,
+                                "m_minus": m_minus, "hub_values": hubs})
+    stats = {"oracle_calls": 2 * len(atoms) - 1, "parts": len(atoms)}
+    if trace:
+        stats["trace"] = {"order": order, "nodes": trace_nodes}
+    return MinrankResult(pairs[0][0], "dp", None, True, stats)

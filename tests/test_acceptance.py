@@ -34,7 +34,6 @@ from minrank import (
     rank_gf2,
     recognize,
     run_solver,
-    star_merge,
     validate_structure,
     verify_witness,
 )
@@ -45,6 +44,7 @@ from conftest import (
     component_count, delete_vertex, matrix_from_strings, random_graph_in_budget,
     solver_command,
 )
+from oracles import star_merge
 
 ORDER4_VALUES = [4, 3, 3, 2, 3, 2, 2, 2, 2, 2, 1]
 

@@ -25,10 +25,10 @@ from minrank import (
     recognize,
     validate_structure,
 )
-from minrank.dp import atom_fold, star_merge
+from minrank.dp import atom_fold
 from minrank.generator import generate_member
 from conftest import delete_vertex, random_connected_in_budget
-from oracles import dp_fold_by_subset_table
+from oracles import atom_fold_by_atom_tree, dp_fold_by_subset_table, star_merge
 
 
 @pytest.mark.parametrize(
@@ -174,6 +174,21 @@ def test_dp_handles_connector_coincidence():
     assert res.value == minrank_bruteforce(g).value
 
 
+def test_dp_fold_folds_a_component_on_the_graphs_own_ids():
+    """A later component's report names vertices at or above its own size."""
+    g = Graph(10, [(0, 1), (1, 2), (0, 2),
+                   (3, 4), (4, 5), (3, 5), (5, 6), (6, 7), (7, 8), (6, 8), (8, 9)])
+    reg = default_registry()
+    forest = g.bridge_split()
+    assert len(forest) == 2
+    for pair in forest:
+        outcome = recognize(g, 2, reg, tree=pair)
+        assert outcome.member
+        mask = sum(1 << v for atom in pair[1] for v in atom)
+        assert dp_fold(outcome.report).value == minrank_bnb(g, mask=mask).value
+    assert max(map(max, outcome.structure.parts)) >= len(forest[1][1]) + 1
+
+
 def test_dp_agrees_with_bnb_on_generated_members():
     reg = default_registry()
     checked = 0
@@ -185,6 +200,11 @@ def test_dp_agrees_with_bnb_on_generated_members():
             continue
         assert dp_minrank(g, t, reg).value == minrank_bnb(g).value
         checked += 1
+
+
+FOLD_REGISTRIES = [default_registry()] + [
+    parse_registry_spec(spec) for spec in ("chordal", "bounded:4", "bounded:5,chordal")
+]
 
 
 def random_bridge_tree(rng: random.Random, n_max: int = 16) -> Graph:
@@ -210,26 +230,77 @@ def test_atom_fold_matches_bnb_on_random_bridge_trees():
     two oracle calls (one at the root) per atom; it declines just when
     some atom is in no family."""
     rng = random.Random(2027)
-    registries = [default_registry()] + [
-        parse_registry_spec(spec) for spec in ("chordal", "bounded:4", "bounded:5,chordal")
-    ]
     folded = declined = 0
     for _ in range(300):
         g = random_bridge_tree(rng)
         want = minrank_bnb(g).value
-        tree = g.bridge_split()[0]
-        atoms = len(tree[1])
-        for reg in registries:
-            res = atom_fold(g, tree, reg, trace=True)
+        ((_, atoms),) = g.bridge_split()
+        for reg in FOLD_REGISTRIES:
+            ((vertices, res),) = atom_fold(g, reg, trace=True)
+            assert sorted(vertices) == list(range(g.n))
             if res is None:
-                assert any(reg.claim(g, atom) is None for atom in tree[1]), g.edges
+                assert any(reg.claim(g, atom) is None for atom in atoms), g.edges
                 declined += 1
                 continue
             assert (res.value, res.method, res.exact) == (want, "dp", True), g.edges
-            assert res.stats["parts"] == len(res.stats["trace"]["nodes"]) == atoms
-            assert res.stats["oracle_calls"] == 2 * atoms - 1
+            assert res.stats["parts"] == len(res.stats["trace"]["nodes"]) == len(atoms)
+            assert res.stats["oracle_calls"] == 2 * len(atoms) - 1
             folded += 1
     assert folded >= 900 and declined >= 250
+
+
+def random_bridge_forest(rng: random.Random) -> Graph:
+    """Random bridge trees and isolated vertices side by side, n <= 40,
+    with the vertex ids shuffled."""
+    n_max, edges, n = rng.randint(1, 40), [], 0
+    while True:
+        piece = Graph(1) if rng.random() < 0.25 else random_bridge_tree(rng, rng.randint(2, 20))
+        if n + piece.n > n_max:
+            break
+        edges += [(u + n, v + n) for u, v in piece.edges]
+        n += piece.n
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return Graph(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+def test_atom_fold_matches_the_atom_tree_fold():
+    """Folding atoms as the search closes them answers, per component, as
+    rebuilding and folding the atom tree did: value, parts, oracle calls,
+    declines and every trace node, matched by part, with the root atom
+    last; and as branch and bound on the component, for inputs of at most
+    16 vertices."""
+    rng = random.Random(2030)
+    folded = declined = small = split = 0
+    for _ in range(250):
+        g = random_bridge_forest(rng)
+        forest = g.bridge_split()
+        split += len(forest) > 1
+        for reg in FOLD_REGISTRIES:
+            folds = atom_fold(g, reg, trace=True)
+            assert len(folds) == len(forest), g.edges
+            for (vertices, res), tree in zip(folds, forest):
+                assert sorted(vertices) == sorted(v for atom in tree[1] for v in atom)
+                want = atom_fold_by_atom_tree(g, tree, reg, trace=True)
+                if want is None:
+                    assert res is None, g.edges
+                    declined += 1
+                    continue
+                assert (res.value, res.method, res.exact) == (want.value, "dp", True)
+                got_trace, want_trace = res.stats.pop("trace"), want.stats.pop("trace")
+                assert res.stats == want.stats, g.edges
+                nodes, want_nodes = (sorted(t["nodes"], key=lambda node: node["part"])
+                                     for t in (got_trace, want_trace))
+                assert nodes == want_nodes, g.edges
+                order = got_trace["order"]
+                assert order == [node["part"] for node in got_trace["nodes"]]
+                assert sorted(order) == list(range(len(order))) and order[-1] == 0
+                if g.n <= 16:
+                    mask = sum(1 << v for v in vertices)
+                    assert res.value == minrank_bnb(g, None, mask).value, g.edges
+                    small += 1
+                folded += 1
+    assert split >= 150 and folded >= 2300 and declined >= 200 and small >= 500
 
 
 def test_dp_value_is_structure_independent():

@@ -1,5 +1,6 @@
 """graph6 and edge-list serialization."""
 
+import json
 import random
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from minrank import Graph, GraphError, parse_graph6, emit_graph6
+from minrank.cli import main
 from minrank.formats import parse_edge_list, emit_edge_list
 from conftest import random_edges
 import oracles
@@ -77,6 +79,26 @@ def test_round_trip_random(n, rnd):
 def test_graph6_rejects(bad):
     with pytest.raises(GraphError):
         parse_graph6(bad)
+
+
+def test_graph6_header_is_skipped(tmp_path, capsys):
+    """One optional `>>graph6<<` header before a graph, as networkx's
+    `write_graph6` and `geng -h` write it, is skipped: the path P3 so
+    written reads as P3 through `minrank`, `recognize` and `batch`, whose
+    record keeps the graph6 string without the header."""
+    text = ">>graph6<<Bg\n"
+    assert parse_graph6(text) == parse_graph6("Bg") == Graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(GraphError):
+        parse_graph6(">>graph6<<" + text)
+    path = tmp_path / "p3.g6"
+    path.write_text(text)
+    for argv in (["minrank"], ["recognize"], ["batch"]):
+        assert main([argv[0], str(path)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        if argv[0] == "recognize":
+            assert (rec["member"], rec["n"]) == (True, 3)
+        else:
+            assert (rec["value"], rec["exact"], rec["graph"]) == (2, True, "Bg")
 
 
 def test_emit_rejects_large():

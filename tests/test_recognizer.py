@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from minrank import (
+    FamilyRegistry,
     Graph,
     GraphError,
     NotInFamilyError,
@@ -700,31 +701,45 @@ def disjoint_members():
 
 @pytest.mark.parametrize("connected", [True, False], ids=["connected", "disconnected"])
 def test_auto_solve_searches_the_graph_once(monkeypatch, connected):
-    """An auto solve finds every component's bridges and atoms in one
-    bridge_split of the input, which recognize reuses per component, and
-    copies no component; the bounded-order oracle finds its bridges on
-    bitsets, so no other graph is split."""
+    """An auto solve folds every component's atoms as one search of the
+    input closes them: it runs `closed_atoms` once and `bridge_split` never,
+    copies no component, and claims a family once per atom of two or more
+    vertices, none for a one-vertex atom; the bounded-order oracle finds its
+    bridges on bitsets, so no other graph is searched."""
     g = generate_member(5, 40, 2, profile="mixed")[0] if connected else disjoint_members()
-    splits, copies = [], []
-    real_split, real_induced = Graph.bridge_split, Graph.induced_subgraph
+    atoms = [atom for _, tree_atoms in g.bridge_split() for atom in tree_atoms]
+    assert any(len(atom) == 1 for atom in atoms)
+    searches, copies, claims = [], [], []
+    real_search, real_induced = Graph.closed_atoms, Graph.induced_subgraph
+    real_claim = FamilyRegistry.claim
 
-    def counted_split(self):
-        splits.append(self is g)
-        return real_split(self)
+    def counted_search(self):
+        searches.append(self is g)
+        return real_search(self)
+
+    def refuse_split(self):
+        raise AssertionError("the auto path collected a bridge split")
 
     def counted_induced(self, vertices):
         copies.append(self.n)
         return real_induced(self, vertices)
 
-    monkeypatch.setattr(Graph, "bridge_split", counted_split)
+    def counted_claim(self, h, part):
+        claims.append(tuple(part))
+        return real_claim(self, h, part)
+
+    monkeypatch.setattr(Graph, "closed_atoms", counted_search)
+    monkeypatch.setattr(Graph, "bridge_split", refuse_split)
     monkeypatch.setattr(Graph, "induced_subgraph", counted_induced)
+    monkeypatch.setattr(FamilyRegistry, "claim", counted_claim)
     res = cli.solve_graph(g, "auto", default_registry(), None, None)
     assert res.exact
     if connected:
         assert res.method == "dp"
     else:
         assert res.method == "components" and res.stats["methods"] == ["dp"] * 3
-    assert splits == [True] and copies == []
+    assert searches == [True] and copies == []
+    assert sorted(claims) == sorted(atom for atom in atoms if len(atom) > 1)
 
 
 def bridged_cycles(rng, n):
