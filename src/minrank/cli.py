@@ -18,13 +18,15 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .cnf import emit_cnf, minrank_via_cnf, run_solver
-from .dp import atom_fold, dp_fold, dp_minrank
+from .dp import atom_fold, dp_minrank
 from .errors import BudgetExceededError, GraphError, StructureError
 from .exact import (
     MinrankResult, _combine_components, _iter_bits, minrank_bnb, minrank_bruteforce,
 )
 from .families import default_registry, parse_registry_spec
-from .formats import emit_edge_list, emit_graph6, graph6_text, parse_edge_list, parse_graph6
+from .formats import (
+    emit_edge_list, emit_graph6, graph6_lines, graph6_text, parse_edge_list, parse_graph6,
+)
 from .generator import generate_member
 from .graph import Graph
 from .recognizer import recognize
@@ -67,11 +69,7 @@ def load_graphs(path: str, fmt: str | None) -> list[Graph]:
     if fmt is None:
         fmt = "g6" if path.endswith(".g6") else "edges"
     if fmt == "g6":
-        return [
-            parse_graph6(line)
-            for line in text.splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
+        return [parse_graph6(line) for _, line in graph6_lines(text)]
     return [parse_edge_list(text)]
 
 
@@ -215,26 +213,27 @@ def cmd_dp(args) -> int:
     if args.structure:
         with open(args.structure) as fh:
             t = SimpleTreeStructure.from_json(fh.read())
-        res = dp_minrank(g, t, args.registry, trace=args.trace)
     else:
         outcome = recognize(g, args.c, args.registry)
         if not outcome.member:
             rec = {"member": False, "failure": outcome.failure_detail}
             _write_out(json.dumps(_with_labels(rec, g)) + "\n", args.output)
             return 1
-        res = dp_fold(outcome.report, trace=args.trace)
+        t = outcome.structure
+    res = dp_minrank(g, t, args.registry, trace=args.trace)
     _write_out(json.dumps(_result_record(g, res, 0), sort_keys=True) + "\n", args.output)
     return 0
 
 
 def _batch_worker(payload):
     idx, line, method, registry, node_budget = payload
+    text = graph6_text(line)
     try:
         g = parse_graph6(line)
         res = solve_graph(g, method, registry, None, node_budget)
         return idx, {
             "index": idx,
-            "graph": line,
+            "graph": text,
             "n": g.n,
             "value": res.value,
             "method": res.method,
@@ -242,17 +241,15 @@ def _batch_worker(payload):
         }, res.value if res.exact else None
     except Exception as exc:  # one bad graph must not end the batch
         error = f"{type(exc).__name__}: {exc}"
-        return idx, {"index": idx, "graph": line, "error": error}, None
+        return idx, {"index": idx, "graph": text, "error": error}, None
 
 
 def cmd_batch(args) -> int:
     if args.jobs < 1:
         raise GraphError(f"--jobs must be at least 1, got {args.jobs}")
-    text = read_input(args.corpus)
     jobs = [
-        (idx, graph6_text(line), args.method, args.registry, args.node_budget)
-        for idx, line in enumerate(text.splitlines())
-        if line.strip() and not line.startswith("#")
+        (idx, line, args.method, args.registry, args.node_budget)
+        for idx, line in graph6_lines(read_input(args.corpus))
     ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -22,9 +22,10 @@ reuse[v].
 One per-part step serves two folds.  `atom_fold`, auto's path, folds each
 component's atoms as the bridge search closes them, so it builds no tree,
 and needs no merge or connector bound, the fold's cost not depending on
-how many connectors a part has.  `dp_fold` folds a valid
-`StructureReport`: for `minrank dp`, the c-bounded one `recognize`
-accepts, and in `dp_minrank`, one that validation gives.
+how many connectors a part has.  `dp_fold` folds the `StructureReport`
+that validating a structure gives: `dp_minrank` validates the structure
+file of `minrank dp --structure`, or the c-bounded one `recognize`
+accepts, and folds it.
 """
 
 from __future__ import annotations

@@ -21,6 +21,14 @@ def graph6_text(line: str) -> str:
     return line.strip().removeprefix(">>graph6<<")
 
 
+def graph6_lines(text: str):
+    """(0-based line number, line) of each line of a graph6 document that
+    is neither blank nor a comment starting with `#`."""
+    for index, line in enumerate(text.splitlines()):
+        if line.strip() and not line.startswith("#"):
+            yield index, line
+
+
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 string (short form, order at most 62) after an optional header."""
     s = graph6_text(line)

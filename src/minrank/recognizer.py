@@ -21,24 +21,22 @@ bound.  A decision fails only at an atom with more than `c` connectors,
 and a failure reaches the root, so when a root fails the atom behind it is
 decided under each of its neighbours and as the root: every root's tree
 holds it in one of those places, and if all of them fail, so does every
-root, and the walk stops after computing the last root's failure for the
-report.  Without that proof, or when a trace of every root is asked for,
-the walk goes on to the next root.  An accepted structure comes with the
-report that validating it would give, built from the atoms' memberships
-rather than by checking it again, and with the connectors read off the
-bridges merging kept.
+root, and the walk stops after computing the last root's failure for its
+message.  Without that proof, or when a trace of every root is asked for,
+the walk goes on to the next root.  An accepted structure carries the
+connectors read off the bridges merging kept, and nothing else:
+`dp_minrank` validates it like any structure file before folding it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import GraphError, NotInFamilyError
 from .families import FamilyRegistry
 from .graph import Graph
-from .structure import SimpleTreeStructure, StructureReport, mdc
+from .structure import SimpleTreeStructure
 
 
 class _Memo(dict):
@@ -58,22 +56,17 @@ class AtomForest:
 
     atoms: tuple[tuple[int, ...], ...]
     links: dict[tuple[int, int], tuple[int, int]]  # (atom l, atom m) -> edge (x, y)
-    families: _Memo  # atom -> (mask of the oracles holding it, first one's solver)
+    families: _Memo  # atom -> mask of the oracles holding it
     glue_bits: _Memo  # order -> -1 if a family holds every graph of it, else glue(True) mask
-    atom_of: dict[int, int]  # per vertex, its atom
 
 
 @dataclass
 class RecognitionOutcome:
     member: bool
-    report: StructureReport | None  # of the accepted structure, if any
+    structure: SimpleTreeStructure | None  # the accepted one, if any
     roots_tried: int
     failure_detail: str | None = None
     stats: dict = field(default_factory=dict)
-
-    @property
-    def structure(self) -> SimpleTreeStructure | None:
-        return self.report.structure if self.report else None
 
 
 def split_phase(g: Graph, registry: FamilyRegistry, tree=None) -> AtomForest:
@@ -85,24 +78,17 @@ def split_phase(g: Graph, registry: FamilyRegistry, tree=None) -> AtomForest:
     its pair of atoms and oriented so that x lies in the lower-numbered
     atom; `tree` is that component's `g.bridge_split()` pair, by default
     the connected g's.  Each atom's membership in every registered family
-    is decided on g and kept, so that merging can
-    glue atoms without testing their unions, with its first family's
-    solver, reused by a part of that atom alone; an atom whose order some
-    family holds outright is decided only when it is first read.  Raises
+    is decided on g and kept as a bitmask, so that merging can glue atoms
+    without testing their unions; an atom whose order some family holds
+    outright is decided only when it is first read.  Raises
     NotInFamilyError on the first atom in no registered family.
     """
     bridges, atoms = tree or g.bridge_split()[0]
     atom_of = {v: i for i, atom in enumerate(atoms) for v in atom}
     oracles = registry.oracles
 
-    def test(a: int) -> tuple:
-        # The mask of member families; and the first member family's solver.
-        mask, first = 0, None
-        for i, o in enumerate(oracles):
-            solve = o.solver(g, atoms[a])
-            mask |= (solve is not None) << i
-            first = first or solve
-        return mask, first
+    def test(a: int) -> int:  # the mask of the families holding atom a
+        return sum((o.solver(g, atoms[a]) is not None) << i for i, o in enumerate(oracles))
 
     families, single = _Memo(test), None
     glue_bits = _Memo(lambda k: -1 if any(o.glue(False, k) for o in oracles) else sum(
@@ -110,7 +96,7 @@ def split_phase(g: Graph, registry: FamilyRegistry, tree=None) -> AtomForest:
     for a, atom in enumerate(atoms):
         if len(atom) == 1:  # every one-vertex atom induces the same graph
             families[a] = single = single or test(a)
-        if glue_bits[len(atom)] != -1 and not families[a][0]:
+        if glue_bits[len(atom)] != -1 and not families[a]:
             raise NotInFamilyError(
                 f"bridgeless piece {list(atom)} fits no registered family", atom=atom
             )
@@ -119,9 +105,7 @@ def split_phase(g: Graph, registry: FamilyRegistry, tree=None) -> AtomForest:
         if atom_of[x] > atom_of[y]:
             x, y = y, x
         links[(atom_of[x], atom_of[y])] = (x, y)
-    return AtomForest(
-        tuple(atoms), dict(sorted(links.items())), families, glue_bits, atom_of
-    )
+    return AtomForest(tuple(atoms), dict(sorted(links.items())), families, glue_bits)
 
 
 def _post_order(memo: dict, start: tuple, below, decide, settles) -> object:
@@ -213,7 +197,7 @@ def merge_phase(
         need = glue_bits[order]
         if need == -1:
             return None
-        mask = families[v][0] if need else 0
+        mask = families[v] if need else 0
         for u in chosen:
             if not mask & need:
                 return 0
@@ -222,7 +206,7 @@ def merge_phase(
             for a, b in stack:  # the loop reaches what it appends
                 absorbed, _, known, _ = shed[a, b]
                 if known is None:
-                    known = families[a][0]
+                    known = families[a]
                     stack += [(x, a) for x in absorbed]
                 mask &= known
                 if not mask & need:
@@ -321,43 +305,6 @@ def merge_phase(
     )
 
 
-def accepted_report(
-    g: Graph, forest: AtomForest, structure: SimpleTreeStructure,
-    registry: FamilyRegistry,
-) -> StructureReport:
-    """What `validate_structure` reports on a structure merging accepted.
-
-    Merging keeps the rules by construction, so nothing is checked again.
-    Each part is in the first family whose gluing rule holds for the AND
-    of its atoms' masks, read here if merging did not, and its order; for
-    one atom, that is the atom's first family, and the part reuses the
-    solver kept with it.  Any other part builds its family's solver at its
-    first query, so a structure that is only printed builds none.
-    """
-    decided = [forest.families[a] for a in range(len(forest.atoms))]
-    families, solvers = [], []
-    for part in structure.parts:
-        ids = {forest.atom_of[v] for v in part}
-        mask = -1
-        for i in ids:
-            mask &= decided[i][0]
-        for i, oracle in enumerate(registry.oracles):  # the first whose rule holds
-            if oracle.glue(bool(mask >> i & 1), len(part)):
-                break
-        families.append(oracle.name)
-        one = len(ids) == 1
-        solvers.append(decided[ids.pop()][1] if one else _built_when_queried(oracle, g, part))
-    return StructureReport(
-        True, [], mdc(structure), tuple(families), structure, tuple(solvers)
-    )
-
-
-def _built_when_queried(oracle, g: Graph, part):
-    """`oracle.solver(g, part)`, built on its first query and kept."""
-    build = functools.cache(lambda: oracle.solver(g, part))
-    return lambda removed: build()(removed)
-
-
 def recognize(
     g: Graph,
     c: int,
@@ -370,8 +317,7 @@ def recognize(
     Recognises g's component whose `g.bridge_split()` pair is `tree`, or
     g itself, which must then be connected, on g's own vertex ids.  A
     positive outcome carries a structure that validates against the
-    component with at most `c` downward connectors per part, with the
-    report that validating it would give (`accepted_report`).  With
+    component with at most `c` downward connectors per part.  With
     `explain` the stats hold a machine-readable trace of every cut and
     merge decision.
     """
@@ -402,5 +348,4 @@ def recognize(
             False, None, len(forest.atoms), exc.detail, {"phase": "merge", **stats}
         )
     stats["parts"] = len(structure.parts)
-    report = accepted_report(g, forest, structure, registry)
-    return RecognitionOutcome(True, report, roots, None, stats)
+    return RecognitionOutcome(True, structure, roots, None, stats)

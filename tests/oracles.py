@@ -480,13 +480,13 @@ def recognize_decided_first(g, c, registry, explain=False):
     Each atom of the connected graph g is tested by every family of
     `registry` up front, in atom order, on the graph itself; the first atom
     in no family fails the split with recognize's message.  The package's
-    `merge_phase` and `accepted_report` then run on a forest whose every
-    atom is decided, with the gluing masks of every order precomputed, so
-    they read no test.  Returns (member, roots tried, failure detail,
-    report or None, explain trace of the roots or None, decisions).
+    `merge_phase` then runs on a forest whose every atom is decided, with
+    the gluing masks of every order precomputed, so it reads no test.
+    Returns (member, roots tried, failure detail, structure or None,
+    explain trace of the roots or None, decisions).
     """
     from minrank.errors import NotInFamilyError
-    from minrank.recognizer import AtomForest, accepted_report, merge_phase
+    from minrank.recognizer import AtomForest, merge_phase
 
     ((bridges, atoms),) = g.bridge_split()  # g is connected
     families = {}
@@ -495,8 +495,7 @@ def recognize_decided_first(g, c, registry, explain=False):
         if all(s is None for s in solvers):
             detail = f"bridgeless piece {list(atom)} fits no registered family"
             return False, 0, detail, None, None, 0
-        mask = sum(1 << i for i, s in enumerate(solvers) if s is not None)
-        families[a] = mask, next(s for s in solvers if s is not None)
+        families[a] = sum(1 << i for i, s in enumerate(solvers) if s is not None)
     glue_bits = {}
     for k in range(1, g.n + 1):
         if any(o.glue(False, k) for o in registry.oracles):
@@ -509,15 +508,13 @@ def recognize_decided_first(g, c, registry, explain=False):
         if atom_of[x] > atom_of[y]:
             x, y = y, x
         links[atom_of[x], atom_of[y]] = (x, y)
-    forest = AtomForest(tuple(atoms), dict(sorted(links.items())), families,
-                        glue_bits, atom_of)
+    forest = AtomForest(tuple(atoms), dict(sorted(links.items())), families, glue_bits)
     trace, stats = ([] if explain else None), {}
     try:
         structure, roots = merge_phase(forest, c, trace=trace, stats=stats)
     except NotInFamilyError as exc:
         return False, len(atoms), exc.detail, None, trace, stats["decisions"]
-    report = accepted_report(g, forest, structure, registry)
-    return True, roots, None, report, trace, stats["decisions"]
+    return True, roots, None, structure, trace, stats["decisions"]
 
 
 # The parser that checked every line in a loop, kept verbatim: the reference

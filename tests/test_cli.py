@@ -353,14 +353,14 @@ def test_auto_answers_a_nonmember_whose_atoms_lie_in_families(tmp_path, capsys):
 
 def test_auto_runs_no_recognition(tmp_path, capsys, monkeypatch):
     """Auto folds atoms straight off the input's bridge split: with
-    recognition, merging and the accepted report made to fail, `minrank`
-    and `batch` still answer members and non-members exactly."""
+    recognition and merging made to fail, `minrank` and `batch` still
+    answer members and non-members exactly."""
     from minrank import recognizer
 
     def refuse(*args, **kwargs):
         raise AssertionError("the auto path recognised")
 
-    for name in ("recognize", "merge_phase", "accepted_report"):
+    for name in ("recognize", "merge_phase"):
         monkeypatch.setattr(recognizer, name, refuse)
     monkeypatch.setattr(cli, "recognize", refuse)
     member, _ = generate_member(5, 40, 2, profile="mixed")
@@ -496,14 +496,23 @@ DP_MEMBERS = [
 ]
 
 
-def members_dp_trace_output(tmp_path) -> str:
-    """`dp --c 2 --trace` records of the DP_MEMBERS, in order."""
+def members_dp_trace_output(tmp_path, stored=False) -> str:
+    """`dp --c 2 --trace` records of the DP_MEMBERS, in order; with `stored`,
+    `dp --structure --trace` records of the structures that `recognize --c 2
+    --structure-out` wrote."""
     text = []
     for i, (seed, k, profile, orders) in enumerate(DP_MEMBERS):
         g, _ = generate_member(seed, k, 2, profile=profile, part_order=orders)
         path = write(tmp_path, f"dp{i}.edges", emit_edge_list(g))
         out = tmp_path / f"dp{i}.jsonl"
-        main(["dp", path, "--c", "2", "--trace", "-o", str(out)])
+        options = ["--c", "2"]
+        if stored:
+            structure = str(tmp_path / f"dp{i}.structure.json")
+            recognized = str(tmp_path / f"dp{i}.recognize.jsonl")
+            assert main(["recognize", path, "--c", "2", "--structure-out", structure,
+                         "-o", recognized]) == 0
+            options = ["--structure", structure]
+        assert main(["dp", path, *options, "--trace", "-o", str(out)]) == 0
         text.append(out.read_text())
     return "".join(text)
 
@@ -516,13 +525,15 @@ def test_dp_trace_of_members_pinned(tmp_path):
     connector bitmask; never regenerate it to fit a change.  The oracle call
     count, which that file pins for a fold that queried every connector
     subset, is dropped from both sides: the fold now queries each part twice
-    and the root once."""
+    and the root once.  A structure that `recognize --c 2 --structure-out`
+    stored and `dp --structure --trace` folds gives the same records."""
     want = (Path(DATA_DIR) / "members_dp_trace.jsonl").read_text()
-    got = members_dp_trace_output(tmp_path)
-    for rec in records(got):
-        assert rec["stats"]["oracle_calls"] == 2 * rec["stats"]["parts"] - 1
     calls = re.compile(r'"oracle_calls": \d+, ')
-    assert calls.sub("", got) == calls.sub("", want)
+    for stored in (False, True):
+        got = members_dp_trace_output(tmp_path, stored)
+        for rec in records(got):
+            assert rec["stats"]["oracle_calls"] == 2 * rec["stats"]["parts"] - 1
+        assert calls.sub("", got) == calls.sub("", want), stored
 
 
 def exact_records_output(tmp_path, random1000_path) -> str:
@@ -861,6 +872,20 @@ def test_batch_survives_malformed_line(tmp_path, capsys):
     assert len(recs) == 3
     assert "error" in recs[1] and "value" in recs[0] and "value" in recs[2]
     assert json.loads(Path(hist).read_text())["skipped"] == 1
+
+
+def test_graph6_skips_blank_and_comment_lines(tmp_path, capsys):
+    """A graph6 file's blank lines and lines starting with `#` hold no
+    graph: `batch` numbers its record by the line (0-based), `minrank` by
+    the graph's place among the graphs, and `recognize` reads the one
+    graph."""
+    path = write(tmp_path, "commented.g6", "# header\n\nBw\n")
+    code, out, _ = run_cli(capsys, ["batch", path])
+    assert code == 0 and [(r["index"], r["graph"]) for r in records(out)] == [(2, "Bw")]
+    code, out, _ = run_cli(capsys, ["minrank", path])
+    assert code == 0 and [(r["index"], r["graph"]) for r in records(out)] == [(0, "Bw")]
+    code, out, _ = run_cli(capsys, ["recognize", path])
+    assert code == 0 and (records(out)[0]["member"], records(out)[0]["n"]) == (True, 3)
 
 
 def test_batch_turns_any_exception_into_an_error_record(tmp_path, capsys, monkeypatch):

@@ -175,7 +175,10 @@ def test_dp_handles_connector_coincidence():
 
 
 def test_dp_fold_folds_a_component_on_the_graphs_own_ids():
-    """A later component's report names vertices at or above its own size."""
+    """A later component's structure names vertices at or above its own size.
+    It validates on the component's own graph, and the report, moved back
+    onto g's ids (which keeps each part's order, so its solver's positions),
+    folds to the component's min-rank."""
     g = Graph(10, [(0, 1), (1, 2), (0, 2),
                    (3, 4), (4, 5), (3, 5), (5, 6), (6, 7), (7, 8), (6, 8), (8, 9)])
     reg = default_registry()
@@ -184,8 +187,15 @@ def test_dp_fold_folds_a_component_on_the_graphs_own_ids():
     for pair in forest:
         outcome = recognize(g, 2, reg, tree=pair)
         assert outcome.member
-        mask = sum(1 << v for atom in pair[1] for v in atom)
-        assert dp_fold(outcome.report).value == minrank_bnb(g, mask=mask).value
+        t = outcome.structure
+        vertices = sorted(v for atom in pair[1] for v in atom)
+        sub, index = g.induced_subgraph(vertices)
+        local = SimpleTreeStructure([[index[v] for v in p] for p in t.parts], t.parent)
+        report = validate_structure(sub, local, reg)
+        assert report.valid
+        report.structure = t
+        mask = sum(1 << v for v in vertices)
+        assert dp_fold(report).value == minrank_bnb(g, mask=mask).value
     assert max(map(max, outcome.structure.parts)) >= len(forest[1][1]) + 1
 
 
@@ -346,9 +356,10 @@ def test_dp_subset_budget():
     assert dp_minrank(g, t, default_registry()).value == minrank_bruteforce(g).value
     # K_64 with pendants: 64 downward connectors on the clique, two queries
     # for each of the 64 pendant parts and one at the root
-    outcome = recognize(clique_with_pendants(64), 64, default_registry())
+    g = clique_with_pendants(64)
+    outcome = recognize(g, 64, default_registry())
     assert outcome.member and len(outcome.structure.parts) == 65
-    res = dp_fold(outcome.report)
+    res = dp_minrank(g, outcome.structure, default_registry())
     assert (res.value, res.exact, res.stats["oracle_calls"]) == (64, True, 129)
 
 
@@ -360,7 +371,10 @@ def test_dp_fold_matches_the_subset_table_fold(profile):
     upward connector is also a downward one among them, and on K_d with
     pendants at c = d, whose clique has d connectors."""
     reg = default_registry()
-    reports = [recognize(clique_with_pendants(d), d, reg).report for d in range(2, 9)]
+    reports = []
+    for d in range(2, 9):
+        g = clique_with_pendants(d)
+        reports.append(validate_structure(g, recognize(g, d, reg).structure, reg))
     for c in range(1, 9):
         for seed in range(8):
             orders = (4, 10) if profile == "chordal" and seed % 2 else (2, 6)

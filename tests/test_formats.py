@@ -85,7 +85,8 @@ def test_graph6_header_is_skipped(tmp_path, capsys):
     """One optional `>>graph6<<` header before a graph, as networkx's
     `write_graph6` and `geng -h` write it, is skipped: the path P3 so
     written reads as P3 through `minrank`, `recognize` and `batch`, whose
-    record keeps the graph6 string without the header."""
+    record keeps the graph6 string without the header.  A second header is
+    refused by each: `batch` writes an error record for its line."""
     text = ">>graph6<<Bg\n"
     assert parse_graph6(text) == parse_graph6("Bg") == Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(GraphError):
@@ -99,6 +100,12 @@ def test_graph6_header_is_skipped(tmp_path, capsys):
             assert (rec["member"], rec["n"]) == (True, 3)
         else:
             assert (rec["value"], rec["exact"], rec["graph"]) == (2, True, "Bg")
+    path.write_text(">>graph6<<" + text)
+    for argv in (["minrank"], ["recognize"]):
+        assert main([argv[0], str(path)]) == 2
+    assert main(["batch", str(path)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["graph"] == text.strip() and "bad graph6 header byte" in rec["error"]
 
 
 def test_emit_rejects_large():

@@ -13,7 +13,6 @@ from minrank import (
     GraphError,
     NotInFamilyError,
     default_registry,
-    dp_fold,
     dp_minrank,
     mdc,
     minrank_bruteforce,
@@ -444,10 +443,10 @@ def test_merge_glues_without_induced_subgraphs(monkeypatch):
 
 def test_split_tests_atoms_in_place(monkeypatch):
     """A bridged chain of 60 non-chordal atoms of order 6-8: bounded:10
-    holds every atom outright, so splitting tests none of them; recognition
-    decides each atom's families once, on the graph itself, and the
-    bounded:10 solver induces nothing until it is queried, so neither
-    splitting nor recognition induces a subgraph."""
+    holds every atom outright, so neither splitting nor recognition, which
+    accepts the atom tree at once and reads no family, tests any of them;
+    dp's validation then tests each part once, on the graph itself, and
+    the bounded:10 solver induces nothing, so no subgraph is induced."""
     rng = random.Random(9)
     edges, n, last = [], 0, None
     for _ in range(60):
@@ -478,9 +477,12 @@ def test_split_tests_atoms_in_place(monkeypatch):
     forest = split_phase(g, default_registry())
     assert len(forest.atoms) == 60 and max(map(len, forest.atoms)) <= 10
     assert tests == []
-    out = recognize(g, 2, default_registry())
+    reg = default_registry()
+    out = recognize(g, 2, reg)
     assert out.member and len(out.structure.parts) == 60
-    assert set(out.report.families) == {"bounded:10"}
+    assert tests == []
+    res = dp_minrank(g, out.structure, reg, trace=True)
+    assert {node["family"] for node in res.stats["trace"]["nodes"]} == {"bounded:10"}
     assert calls == [] and len(tests) == 60
 
 
@@ -576,32 +578,24 @@ def report_test_cases():
         yield g, c, reg
 
 
-def connector_subsets(t, i):
-    """Every set of part i's connectors, as indices into the part."""
-    local = {v: x for x, v in enumerate(t.parts[i])}
-    ends = set(t.dc.get(i, {})) | ({t.uc[i]} if i in t.uc else set())
-    ends = sorted(local[v] for v in ends)
-    for r in range(len(ends) + 1):
-        yield from combinations(ends, r)
-
-
-def test_recognize_report_matches_validation():
-    """The report recognize builds for an accepted structure is the one
-    validating that structure gives, solvers included."""
+def test_recognized_structures_validate():
+    """Every structure recognize accepts validates, with at most c
+    connectors per part and the connectors recognition read off the
+    bridges, and its dp fold answers as auto's fold of the atoms."""
     accepted = merged = 0
     for g, c, reg in report_test_cases():
         out = recognize(g, c, reg)
         if not out.member:
             continue
-        got, want = out.report, validate_structure(g, out.structure, reg)
-        assert got.valid and want.valid and got.violations == [], g.edges
-        assert (got.mdc, got.families) == (want.mdc, want.families), g.edges
-        assert got.structure.to_json() == want.structure.to_json(), g.edges
-        for i in range(len(got.structure.parts)):
-            for removed in connector_subsets(got.structure, i):
-                assert got.solvers[i](removed) == want.solvers[i](removed), g.edges
+        report = validate_structure(g, out.structure, reg)
+        assert report.valid and report.violations == [] and report.mdc <= c, g.edges
+        assert report.structure.to_json() == out.structure.to_json(), g.edges
+        got = dp_minrank(g, out.structure, reg)
+        want = cli.solve_graph(g, "auto", reg, None, None)
+        assert (got.method, got.value, got.exact) == ("dp", want.value, True), g.edges
+        assert (want.method, want.exact) == ("dp", True), g.edges
         accepted += 1
-        merged += len(got.structure.parts) < out.stats["atoms"]
+        merged += len(out.structure.parts) < out.stats["atoms"]
     assert accepted >= 400 and merged >= 40
 
 
@@ -646,9 +640,9 @@ def test_auto_solve_validates_nothing(monkeypatch):
     assert len(tests) <= len(atoms)
 
 
-def test_recognize_builds_a_merged_part_solver_on_its_first_query(monkeypatch):
-    """Recognition tests chordality on atoms only; the solver of a chordal
-    part merged of several atoms is built once, when the fold first asks."""
+def test_recognize_tests_chordality_on_atoms_only(monkeypatch):
+    """Recognition tests chordality on atoms only, never on a part merged
+    of several atoms."""
     g, atoms, _, merged = merged_member()
     tested = []
     real_test = families.perfect_elimination_order
@@ -659,12 +653,8 @@ def test_recognize_builds_a_merged_part_solver_on_its_first_query(monkeypatch):
 
     monkeypatch.setattr(families, "perfect_elimination_order", counted_test)
     out = recognize(g, 2, default_registry())
+    assert out.member and merged
     assert set(tested) <= set(atoms)
-    chordal = [i for i in merged if out.report.families[i] == "chordal"]
-    assert chordal
-    tested.clear()
-    dp_fold(out.report)
-    assert sorted(tested) == sorted(out.structure.parts[i] for i in chordal)
 
 
 def test_recognize_derives_no_structure(monkeypatch):
@@ -769,12 +759,11 @@ AGREEMENT_REGISTRIES = (
 
 
 def test_lazy_decisions_agree_with_a_forest_decided_first():
-    """Deciding an atom's families only when merging or the report reads
-    them answers as deciding every atom before merging does: verdict, roots
-    tried, failure, the trace of every root, structure, families and every
-    solver's answers, on 2,000 random connected bridged graphs (n <= 40)
-    under each registry of AGREEMENT_REGISTRIES, with c in {1, 2}, with and
-    without a trace."""
+    """Deciding an atom's families only when merging reads them answers as
+    deciding every atom before merging does: verdict, roots tried, failure,
+    the trace of every root and the structure, on 2,000 random connected
+    bridged graphs (n <= 40) under each registry of AGREEMENT_REGISTRIES,
+    with c in {1, 2}, with and without a trace."""
     rng = random.Random(1511)
     seen = Counter()
     for i in range(2000):
@@ -793,7 +782,7 @@ def test_lazy_decisions_agree_with_a_forest_decided_first():
         spec, c = rng.choice(AGREEMENT_REGISTRIES), rng.choice((1, 2))
         reg = parse_registry_spec(spec)
         for explain in (False, True):
-            member, roots, detail, report, trace, decisions = (
+            member, roots, detail, structure, trace, decisions = (
                 oracles.recognize_decided_first(g, c, reg, explain)
             )
             out = recognize(g, c, reg, explain=explain)
@@ -810,11 +799,6 @@ def test_lazy_decisions_agree_with_a_forest_decided_first():
             if not member:
                 seen["merge rejection"] += 1
                 continue
-            got = out.report
-            assert got.structure.to_json() == report.structure.to_json(), case
-            assert got.families == report.families, case
-            for j in range(len(report.structure.parts)):
-                for removed in connector_subsets(report.structure, j):
-                    assert got.solvers[j](removed) == report.solvers[j](removed), case
-            seen["merged" if len(got.structure.parts) < out.stats["atoms"] else "as cut"] += 1
+            assert out.structure.to_json() == structure.to_json(), case
+            seen["merged" if len(structure.parts) < out.stats["atoms"] else "as cut"] += 1
     assert min(seen[k] for k in ("split rejection", "merge rejection", "merged", "as cut")) >= 50, seen
