@@ -104,13 +104,7 @@ def _cover(adjacency, lower, budget, search, classes, common, left) -> bool:
     if budget is not None and search[1] >= budget:
         return True
     search[1] += 1
-    v = min(
-        _iter_bits(left),
-        key=lambda u: (
-            sum(c >> u & 1 for c in common),
-            (adjacency[u] & left).bit_count(),
-        ),
-    )
+    v = _dsatur_pick(adjacency, left, common)
     bit = 1 << v
     for c, members in enumerate(common):
         if members & bit:
@@ -129,6 +123,48 @@ def _cover(adjacency, lower, budget, search, classes, common, left) -> bool:
         common.pop()
         return stop
     return False
+
+
+def _dsatur_pick(adjacency, left: int, common) -> int:
+    """The vertex of `left` in the fewest bitsets of `common`, then of least
+    degree within `left`, then the lowest.  Bit k of the counts is planes[k]."""
+    planes = []
+    for carry in common:
+        carry &= left
+        for k, plane in enumerate(planes):
+            planes[k], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    fewest = left
+    for plane in reversed(planes):
+        fewest = fewest & ~plane or fewest
+    v, least = -1, left.bit_count() + 1
+    while fewest:
+        u = (fewest & -fewest).bit_length() - 1
+        degree = (adjacency[u] & left).bit_count()
+        if degree < least:
+            v, least = u, degree
+        fewest ^= 1 << u
+    return v
+
+
+def _greedy_independent(closed, avail: int) -> int:
+    """The greedy independent set of the bitset `avail`, least closed degree
+    (over closed neighbourhoods `closed`) first and the lowest on ties."""
+    chosen = 0
+    while avail:
+        scan, least = avail, avail.bit_count() + 1
+        while scan:
+            low = scan & -scan
+            degree = (closed[low.bit_length() - 1] & avail).bit_count()
+            if degree < least:
+                pick, least = low, degree
+                if degree == 1:  # the least any vertex can have
+                    break
+            scan ^= low
+        chosen |= pick
+        avail &= ~closed[pick.bit_length() - 1]
+    return chosen
 
 
 def bit_components(adjacency, mask: int) -> list[int]:
@@ -342,22 +378,8 @@ def _bnb_connected(
     best_value = len(cliques)
     chosen: dict[int, int] = {}
     pivots: dict[int, int] = {}
-    nodes = 0
-    rows = 0
-
     gain_memo: dict[int, int] = {}
-
-    def gain(free: int) -> int:
-        """Size of a greedy independent set in `free`, least degree first."""
-        if free not in gain_memo:
-            size = 0
-            avail = free
-            while avail:
-                size += 1
-                v = min(_iter_bits(avail), key=lambda u: (closed[u] & avail).bit_count())
-                avail &= ~closed[v]
-            gain_memo[free] = size
-        return gain_memo[free]
+    nodes = rows = 0
 
     def branches(i: int, support: int):
         """Yield the support after each child row of the node at depth i.
@@ -370,37 +392,48 @@ def _bnb_connected(
         """
         nonlocal rows
         v = order[i]
-        row = _first_spanned_row(pivots, v, local[v])
+        nbrs = local[v]
+        row = _first_spanned_row(pivots, v, nbrs)
         if row is not None:
             chosen[v] = row
             yield support | row
         seen = set()
-        for cand in _row_choices(v, local[v]):
+        unit, sub = 1 << v, 0
+        while True:
             rows += 1
-            x = reduce_row(pivots, cand)
+            x = unit | sub  # reduced against the pivots, as reduce_row does
+            while x and (p := pivots.get(top := x.bit_length() - 1)) is not None:
+                x ^= p
             if x and x not in seen:
                 seen.add(x)
-                chosen[v] = cand
-                top = x.bit_length() - 1
+                chosen[v] = unit | sub
                 pivots[top] = x
-                yield support | cand
+                yield support | unit | sub
                 del pivots[top]
+            if sub == nbrs:
+                break
+            sub = (sub - nbrs) & nbrs
 
     # Depth-first on an explicit stack: stack[d] lists the branches of the
     # open node at depth d, and the node being visited sits at depth i.
     exact = True
     stack = []
     i, support = 0, 0
+    budget = float("inf") if node_budget is None else node_budget
     while True:
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if nodes > budget:
             exact = False
             stats["interval"] = [lower, best_value]
             break
         # An independent set S of unassigned vertices outside every chosen
         # row's support adds |S| to the rank: its rows are the identity on
         # the S columns, where the chosen rows are all zero.
-        if len(pivots) + gain(unassigned[i] & ~support) < best_value:
+        free = unassigned[i] & ~support
+        gain = gain_memo.get(free)
+        if gain is None:
+            gain = gain_memo[free] = _greedy_independent(closed, free).bit_count()
+        if len(pivots) + gain < best_value:
             if i < n:
                 stack.append(branches(i, support))
             else:
@@ -417,11 +450,8 @@ def _bnb_connected(
         if not stack:
             break
         i = len(stack)
-    stats["nodes"] = nodes
-    stats["rows"] = rows
-    stats["elapsed"] = time.perf_counter() - start
-    witness = _witness(len(adjacency), best_rows)
-    return MinrankResult(best_value, "bnb", witness, exact, stats)
+    stats.update(nodes=nodes, rows=rows, elapsed=time.perf_counter() - start)
+    return MinrankResult(best_value, "bnb", _witness(len(adjacency), best_rows), exact, stats)
 
 
 def _witness(cols: int, rows: dict[int, int]) -> BitMatrix:

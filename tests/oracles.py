@@ -256,6 +256,41 @@ def min_clique_partition(n, edges):
     return best
 
 
+def dsatur_pick_by_min(adjacency, left, common):
+    """The exact clique cover's branching vertex as it was picked before the
+    counts went into bit planes: over the vertices of the bitset `left`, the
+    least (number of bitsets in `common` holding it, neighbours in `left`),
+    `min` keeping the lowest vertex on ties."""
+    return min(
+        (u for u in range(left.bit_length()) if left >> u & 1),
+        key=lambda u: (
+            sum(c >> u & 1 for c in common),
+            (adjacency[u] & left).bit_count(),
+        ),
+    )
+
+
+def least_closed_degree_by_min(closed, avail):
+    """The vertex of the bitset `avail` with the fewest vertices of `avail`
+    in its closed neighbourhood `closed[u]`, by `min`, so the lowest on
+    ties: branch and bound's greedy pick before its loop lost `min`."""
+    return min(
+        (u for u in range(avail.bit_length()) if avail >> u & 1),
+        key=lambda u: (closed[u] & avail).bit_count(),
+    )
+
+
+def greedy_independent_by_min(closed, avail):
+    """The greedy independent set of the bitset `avail`, as a bitset, made
+    of `least_closed_degree_by_min` picks."""
+    chosen = 0
+    while avail:
+        v = least_closed_degree_by_min(closed, avail)
+        chosen |= 1 << v
+        avail &= ~closed[v]
+    return chosen
+
+
 def is_chordal_by_elimination(n, edges):
     """Chordality via the definition: repeatedly delete a simplicial
     vertex; the graph is chordal iff the process empties it."""

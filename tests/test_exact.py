@@ -7,6 +7,7 @@ matrix and runs textbook elimination, then frozen here.
 
 import gc
 import itertools
+import json
 import random
 import sys
 from pathlib import Path
@@ -30,7 +31,9 @@ from minrank import exact
 from minrank.cli import solve_graph
 from minrank.exact import (
     _combine_components,
+    _dsatur_pick,
     _first_spanned_row,
+    _greedy_independent,
     _row_choices,
     bit_components,
     exact_clique_cover,
@@ -337,6 +340,30 @@ def test_bnb_searches_pinned_on_corpus_slice(random1000_path):
         assert res.stats["nodes"] == 0
 
 
+def bnb_record(res):
+    """The fields of a `minrank_bnb` answer pinned in random1000_bnb2000.jsonl."""
+    s = res.stats
+    return {
+        "value": res.value, "exact": res.exact, "interval": s.get("interval"),
+        "nodes": s["nodes"], "rows": s["rows"], "cover_nodes": s["cover_nodes"],
+        "witness": list(res.witness.data),
+    }
+
+
+def test_bnb_searches_pinned_per_graph(random1000_path):
+    """Every graph of random1000.g6 at a node budget of 2000: value,
+    exactness, interval, node, row and cover node counts and witness rows
+    are those of random1000_bnb2000.jsonl, written before the search's
+    vertex picks were rewritten without per-vertex callbacks."""
+    lines = Path(random1000_path).read_text().splitlines()
+    pinned = (Path(random1000_path).parent / "random1000_bnb2000.jsonl").read_text()
+    want = [json.loads(line) for line in pinned.splitlines()]
+    assert len(want) == len(lines) == 1000
+    for number, (line, rec) in enumerate(zip(lines, want), 1):
+        got = bnb_record(minrank_bnb(parse_graph6(line), node_budget=2000))
+        assert got == rec, f"line {number}"
+
+
 def test_bnb_lists_rows_lazily(random1000_path):
     """Line 716 (n=19, maximum degree 16) still searches to the budget.
     Listing every row of each branching vertex took 2^20 rows for 2001
@@ -388,6 +415,60 @@ def test_exact_clique_cover_matches_partition_oracle():
         cover, spent = exact_clique_cover(adjacency, full, 0, greedy, 3)
         assert _is_clique_partition(g, cover)
         assert spent <= 3 and want <= len(cover) <= len(greedy)
+
+
+def random_pick_state(rng):
+    """A random graph on at most 24 vertices, as neighbour bitsets, and a
+    nonempty vertex bitset `left` of it."""
+    n = rng.randint(1, 24)
+    adjacency = [0] * n
+    for u, v in random_edges(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8])):
+        adjacency[u] |= 1 << v
+        adjacency[v] |= 1 << u
+    return adjacency, rng.randrange(1, 1 << n)
+
+
+def test_dsatur_pick_matches_min_with_key():
+    """The bit-plane DSATUR pick against `min` over (cliques the vertex may
+    join, degree within `left`), lowest vertex first, on seeded states with
+    up to 8 cliques; the states include empty `common`, ties in the count
+    and ties in both keys, which the lowest vertex breaks."""
+    rng = random.Random(3201)
+    empty = count_ties = full_ties = 0
+    for _ in range(3000):
+        adjacency, left = random_pick_state(rng)
+        n = len(adjacency)
+        common = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(0, 8))]
+        want = oracles.dsatur_pick_by_min(adjacency, left, common)
+        assert _dsatur_pick(adjacency, left, common) == want
+        keys = [
+            (sum(c >> u & 1 for c in common), (adjacency[u] & left).bit_count())
+            for u in range(n) if left >> u & 1
+        ]
+        empty += not common
+        count_ties += [k[0] for k in keys].count(min(keys)[0]) > 1
+        full_ties += keys.count(min(keys)) > 1
+    assert empty > 200 and count_ties > 1000 and full_ties > 500
+
+
+def test_greedy_independent_matches_min_with_key():
+    """The bound's greedy independent set against picks by `min` over
+    closed degree, lowest vertex first, on seeded states and on every state
+    the reference's picks pass through."""
+    rng = random.Random(3202)
+    ties = 0
+    for _ in range(1500):
+        adjacency, avail = random_pick_state(rng)
+        closed = [bits | 1 << u for u, bits in enumerate(adjacency)]
+        while avail:
+            assert _greedy_independent(closed, avail) == oracles.greedy_independent_by_min(
+                closed, avail
+            )
+            degrees = [(c & avail).bit_count() for u, c in enumerate(closed) if avail >> u & 1]
+            ties += degrees.count(min(degrees)) > 1
+            avail &= ~closed[oracles.least_closed_degree_by_min(closed, avail)]
+    assert ties > 1000
+    assert _greedy_independent(closed, 0) == 0
 
 
 def _join(*graphs):
