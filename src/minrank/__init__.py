@@ -10,7 +10,6 @@ from .exact import (
     BRUTE_FORCE_BIT_BUDGET,
     Bounds,
     MinrankResult,
-    combine_shared_vertex,
     minrank_bnb,
     minrank_bruteforce,
     sandwich_bounds,
@@ -68,7 +67,6 @@ __all__ = [
     "SimpleTreeStructure",
     "StructureError",
     "StructureReport",
-    "combine_shared_vertex",
     "default_registry",
     "dp_fold",
     "dp_minrank",

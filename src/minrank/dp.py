@@ -8,11 +8,12 @@ and reuse[u], whether one of them drops a unit at its connector.
 
 The hub at u, u joined to the children's upward connectors, has min-rank
 without[u] once u is deleted, and one unit more with u unless reuse[u],
-when a connector row can be reused.  `combine_shared_vertex` (in `exact`)
-glues two graphs meeting in one vertex v: the sum of the two with v
-deleted, plus 1 only when both halves strictly need v.  Both differences
-are 0 or 1, so gluing the hub at u adds without[u] and, when reuse[u],
-deletes u from the part.  So with D the vertices u of a part P with
+when a connector row can be reused.  Graphs that meet only in a vertex v
+have min-rank the sum of theirs with v deleted, plus 1 only when every one
+of them strictly needs v; the bounded-order oracle cuts a component at a
+cut vertex by the same rule.  A part and the hub at u meet only in u, and
+each needs it by 0 or 1, so gluing the hub at u adds without[u] and, when
+reuse[u], deletes u from the part.  So with D the vertices u of a part P with
 reuse[u], m_full = mr(P - D) + the sum of without[u] over P, and m_minus
 is the same with the upward connector deleted too: two solver queries
 per part, one at the root, 2k - 1 for k parts.  A one-vertex part v is

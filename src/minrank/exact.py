@@ -547,18 +547,6 @@ def _check_pair(m: int, mv: int, what: str) -> None:
         )
 
 
-def combine_shared_vertex(m1: int, m1v: int, m2: int, m2v: int) -> int:
-    """Min-rank of the union of two graphs meeting in exactly one vertex v.
-
-    Arguments are the min-ranks of each side with v present and with v
-    deleted.  The union needs the deleted-v parts regardless; one more
-    unit is paid exactly when both sides strictly need v.
-    """
-    _check_pair(m1, m1v, "left side")
-    _check_pair(m2, m2v, "right side")
-    return m1v + m2v + (m1 - m1v) * (m2 - m2v)
-
-
 def _stack_factorizations(rows: dict[int, int], parts) -> dict[int, int]:
     """The rows of one fitting matrix for a join, by vertex, from `rows`,
     which fit each part (a vertex bitset) on its own.

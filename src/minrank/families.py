@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from .errors import GraphError
 from .exact import (
-    _bnb_connected, _iter_bits, bit_components, combine_shared_vertex,
-    greedy_bounds, independence_number,
+    _bnb_connected, _iter_bits, bit_components, greedy_bounds, independence_number,
 )
 from .graph import Graph
 
@@ -42,8 +41,11 @@ class FamilyOracle(ABC):
 class BoundedOrderFamily(FamilyOracle):
     """All graphs on at most `bound` vertices; min-rank per component of what
     a deletion leaves, on bitsets over the part's positions.  A component
-    whose bounds leave a gap is cut at a bridge, and only a bridgeless one
-    goes to exhaustive search, with the bounds already found."""
+    whose bounds leave a gap is cut at its lowest cut vertex x: deleting x
+    leaves pieces b_1 ... b_k, and the graphs b_i + x meet only in x, so by
+    the rule `dp` folds with, its min-rank is the sum of the mr(b_i), plus
+    one when every piece needs x, mr(b_i + x) > mr(b_i).  Only a 2-connected
+    component goes to exhaustive search, with the bounds already found."""
 
     def __init__(self, bound: int = 10):
         if bound < 1:
@@ -94,21 +96,15 @@ def _component_minrank(adjacency, memo: dict, comp: int) -> int:
     if alpha == gb.upper:
         return alpha
     for x in _iter_bits(comp):
-        # xy is a bridge, x < y, just when deleting x leaves a piece b that
-        # holds y and no other neighbour of x; b is then y's side of it.
-        ends = [(b & adjacency[x], b) for b in bit_components(adjacency, comp ^ 1 << x)]
-        sides = [(near, b) for near, b in ends if near & (near - 1) == 0 and near >> x > 1]
-        if sides:
+        pieces = bit_components(adjacency, comp ^ 1 << x)
+        if len(pieces) > 1:
             break
     else:
         return _bnb_connected(adjacency, comp, None, (alpha, gb.cliques)).value
-    # The least bridge xy splits comp into a side a holding x and b holding y.
-    near, b = min(sides)
-    y, a = near.bit_length() - 1, comp ^ b
-    # A pendant vertex and its neighbour cost one rank unit together, so
-    # a + xy has min-rank 1 + mr(a - x); glue it to b at y.
-    m = [_minrank_on(adjacency, memo, s) for s in (a ^ 1 << x, a, b, b ^ 1 << y)]
-    return combine_shared_vertex(1 + m[0], m[1], m[2], m[3])
+    # The pieces glued at x, by the rule in the class docstring.
+    without = [_minrank_on(adjacency, memo, b) for b in pieces]
+    needed = all(_minrank_on(adjacency, memo, b | 1 << x) > m for b, m in zip(pieces, without))
+    return sum(without) + needed
 
 
 def perfect_elimination_order(g: Graph, vertices=None) -> list[int] | None:

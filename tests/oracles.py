@@ -11,7 +11,7 @@ stood before it read documents in bulk, builds the package's `Graph` and
 raises its `GraphError`, so that its outcomes compare with the parser's;
 `dp_fold_by_subset_table`, the dp fold as it stood before it made two
 queries per part, reads a structure report's solvers and glues with
-`star_merge` and the package's `combine_shared_vertex`; and
+`star_merge` and `combine_shared_vertex`; and
 `atom_fold_by_atom_tree`, auto's fold as it stood before it ran as the
 bridge search closed atoms, reads the package's `bridge_split` and family
 claims and rebuilds each component's atom tree.
@@ -631,7 +631,7 @@ def dp_fold_by_subset_table(report, trace=False):
     with d connectors costs 2^d queries.
     """
     from minrank.errors import StructureError
-    from minrank.exact import MinrankResult, _check_pair, combine_shared_vertex
+    from minrank.exact import MinrankResult, _check_pair
 
     if not report.valid:
         raise StructureError(f"invalid structure: {report.violations}")
@@ -698,6 +698,20 @@ def dp_fold_by_subset_table(report, trace=False):
     if trace:
         stats["trace"] = {"order": order, "nodes": trace_nodes}
     return MinrankResult(tables[t.root][0], "dp", None, True, stats)
+
+
+def combine_shared_vertex(m1, m1v, m2, m2v):
+    """Min-rank of the union of two graphs meeting in exactly one vertex v.
+
+    Arguments are the min-ranks of each side with v present and with v
+    deleted.  The union needs the deleted-v parts regardless; one more
+    unit is paid exactly when both sides strictly need v.
+    """
+    from minrank.exact import _check_pair
+
+    _check_pair(m1, m1v, "left side")
+    _check_pair(m2, m2v, "right side")
+    return m1v + m2v + (m1 - m1v) * (m2 - m2v)
 
 
 def star_merge(children):

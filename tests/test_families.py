@@ -22,7 +22,7 @@ from minrank import exact, families
 from minrank.exact import minrank_bnb
 from minrank.families import BoundedOrderFamily, perfect_elimination_order
 from minrank.formats import parse_graph6
-from minrank.generator import random_connected_chordal
+from minrank.generator import random_connected_chordal, random_connected_graph
 from conftest import (
     component_count, flat_bridge_split, random_edges, random_graph_in_budget,
 )
@@ -411,32 +411,56 @@ def _bridged_graph(rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
-def test_bounded_solver_cut_at_bridges_matches_bnb():
+def _glued_graph(rng: random.Random) -> Graph:
+    """2-4 random connected pieces of 2-5 vertices, each sharing one vertex
+    with the pieces before it, relabelled at random: n <= 10.  Half the
+    pieces of 5 vertices are 5-cycles, whose bounds leave a gap."""
+    edges = []
+    n = 0
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(2, min(5, 11 - n)) if n else rng.randint(3, 5)
+        if size == 5 and rng.random() < 0.5:
+            piece = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+        else:
+            piece = random_connected_graph(rng, size, rng.choice([0.2, 0.4, 0.7]))
+        first = max(n, 1)  # the piece's vertices after the shared one
+        ids = [rng.randrange(n) if n else 0, *range(first, first + size - 1)]
+        edges += [(ids[u], ids[v]) for u, v in piece.edges]
+        n = ids[-1] + 1
+        if n >= 10:
+            break
+    return _relabel(rng, Graph(n, edges))
+
+
+def test_bounded_solver_cuts_match_bnb():
     rng = random.Random(504)
     for _ in range(150):
-        g = _bridged_graph(rng) if rng.random() < 0.7 else random_graph_in_budget(
-            rng, 9, edge_cap=16
-        )
+        make = rng.choice([_bridged_graph, _glued_graph])
+        g = make(rng) if rng.random() < 0.7 else random_graph_in_budget(rng, 9, edge_cap=16)
         want = minrank_bnb(g).value
         assert BoundedOrderFamily(max(g.n, 1)).solver(g)(()) == want, g.edges
 
 
-def test_bounded_solver_cut_at_bridges_matches_bruteforce():
+def test_bounded_solver_cuts_match_bruteforce():
     rng = random.Random(505)
-    checked = 0
-    while checked < 40:
-        g = _bridged_graph(rng)
-        if 2 * g.edge_count <= 18:
-            want = minrank_bruteforce(g).value
-            assert BoundedOrderFamily(max(g.n, 1)).solver(g)(()) == want, g.edges
-            checked += 1
+    for make, count in ((_bridged_graph, 40), (_glued_graph, 6)):
+        checked = 0
+        while checked < count:
+            g = make(rng)
+            if 2 * g.edge_count <= 18:
+                want = minrank_bruteforce(g).value
+                assert BoundedOrderFamily(max(g.n, 1)).solver(g)(()) == want, g.edges
+                checked += 1
 
 
 def test_bounded_solver_on_bridged_parts():
-    """Every deletion of at most 2 positions from each bridged part: the
-    solver agrees with branch and bound on the whole of what is left."""
+    """Every deletion of at most 2 positions from each bridged part, and
+    from graphs glued at shared vertices: the solver agrees with branch and
+    bound on the whole of what is left."""
     assert len(BRIDGED_PARTS) == 21
-    for g, want in BRIDGED_PARTS:
+    rng = random.Random(509)
+    glued = [_glued_graph(rng) for _ in range(40)]
+    for g, want in BRIDGED_PARTS + [(g, minrank_bnb(g).value) for g in glued]:
         solve = BoundedOrderFamily(10).solver(g)
         assert solve(()) == want, g.edges
         for r in (1, 2):
@@ -454,10 +478,10 @@ def _mask_graph(adjacency, mask: int) -> Graph:
 
 
 def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
-    """A component with a gap is cut at a bridge: every component that
-    branch and bound is given has none, and comes with the bounds the
-    oracle found, so the search computes neither bound of it again (the
-    co-components of a join get their own)."""
+    """A component with a gap is cut at a cut vertex: every component that
+    branch and bound is given is 2-connected, so has no bridge, and comes
+    with the bounds the oracle found, so the search computes neither bound
+    of it again (the co-components of a join get their own)."""
     searched = []
     real_bnb = families._bnb_connected
     bounded = []
@@ -465,6 +489,8 @@ def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
     def bridgeless_bnb(adjacency, mask, node_budget, bounds):
         sub = _mask_graph(adjacency, mask)
         assert not flat_bridge_split(sub)[0], sub.edges
+        for v in exact._iter_bits(mask):
+            assert len(exact.bit_components(adjacency, mask ^ 1 << v)) == 1, sub.edges
         assert bounds == (exact.independence_number(adjacency, mask),
                           exact.greedy_bounds(adjacency, mask).cliques)
         searched.append(sub.n)
@@ -483,8 +509,8 @@ def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
     for name in ("greedy_bounds", "independence_number"):
         monkeypatch.setattr(exact, name, counting(getattr(exact, name)))
     rng = random.Random(508)
-    for _ in range(150):
-        g = _bridged_graph(rng)
+    for i in range(300):
+        g = (_bridged_graph, _glued_graph)[i % 2](rng)
         solve = BoundedOrderFamily(g.n).solver(g)
         for removed in [(), *((v,) for v in range(g.n))]:
             solve(removed)
@@ -512,7 +538,7 @@ def test_bounded_solver_builds_no_graph(monkeypatch):
 
 
 def test_dropped_bounded_solver_leaves_no_cycle():
-    """Solvers that have cut components at their bridges are freed by
+    """Solvers that have cut components at their cut vertices are freed by
     reference counting alone once dropped, so the solvers of a large part
     tree do not pile up waiting for the cyclic collector: with it off, no
     function a solver holds outlives it."""
