@@ -32,7 +32,7 @@ from .generator import generate_member
 from .gf2 import BitMatrix, fits, rank_gf2
 from .graph import Graph
 from .cnf import emit_cnf, minrank_via_cnf, run_solver
-from .dp import dp_fold, dp_minrank
+from .dp import dp_minrank
 from .recognizer import (
     AtomForest,
     RecognitionOutcome,
@@ -68,7 +68,6 @@ __all__ = [
     "StructureError",
     "StructureReport",
     "default_registry",
-    "dp_fold",
     "dp_minrank",
     "emit_cnf",
     "emit_edge_list",

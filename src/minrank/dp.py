@@ -20,13 +20,13 @@ per part, one at the root, 2k - 1 for k parts.  A one-vertex part v is
 answered by arithmetic: m_minus = without[v], and m_full one more unless
 reuse[v].
 
-One per-part step serves two folds.  `atom_fold`, auto's path, folds each
+One per-part step serves two folds, and a part's solver is asked by the
+ids of g's vertices it deletes.  `atom_fold`, auto's path, folds each
 component's atoms as the bridge search closes them, so it builds no tree,
 and needs no merge or connector bound, the fold's cost not depending on
-how many connectors a part has.  `dp_fold` folds the `StructureReport`
-that validating a structure gives: `dp_minrank` validates the structure
-file of `minrank dp --structure`, or the c-bounded one `recognize`
-accepts, and folds it.
+how many connectors a part has.  `dp_minrank` validates a structure, the
+file of `minrank dp --structure` or the c-bounded one `recognize`
+accepts, and folds its tree children first.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import StructureError
 from .exact import MinrankResult, _check_pair
 from .families import FamilyRegistry
 from .graph import Graph
-from .structure import SimpleTreeStructure, StructureReport, validate_structure
+from .structure import SimpleTreeStructure, children_first, validate_structure
 
 
 def dp_minrank(
@@ -44,34 +44,23 @@ def dp_minrank(
     registry: FamilyRegistry,
     trace: bool = False,
 ) -> MinrankResult:
-    """Exact min-rank of a graph from a tree-of-parts structure it is handed.
+    """Exact min-rank of a graph from a tree-of-parts structure it is handed,
+    in one bottom-up fold; raises StructureError when the structure is
+    invalid for g and the registry.
 
-    The structure is validated against the graph and registry, and
-    `dp_fold` folds the report; raises StructureError when it is invalid.
-    """
-    return dp_fold(validate_structure(g, t, registry), trace)
-
-
-def dp_fold(report: StructureReport, trace: bool = False) -> MinrankResult:
-    """Exact min-rank from a valid structure report, in one bottom-up fold.
-
-    The fold runs on the report's structure, whose connectors were read
+    The fold runs on the validated structure, whose connectors were read
     off the graph.  Each part's solver answers min-rank queries on the
     part with connectors deleted (families are closed under vertex
     deletion, so those stay members), so no part is tested again.  No
     witness matrix is produced.
     """
+    report = validate_structure(g, t, registry)
     if not report.valid:
         raise StructureError(f"invalid structure: {report.violations}")
     t = report.structure
-    order, stack = [], [t.root]
-    while stack:
-        order.append(stack.pop())
-        stack += sorted(j for js in t.dc.get(order[-1], {}).values() for j in js)
-    order.reverse()  # every part now comes after all of its children
+    order = children_first(t.parent)
     ends = {j: (t.uc[j], u) for m in t.dc.values() for u, js in m.items() for j in js}
-    n = 1 + max(map(max, t.parts))  # parts may name a component's vertices in g
-    without, reuse, nodes = [0] * n, [False] * n, []
+    without, reuse, nodes = [0] * g.n, [False] * g.n, []
     for i in order:
         pair = _fold_part(t.parts[i], report.solvers[i], ends.get(i), without, reuse)
         if trace:
@@ -123,18 +112,18 @@ def atom_fold(g: Graph, registry: FamilyRegistry, trace: bool = False) -> list:
 
 
 def _fold_part(part, solve, ends, without, reuse) -> tuple[int, int | None]:
-    """The pair of a part (sorted, its `solve` queried at positions in it)
-    whose children are folded, added at its parent end; `ends` is its upward
-    connector and that end, None at the root.  One vertex needs no solver."""
+    """The pair of a part whose children are folded, added at its parent
+    end; `ends` is its upward connector and that end, None at the root.  One
+    vertex needs no solver."""
     if len(part) == 1:
         m_minus = without[part[0]]
         m_full = m_minus if reuse[part[0]] else m_minus + 1
     else:
-        deleted = [i for i, v in enumerate(part) if reuse[v]]
+        deleted = [v for v in part if reuse[v]]
         glued = sum([without[v] for v in part])
         m_full = solve(deleted) + glued
         if ends is not None:
-            m_minus = solve(deleted + [part.index(ends[0])]) + glued
+            m_minus = solve(deleted + [ends[0]]) + glued
             _check_pair(m_full, m_minus, f"pair at part {list(part)}")
     if ends is None:
         return m_full, None

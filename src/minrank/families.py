@@ -1,8 +1,8 @@
 """Pluggable base-graph families, each answering through one solver.
 
-A family oracle builds, for a member, a solver: a map from a set of the
-member's vertices to its min-rank with them deleted, which is all the dp
-fold asks of a part.  It also says whether a union of pieces glued along
+A family oracle builds, for a member, a solver: a map from a collection of
+the member's vertex ids to its min-rank with them deleted, which is all the
+dp fold asks of a part.  It also says whether a union of pieces glued along
 a tree of bridges is a member.  Families must be closed under vertex
 deletion, which the decomposition algorithms rely on when they remove
 connector vertices from a part.
@@ -27,9 +27,9 @@ class FamilyOracle(ABC):
 
     @abstractmethod
     def solver(self, g: Graph, part=None):
-        """None for a non-member g (or g's subgraph induced on vertex
-        sequence `part`); else a map from a set of its vertices (positions
-        in `part`) to its min-rank with them deleted."""
+        """None for a non-member g (or g's subgraph induced on the vertex
+        ids `part`, in any order); else a map from a collection of those
+        ids to its min-rank with them deleted."""
 
     @abstractmethod
     def glue(self, pieces_member: bool, order: int) -> bool:
@@ -40,12 +40,13 @@ class FamilyOracle(ABC):
 
 class BoundedOrderFamily(FamilyOracle):
     """All graphs on at most `bound` vertices; min-rank per component of what
-    a deletion leaves, on bitsets over the part's positions.  A component
-    whose bounds leave a gap is cut at its lowest cut vertex x: deleting x
-    leaves pieces b_1 ... b_k, and the graphs b_i + x meet only in x, so by
-    the rule `dp` folds with, its min-rank is the sum of the mr(b_i), plus
-    one when every piece needs x, mr(b_i + x) > mr(b_i).  Only a 2-connected
-    component goes to exhaustive search, with the bounds already found."""
+    a deletion leaves, on bitsets over the part's positions, which only the
+    solver knows: it is asked by vertex id.  A component whose bounds leave
+    a gap is cut at its lowest cut vertex x: deleting x leaves pieces
+    b_1 ... b_k, and the graphs b_i + x meet only in x, so by the rule `dp`
+    folds with, its min-rank is the sum of the mr(b_i), plus one when every
+    piece needs x, mr(b_i + x) > mr(b_i).  Only a 2-connected component goes
+    to exhaustive search, with the bounds already found."""
 
     def __init__(self, bound: int = 10):
         if bound < 1:
@@ -60,16 +61,17 @@ class BoundedOrderFamily(FamilyOracle):
         vs = range(g.n) if part is None else part
         if len(vs) > self.bound:
             return None
-        adjacency, memo = (), {}  # on positions in vs: neighbours; component -> mr
+        # Each id's bit position in vs, neighbours on those bits, mr by component.
+        pos, adjacency, memo = None, (), {}
 
         def solve(removed) -> int:
-            nonlocal adjacency
-            if not adjacency:  # the first query
+            nonlocal pos, adjacency
+            if pos is None:  # the first query
                 pos = {v: i for i, v in enumerate(vs)}
                 adjacency = tuple(
                     sum(1 << pos[w] for w in g.neighbor_set(v) if w in pos) for v in vs
                 )
-            left = ((1 << len(vs)) - 1) & ~sum(1 << i for i in set(removed))
+            left = ((1 << len(vs)) - 1) & ~sum(1 << pos[v] for v in set(removed))
             return _minrank_on(adjacency, memo, left)
 
         return solve
@@ -175,14 +177,13 @@ class ChordalFamily(FamilyOracle):
         return pieces_member
 
     def solver(self, g: Graph, part=None):
-        vs = range(g.n) if part is None else part
-        order = perfect_elimination_order(g, vs)
+        order = perfect_elimination_order(g, part)
         if order is None:
             return None
 
         def solve(removed) -> int:
             taken = 0
-            blocked = {vs[i] for i in removed}
+            blocked = set(removed)
             for v in order:
                 if v not in blocked:
                     taken += 1

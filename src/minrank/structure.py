@@ -94,8 +94,8 @@ class StructureReport:
     families: tuple[str | None, ...]
     # The tree with connectors read off the graph; None when R2 or R3 fails.
     structure: SimpleTreeStructure | None = None
-    # Per part, its family's solver (`FamilyOracle.solver`) on the part's
-    # graph, whose vertex i is the part's i-th smallest; None outside R1.
+    # Per part, its family's solver (`FamilyOracle.solver`), asked by the
+    # ids of g's vertices in the part; None outside R1.
     solvers: tuple = ()
 
 
@@ -122,22 +122,24 @@ def _tree_violations(t: SimpleTreeStructure) -> list[tuple[str, str]]:
             problems.append(("tree", f"part {i} has out-of-range parent {p}"))
     if problems:
         return problems
-    # reaches[v]: whether v's parent chain reaches the root, None until
-    # known.  A walk marks its parts False and stops at the first known
-    # part, so each part is walked once.
-    reaches: list[bool | None] = [None] * k
-    for i in range(k):
-        walk, v = [], i
-        while v != -1 and reaches[v] is None:
-            reaches[v] = False
-            walk.append(v)
-            v = t.parent[v]
-        if v == -1 or reaches[v]:
-            for u in walk:
-                reaches[u] = True
-        if not reaches[i]:
-            problems.append(("tree", f"parent cycle through part {i}"))
-    return problems
+    missed = set(range(k)).difference(children_first(t.parent))
+    return [("tree", f"parent cycle through part {i}") for i in sorted(missed)]
+
+
+def children_first(parent) -> list[int]:
+    """The parts that the root, the one part with parent -1, reaches down
+    the `parent` links, each after all of its children: a DFS from the root,
+    children ascending, reversed.  A part on a parent cycle is missed."""
+    children = [[] for _ in parent]
+    for j, p in enumerate(parent):
+        if p != -1:
+            children[p].append(j)
+    order, stack = [], [parent.index(-1)]
+    while stack:
+        order.append(stack.pop())
+        stack += children[order[-1]]
+    order.reverse()
+    return order
 
 
 def validate_structure(
@@ -184,7 +186,7 @@ def validate_structure(
     families: list[str | None] = []
     solvers = []
     for i, part in enumerate(t.parts):
-        oracle, solve = registry.claim(g, sorted(part)) or (None, None)
+        oracle, solve = registry.claim(g, part) or (None, None)
         families.append(oracle.name if oracle else None)
         solvers.append(solve)
         if oracle is None:

@@ -14,7 +14,8 @@ queries per part, reads a structure report's solvers and glues with
 `star_merge` and `combine_shared_vertex`; and
 `atom_fold_by_atom_tree`, auto's fold as it stood before it ran as the
 bridge search closed atoms, reads the package's `bridge_split` and family
-claims and rebuilds each component's atom tree.
+claims and rebuilds each component's atom tree.  Both ask a solver by the
+ids of g's vertices in its own part, which is all a solver answers for.
 """
 
 import itertools
@@ -627,8 +628,8 @@ def dp_fold_by_subset_table(report, trace=False):
     Per part the fold carries a table indexed by subsets of the still-pending
     connector vertices, as bitmasks over the part's sorted connectors: entry
     U is the min-rank of the partial union minus U.  It starts as the bare
-    part's min-rank minus each subset, read from the part's solver, so a part
-    with d connectors costs 2^d queries.
+    part's min-rank minus each subset, read from the part's solver by vertex
+    id, so a part with d connectors costs 2^d queries.
     """
     from minrank.errors import StructureError
     from minrank.exact import MinrankResult, _check_pair
@@ -662,10 +663,9 @@ def dp_fold_by_subset_table(report, trace=False):
         # of a mask standing for keys[j]; then fold in one downward connector
         # per step, in place, which retires its bit.
         keys = sorted({*dcs, uc} - {None})
-        subsets = [[]]  # subsets[mask]: the positions in the part it deletes
+        subsets = [[]]  # subsets[mask]: the vertices it deletes
         for v in keys:
-            x = t.parts[i].index(v)
-            subsets += [s + [x] for s in subsets]
+            subsets += [s + [v] for s in subsets]
         cur = list(map(report.solvers[i], subsets))
         oracle_calls += len(cur)
         retired = 0
@@ -740,17 +740,15 @@ def atom_fold_by_atom_tree(g, tree, registry, trace=False):
     """Exact min-rank of g's component whose `g.bridge_split()` pair is
     `tree`, folded over its atom tree as it stands, rooted at atom 0, with
     the bridge ends as connectors and each atom asking its first family's
-    solver (`FamilyRegistry.claim`; one claim serves every one-vertex atom);
-    None when some atom is in no family.  No merge or structure is built."""
+    solver (`FamilyRegistry.claim`, one claim per atom, since a solver
+    answers only for its own part's vertex ids); None when some atom is in
+    no family.  No merge or structure is built."""
     from minrank.exact import MinrankResult, _check_pair
 
     bridges, atoms = tree
-    claims, single = [], None
+    claims = []
     for atom in atoms:
-        if len(atom) == 1:  # every one-vertex atom induces the same graph
-            single = claim = single or registry.claim(g, atom)
-        else:
-            claim = registry.claim(g, atom)
+        claim = registry.claim(g, atom)
         if claim is None:
             return None
         claims.append((claim[0].name, claim[1]))
@@ -782,11 +780,11 @@ def atom_fold_by_atom_tree(g, tree, registry, trace=False):
         # Each hub adds its value without u, and deletes u unless it needs u.
         deleted = {u for u, hub in hub_values.items() if hub[0] == hub[1]}
         glued = sum(hub[1] for hub in hub_values.values())
-        (family, solve), index = claims[i], atoms[i].index
-        m_full = solve(map(index, deleted)) + glued
+        family, solve = claims[i]
+        m_full = solve(deleted) + glued
         m_minus = None
         if up is not None:
-            m_minus = solve(map(index, deleted | {up})) + glued
+            m_minus = solve(deleted | {up}) + glued
             _check_pair(m_full, m_minus, f"pair at part {i}")
         pairs[i] = m_full, m_minus
         if trace:

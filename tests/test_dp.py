@@ -16,7 +16,6 @@ from minrank import (
     SimpleTreeStructure,
     StructureError,
     default_registry,
-    dp_fold,
     dp_minrank,
     minrank_bnb,
     minrank_bruteforce,
@@ -176,11 +175,11 @@ def test_dp_handles_connector_coincidence():
     assert res.value == minrank_bruteforce(g).value
 
 
-def test_dp_fold_folds_a_component_on_the_graphs_own_ids():
-    """A later component's structure names vertices at or above its own size.
-    It validates on the component's own graph, and the report, moved back
-    onto g's ids (which keeps each part's order, so its solver's positions),
-    folds to the component's min-rank."""
+def test_dp_minrank_refuses_a_component_structure_until_moved_onto_its_graph():
+    """A structure that `recognize(..., tree=pair)` gives names one
+    component's vertices on g's ids: `dp_minrank` on all of g refuses it,
+    naming the other component's vertices as uncovered.  Moved onto the
+    component's own graph, it folds to the component's min-rank."""
     g = Graph(10, [(0, 1), (1, 2), (0, 2),
                    (3, 4), (4, 5), (3, 5), (5, 6), (6, 7), (7, 8), (6, 8), (8, 9)])
     reg = default_registry()
@@ -191,14 +190,14 @@ def test_dp_fold_folds_a_component_on_the_graphs_own_ids():
         assert outcome.member
         t = outcome.structure
         vertices = sorted(v for atom in pair[1] for v in atom)
+        others = [v for v in range(g.n) if v not in vertices]
+        with pytest.raises(StructureError) as exc:
+            dp_minrank(g, t, reg)
+        assert f"vertices not covered by any part: {others}" in str(exc.value)
         sub, index = g.induced_subgraph(vertices)
         local = SimpleTreeStructure([[index[v] for v in p] for p in t.parts], t.parent)
-        report = validate_structure(sub, local, reg)
-        assert report.valid
-        report.structure = t
         mask = sum(1 << v for v in vertices)
-        assert dp_fold(report).value == minrank_bnb(g, mask=mask).value
-    assert max(map(max, outcome.structure.parts)) >= len(forest[1][1]) + 1
+        assert dp_minrank(sub, local, reg).value == minrank_bnb(g, mask=mask).value
 
 
 def test_dp_agrees_with_bnb_on_generated_members():
@@ -386,25 +385,25 @@ def test_dp_fold_matches_the_subset_table_fold(profile):
     upward connector is also a downward one among them, and on K_d with
     pendants at c = d, whose clique has d connectors."""
     reg = default_registry()
-    reports = []
+    cases = []
     for d in range(2, 9):
         g = clique_with_pendants(d)
-        reports.append(validate_structure(g, recognize(g, d, reg).structure, reg))
+        cases.append((g, recognize(g, d, reg).structure))
     for c in range(1, 9):
         for seed in range(8):
             orders = (4, 10) if profile == "chordal" and seed % 2 else (2, 6)
-            g, t = generate_member(seed, 4 + 6 * seed, c, profile=profile, part_order=orders)
-            reports.append(validate_structure(g, t, reg))
+            cases.append(generate_member(seed, 4 + 6 * seed, c, profile=profile, part_order=orders))
     coincide = 0
-    for report in reports:
-        got = dp_fold(report, trace=True)
+    for g, t in cases:
+        got = dp_minrank(g, t, reg, trace=True)
+        report = validate_structure(g, t, reg)
         want = dp_fold_by_subset_table(report, trace=True)
         assert got.value == want.value
         assert got.stats["trace"] == want.stats["trace"]
         assert got.stats["oracle_calls"] == 2 * len(report.structure.parts) - 1
         s = report.structure
         coincide += sum(s.uc.get(i) in m for i, m in s.dc.items())
-    assert len(reports) == 71 and coincide > 0
+    assert len(cases) == 71 and coincide > 0
 
 
 def test_dp_trace_records_tables():

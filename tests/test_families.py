@@ -282,8 +282,8 @@ def test_glue_contract(family):
 @pytest.mark.parametrize("seed_offset", [1000, 0])
 def test_bounded_solver_matches_bruteforce_on_deletions(seed_offset):
     """Parts of up to 8 vertices of random host graphs, listed in random
-    order: for every set of at most 3 deleted positions, the solver gives
-    the brute-force min-rank of the part minus those vertices."""
+    order: for every set of at most 3 deleted vertices, given by id, the
+    solver gives the brute-force min-rank of the part minus them."""
     rng = random.Random(506 + seed_offset)
     fam = BoundedOrderFamily(8)
     checked = 0
@@ -295,8 +295,8 @@ def test_bounded_solver_matches_bruteforce_on_deletions(seed_offset):
             continue
         solve = fam.solver(g, part)
         for r in range(min(3, len(part)) + 1):
-            for removed in itertools.combinations(range(len(part)), r):
-                keep = [v for i, v in enumerate(part) if i not in removed]
+            for removed in itertools.combinations(part, r):
+                keep = [v for v in part if v not in removed]
                 want = minrank_bruteforce(g.induced_subgraph(keep)[0]).value
                 assert solve(removed) == want, (g.edges, part, removed)
         checked += 1
@@ -318,7 +318,7 @@ def _host_with_part(rng: random.Random, c5: bool) -> tuple[Graph, list[int]]:
 
 def test_bounded_solver_answers_every_deletion_through_one_solver():
     """Every deletion from parts of up to 10 vertices, half of them holding
-    a 5-cycle, asked in shuffled order of one solver so that components
+    a 5-cycle, asked by id in shuffled order of one solver so that components
     solved before are met again: each answer is the min-rank of what is
     left, by enumeration where 2|E| <= 16 and by branch and bound elsewhere.
     Some deletions split what is left into more components than the part
@@ -334,8 +334,8 @@ def test_bounded_solver_answers_every_deletion_through_one_solver():
         masks = list(range(1 << len(part)))
         rng.shuffle(masks)
         for mask in masks:
-            removed = [i for i in range(len(part)) if mask >> i & 1]
-            sub = g.induced_subgraph([v for i, v in enumerate(part) if i not in removed])[0]
+            removed = [v for i, v in enumerate(part) if mask >> i & 1]
+            sub = g.induced_subgraph([v for v in part if v not in removed])[0]
             if sub not in known:
                 exhaustive = 2 * sub.edge_count <= 16
                 known[sub] = (minrank_bruteforce if exhaustive else minrank_bnb)(sub).value
@@ -362,18 +362,45 @@ def test_bounded_solver_searches_only_components_with_a_gap(monkeypatch):
 
     c4 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
     c5 = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6)])
-    c4_solve = BoundedOrderFamily(10).solver(c4, [0, 1, 2, 3, 4])
+    c4_part = [0, 1, 2, 3, 4]
+    c4_solve = BoundedOrderFamily(10).solver(c4, c4_part)
     c5_solve = BoundedOrderFamily(10).solver(c5)
     monkeypatch.setattr(families, "_bnb_connected", counted_bnb)
     monkeypatch.setattr(Graph, "induced_subgraph", counted_induced)
     for r in range(6):
-        for removed in itertools.combinations(range(5), r):
+        for removed in itertools.combinations(c4_part, r):
             c4_solve(removed)
     assert calls == {"bnb": 0, "induced": 0}
     assert c5_solve([5]) == 4
     assert calls == {"bnb": 1, "induced": 0}
     assert c5_solve([5, 6]) == 3
     assert calls == {"bnb": 1, "induced": 0}
+
+
+@pytest.mark.parametrize("spec", ["chordal,bounded:10", "bounded:10"])
+def test_solver_answers_by_id_whatever_the_order_of_its_part(spec):
+    """Parts of random graphs with n <= 12, listed in random order, claimed
+    as drawn and shuffled: the two solvers agree on every deletion of at
+    most 2 of the part's vertices, given by id, and each answer is the
+    min-rank of what is left, by branch and bound."""
+    rng = random.Random(535)
+    registry = parse_registry_spec(spec)
+    claimed = set()
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = Graph(n, random_edges(rng, n, rng.choice([0.2, 0.35, 0.5])))
+        part = rng.sample(range(n), rng.randint(1, min(10, n)))
+        (oracle, solve), (other, shuffled) = (
+            registry.claim(g, part), registry.claim(g, rng.sample(part, len(part))),
+        )
+        assert oracle is other
+        claimed.add(oracle.name)
+        for r in range(min(2, len(part)) + 1):
+            for removed in itertools.combinations(part, r):
+                want = minrank_bnb(g, mask=sum(1 << v for v in part if v not in removed))
+                assert want.exact
+                assert solve(removed) == shuffled(removed) == want.value, (g.edges, part, removed)
+    assert claimed == set(spec.split(","))
 
 
 # A vertex with three pendant leaves bridged to a bridgeless 6-vertex piece,
