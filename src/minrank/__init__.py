@@ -1,20 +1,7 @@
 """GF(2) min-rank of graphs: exact solvers and a structured polynomial route."""
 
-from .errors import (
-    BudgetExceededError,
-    GraphError,
-    NotInFamilyError,
-    StructureError,
-)
-from .exact import (
-    BRUTE_FORCE_BIT_BUDGET,
-    Bounds,
-    MinrankResult,
-    minrank_bnb,
-    minrank_bruteforce,
-    sandwich_bounds,
-    verify_witness,
-)
+from .errors import GraphError, NotInFamilyError, StructureError
+from .exact import Bounds, MinrankResult, minrank_bnb, verify_witness
 from .families import (
     ChordalFamily,
     FamilyOracle,
@@ -53,9 +40,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomForest",
     "BitMatrix",
-    "BRUTE_FORCE_BIT_BUDGET",
     "Bounds",
-    "BudgetExceededError",
     "ChordalFamily",
     "FamilyOracle",
     "FamilyRegistry",
@@ -77,7 +62,6 @@ __all__ = [
     "mdc",
     "merge_phase",
     "minrank_bnb",
-    "minrank_bruteforce",
     "minrank_via_cnf",
     "run_solver",
     "parse_edge_list",
@@ -85,7 +69,6 @@ __all__ = [
     "parse_registry_spec",
     "rank_gf2",
     "recognize",
-    "sandwich_bounds",
     "split_phase",
     "structure_to_dot",
     "validate_structure",

@@ -15,14 +15,11 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .cnf import emit_cnf, minrank_via_cnf, run_solver
 from .dp import atom_fold, dp_minrank
-from .errors import BudgetExceededError, GraphError, StructureError
-from .exact import (
-    MinrankResult, _combine_components, _iter_bits, minrank_bnb, minrank_bruteforce,
-)
+from .errors import GraphError, StructureError
+from .exact import MinrankResult, _combine_components, _iter_bits, minrank_bnb
 from .families import default_registry, parse_registry_spec
 from .formats import (
     emit_edge_list, emit_graph6, graph6_lines, graph6_text, parse_edge_list, parse_graph6,
@@ -119,8 +116,6 @@ def solve_graph(
     component's vertex bitset, falling back to an external SAT solver only
     when branch and bound gave up inexactly.
     """
-    if method == "brute":
-        return minrank_bruteforce(g)
     if method == "bnb":
         return minrank_bnb(g, node_budget)
     if method == "cnf":
@@ -159,19 +154,14 @@ def cmd_minrank(args) -> int:
     lines = []
     worst = 0
     for idx, g in enumerate(graphs):
-        try:
-            res = solve_graph(
-                g, args.method, args.registry, args.sat_solver, args.node_budget,
-                trace=args.trace,
-            )
-        except BudgetExceededError as exc:
-            lines.append(json.dumps({"index": idx, "error": str(exc)}))
-            worst = max(worst, 3)
-            continue
+        res = solve_graph(
+            g, args.method, args.registry, args.sat_solver, args.node_budget,
+            trace=args.trace,
+        )
         rec = _result_record(g, res, idx)
         lines.append(json.dumps(rec, sort_keys=True))
         if not res.exact:
-            worst = max(worst, 3)
+            worst = 3
     _write_out("".join(line + "\n" for line in lines), args.output)
     return worst
 
@@ -252,6 +242,8 @@ def cmd_batch(args) -> int:
         for idx, line in graph6_lines(read_input(args.corpus))
     ]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # no other command needs it
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outputs = list(pool.map(_batch_worker, jobs))
     else:
@@ -375,11 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minrank", help="solve min-rank for one or more graphs")
     p.add_argument("graph")
     common(p)
-    p.add_argument(
-        "--method",
-        choices=("auto", "brute", "bnb", "cnf"),
-        default="auto",
-    )
+    p.add_argument("--method", choices=("auto", "bnb", "cnf"), default="auto")
     p.add_argument("--sat-solver", default=None)
     p.add_argument("--node-budget", type=non_negative, default=None)
     p.add_argument("--trace", action="store_true")
@@ -403,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="solve a graph6 corpus and build a histogram")
     p.add_argument("corpus")
     common(p, graph_input=False)
-    p.add_argument("--method", choices=("auto", "brute", "bnb"), default="auto")
+    p.add_argument("--method", choices=("auto", "bnb"), default="auto")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--node-budget", type=non_negative, default=None)
     p.add_argument("--histogram", default=None, help=".csv or .json output path")

@@ -16,7 +16,7 @@ import subprocess
 import time
 
 from .errors import GraphError
-from .exact import MinrankResult, sandwich_bounds
+from .exact import MinrankResult, greedy_bounds
 from .graph import Graph
 
 
@@ -125,7 +125,7 @@ def minrank_via_cnf(g: Graph, solver_path: str) -> MinrankResult:
     start = time.perf_counter()
     if g.n == 0:
         return MinrankResult(0, "cnf", None, True, {"sat_calls": 0})
-    bounds = sandwich_bounds(g)
+    bounds = greedy_bounds(g.adjacency_bits(), (1 << g.n) - 1)
     lo, hi = bounds.lower, bounds.upper
     calls = 0
     while lo < hi:

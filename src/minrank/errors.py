@@ -5,10 +5,6 @@ class GraphError(ValueError):
     """Malformed graph data or graph format input, or bad graph arguments."""
 
 
-class BudgetExceededError(RuntimeError):
-    """An exact computation refused to start or continue past its work budget."""
-
-
 class StructureError(ValueError):
     """A tree-of-parts structure failed validation or could not be derived."""
 

@@ -3,11 +3,10 @@
 A matrix fits a graph when its diagonal is all ones and it is zero at every
 non-adjacent off-diagonal position; the min-rank of the graph is the least
 rank among fitting matrices.  Row v of any fitting matrix is the unit row
-for v plus some subset of v's neighbor columns, so solvers enumerate those
-subsets row by row while maintaining an incremental row basis.  Brute force
-lists every row of every vertex; branch and bound finds a vertex's first
-spanned row by elimination and lists its other rows only as far as the
-search gets.  Before it branches, branch and bound splits a join into its
+for v plus some subset of v's neighbor columns, so branch and bound assigns
+those subsets row by row while maintaining an incremental row basis: it
+finds a vertex's first spanned row by elimination and lists its other rows
+only as far as the search gets.  Before it branches, it splits a join into its
 co-components and tries to close the gap between the independence number
 and the clique-cover number outright.  It solves a part of a graph on the
 graph's neighbour bitsets and the part's vertex bitset, never on a copy.
@@ -18,11 +17,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError
-from .gf2 import BitMatrix, fits, rank_gf2, reduce_row
+from .gf2 import BitMatrix, fits, rank_gf2
 from .graph import Graph
-
-BRUTE_FORCE_BIT_BUDGET = 24
 
 
 @dataclass
@@ -44,16 +40,11 @@ class MinrankResult:
     stats: dict = field(default_factory=dict)
 
 
-def sandwich_bounds(g: Graph) -> Bounds:
-    """Greedy independent set (lower) and greedy clique cover (upper); both
-    break ties toward the smallest vertex id, so the certificates are
-    deterministic."""
-    return greedy_bounds(g.adjacency_bits(), (1 << g.n) - 1)
-
-
 def greedy_bounds(adjacency, mask: int) -> Bounds:
-    """`sandwich_bounds` of the subgraph induced on the vertex bitset `mask`,
-    over per-vertex neighbour bitsets `adjacency`."""
+    """Greedy independent set (lower) and greedy clique cover (upper) of the
+    subgraph induced on the vertex bitset `mask`, over per-vertex neighbour
+    bitsets `adjacency`; both break ties toward the smallest vertex id, so
+    the certificates are deterministic."""
     chosen, cliques = [], []
     blocked = covered = 0
     for v in _iter_bits(mask):
@@ -186,18 +177,6 @@ def bit_components(adjacency, mask: int) -> list[int]:
     return parts
 
 
-def _row_choices(v: int, neighbours: int):
-    """Yield every admissible row for vertex v: unit bit plus any subset of
-    the neighbour bitset `neighbours`."""
-    base = 1 << v
-    sub = 0
-    while True:
-        yield base | sub
-        if sub == neighbours:
-            break
-        sub = (sub - neighbours) & neighbours
-
-
 def independence_number(adjacency, mask: int) -> int:
     """Maximum independent set size of the subgraph induced on the vertex
     bitset `mask`, over per-vertex neighbour bitsets `adjacency`: branch and
@@ -235,70 +214,19 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def minrank_bruteforce(g: Graph, budget_bits: int = BRUTE_FORCE_BIT_BUDGET) -> MinrankResult:
-    """Exact min-rank by enumerating every fitting matrix.
-
-    There are 2^(2|E|) fitting matrices.  Refuses to start when 2|E|
-    exceeds `budget_bits` (default 24).  Shares row-elimination work
-    across matrices agreeing on a prefix of rows, but visits every
-    complete assignment.
-    """
-    free_bits = 2 * g.edge_count
-    if free_bits > budget_bits:
-        raise BudgetExceededError(
-            f"brute force needs 2^{free_bits} matrices; budget is 2|E| <= {budget_bits}"
-        )
-    n = g.n
-    adjacency = g.adjacency_bits()
-    choices = [list(_row_choices(v, adjacency[v])) for v in range(n)]
-    best = [n + 1, ()]
-    start = time.perf_counter()
-    visited = _walk(choices, [0] * n, {}, 0, best)
-    return MinrankResult(
-        value=best[0],
-        method="brute",
-        witness=BitMatrix(n, n, best[1]),
-        stats={
-            "free_bits": free_bits,
-            "nodes": visited,
-            "elapsed": time.perf_counter() - start,
-        },
-    )
-
-
-def _walk(choices, chosen: list, pivots: dict, i: int, best: list) -> int:
-    """Visit every choice of the rows from i on in `minrank_bruteforce`'s
-    enumeration, keeping the least rank found and its rows in `best`;
-    returns the nodes visited."""
-    if i == len(choices):
-        if len(pivots) < best[0]:
-            best[:] = len(pivots), tuple(chosen)
-        return 1
-    visited = 1
-    for cand in choices[i]:
-        chosen[i] = cand
-        x = reduce_row(pivots, cand)
-        if x:
-            pivots[x.bit_length() - 1] = x
-        visited += _walk(choices, chosen, pivots, i + 1, best)
-        if x:
-            del pivots[x.bit_length() - 1]
-    return visited
-
-
 def _first_spanned_row(pivots: dict[int, int], v: int, mask: int) -> int | None:
-    """The first row `_row_choices` yields for v that lies in the span of
-    `pivots` (rows keyed by leading bit), or None when no row does.
+    """The first row for v that lies in the span of `pivots` (rows keyed by
+    leading bit), or None when no row does, where v's rows are e_v + s over
+    the subsets s of v's neighbour columns `mask`, in increasing order of s.
 
-    Rows are e_v + s for the subsets s of v's neighbour columns `mask`, in
-    increasing order of s.  The unit rows of those columns are eliminated
-    against the pivots in increasing column order, each stored row keeping
-    the set of unit rows it sums; then e_v is reduced the same way.  It
-    reduces to zero exactly when some row is spanned, and then the unit rows
-    it summed are e_v and those of some s0.  Every spanned row is e_v + s0
-    plus a sum of kernel vectors, one per column whose unit row reduced to
-    zero, column j's with top bit j.  Only stored columns enter a sum, so s0
-    has none of those bits, which makes it the least s.
+    The unit rows of those columns are eliminated against the pivots in
+    increasing column order, each stored row keeping the set of unit rows it
+    sums; then e_v is reduced the same way.  It reduces to zero exactly when
+    some row is spanned, and then the unit rows it summed are e_v and those
+    of some s0.  Every spanned row is e_v + s0 plus a sum of kernel vectors,
+    one per column whose unit row reduced to zero, column j's with top bit
+    j.  Only stored columns enter a sum, so s0 has none of those bits, which
+    makes it the least s.
     """
     own: dict[int, tuple[int, int]] = {}  # leading bit -> (row, columns summed)
     for unit in [1 << u for u in (*_iter_bits(mask), v)]:
@@ -386,8 +314,9 @@ def _bnb_connected(
 
         Rows with equal residuals lead to identical sub-searches, so only
         the first row of each residual is tried: the first spanned row,
-        then each new nonzero residual in the order `_row_choices` meets
-        it.  Rows are listed lazily, so a search that stops early never
+        then each new nonzero residual, in the order of v's rows e_v + s
+        over the subsets s of its neighbour columns, in increasing order of
+        s.  Rows are listed lazily, so a search that stops early never
         pays for the 2^deg rows it did not reach.
         """
         nonlocal rows
@@ -401,7 +330,7 @@ def _bnb_connected(
         unit, sub = 1 << v, 0
         while True:
             rows += 1
-            x = unit | sub  # reduced against the pivots, as reduce_row does
+            x = unit | sub  # reduced against the pivots, as gf2.reduce_row does
             while x and (p := pivots.get(top := x.bit_length() - 1)) is not None:
                 x ^= p
             if x and x not in seen:

@@ -38,13 +38,6 @@ class SimpleTreeStructure:
     uc: dict[int, int] = field(default_factory=dict)
     dc: dict[int, dict[int, tuple[int, ...]]] = field(default_factory=dict)
 
-    @property
-    def root(self) -> int:
-        for i, p in enumerate(self.parent):
-            if p == -1:
-                return i
-        raise StructureError("no root part (parent -1) present")
-
     def to_json_dict(self) -> dict:
         return {
             "parts": [list(p) for p in self.parts],

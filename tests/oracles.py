@@ -3,19 +3,23 @@
 Everything in this module favors obviousness over speed: matrices are
 plain lists of 0/1 ints, rank comes from textbook elimination, and
 searches enumerate outright.  Tests compare the fast library code
-against these, so nothing here may import from minrank, with two
-exceptions: `recognize_decided_first` runs the package's own merge over
-atoms whose families it decided up front, to pin what deciding them
-later must not change; `parse_edge_list`, the edge-list parser as it
-stood before it read documents in bulk, builds the package's `Graph` and
-raises its `GraphError`, so that its outcomes compare with the parser's;
-`dp_fold_by_subset_table`, the dp fold as it stood before it made two
-queries per part, reads a structure report's solvers and glues with
-`star_merge` and `combine_shared_vertex`; and
+against these, so nothing here may import from minrank, with these
+exceptions: `minrank_bruteforce`, the enumeration that was once the
+package's `--method brute`, takes the package's `Graph` and returns its
+`MinrankResult` with a `BitMatrix` witness, so that its answers compare
+and verify like a solver's; `recognize_decided_first` runs the package's
+own merge over atoms whose families it decided up front, to pin what
+deciding them later must not change; `parse_edge_list`, the edge-list
+parser as it stood before it read documents in bulk, builds the
+package's `Graph` and raises its `GraphError`, so that its outcomes
+compare with the parser's; `dp_fold_by_subset_table`, the dp fold as it
+stood before it made two queries per part, reads a structure report's
+solvers and glues with `star_merge` and `combine_shared_vertex`; and
 `atom_fold_by_atom_tree`, auto's fold as it stood before it ran as the
-bridge search closed atoms, reads the package's `bridge_split` and family
-claims and rebuilds each component's atom tree.  Both ask a solver by the
-ids of g's vertices in its own part, which is all a solver answers for.
+bridge search closed atoms, reads the package's `bridge_split` and
+family claims and rebuilds each component's atom tree.  Both ask a
+solver by the ids of g's vertices in its own part, which is all a solver
+answers for.
 """
 
 import itertools
@@ -91,6 +95,59 @@ def minrank_enumerate(n, edges):
         return 0
     assert 2 * len(edges) <= 20, "oracle enumeration limited to 10 edges"
     return min(naive_rank(m) for m in fitting_matrices(n, edges))
+
+
+def row_choices(v, neighbours):
+    """Yield every admissible row for vertex v: unit bit plus any subset of
+    the neighbour bitset `neighbours`, in increasing order of the subset."""
+    base = 1 << v
+    sub = 0
+    while True:
+        yield base | sub
+        if sub == neighbours:
+            break
+        sub = (sub - neighbours) & neighbours
+
+
+def minrank_bruteforce(g):
+    """Exact min-rank of the package's Graph g by enumerating every fitting
+    matrix, as a `MinrankResult` with a witness.
+
+    There are 2^(2|E|) fitting matrices, so keep 2|E| small.  Row
+    elimination is shared across matrices agreeing on a prefix of rows, but
+    every complete assignment is visited; `stats` holds 2|E| as
+    `free_bits` and the enumeration tree's `nodes`.
+    """
+    from minrank.exact import MinrankResult
+    from minrank.gf2 import BitMatrix
+
+    n = g.n
+    adjacency = g.adjacency_bits()
+    choices = [list(row_choices(v, adjacency[v])) for v in range(n)]
+    best = [n + 1, ()]
+    visited = _walk(choices, [0] * n, {}, 0, best)
+    stats = {"free_bits": 2 * g.edge_count, "nodes": visited}
+    return MinrankResult(best[0], "brute", BitMatrix(n, n, best[1]), True, stats)
+
+
+def _walk(choices, chosen, pivots, i, best):
+    """Visit every choice of the rows from i on in `minrank_bruteforce`'s
+    enumeration, keeping the least rank found and its rows in `best`;
+    returns the nodes visited."""
+    if i == len(choices):
+        if len(pivots) < best[0]:
+            best[:] = len(pivots), tuple(chosen)
+        return 1
+    visited = 1
+    for cand in choices[i]:
+        chosen[i] = cand
+        x = reduce_by_pivots(pivots, cand)
+        if x:
+            pivots[x.bit_length() - 1] = x
+        visited += _walk(choices, chosen, pivots, i + 1, best)
+        if x:
+            del pivots[x.bit_length() - 1]
+    return visited
 
 
 def components_bfs(n, edges):
@@ -644,7 +701,8 @@ def dp_fold_by_subset_table(report, trace=False):
         if p != -1:
             children[p].append(j)
     order = []
-    stack = [t.root]
+    root = t.parent.index(-1)
+    stack = [root]
     while stack:
         node = stack.pop()
         order.append(node)
@@ -697,7 +755,7 @@ def dp_fold_by_subset_table(report, trace=False):
     stats = {"oracle_calls": oracle_calls, "parts": k}
     if trace:
         stats["trace"] = {"order": order, "nodes": trace_nodes}
-    return MinrankResult(tables[t.root][0], "dp", None, True, stats)
+    return MinrankResult(tables[root][0], "dp", None, True, stats)
 
 
 def combine_shared_vertex(m1, m1v, m2, m2v):

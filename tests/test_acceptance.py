@@ -27,7 +27,6 @@ from minrank import (
     generate_member,
     mdc,
     minrank_bnb,
-    minrank_bruteforce,
     minrank_via_cnf,
     parse_graph6,
     rank_gf2,
@@ -44,7 +43,7 @@ from conftest import (
     component_count, delete_vertex, matrix_from_strings, random_graph_in_budget,
     solver_command,
 )
-from oracles import star_merge
+from oracles import minrank_bruteforce, star_merge
 
 ORDER4_VALUES = [4, 3, 3, 2, 3, 2, 2, 2, 2, 2, 1]
 

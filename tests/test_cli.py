@@ -23,6 +23,7 @@ from minrank.generator import generate_member
 from minrank.structure import SimpleTreeStructure
 
 from conftest import DATA_DIR, matrix_from_strings, solver_command
+from oracles import minrank_bruteforce
 
 RECORD_SCHEMA = {
     "type": "object",
@@ -109,17 +110,34 @@ def test_bounds_are_what_the_solver_proved(tmp_path, capsys, random1000_path):
     assert code == 0 and rec["bounds"] == {"lower": 2, "upper": 2}
 
 
-def test_module_runs_as_a_process(tmp_path):
-    path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
+def package_env():
+    """The environment with the package's source directory on PYTHONPATH."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_runs_as_a_process(tmp_path):
+    path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
     proc = subprocess.run(
         [sys.executable, "-m", "minrank.cli", "minrank", path],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=package_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[0])["value"] == 2
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """Only `batch --jobs` above 1 starts a pool, so that branch alone
+    imports concurrent.futures."""
+    probe = "import sys, minrank.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60, env=package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_successive_calls_share_no_state(tmp_path, capsys):
@@ -130,9 +148,9 @@ def test_successive_calls_share_no_state(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["minrank", path, "--trace", "-o", str(first)])
     assert code == 0 and out == ""
     assert "trace" in json.loads(first.read_text())
-    code, out, _ = run_cli(capsys, ["minrank", path, "--method", "brute"])
+    code, out, _ = run_cli(capsys, ["minrank", path, "--method", "bnb"])
     (rec,) = records(out)
-    assert rec["method"] == "brute" and "trace" not in rec
+    assert rec["method"] == "bnb" and "trace" not in rec
     code, out, _ = run_cli(capsys, ["recognize", path, "--explain", "--c", "1"])
     assert "explain" in records(out)[0]
     code, out, _ = run_cli(capsys, ["minrank", path])
@@ -159,24 +177,14 @@ def test_minrank_multi_graph_corpus(tmp_path, capsys):
 def test_minrank_methods_agree(tmp_path, capsys):
     path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
     values = {}
-    for method in ("auto", "brute", "bnb"):
+    for method in ("auto", "bnb"):
         code, out, _ = run_cli(capsys, ["minrank", path, "--method", method])
         assert code == 0
         rec = records(out)[0]
         values[method] = rec["value"]
-        if method in ("brute", "bnb"):
+        if method == "bnb":
             assert rec["witness"] is not None
     assert set(values.values()) == {2}
-
-
-def test_minrank_brute_budget_exit(tmp_path, capsys):
-    c13 = "n=13\n" + "".join(f"{i} {(i + 1) % 13}\n".replace("12 0", "0 12")
-                             for i in range(13))
-    path = write(tmp_path, "c13.edges", c13)
-    code, out, _ = run_cli(capsys, ["minrank", path, "--method", "brute"])
-    assert code == 3
-    (rec,) = records(out)
-    assert "error" in rec
 
 
 def test_auto_solves_an_11_cycle_by_branch_and_bound(tmp_path, capsys):
@@ -217,6 +225,20 @@ def test_minrank_method_dp_points_at_subcommand(tmp_path, capsys):
         main(["minrank", path, "--method", "dp"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["minrank", "batch"])
+def test_method_brute_is_refused(tmp_path, command):
+    """Enumeration is no method of the program: asking for it is a usage
+    error, exit 2, with argparse's message and no traceback."""
+    path = write(tmp_path, "two.g6", "C?\nCw\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "minrank.cli", command, path, "--method", "brute"],
+        capture_output=True, text=True, timeout=60, env=package_env(),
+    )
+    assert proc.returncode == 2
+    assert "invalid choice: 'brute'" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_minrank_trace_included(tmp_path, capsys):
@@ -538,31 +560,29 @@ def test_dp_trace_of_members_pinned(tmp_path):
 
 def exact_records_output(tmp_path, random1000_path) -> str:
     """`minrank` records, `stats.elapsed` dropped: `--method bnb --node-budget
-    2000` on lines 709-858 of random1000.g6, then `--method brute` on its
-    first 100 lines with 2|E| <= 16."""
+    2000` on lines 709-858 of random1000.g6, then the records of the
+    enumeration in tests/oracles.py, as the program printed them for its
+    former `--method brute`, on its first 100 lines with 2|E| <= 16."""
     lines = Path(random1000_path).read_text().splitlines()
-    small = [line for line in lines if 2 * parse_graph6(line).edge_count <= 16]
-    runs = [
-        (lines[708:858], ["--method", "bnb", "--node-budget", "2000"]),
-        (small[:100], ["--method", "brute"]),
+    path = write(tmp_path, "chunk.g6", "\n".join(lines[708:858]) + "\n")
+    out = tmp_path / "chunk.jsonl"
+    main(["minrank", path, "--method", "bnb", "--node-budget", "2000", "-o", str(out)])
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    for rec in recs:
+        rec["stats"].pop("elapsed", None)
+    small = [g for g in map(parse_graph6, lines) if 2 * g.edge_count <= 16]
+    recs += [
+        cli._result_record(g, minrank_bruteforce(g), i) for i, g in enumerate(small[:100])
     ]
-    text = []
-    for i, (chunk, options) in enumerate(runs):
-        path = write(tmp_path, f"chunk{i}.g6", "\n".join(chunk) + "\n")
-        out = tmp_path / f"chunk{i}.jsonl"
-        main(["minrank", path, *options, "-o", str(out)])
-        for line in out.read_text().splitlines():
-            rec = json.loads(line)
-            rec["stats"].pop("elapsed", None)
-            text.append(json.dumps(rec, sort_keys=True) + "\n")
-    return "".join(text)
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs)
 
 
 def test_exact_records_pinned(tmp_path, random1000_path):
     """Values, witnesses, node and row counts of branch and bound and of
     enumeration on 250 bundled graphs are byte-identical to
     exact_records.jsonl, written by this test's helper before the solvers
-    shared one GF(2) row reduction; never regenerate it to fit a change."""
+    shared one GF(2) row reduction and before enumeration left the program
+    for tests/oracles.py; never regenerate it to fit a change."""
     want = (Path(DATA_DIR) / "exact_records.jsonl").read_text()
     assert exact_records_output(tmp_path, random1000_path) == want
 

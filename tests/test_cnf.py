@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from minrank import Graph, minrank_bruteforce, minrank_via_cnf
+from minrank import Graph, minrank_via_cnf
 from minrank.cnf import build_cnf, emit_cnf, run_solver
 from minrank.errors import GraphError
 from conftest import SOLVER_SCRIPT, random_graph_in_budget, solver_command
+from oracles import minrank_bruteforce
 
 
 def parse_dimacs(text: str):

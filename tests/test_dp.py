@@ -18,7 +18,6 @@ from minrank import (
     default_registry,
     dp_minrank,
     minrank_bnb,
-    minrank_bruteforce,
     parse_registry_spec,
     recognize,
     validate_structure,
@@ -28,7 +27,8 @@ from minrank.dp import atom_fold
 from minrank.generator import generate_member
 from conftest import delete_vertex, random_connected_in_budget
 from oracles import (
-    atom_fold_by_atom_tree, combine_shared_vertex, dp_fold_by_subset_table, star_merge,
+    atom_fold_by_atom_tree, combine_shared_vertex, dp_fold_by_subset_table,
+    minrank_bruteforce, star_merge,
 )
 
 
@@ -420,9 +420,9 @@ def test_dp_trace_records_tables():
 
 
 def test_readme_library_example(capsys):
-    """The Library section of README.md runs as printed and prints 2, 2, 2."""
+    """The Library section of README.md runs as printed and prints 2, 2."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     library = readme.split("\n## Library\n", 1)[1]
     (code,) = re.findall(r"```python\n(.*?)```", library, re.S)[:1]
     exec(code, {})
-    assert capsys.readouterr().out == "2\n2\n2\n"
+    assert capsys.readouterr().out == "2\n2\n"

@@ -1,4 +1,5 @@
-"""Exhaustive and branch-and-bound solvers against independent oracles.
+"""Branch and bound, its bounds and the enumeration oracle against
+independent oracles.
 
 Expected values for the named graphs below were computed by a separate
 enumeration oracle (tests/oracles.py) that materializes every fitting
@@ -15,16 +16,12 @@ from pathlib import Path
 import pytest
 
 from minrank import (
-    BRUTE_FORCE_BIT_BUDGET,
     BitMatrix,
-    BudgetExceededError,
     FamilyRegistry,
     Graph,
     fits,
     minrank_bnb,
-    minrank_bruteforce,
     rank_gf2,
-    sandwich_bounds,
     verify_witness,
 )
 from minrank import exact
@@ -34,7 +31,6 @@ from minrank.exact import (
     _dsatur_pick,
     _first_spanned_row,
     _greedy_independent,
-    _row_choices,
     bit_components,
     exact_clique_cover,
     greedy_bounds,
@@ -43,6 +39,7 @@ from minrank.exact import (
 from minrank.formats import parse_graph6
 from conftest import matrix_from_strings, random_edges, random_graph_in_budget
 import oracles
+from oracles import minrank_bruteforce
 
 # name -> (n, edges, expected min-rank), values pinned by the slow oracle
 FROZEN = {
@@ -63,6 +60,11 @@ FROZEN = {
 def alpha(g):
     """The independence number of the whole of g."""
     return independence_number(g.adjacency_bits(), (1 << g.n) - 1)
+
+
+def whole_bounds(g):
+    """The greedy bounds of the whole of g."""
+    return greedy_bounds(g.adjacency_bits(), (1 << g.n) - 1)
 
 
 def co_components(g):
@@ -110,18 +112,6 @@ def test_bruteforce_matches_enumeration_oracle():
         assert res.value == want
         assert verify_witness(res, g)
         seen += 1
-
-
-def test_bruteforce_budget_refusal():
-    g = Graph(13, [(i, (i + 1) % 13) for i in range(13)])  # 13 edges, 26 bits
-    with pytest.raises(BudgetExceededError, match=str(BRUTE_FORCE_BIT_BUDGET)):
-        minrank_bruteforce(g)
-    # the budget is a parameter: a tightened one refuses a tiny graph, a
-    # matching one lets it through
-    tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    with pytest.raises(BudgetExceededError, match="4"):
-        minrank_bruteforce(tri, budget_bits=4)
-    assert minrank_bruteforce(tri, budget_bits=6).value == 1
 
 
 def test_bnb_agrees_with_bruteforce():
@@ -175,7 +165,7 @@ def test_component_additivity():
 
 def test_sandwich_bounds_on_c5():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    b = sandwich_bounds(g)
+    b = whole_bounds(g)
     assert (b.lower, b.upper) == (2, 3)
     # certificates must be wholly checkable
     for u in b.independent_set:
@@ -193,7 +183,7 @@ def test_bounds_bracket_value():
     rng = random.Random(302)
     for _ in range(80):
         g = random_graph_in_budget(rng, 6)
-        b = sandwich_bounds(g)
+        b = whole_bounds(g)
         value = minrank_bruteforce(g).value
         assert b.lower <= value <= b.upper
 
@@ -217,7 +207,7 @@ def test_bounds_match_set_based_references():
     for _ in range(300):
         n = rng.randint(0, 40)
         g = Graph(n, random_edges(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.8])))
-        b = sandwich_bounds(g)
+        b = whole_bounds(g)
         assert (b.independent_set, b.cliques) == oracles.greedy_bounds_by_sets(
             n, g.edges
         )
@@ -303,12 +293,12 @@ def test_first_spanned_row_is_first_enumerated_spanned_row():
         g = random_graph_in_budget(rng, 9, edge_cap=36)
         pivots = {}
         for u in rng.sample(range(g.n), rng.randint(0, g.n)):
-            row = rng.choice(list(_row_choices(u, g.adjacency_bits()[u])))
+            row = rng.choice(list(oracles.row_choices(u, g.adjacency_bits()[u])))
             oracles.insert_pivot(pivots, row)
         v = rng.randrange(g.n)
         want = next(
             (
-                row for row in _row_choices(v, g.adjacency_bits()[v])
+                row for row in oracles.row_choices(v, g.adjacency_bits()[v])
                 if oracles.reduce_by_pivots(pivots, row) == 0
             ),
             None,
@@ -405,7 +395,7 @@ def test_exact_clique_cover_matches_partition_oracle():
     rng = random.Random(306)
     for _ in range(300):
         g = random_graph_in_budget(rng, 9, edge_cap=36)
-        greedy = sandwich_bounds(g).cliques
+        greedy = whole_bounds(g).cliques
         want = oracles.min_clique_partition(g.n, g.edges)
         adjacency, full = g.adjacency_bits(), (1 << g.n) - 1
         for lower in (0, alpha(g)):
@@ -531,7 +521,7 @@ def test_alternating_union_and_join_stays_exact():
         res = minrank_bnb(g)
         assert res.exact and res.value == alpha(g)
         assert verify_witness(res, g)
-    assert sandwich_bounds(g).upper == alpha(g) + 1
+    assert whole_bounds(g).upper == alpha(g) + 1
     assert res.stats["co_components"] == 2
 
 
@@ -560,8 +550,7 @@ def test_exact_solvers_leave_no_cycle():
     adjacency, full = c5.adjacency_bits(), (1 << c5.n) - 1
     calls = [
         lambda: independence_number(adjacency, full),
-        lambda: minrank_bruteforce(c5),
-        lambda: exact_clique_cover(adjacency, full, 2, sandwich_bounds(c5).cliques, None),
+        lambda: exact_clique_cover(adjacency, full, 2, whole_bounds(c5).cliques, None),
         lambda: minrank_bnb(c5),
     ]
     gc.collect()

@@ -15,7 +15,6 @@ from minrank import (
     Graph,
     GraphError,
     default_registry,
-    minrank_bruteforce,
     parse_registry_spec,
 )
 from minrank import exact, families
@@ -27,6 +26,7 @@ from conftest import (
     component_count, flat_bridge_split, random_edges, random_graph_in_budget,
 )
 import oracles
+from oracles import minrank_bruteforce
 
 
 def test_chordal_recognition_named_shapes():

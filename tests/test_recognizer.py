@@ -15,7 +15,6 @@ from minrank import (
     default_registry,
     dp_minrank,
     mdc,
-    minrank_bruteforce,
     parse_registry_spec,
     recognize,
     validate_structure,
@@ -25,6 +24,7 @@ from minrank.generator import generate_member, random_connected_graph
 from minrank.recognizer import merge_phase, split_phase
 from minrank.structure import SimpleTreeStructure
 import oracles
+from oracles import minrank_bruteforce
 
 
 def triangles_with_bridge():

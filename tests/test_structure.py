@@ -32,7 +32,7 @@ def two_triangles():
 
 def test_derive_reads_connectors():
     g, t = two_triangles()
-    assert t.root == 0
+    assert t.parent.index(-1) == 0
     assert t.parent == (-1, 0)  # part 1 is the only child of part 0
     assert t.uc == {1: 3}
     assert t.dc == {0: {2: (1,)}}
