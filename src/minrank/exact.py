@@ -140,8 +140,9 @@ def _dsatur_pick(adjacency, left: int, common) -> int:
 
 
 def _greedy_independent(closed, avail: int) -> int:
-    """The greedy independent set of the bitset `avail`, least closed degree
-    (over closed neighbourhoods `closed`) first and the lowest on ties."""
+    """The size of the greedy independent set of the bitset `avail`, least
+    closed degree (over closed neighbourhoods `closed`) first and the lowest
+    on ties."""
     chosen = 0
     while avail:
         scan, least = avail, avail.bit_count() + 1
@@ -153,9 +154,21 @@ def _greedy_independent(closed, avail: int) -> int:
                 if degree == 1:  # the least any vertex can have
                     break
             scan ^= low
-        chosen |= pick
+        chosen += 1
         avail &= ~closed[pick.bit_length() - 1]
     return chosen
+
+
+class _GreedyGains(dict):
+    """`_greedy_independent` sizes by the vertex bitset, over closed
+    neighbourhoods `closed`, each computed the first time it is looked up."""
+
+    def __init__(self, closed):
+        self.closed = closed
+
+    def __missing__(self, avail: int) -> int:
+        self[avail] = size = _greedy_independent(self.closed, avail)
+        return size
 
 
 def bit_components(adjacency, mask: int) -> list[int]:
@@ -306,24 +319,38 @@ def _bnb_connected(
     best_value = len(cliques)
     chosen: dict[int, int] = {}
     pivots: dict[int, int] = {}
-    gain_memo: dict[int, int] = {}
+    # An independent set S of unassigned vertices outside every chosen row's
+    # support adds |S| to the rank: its rows are the identity on the S
+    # columns, where the chosen rows are all zero.  A node whose rank plus
+    # gains[its free vertices] cannot beat best_value is cut.
+    gains = _GreedyGains(closed)
     nodes = rows = 0
+    budget = float("inf") if node_budget is None else node_budget
 
     def branches(i: int, support: int):
-        """Yield the support after each child row of the node at depth i.
+        """Yield the support after each child row of the node at depth i
+        that the bound does not cut.
 
         Rows with equal residuals lead to identical sub-searches, so only
         the first row of each residual is tried: the first spanned row,
         then each new nonzero residual, in the order of v's rows e_v + s
         over the subsets s of its neighbour columns, in increasing order of
         s.  Rows are listed lazily, so a search that stops early never
-        pays for the 2^deg rows it did not reach.
+        pays for the 2^deg rows it did not reach.  A child of a new
+        residual is tested against the bound as its row is made, with
+        best_value as it stands then; one the bound cuts is counted as a
+        node here and never yielded.  Once the budget is spent a child is
+        yielded untested, and the search loop counts it and stops.
         """
-        nonlocal rows
+        nonlocal nodes, rows
         v = order[i]
-        nbrs = local[v]
+        nbrs, rest = local[v], unassigned[i + 1] & ~support
+        rank = len(pivots) + 1  # a new residual's child's; fixed while this runs
         row = _first_spanned_row(pivots, v, nbrs)
         if row is not None:
+            # It lies in the span of the chosen rows, so inside their
+            # support: its child has this node's rank and free set, and
+            # passes the bound as this node did just before.
             chosen[v] = row
             yield support | row
         seen = set()
@@ -335,50 +362,43 @@ def _bnb_connected(
                 x ^= p
             if x and x not in seen:
                 seen.add(x)
-                chosen[v] = unit | sub
-                pivots[top] = x
-                yield support | unit | sub
-                del pivots[top]
+                if rank + gains[rest & ~sub] < best_value or nodes >= budget:
+                    chosen[v] = unit | sub
+                    pivots[top] = x
+                    yield support | unit | sub
+                    del pivots[top]
+                else:
+                    nodes += 1
             if sub == nbrs:
                 break
             sub = (sub - nbrs) & nbrs
 
-    # Depth-first on an explicit stack: stack[d] lists the branches of the
-    # open node at depth d, and the node being visited sits at depth i.
+    # Depth-first on an explicit stack: stack[d] yields the children of the
+    # open node at depth d - 1 that the bound does not cut, and stack[0]
+    # the root, which is tested here, as branches tests every other node.
     exact = True
-    stack = []
-    i, support = 0, 0
-    budget = float("inf") if node_budget is None else node_budget
-    while True:
+    if gains[unassigned[0]] < best_value or nodes >= budget:
+        stack = [iter((0,))]
+    else:
+        stack, nodes = [], 1
+    while stack:
+        support = next(stack[-1], None)
+        if support is None:
+            stack.pop()
+            continue
+        i = len(stack) - 1
         nodes += 1
         if nodes > budget:
             exact = False
             stats["interval"] = [lower, best_value]
             break
-        # An independent set S of unassigned vertices outside every chosen
-        # row's support adds |S| to the rank: its rows are the identity on
-        # the S columns, where the chosen rows are all zero.
-        free = unassigned[i] & ~support
-        gain = gain_memo.get(free)
-        if gain is None:
-            gain = gain_memo[free] = _greedy_independent(closed, free).bit_count()
-        if len(pivots) + gain < best_value:
-            if i < n:
-                stack.append(branches(i, support))
-            else:
-                best_value = len(pivots)
-                best_rows = dict(chosen)
-                if best_value == lower:
-                    break
-        # Go on to the next branch of the deepest node that has one left.
-        while stack:
-            support = next(stack[-1], None)
-            if support is not None:
+        if i < n:
+            stack.append(branches(i, support))
+        else:
+            best_value = len(pivots)
+            best_rows = dict(chosen)
+            if best_value == lower:
                 break
-            stack.pop()
-        if not stack:
-            break
-        i = len(stack)
     stats.update(nodes=nodes, rows=rows, elapsed=time.perf_counter() - start)
     return MinrankResult(best_value, "bnb", _witness(len(adjacency), best_rows), exact, stats)
 

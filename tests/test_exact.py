@@ -354,6 +354,83 @@ def test_bnb_searches_pinned_per_graph(random1000_path):
         assert got == rec, f"line {number}"
 
 
+# Witness rows of the budget stops below: the greedy clique cover, and on
+# lines 716 and 774 the exact cover that replaces it once its own search
+# closes (19 and 24 cover nodes).
+BUDGET_WITNESSES = {
+    716: ([1051, 1051, 2500, 1051, 1051, 148000, 2500, 2500, 2500, 148000, 1051,
+           2500, 45056, 45056, 148000, 45056, 327680, 148000, 327680],
+          [643, 643, 27716, 167992, 167992, 167992, 27716, 643, 327936, 643, 27716,
+           27716, 167992, 27716, 27716, 167992, 327936, 167992, 327936]),
+    774: ([17161, 526498, 68, 17161, 263184, 526498, 68, 526498, 17161, 17161,
+           263184, 526498, 4096, 172032, 17161, 172032, 65536, 172032, 263184, 526498],
+          [98321, 4354, 10244, 200, 98321, 263200, 200, 200, 4354, 672256, 263200,
+           10244, 4354, 10244, 672256, 98321, 98321, 672256, 263200, 672256]),
+    824: ([71, 71, 71, 33320, 144, 33320, 71, 144, 1280, 33320, 1280, 18432, 12288,
+           12288, 18432, 33320],),
+    755: ([21, 10, 21, 10, 21, 96, 96],),
+    798: ([71, 71, 71, 56, 56, 56, 71, 128],),
+}
+
+
+@pytest.mark.parametrize(
+    "number, budget, value, interval, nodes, rows, cover_nodes, witness",
+    [
+        (716, 0, 5, [3, 5], 1, 0, 0, 0),
+        (716, 1, 5, [3, 5], 2, 1, 1, 0),
+        (716, 2, 5, [3, 5], 3, 2, 2, 0),
+        (716, 5, 5, [3, 5], 6, 5, 5, 0),
+        (716, 17, 5, [3, 5], 18, 17, 17, 0),
+        (716, 100, 4, [3, 4], 101, 100, 19, 1),
+        (716, 1999, 4, [3, 4], 2000, 1999, 19, 1),
+        (774, 0, 7, [5, 7], 1, 0, 0, 0),
+        (774, 1, 7, [5, 7], 2, 1, 1, 0),
+        (774, 2, 7, [5, 7], 3, 2, 2, 0),
+        (774, 5, 7, [5, 7], 6, 5, 5, 0),
+        (774, 17, 7, [5, 7], 18, 17, 17, 0),
+        (774, 100, 6, [5, 6], 101, 100, 24, 1),
+        (774, 1999, 6, [5, 6], 2000, 1999, 24, 1),
+        (824, 0, 6, [5, 6], 1, 0, 0, 0),
+        (824, 1, 6, [5, 6], 2, 1, 1, 0),
+        (824, 2, 6, [5, 6], 3, 2, 2, 0),
+        (824, 5, 6, [5, 6], 6, 5, 5, 0),
+        (824, 17, 6, [5, 6], 18, 17, 8, 0),
+        (824, 100, 6, [5, 6], 101, 108, 8, 0),
+        (824, 1999, 6, [5, 6], 2000, 2007, 8, 0),
+        (755, None, 3, None, 833, 832, 5, 0),
+        (798, None, 3, None, 897, 896, 6, 0),
+    ],
+)
+def test_bnb_budget_stops_pinned(
+    random1000_path, number, budget, value, interval, nodes, rows, cover_nodes, witness
+):
+    """Searches of random1000.g6 that stop on the node budget, most of them
+    on a child the bound cuts, pinned at budgets below the 2000 of
+    random1000_bnb2000.jsonl; lines 755 and 798 run to the end with no
+    budget, as the bounded oracle runs them for auto.  Pinned before cut
+    children were counted where their rows are made."""
+    line = Path(random1000_path).read_text().splitlines()[number - 1]
+    got = bnb_record(minrank_bnb(parse_graph6(line), node_budget=budget))
+    assert got == {
+        "value": value, "exact": interval is None, "interval": interval,
+        "nodes": nodes, "rows": rows, "cover_nodes": cover_nodes,
+        "witness": BUDGET_WITNESSES[number][witness],
+    }
+
+
+def test_bnb_bound_cuts_the_root():
+    """Given a lower bound of 1 on P4, the search starts from the cover of
+    two edges, and the bound of the root, a greedy independent set of 2,
+    cuts it: one node, no row.  With no budget left the root is counted
+    and the search stops on it instead."""
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    for budget, interval in ((None, None), (0, [1, 2])):
+        res = exact._bnb_connected(g.adjacency_bits(), 15, budget, (1, ((0, 1), (2, 3))))
+        assert (res.value, res.exact, res.stats.get("interval")) == (2, interval is None, interval)
+        assert (res.stats["nodes"], res.stats["rows"]) == (1, 0)
+        assert res.witness.data == (3, 3, 12, 12)
+
+
 def test_bnb_lists_rows_lazily(random1000_path):
     """Line 716 (n=19, maximum degree 16) still searches to the budget.
     Listing every row of each branching vertex took 2^20 rows for 2001
@@ -442,9 +519,9 @@ def test_dsatur_pick_matches_min_with_key():
 
 
 def test_greedy_independent_matches_min_with_key():
-    """The bound's greedy independent set against picks by `min` over
-    closed degree, lowest vertex first, on seeded states and on every state
-    the reference's picks pass through."""
+    """The size of the bound's greedy independent set against picks by
+    `min` over closed degree, lowest vertex first, on seeded states and on
+    every state the reference's picks pass through."""
     rng = random.Random(3202)
     ties = 0
     for _ in range(1500):
@@ -453,7 +530,7 @@ def test_greedy_independent_matches_min_with_key():
         while avail:
             assert _greedy_independent(closed, avail) == oracles.greedy_independent_by_min(
                 closed, avail
-            )
+            ).bit_count()
             degrees = [(c & avail).bit_count() for u, c in enumerate(closed) if avail >> u & 1]
             ties += degrees.count(min(degrees)) > 1
             avail &= ~closed[oracles.least_closed_degree_by_min(closed, avail)]
