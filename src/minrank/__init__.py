@@ -18,7 +18,7 @@ from .formats import (
 from .generator import generate_member
 from .gf2 import BitMatrix, fits, rank_gf2
 from .graph import Graph
-from .cnf import emit_cnf, minrank_via_cnf, run_solver
+from .cnf import cnf_lines, minrank_via_cnf, run_solver
 from .dp import dp_minrank
 from .recognizer import (
     AtomForest,
@@ -52,9 +52,9 @@ __all__ = [
     "SimpleTreeStructure",
     "StructureError",
     "StructureReport",
+    "cnf_lines",
     "default_registry",
     "dp_minrank",
-    "emit_cnf",
     "emit_edge_list",
     "emit_graph6",
     "fits",

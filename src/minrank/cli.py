@@ -15,8 +15,9 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterable
 
-from .cnf import emit_cnf, minrank_via_cnf, run_solver
+from .cnf import cnf_lines, minrank_via_cnf, run_solver
 from .dp import atom_fold, dp_minrank
 from .errors import GraphError, StructureError
 from .exact import MinrankResult, _combine_components, _iter_bits, minrank_bnb
@@ -141,12 +142,14 @@ def solve_graph(
     return _combine_components(g.n, folds, solve, "components")
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or an iterable of lines, to the file `out` or stdout."""
+    lines = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def cmd_minrank(args) -> int:
@@ -306,14 +309,14 @@ def cmd_gen(args) -> int:
 
 def cmd_cnf(args) -> int:
     g = _one_graph(args, "cnf")
-    text = emit_cnf(g, args.k)
+    lines = cnf_lines(g, args.k)  # checks k before any output is opened
     if not args.solve:
-        _write_out(text, args.output)
+        _write_out(lines, args.output)
         return 0
     if not args.sat_solver:
         raise GraphError("--solve needs --sat-solver or a configured solver")
-    sat = run_solver(text, args.sat_solver)  # before writing: it may fail
-    _write_out(text, args.output)
+    sat = run_solver(lines, args.sat_solver)  # before writing: it may fail
+    _write_out(cnf_lines(g, args.k), args.output)  # the same lines again
     print("SATISFIABLE" if sat else "UNSATISFIABLE", file=sys.stderr)
     return 0 if sat else 1
 

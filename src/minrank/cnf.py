@@ -14,95 +14,76 @@ from __future__ import annotations
 import shlex
 import subprocess
 import time
+from collections.abc import Iterable, Iterator
 
 from .errors import GraphError
 from .exact import MinrankResult, greedy_bounds
 from .graph import Graph
 
 
-def build_cnf(g: Graph, k: int) -> tuple[int, list[tuple[int, ...]], list[str]]:
-    """Clauses for "some matrix fitting g has rank at most k".
+def cnf_lines(g: Graph, k: int) -> Iterator[str]:
+    """DIMACS text for "some matrix fitting g has rank at most k", line by line.
 
-    Returns (variable count, clauses, layout comment lines).  Variables
-    1..n*k are the left factor a_i_t, the next k*n the right factor b_t_j,
-    and the rest are AND/XOR gadget outputs.
+    Variables 1..n*k are the left factor a_i_t and the next k*n the right
+    factor b_t_j, as the leading comments note.  Each constrained entry (the
+    diagonal and both orders of each non-edge, n^2 - 2m of them) takes k AND
+    gates of 3 clauses and k - 1 XOR gates of 4, whose outputs are the next
+    2k - 1 variables, then a unit clause; so the header's counts have a
+    closed form.  k is checked at the call, before the first line is read.
     """
     if not 1 <= k <= g.n:
         raise GraphError(f"rank bound k={k} outside 1..{g.n}")
+    return _cnf_lines(g, k)
+
+
+def _cnf_lines(g: Graph, k: int) -> Iterator[str]:
     n = g.n
-    comments = []
-    a = [[i * k + t + 1 for t in range(k)] for i in range(n)]
-    b = [[n * k + t * n + j + 1 for j in range(n)] for t in range(k)]
-    for i in range(n):
-        for t in range(k):
-            comments.append(f"c var a_{i}_{t} = {a[i][t]}")
-    for t in range(k):
-        for j in range(n):
-            comments.append(f"c var b_{t}_{j} = {b[t][j]}")
-    nvars = 2 * n * k
-    clauses: list[tuple[int, ...]] = []
-
-    def fresh() -> int:
-        nonlocal nvars
-        nvars += 1
-        return nvars
-
-    def and_gate(x: int, y: int) -> int:
-        p = fresh()
-        clauses.append((-p, x))
-        clauses.append((-p, y))
-        clauses.append((p, -x, -y))
-        return p
-
-    def xor_gate(x: int, y: int) -> int:
-        z = fresh()
-        clauses.append((-z, x, y))
-        clauses.append((-z, -x, -y))
-        clauses.append((z, -x, y))
-        clauses.append((z, x, -y))
-        return z
-
+    entries = n * n - 2 * g.edge_count
+    yield f"c minrank <= {k} for graph with n={n} m={g.edge_count}\n"
+    yield from (f"c var a_{i}_{t} = {i * k + t + 1}\n" for i in range(n) for t in range(k))
+    yield from (f"c var b_{t}_{j} = {n * k + t * n + j + 1}\n" for t in range(k) for j in range(n))
+    yield f"p cnf {2 * n * k + entries * (2 * k - 1)} {entries * (7 * k - 3)}\n"
+    top = 2 * n * k  # the last variable numbered so far
     for i in range(n):
         nonedges = [j for j in range(n) if j != i and not g.has_edge(i, j)]
         for j, target in [(i, 1)] + [(j, 0) for j in nonedges]:
-            acc = None
             for t in range(k):
-                p = and_gate(a[i][t], b[t][j])
-                acc = p if acc is None else xor_gate(acc, p)
-            clauses.append((acc,) if target else (-acc,))
-    return nvars, clauses, comments
+                x, y, p = i * k + t + 1, n * k + t * n + j + 1, top + 1
+                yield f"-{p} {x} 0\n"  # p = x AND y
+                yield f"-{p} {y} 0\n"
+                yield f"{p} -{x} -{y} 0\n"
+                if t:  # z = acc XOR p
+                    acc, z = top, p + 1
+                    yield f"-{z} {acc} {p} 0\n"
+                    yield f"-{z} -{acc} -{p} 0\n"
+                    yield f"{z} -{acc} {p} 0\n"
+                    yield f"{z} {acc} -{p} 0\n"
+                top = p + (t > 0)
+            yield f"{top} 0\n" if target else f"-{top} 0\n"
 
 
-def emit_cnf(g: Graph, k: int) -> str:
-    """DIMACS text for the rank-at-most-k question, layout noted in comments."""
-    nvars, clauses, comments = build_cnf(g, k)
-    lines = [f"c minrank <= {k} for graph with n={g.n} m={g.edge_count}"]
-    lines.extend(comments)
-    lines.append(f"p cnf {nvars} {len(clauses)}")
-    lines.extend(" ".join(map(str, cl)) + " 0" for cl in clauses)
-    return "\n".join(lines) + "\n"
+def run_solver(dimacs: str | Iterable[str], solver_path: str) -> bool:
+    """Feed DIMACS, as text or as lines, to an external solver; True means
+    satisfiable.
 
-
-def run_solver(dimacs: str, solver_path: str) -> bool:
-    """Feed DIMACS to an external solver; True means satisfiable.
-
-    The solver gets the formula on stdin and must print its verdict on
-    stdout (s-line or bare verdict).  The first line that is not a comment
-    (one beginning with c) and holds, in any case, the word UNSAT or
-    UNSATISFIABLE means unsatisfiable, and one holding SAT or SATISFIABLE
-    satisfiable.  solver_path is a command line, split shell-style, so
+    The formula goes to a temporary file, which the solver reads as its
+    stdin, so a stream of lines is never held whole.  The solver must print
+    its verdict on stdout (s-line or bare verdict).  The first line that is
+    not a comment (one beginning with c) and holds, in any case, the word
+    UNSAT or UNSATISFIABLE means unsatisfiable, and one holding SAT or
+    SATISFIABLE satisfiable.  solver_path is a command line, split shell-style, so
     "python3 /path/to/solver.py" works.  Raises GraphError for an empty
     command or a solver that gives no verdict.
     """
     cmd = shlex.split(solver_path)
     if not cmd:
         raise GraphError("empty solver command")
-    proc = subprocess.run(
-        cmd,
-        input=dimacs.encode(),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    )
+    import tempfile  # only a solve needs it
+
+    with tempfile.TemporaryFile("w+") as fh:
+        fh.writelines([dimacs] if isinstance(dimacs, str) else dimacs)
+        fh.seek(0)
+        proc = subprocess.run(cmd, stdin=fh, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     for line in proc.stdout.decode(errors="replace").upper().splitlines():
         if line.lstrip().startswith("C"):  # a comment
             continue
@@ -131,7 +112,7 @@ def minrank_via_cnf(g: Graph, solver_path: str) -> MinrankResult:
     while lo < hi:
         mid = (lo + hi) // 2
         calls += 1
-        if run_solver(emit_cnf(g, mid), solver_path):
+        if run_solver(cnf_lines(g, mid), solver_path):
             hi = mid
         else:
             lo = mid + 1

@@ -939,6 +939,13 @@ def test_cnf_export_and_solve(tmp_path, capsys):
     assert code == 0
     assert "SATISFIABLE" in err
 
+    # After the verdict, --solve writes the same formula the export does.
+    formula = tmp_path / "tri.cnf"
+    argv = ["cnf", tri, "--k", "1", "--solve", "--sat-solver", solver_command()]
+    code, out, _ = run_cli(capsys, [*argv, "-o", str(formula)])
+    assert (code, out) == (0, "")
+    assert formula.read_text() == run_cli(capsys, ["cnf", tri, "--k", "1"])[1]
+
     p3 = write(tmp_path, "p3.edges", "n=3\n0 1\n1 2\n")
     code, _, err = run_cli(
         capsys,
@@ -1008,6 +1015,9 @@ def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):
         ["gen", "--seed", "1", "--parts", "3", "--order-min", "5", "--order-max", "2"],
         ["cnf", "IN", "--k", "0"],
         ["cnf", "IN", "--k", "9"],
+        # k is checked before the output file is opened.
+        ["cnf", "IN", "--k", "0", "-o", "OUT"],
+        ["cnf", "IN", "--k", "9", "-o", "OUT"],
         # BAD names a file, and stdin holds bytes, that are not UTF-8.
         ["minrank", "BAD"],
         ["minrank", "-"],
