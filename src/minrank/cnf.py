@@ -52,13 +52,13 @@ def _cnf_lines(g: Graph, k: int) -> Iterator[str]:
                 yield f"-{p} {x} 0\n"  # p = x AND y
                 yield f"-{p} {y} 0\n"
                 yield f"{p} -{x} -{y} 0\n"
-                if t:  # z = acc XOR p
+                if t:  # z = acc XOR p, acc the sum of the earlier products
                     acc, z = top, p + 1
                     yield f"-{z} {acc} {p} 0\n"
                     yield f"-{z} -{acc} -{p} 0\n"
                     yield f"{z} -{acc} {p} 0\n"
                     yield f"{z} {acc} -{p} 0\n"
-                top = p + (t > 0)
+                top = z if t else p
             yield f"{top} 0\n" if target else f"-{top} 0\n"
 
 
