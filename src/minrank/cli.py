@@ -11,11 +11,12 @@ input errors, 3 a work budget stopped an exact answer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .cnf import cnf_lines, minrank_via_cnf, run_solver
 from .dp import atom_fold, dp_minrank
@@ -61,18 +62,20 @@ def read_input(path: str) -> str:
     return sys.stdin.read() if raw is None else raw.read().decode(sys.stdin.encoding)
 
 
-def load_graphs(path: str, fmt: str | None) -> list[Graph]:
-    """Graphs from a file or '-' (stdin); graph6 files may hold many."""
+def load_graphs(path: str, fmt: str | None) -> Iterator[Graph]:
+    """Graphs from a file or '-' (stdin), each parsed as it is reached;
+    graph6 files may hold many."""
     text = read_input(path)
     if fmt is None:
         fmt = "g6" if path.endswith(".g6") else "edges"
     if fmt == "g6":
-        return [parse_graph6(line) for _, line in graph6_lines(text)]
-    return [parse_edge_list(text)]
+        yield from (parse_graph6(line) for _, line in graph6_lines(text))
+    else:
+        yield parse_edge_list(text)
 
 
 def _one_graph(args, command: str) -> Graph:
-    graphs = load_graphs(args.graph, args.format)
+    graphs = list(load_graphs(args.graph, args.format))
     if len(graphs) != 1:
         raise GraphError(f"{command} works on a single graph input")
     return graphs[0]
@@ -124,49 +127,46 @@ def solve_graph(
             raise GraphError("method cnf needs --sat-solver or a configured solver")
         return minrank_via_cnf(g, sat_solver)
 
-    def solve(fold, whole: bool = False) -> tuple[int | None, MinrankResult]:
-        """A component's bitset, if built, and auto's answer (on all of g if `whole`)."""
-        vertices, res = fold
-        if res is not None:
-            return None, res
-        mask = None if whole else sum(1 << v for v in vertices)
-        res = minrank_bnb(g, node_budget, mask)
-        if not res.exact and sat_solver:  # the encoder takes a whole graph
-            part = g if whole else g.induced_subgraph(_iter_bits(mask))[0]
-            res = minrank_via_cnf(part, sat_solver)
-        return mask, res
-
-    folds = atom_fold(g, registry, trace)  # the one search for bridges and atoms
-    if len(folds) <= 1:
-        return solve(folds[0] if folds else ((), None), True)[1]
-    return _combine_components(g.n, folds, solve, "components")
+    solved = []  # per component: its bitset, if built, and its answer
+    for vertices, res in atom_fold(g, registry, trace):  # the one search for bridges and atoms
+        mask = None
+        if res is None:
+            mask = sum(1 << v for v in vertices)
+            res = minrank_bnb(g, node_budget, mask)
+            if not res.exact and sat_solver:  # the encoder takes a whole graph
+                res = minrank_via_cnf(g.induced_subgraph(_iter_bits(mask))[0], sat_solver)
+        solved.append((mask, res))
+    if len(solved) > 1:
+        return _combine_components(g.n, solved, "components")
+    return solved[0][1] if solved else minrank_bnb(g, node_budget)
 
 
-def _write_out(text: str | Iterable[str], out: str | None) -> None:
-    """Write text, or an iterable of lines, to the file `out` or stdout."""
-    lines = [text] if isinstance(text, str) else text
-    if out:
-        with open(out, "w") as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+def _write_out(lines: Iterable[str], out: str | None) -> None:
+    """Write each line to the file `out` or stdout as it is made; `out` is
+    opened only once the first line exists, so a failure before it leaves
+    no file."""
+    lines = iter(lines)
+    first = next(lines, "")
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(first)
+        fh.writelines(lines)
 
 
 def cmd_minrank(args) -> int:
-    graphs = load_graphs(args.graph, args.format)
-    lines = []
-    worst = 0
-    for idx, g in enumerate(graphs):
-        res = solve_graph(
-            g, args.method, args.registry, args.sat_solver, args.node_budget,
-            trace=args.trace,
-        )
-        rec = _result_record(g, res, idx)
-        lines.append(json.dumps(rec, sort_keys=True))
-        if not res.exact:
-            worst = 3
-    _write_out("".join(line + "\n" for line in lines), args.output)
-    return worst
+    inexact = False
+
+    def lines():
+        nonlocal inexact
+        for idx, g in enumerate(load_graphs(args.graph, args.format)):
+            res = solve_graph(
+                g, args.method, args.registry, args.sat_solver, args.node_budget,
+                trace=args.trace,
+            )
+            inexact = inexact or not res.exact
+            yield json.dumps(_result_record(g, res, idx), sort_keys=True) + "\n"
+
+    _write_out(lines(), args.output)
+    return 3 if inexact else 0
 
 
 def cmd_recognize(args) -> int:
@@ -175,29 +175,32 @@ def cmd_recognize(args) -> int:
     g = _one_graph(args, "recognize")
     # One record per component, each tree of g's atom forest, or one for g.
     trees = g.bridge_split() if args.components else [None]
-    lines = []
     all_member = True
-    for idx, tree in enumerate(trees):
-        outcome = recognize(g, args.c, args.registry, explain=args.explain, tree=tree)
-        vertices = range(g.n) if tree is None else {v for a in tree[1] for v in a}
-        rec = {
-            "component": idx,
-            "n": len(vertices),
-            "member": outcome.member,
-            "roots_tried": outcome.roots_tried,
-            "failure": outcome.failure_detail,
-            "structure": outcome.structure.to_json_dict()
-            if outcome.structure
-            else None,
-        }
-        if args.explain:
-            rec["explain"] = outcome.stats["explain"]
-        lines.append(json.dumps(_with_labels(rec, g, vertices), sort_keys=True))
-        all_member = all_member and outcome.member
-        if outcome.member and args.structure_out:
-            with open(args.structure_out, "w") as fh:
-                fh.write(outcome.structure.to_json())
-    _write_out("".join(line + "\n" for line in lines), args.output)
+
+    def lines():
+        nonlocal all_member
+        for idx, tree in enumerate(trees):
+            outcome = recognize(g, args.c, args.registry, explain=args.explain, tree=tree)
+            vertices = range(g.n) if tree is None else {v for a in tree[1] for v in a}
+            rec = {
+                "component": idx,
+                "n": len(vertices),
+                "member": outcome.member,
+                "roots_tried": outcome.roots_tried,
+                "failure": outcome.failure_detail,
+                "structure": outcome.structure.to_json_dict()
+                if outcome.structure
+                else None,
+            }
+            if args.explain:
+                rec["explain"] = outcome.stats["explain"]
+            all_member = all_member and outcome.member
+            if outcome.member and args.structure_out:
+                with open(args.structure_out, "w") as fh:
+                    fh.write(outcome.structure.to_json())
+            yield json.dumps(_with_labels(rec, g, vertices), sort_keys=True) + "\n"
+
+    _write_out(lines(), args.output)
     return 0 if all_member else 1
 
 
@@ -210,21 +213,22 @@ def cmd_dp(args) -> int:
         outcome = recognize(g, args.c, args.registry)
         if not outcome.member:
             rec = {"member": False, "failure": outcome.failure_detail}
-            _write_out(json.dumps(_with_labels(rec, g)) + "\n", args.output)
+            _write_out([json.dumps(_with_labels(rec, g)) + "\n"], args.output)
             return 1
         t = outcome.structure
     res = dp_minrank(g, t, args.registry, trace=args.trace)
-    _write_out(json.dumps(_result_record(g, res, 0), sort_keys=True) + "\n", args.output)
+    _write_out([json.dumps(_result_record(g, res, 0), sort_keys=True) + "\n"], args.output)
     return 0
 
 
 def _batch_worker(payload):
+    """A corpus line's record and its exact value (None if inexact or failed)."""
     idx, line, method, registry, node_budget = payload
     text = graph6_text(line)
     try:
         g = parse_graph6(line)
         res = solve_graph(g, method, registry, None, node_budget)
-        return idx, {
+        return {
             "index": idx,
             "graph": text,
             "n": g.n,
@@ -234,40 +238,36 @@ def _batch_worker(payload):
         }, res.value if res.exact else None
     except Exception as exc:  # one bad graph must not end the batch
         error = f"{type(exc).__name__}: {exc}"
-        return idx, {"index": idx, "graph": text, "error": error}, None
+        return {"index": idx, "graph": text, "error": error}, None
 
 
 def cmd_batch(args) -> int:
     if args.jobs < 1:
         raise GraphError(f"--jobs must be at least 1, got {args.jobs}")
-    jobs = [
+    jobs = (
         (idx, line, args.method, args.registry, args.node_budget)
         for idx, line in graph6_lines(read_input(args.corpus))
-    ]
+    )
+    histogram: dict[int | None, int] = {}  # None counts the skipped graphs
+
+    def lines(answers):
+        for rec, value in answers:
+            histogram[value] = histogram.get(value, 0) + 1
+            yield json.dumps(rec, sort_keys=True) + "\n"
+
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # no other command needs it
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outputs = list(pool.map(_batch_worker, jobs))
+            _write_out(lines(pool.map(_batch_worker, jobs)), args.output)
     else:
-        outputs = [_batch_worker(job) for job in jobs]
-    outputs.sort(key=lambda item: item[0])
-
-    histogram: dict[int, int] = {}
-    skipped = 0
-    lines = []
-    for _, rec, value in outputs:
-        lines.append(json.dumps(rec, sort_keys=True))
-        if value is None:
-            skipped += 1
-        else:
-            histogram[value] = histogram.get(value, 0) + 1
-    _write_out("".join(line + "\n" for line in lines), args.output)
+        _write_out(lines(map(_batch_worker, jobs)), args.output)
+    skipped = histogram.pop(None, 0)
     if args.histogram:
         if args.histogram.endswith(".json"):
             payload = {
                 "histogram": {str(k): v for k, v in sorted(histogram.items())},
-                "total": len(outputs) - skipped,
+                "total": sum(histogram.values()),
                 "skipped": skipped,
             }
             hist_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -332,7 +332,7 @@ def cmd_validate(args) -> int:
         "mdc": report.mdc,
         "families": list(report.families),
     }
-    _write_out(json.dumps(rec, indent=2, sort_keys=True) + "\n", args.output)
+    _write_out([json.dumps(rec, indent=2, sort_keys=True) + "\n"], args.output)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(structure_to_dot(g, t))

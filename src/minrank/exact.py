@@ -290,10 +290,8 @@ def _bnb_connected(
         flip = {v: ~adjacency[v] for v in _iter_bits(mask)}
         parts = bit_components(flip, mask)
         if len(parts) > 1:
-            return _combine_components(
-                len(adjacency), parts,
-                lambda part: (part, _bnb_on(adjacency, part, node_budget)), "bnb", join=True,
-            )
+            solved = ((part, _bnb_on(adjacency, part, node_budget)) for part in parts)
+            return _combine_components(len(adjacency), solved, "bnb", join=True)
         cliques, cover_nodes = exact_clique_cover(
             adjacency, mask, lower, cliques, node_budget
         )
@@ -429,33 +427,28 @@ def _bnb_on(adjacency, mask: int, node_budget: int | None) -> MinrankResult:
     comps = bit_components(adjacency, mask)
     if len(comps) <= 1:
         return _bnb_connected(adjacency, mask, node_budget)
-    return _combine_components(
-        len(adjacency), comps,
-        lambda part: (part, _bnb_connected(adjacency, part, node_budget)), "bnb",
-    )
+    solved = ((part, _bnb_connected(adjacency, part, node_budget)) for part in comps)
+    return _combine_components(len(adjacency), solved, "bnb")
 
 
-def _combine_components(
-    cols: int, parts, solver, method: str, join: bool = False
-) -> MinrankResult:
-    """Solve each part with `solver`, which gives its vertex bitset (None
-    if it built none, and then no witness) and its answer, and combine the
-    answers, merging the witness rows by vertex over `cols` columns.
+def _combine_components(cols: int, solved, method: str, join: bool = False) -> MinrankResult:
+    """Combine the parts' answers, given as (vertex bitset, answer) pairs
+    whose bitset is None where none was built (and then no witness),
+    merging the witness rows by vertex over `cols` columns.
 
     Connected components add up.  With `join`, the parts are co-components
     and the min-rank is their maximum: every entry between two parts is
     free, so the parts' factorizations pad to a common inner dimension and
     stack.  Inexact parts give the interval of summed (or largest) bounds.
     When some part's answer carries a trace, `stats["trace"]` lists each
-    part's trace (or None) under "components", in the order of `parts`.
+    part's trace (or None) under "components", in the order of `solved`.
     """
     values, lowers, methods, traces = [], [], [], []
     rows: dict | None = {}  # vertex -> witness row, while every part has one
     exact = True
     counts = {"nodes": 0, "rows": 0}
     masks = []
-    for part in parts:
-        mask, res = solver(part)
+    for mask, res in solved:
         masks.append(mask)
         values.append(res.value)
         lowers.append(res.stats.get("interval", (res.value,))[0])
@@ -477,7 +470,7 @@ def _combine_components(
     witness = None
     if rows is not None:
         witness = _witness(cols, _stack_factorizations(rows, masks) if join else rows)
-    stats: dict = {"co_components" if join else "components": len(parts),
+    stats: dict = {"co_components" if join else "components": len(masks),
                    "methods": methods, **counts}
     if not exact:
         stats["interval"] = [lower, value]

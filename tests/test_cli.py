@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -908,6 +909,40 @@ def test_graph6_skips_blank_and_comment_lines(tmp_path, capsys):
     assert code == 0 and (records(out)[0]["member"], records(out)[0]["n"]) == (True, 3)
 
 
+def test_a_late_failure_keeps_the_records_made_so_far(tmp_path, capsys):
+    """Each record goes out as it is made: a line that does not parse ends
+    the run with exit 2, after the records of the lines before it, on
+    stdout and in the `-o` file."""
+    head = write(tmp_path, "head.g6", "Bw\nC~\n")
+    path = write(tmp_path, "late.g6", "Bw\nC~\nnot-graph6\nBw\n")
+    code, want, _ = run_cli(capsys, ["minrank", head])
+    assert code == 0 and len(records(want)) == 2
+    code, out, err = run_cli(capsys, ["minrank", path])
+    assert code == 2 and err.startswith("error:") and out == want
+    dest = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, ["minrank", path, "-o", str(dest)])
+    assert (code, out) == (2, "") and err.startswith("error:")
+    assert dest.read_text() == want
+
+
+@pytest.mark.parametrize("command", ["batch", "minrank"])
+def test_memory_does_not_grow_with_the_corpus(tmp_path, command):
+    """Records are written as they are made, and no list of graphs or
+    records is kept, so the traced peak grows by far less than a record
+    (a few hundred bytes) per added line."""
+    out = str(tmp_path / "out.json")
+    peaks = []
+    for lines in (250, 2000):
+        path = write(tmp_path, f"{lines}.g6", "Bw\nC~\n" * (lines // 2))
+        tracemalloc.start()
+        try:
+            assert main([command, path, "-o", out]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (2000 - 250) < 256, peaks
+
+
 def test_batch_turns_any_exception_into_an_error_record(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "three.g6", "C~\nCw\nCF\n")
     solve = cli.solve_graph
@@ -1046,6 +1081,8 @@ def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):
                 ["minrank", "C5", "--registry", "chordal", "--node-budget", "0"],
             )
         ],
+        # Method cnf with no solver set fails before the first record.
+        ["minrank", "C5", "--method", "cnf", "-o", "OUT"],
         # A registry that names a family twice.
         ["minrank", "IN", "--registry", "chordal,chordal"],
         ["minrank", "IN", "--registry", "bounded,bounded:10"],

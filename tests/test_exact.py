@@ -576,10 +576,8 @@ def test_bnb_matches_bruteforce_on_dense_graphs():
         parts = co_components(g)
         if len(parts) > 1:
             joins += 1
-            res = _combine_components(
-                g.n, parts, lambda part: (part, minrank_bnb(g, None, part)), "bnb",
-                join=True,
-            )
+            solved = [(part, minrank_bnb(g, None, part)) for part in parts]
+            res = _combine_components(g.n, solved, "bnb", join=True)
             assert res.exact and res.value == want and verify_witness(res, g)
     assert joins > 60
 
