@@ -14,6 +14,7 @@ graph's neighbour bitsets and the part's vertex bitset, never on a copy.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -159,16 +160,15 @@ def _greedy_independent(closed, avail: int) -> int:
     return chosen
 
 
-class _GreedyGains(dict):
-    """`_greedy_independent` sizes by the vertex bitset, over closed
-    neighbourhoods `closed`, each computed the first time it is looked up."""
+class _Memo(dict):
+    """A dict that fills in a missing key k with `make(k)` when it is read."""
 
-    def __init__(self, closed):
-        self.closed = closed
+    def __init__(self, make):
+        self.make = make
 
-    def __missing__(self, avail: int) -> int:
-        self[avail] = size = _greedy_independent(self.closed, avail)
-        return size
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
 
 
 def bit_components(adjacency, mask: int) -> list[int]:
@@ -259,42 +259,36 @@ def _first_spanned_row(pivots: dict[int, int], v: int, mask: int) -> int | None:
     return None if x else combo
 
 
-def _bnb_connected(
-    adjacency, mask: int, node_budget: int | None, bounds=None
-) -> MinrankResult:
+def _bnb_connected(adjacency, mask: int, node_budget: int | None) -> MinrankResult:
     """Branch-and-bound on the connected subgraph induced on the vertex
     bitset `mask`, over per-vertex neighbour bitsets `adjacency`.
 
-    The bounds come first: `bounds`, a lower bound and a clique cover, when
-    the caller has them; else the greedy ones and, up to 40 vertices when
-    they leave a gap, the exact independence number.  If a gap remains at
-    that size, a join is split into its co-components, and otherwise the
-    exact clique cover becomes the incumbent; the search runs only if that
-    still leaves a gap.
+    The bounds come first, computed on every call: the greedy ones and, up
+    to 40 vertices when they leave a gap, the exact independence number.
+    If a gap remains at that size, a join is split into its co-components,
+    and otherwise the exact clique cover becomes the incumbent; the search
+    runs only if that still leaves a gap.
     """
     start = time.perf_counter()
     n = mask.bit_count()
-    if bounds is None:
-        greedy = greedy_bounds(adjacency, mask)
-        lower, cliques = greedy.lower, greedy.cliques
-        if n <= 40 and lower < greedy.upper:
-            # The exact independence number is cheap at this size and lets
-            # the search stop as soon as it matches the incumbent; when the
-            # greedy bounds meet, it is squeezed to their value already.
-            lower = independence_number(adjacency, mask)
-    else:
-        lower, cliques = bounds
+    greedy = greedy_bounds(adjacency, mask)
+    lower, cliques = greedy.lower, greedy.cliques
     cover_nodes = 0
     if n <= 40 and lower < len(cliques):
-        # In the complement a vertex reaches the non-neighbours left in mask.
-        flip = {v: ~adjacency[v] for v in _iter_bits(mask)}
-        parts = bit_components(flip, mask)
-        if len(parts) > 1:
-            solved = ((part, _bnb_on(adjacency, part, node_budget)) for part in parts)
-            return _combine_components(len(adjacency), solved, "bnb", join=True)
-        cliques, cover_nodes = exact_clique_cover(
-            adjacency, mask, lower, cliques, node_budget
-        )
+        # The exact independence number is cheap at this size and lets the
+        # search stop as soon as it matches the incumbent; when the greedy
+        # bounds meet, it is squeezed to their value already.
+        lower = independence_number(adjacency, mask)
+        if lower < len(cliques):
+            # In the complement a vertex reaches the non-neighbours left in mask.
+            flip = {v: ~adjacency[v] for v in _iter_bits(mask)}
+            parts = bit_components(flip, mask)
+            if len(parts) > 1:
+                solved = ((part, _bnb_on(adjacency, part, node_budget)) for part in parts)
+                return _combine_components(len(adjacency), solved, "bnb", join=True)
+            cliques, cover_nodes = exact_clique_cover(
+                adjacency, mask, lower, cliques, node_budget
+            )
     # The incumbent: each row is its cover clique's indicator, and disjoint
     # cliques' indicators are independent, so the rank is the clique count.
     best_rows = {}
@@ -321,7 +315,7 @@ def _bnb_connected(
     # support adds |S| to the rank: its rows are the identity on the S
     # columns, where the chosen rows are all zero.  A node whose rank plus
     # gains[its free vertices] cannot beat best_value is cut.
-    gains = _GreedyGains(closed)
+    gains = _Memo(functools.partial(_greedy_independent, closed))
     nodes = rows = 0
     budget = float("inf") if node_budget is None else node_budget
 

@@ -46,7 +46,7 @@ class BoundedOrderFamily(FamilyOracle):
     b_1 ... b_k, and the graphs b_i + x meet only in x, so by the rule `dp`
     folds with, its min-rank is the sum of the mr(b_i), plus one when every
     piece needs x, mr(b_i + x) > mr(b_i).  Only a 2-connected component goes
-    to exhaustive search, with the bounds already found."""
+    to exhaustive search, which finds its own bounds again."""
 
     def __init__(self, bound: int = 10):
         if bound < 1:
@@ -102,7 +102,7 @@ def _component_minrank(adjacency, memo: dict, comp: int) -> int:
         if len(pieces) > 1:
             break
     else:
-        return _bnb_connected(adjacency, comp, None, (alpha, gb.cliques)).value
+        return _bnb_connected(adjacency, comp, None).value
     # The pieces glued at x, by the rule in the class docstring.
     without = [_minrank_on(adjacency, memo, b) for b in pieces]
     needed = all(_minrank_on(adjacency, memo, b | 1 << x) > m for b, m in zip(pieces, without))

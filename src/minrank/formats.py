@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from itertools import compress
 
 from .errors import GraphError
@@ -23,8 +24,11 @@ def graph6_text(line: str) -> str:
 
 def graph6_lines(text: str):
     """(0-based line number, line) of each line of a graph6 document that
-    is neither blank nor a comment starting with `#`."""
-    for index, line in enumerate(text.splitlines()):
+    is neither blank nor a comment starting with `#`, as it is reached:
+    `str.splitlines` breaks one segment up to a line feed at a time, so no
+    list of lines is held (a text broken only by CR is one segment)."""
+    lines = (line for seg in re.finditer(".*\n?", text) for line in seg[0].splitlines())
+    for index, line in enumerate(lines):
         if line.strip() and not line.startswith("#"):
             yield index, line
 

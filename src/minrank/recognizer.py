@@ -34,20 +34,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import GraphError, NotInFamilyError
+from .exact import _Memo
 from .families import FamilyRegistry
 from .graph import Graph
 from .structure import SimpleTreeStructure
-
-
-class _Memo(dict):
-    """A dict that fills in a missing key k with `make(k)` when it is read."""
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = self.make(key)
-        return self[key]
 
 
 @dataclass(frozen=True)

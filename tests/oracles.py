@@ -418,6 +418,13 @@ def graph6_encode(n, edges):
     return out
 
 
+def graph6_lines_by_splitlines(text):
+    """(0-based line number, line) of each line of `text` that is neither
+    blank nor a `#` comment, from one `str.splitlines` of the whole text."""
+    return [(i, line) for i, line in enumerate(text.splitlines())
+            if line.strip() and not line.startswith("#")]
+
+
 def registry_lookup(reg, g):
     """The first oracle of registry `reg` whose family holds g, or None."""
     for oracle in reg.oracles:

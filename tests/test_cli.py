@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import hashlib
 import io
 import json
 import os
@@ -586,6 +587,52 @@ def test_exact_records_pinned(tmp_path, random1000_path):
     for tests/oracles.py; never regenerate it to fit a change."""
     want = (Path(DATA_DIR) / "exact_records.jsonl").read_text()
     assert exact_records_output(tmp_path, random1000_path) == want
+
+
+# (seed, k, profile) of generated members for the auto pin, each solved
+# under the default registry and under bounded:6.
+AUTO_MEMBERS = [(4, 20, "bounded"), (8, 10, "bounded"), (2, 20, "mixed"), (1, 40, "mixed")]
+AUTO_DIGESTS = [
+    "d7cf1047fc03f0bac542ebf5cb4d85a48bb480e67b2b090e60e336138bcca95c",
+    "56c51faff428ebfd54e0bc580bd2275f1f268b8cb5099b336dd4a1d45422d5fc",
+]
+
+
+def _without_elapsed(x):
+    if isinstance(x, dict):
+        return {k: _without_elapsed(v) for k, v in x.items() if k != "elapsed"}
+    if isinstance(x, list):
+        return list(map(_without_elapsed, x))
+    return x
+
+
+def auto_records_output(tmp_path, runs) -> str:
+    """Exit codes and `minrank --trace` records, every `elapsed` dropped, of
+    each argument list in `runs`, in order."""
+    out, text = tmp_path / "auto.jsonl", []
+    for args in runs:
+        text.append(f"{main(['minrank', *args, '--trace', '-o', str(out)])}\n")
+        text += [json.dumps(_without_elapsed(rec), sort_keys=True) + "\n"
+                 for rec in records(out.read_text())]
+    return "".join(text)
+
+
+def test_auto_records_are_pinned(tmp_path, random1000_path):
+    """Values, witnesses, search counts and traces of auto on random1000.g6
+    with a node budget, and on generated members under the default registry
+    and under bounded:6, which sends every part through the bounded-order
+    oracle, hash to the SHA-256 digests taken before that oracle's search
+    computed its own bounds; never regenerate them to fit a change."""
+    members = []
+    for seed, k, profile in AUTO_MEMBERS:
+        g, _ = generate_member(seed, k, 2, profile=profile)
+        path = write(tmp_path, f"auto{seed}_{k}.edges", emit_edge_list(g))
+        members += [[path], [path, "--registry", "bounded:6"]]
+    got = [
+        hashlib.sha256(auto_records_output(tmp_path, runs).encode()).hexdigest()
+        for runs in ([[random1000_path, "--node-budget", "2000"]], members)
+    ]
+    assert got == AUTO_DIGESTS
 
 
 def test_recognize_and_validate_round_trip(tmp_path, capsys):

@@ -419,16 +419,17 @@ def test_bnb_budget_stops_pinned(
 
 
 def test_bnb_bound_cuts_the_root():
-    """Given a lower bound of 1 on P4, the search starts from the cover of
-    two edges, and the bound of the root, a greedy independent set of 2,
-    cuts it: one node, no row.  With no budget left the root is counted
-    and the search stops on it instead."""
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    for budget, interval in ((None, None), (0, [1, 2])):
-        res = exact._bnb_connected(g.adjacency_bits(), 15, budget, (1, ((0, 1), (2, 3))))
-        assert (res.value, res.exact, res.stats.get("interval")) == (2, interval is None, interval)
+    """Above 40 vertices the search keeps its greedy bounds: on the star
+    K(1,41) it starts from a cover of 41 cliques and a lower bound of 1,
+    and the bound of the root, a greedy independent set of 41, cuts it: one
+    node, no row.  With no budget left the root is counted and the search
+    stops on it instead."""
+    g = Graph(42, [(0, v) for v in range(1, 42)])
+    for budget, interval in ((None, None), (0, [1, 41])):
+        res = minrank_bnb(g, node_budget=budget)
+        assert (res.value, res.exact, res.stats.get("interval")) == (41, interval is None, interval)
         assert (res.stats["nodes"], res.stats["rows"]) == (1, 0)
-        assert res.witness.data == (3, 3, 12, 12)
+        assert res.witness.data == (3, 3, *(1 << v for v in range(2, 42)))
 
 
 def test_bnb_lists_rows_lazily(random1000_path):

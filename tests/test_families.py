@@ -506,35 +506,23 @@ def _mask_graph(adjacency, mask: int) -> Graph:
 
 def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
     """A component with a gap is cut at a cut vertex: every component that
-    branch and bound is given is 2-connected, so has no bridge, and comes
-    with the bounds the oracle found, so the search computes neither bound
-    of it again (the co-components of a join get their own)."""
+    branch and bound is given is 2-connected, so has no bridge, and still
+    has a gap between its independence number and its greedy clique cover,
+    both of which the search finds again."""
     searched = []
     real_bnb = families._bnb_connected
-    bounded = []
 
-    def bridgeless_bnb(adjacency, mask, node_budget, bounds):
+    def bridgeless_bnb(adjacency, mask, node_budget):
         sub = _mask_graph(adjacency, mask)
         assert not flat_bridge_split(sub)[0], sub.edges
         for v in exact._iter_bits(mask):
             assert len(exact.bit_components(adjacency, mask ^ 1 << v)) == 1, sub.edges
-        assert bounds == (exact.independence_number(adjacency, mask),
-                          exact.greedy_bounds(adjacency, mask).cliques)
+        alpha = exact.independence_number(adjacency, mask)
+        assert alpha < exact.greedy_bounds(adjacency, mask).upper, sub.edges
         searched.append(sub.n)
-        bounded.clear()
-        res = real_bnb(adjacency, mask, node_budget, bounds)
-        assert mask not in bounded, sub.edges
-        return res
-
-    def counting(real):
-        def counted(adjacency, mask):
-            bounded.append(mask)
-            return real(adjacency, mask)
-        return counted
+        return real_bnb(adjacency, mask, node_budget)
 
     monkeypatch.setattr(families, "_bnb_connected", bridgeless_bnb)
-    for name in ("greedy_bounds", "independence_number"):
-        monkeypatch.setattr(exact, name, counting(getattr(exact, name)))
     rng = random.Random(508)
     for i in range(300):
         g = (_bridged_graph, _glued_graph)[i % 2](rng)
