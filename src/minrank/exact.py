@@ -190,6 +190,37 @@ def bit_components(adjacency, mask: int) -> list[int]:
     return parts
 
 
+def undominated(adjacency, mask: int) -> tuple[int, list[tuple[int, int]]]:
+    """The bitset left of `mask`, over per-vertex neighbour bitsets
+    `adjacency`, once every dominated vertex is deleted, and the deletions
+    as (u, v) pairs in order: u had a neighbour v with N[v] inside N[u].
+
+    Then mr(G) = mr(G - u): a matrix fitting G - u fits G once u takes v's
+    row and column, at the same rank, and deleting a vertex never raises
+    min-rank.  A worklist pops the lowest vertex v and finds the neighbours
+    adjacent to all its other neighbours, which v dominates; it deletes the
+    lowest and then re-examines only that vertex's neighbours, whose tests
+    alone can change.
+    """
+    kept = todo = mask
+    deletions = []
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        common = scan = adjacency[v] & kept
+        while scan and common:
+            w = scan & -scan
+            scan ^= w
+            common &= adjacency[w.bit_length() - 1] | w
+        if common:
+            u = (common & -common).bit_length() - 1
+            kept ^= 1 << u
+            todo = (todo | adjacency[u]) & kept
+            deletions.append((u, v))
+    return kept, deletions
+
+
 def independence_number(adjacency, mask: int) -> int:
     """Maximum independent set size of the subgraph induced on the vertex
     bitset `mask`, over per-vertex neighbour bitsets `adjacency`: branch and
@@ -453,7 +484,7 @@ def _combine_components(cols: int, solved, method: str, join: bool = False) -> M
             rows.update(zip(_iter_bits(mask), res.witness.data))
         else:
             rows = None
-        for key in ("nodes", "rows", "cover_nodes"):
+        for key in ("nodes", "rows", "cover_nodes", "dominated"):
             if key in res.stats:
                 counts[key] = counts.get(key, 0) + res.stats[key]
     if join:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import GraphError
 from .exact import (
     _bnb_connected, _iter_bits, bit_components, greedy_bounds, independence_number,
+    undominated,
 )
 from .graph import Graph
 
@@ -42,11 +43,13 @@ class BoundedOrderFamily(FamilyOracle):
     """All graphs on at most `bound` vertices; min-rank per component of what
     a deletion leaves, on bitsets over the part's positions, which only the
     solver knows: it is asked by vertex id.  A component whose bounds leave
-    a gap is cut at its lowest cut vertex x: deleting x leaves pieces
-    b_1 ... b_k, and the graphs b_i + x meet only in x, so by the rule `dp`
-    folds with, its min-rank is the sum of the mr(b_i), plus one when every
-    piece needs x, mr(b_i + x) > mr(b_i).  Only a 2-connected component goes
-    to exhaustive search, which finds its own bounds again."""
+    a gap is solved without its dominated vertices (`undominated`), which
+    keeps its min-rank; one with none is cut at its lowest cut vertex x:
+    deleting x leaves pieces b_1 ... b_k, and the graphs b_i + x meet only
+    in x, so by the rule `dp` folds with, its min-rank is the sum of the
+    mr(b_i), plus one when every piece needs x, mr(b_i + x) > mr(b_i).
+    Only a 2-connected component with no dominated vertex goes to
+    exhaustive search, which finds its own bounds again."""
 
     def __init__(self, bound: int = 10):
         if bound < 1:
@@ -97,6 +100,9 @@ def _component_minrank(adjacency, memo: dict, comp: int) -> int:
     alpha = independence_number(adjacency, comp)
     if alpha == gb.upper:
         return alpha
+    kept, deletions = undominated(adjacency, comp)
+    if deletions:  # same min-rank, on fewer vertices
+        return _minrank_on(adjacency, memo, kept)
     for x in _iter_bits(comp):
         pieces = bit_components(adjacency, comp ^ 1 << x)
         if len(pieces) > 1:

@@ -349,6 +349,26 @@ def greedy_independent_by_min(closed, avail):
     return chosen
 
 
+def undominated_by_restart(adjacency, mask):
+    """The dominated-vertex kernel of the bitset `mask`, over neighbour
+    bitsets `adjacency`, by a loop that rescans every pair after each
+    deletion: it deletes the first u, then v, in increasing order such that
+    v neighbours u and N[v] lies inside N[u] within what is left, until
+    no pair is found.  The bitset left and the (u, v) deletions in order."""
+    kept, deletions = mask, []
+    while True:
+        for u, v in itertools.product(range(kept.bit_length()), repeat=2):
+            if kept >> u & kept >> v & adjacency[u] >> v & 1:
+                closed_u = (adjacency[u] | 1 << u) & kept
+                closed_v = (adjacency[v] | 1 << v) & kept
+                if closed_v & ~closed_u == 0:
+                    kept ^= 1 << u
+                    deletions.append((u, v))
+                    break
+        else:
+            return kept, deletions
+
+
 def is_chordal_by_elimination(n, edges):
     """Chordality via the definition: repeatedly delete a simplicial
     vertex; the graph is chordal iff the process empties it."""

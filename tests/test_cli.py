@@ -593,7 +593,7 @@ def test_exact_records_pinned(tmp_path, random1000_path):
 # under the default registry and under bounded:6.
 AUTO_MEMBERS = [(4, 20, "bounded"), (8, 10, "bounded"), (2, 20, "mixed"), (1, 40, "mixed")]
 AUTO_DIGESTS = [
-    "d7cf1047fc03f0bac542ebf5cb4d85a48bb480e67b2b090e60e336138bcca95c",
+    "a66c95e5d20c5acb7a3d028b3392cb5db780c8480838609581aea462b469c598",
     "56c51faff428ebfd54e0bc580bd2275f1f268b8cb5099b336dd4a1d45422d5fc",
 ]
 
@@ -622,7 +622,16 @@ def test_auto_records_are_pinned(tmp_path, random1000_path):
     with a node budget, and on generated members under the default registry
     and under bounded:6, which sends every part through the bounded-order
     oracle, hash to the SHA-256 digests taken before that oracle's search
-    computed its own bounds; never regenerate them to fit a change."""
+    computed its own bounds; never regenerate them to fit a change.
+
+    The random1000.g6 digest was re-taken once, when auto's fallback began
+    to delete dominated vertices before its search: that changes witnesses
+    and search counts and adds `dominated` to the stats.  Before it was
+    re-taken, every one of the 1,000 values was checked equal to the old
+    one, exactness was gained on lines 26, 134, 170, 334, 584, 693, 822,
+    831, 904, 915 and 949 (1-based) and lost on none, and every printed
+    witness passed `verify_witness`.  The members digest was not re-taken:
+    the bounded-order oracle, which also deletes them, answers values only."""
     members = []
     for seed, k, profile in AUTO_MEMBERS:
         g, _ = generate_member(seed, k, 2, profile=profile)
@@ -906,11 +915,18 @@ def test_batch_corpus_histograms(tmp_path, capsys, order4_path):
     assert total == 11
 
 
+# The 0-based indices of the random1000.g6 lines that auto closes only
+# once dominated vertices are deleted before its search.
+CLOSED_BY_DOMINATION = [25, 133, 169, 333, 583, 692, 821, 830, 903, 914, 948]
+
+
 def test_batch_whole_corpus_at_node_budget(tmp_path, random1000_path):
     """All of random1000.g6 at --node-budget 2000.  Before joins were split
     and the exact clique cover became the incumbent, 808 answers were exact
     (random1000_budget2000.txt); those keep their values, and no other
-    value rises."""
+    value rises.  Deleting dominated vertices before auto's search made 952
+    exact answers 963: the 11 lines it closed are exact at the value that
+    `random1000_bnb2000.jsonl` pins, the upper end of their old interval."""
     out = tmp_path / "out.jsonl"
     argv = ["batch", random1000_path, "--node-budget", "2000", "-o", str(out)]
     assert main(argv) == 0
@@ -924,11 +940,29 @@ def test_batch_whole_corpus_at_node_budget(tmp_path, random1000_path):
     ]
     assert len(recs) == len(before) == 1000
     assert sum(exact for _, exact in before) == 808
-    assert sum(rec["exact"] for rec in recs) == 952
+    assert sum(rec["exact"] for rec in recs) == 963
+    pinned = (Path(random1000_path).parent / "random1000_bnb2000.jsonl").read_text().splitlines()
+    for i in CLOSED_BY_DOMINATION:
+        assert recs[i]["exact"] and recs[i]["value"] == json.loads(pinned[i])["value"], i
     for rec, (value, exact) in zip(recs, before):
         assert rec["value"] <= value, rec
         if exact:
             assert rec["exact"] and rec["value"] == value, rec
+
+
+def test_bounded_twelve_answers_lines_it_once_searched_for_seconds(tmp_path, random1000_path):
+    """Lines 170, 831 and 949 (1-based) of random1000.g6 have 12 vertices
+    each, so bounded:12 claims them whole, and its oracle searches with no
+    node budget.  Searching them as they are took from 12 s to over 20 s
+    each; without their dominated vertices each is answered exactly by the
+    dp fold, at the value auto gives under the default registry."""
+    lines = Path(random1000_path).read_text().splitlines()
+    path = write(tmp_path, "three.g6", "".join(lines[i] + "\n" for i in (169, 830, 948)))
+    out = tmp_path / "out.jsonl"
+    argv = ["minrank", path, "--registry", "chordal,bounded:12", "--node-budget", "2000"]
+    assert main([*argv, "-o", str(out)]) == 0
+    got = [(r["n"], r["value"], r["method"], r["exact"]) for r in records(out.read_text())]
+    assert got == [(12, 4, "dp", True), (12, 3, "dp", True), (12, 4, "dp", True)]
 
 
 def test_batch_survives_malformed_line(tmp_path, capsys):

@@ -25,6 +25,7 @@ from minrank import (
     verify_witness,
 )
 from minrank import exact
+from minrank import cli
 from minrank.cli import solve_graph
 from minrank.exact import (
     _combine_components,
@@ -37,6 +38,7 @@ from minrank.exact import (
     independence_number,
 )
 from minrank.formats import parse_graph6
+from minrank.generator import random_connected_chordal
 from conftest import matrix_from_strings, random_edges, random_graph_in_budget
 import oracles
 from oracles import minrank_bruteforce
@@ -660,3 +662,54 @@ def test_bnb_witness_rows_are_part_sized(monkeypatch):
     assert sum(validated) <= 2 * n
     monkeypatch.undo()
     assert verify_witness(res, g)
+
+
+def _replay(adjacency, mask, deletions) -> int:
+    """The bitset left of `mask` after `deletions`, each checked to delete
+    a vertex u with a neighbour v whose closed neighbourhood lies inside
+    u's, within what was left then."""
+    for u, v in deletions:
+        assert mask >> u & mask >> v & adjacency[u] >> v & 1, (u, v)
+        assert (adjacency[v] | 1 << v) & mask & ~(adjacency[u] | 1 << u) == 0, (u, v)
+        mask ^= 1 << u
+    return mask
+
+
+def test_undominated_kernel_keeps_minrank_and_rebuilds_witness():
+    """On seeded random graphs of up to 11 vertices, `undominated` deletes
+    only dominated vertices and leaves none (by the restart loop of
+    `oracles.undominated_by_restart`); unbudgeted branch and bound on the
+    kernel, which auto's fallback runs, finds the whole graph's min-rank,
+    and the witness rebuilt from the kernel's fits the whole graph."""
+    rng = random.Random(2244)
+    fired = 0
+    for _ in range(120):
+        n = rng.randint(1, 11)
+        g = Graph(n, random_edges(rng, n, rng.choice([0.3, 0.5, 0.7])))
+        adjacency, full = g.adjacency_bits(), (1 << n) - 1
+        kept, deletions = exact.undominated(adjacency, full)
+        assert _replay(adjacency, full, deletions) == kept
+        assert oracles.undominated_by_restart(adjacency, kept) == (kept, []), g.edges
+        res = cli._search_undominated(g, full, None)
+        assert res.exact and res.stats["dominated"] == len(deletions)
+        assert res.value == minrank_bnb(g, None, kept).value == minrank_bnb(g).value, g.edges
+        assert verify_witness(res, g), g.edges
+        fired += bool(deletions)
+    assert fired > 80
+
+
+def test_undominated_takes_a_chordal_graph_to_an_independent_set():
+    """Every connected chordal graph has a simplicial vertex, whose
+    neighbours it dominates, so its kernel has no edge: on shuffled random
+    chordal graphs of up to 11 vertices the kernel is independent, and its
+    size is the min-rank."""
+    rng = random.Random(2245)
+    for _ in range(200):
+        n = rng.randint(1, 11)
+        perm = rng.sample(range(n), n)
+        chordal = random_connected_chordal(rng, n)
+        g = Graph(n, [(perm[a], perm[b]) for a, b in chordal.edges])
+        adjacency = g.adjacency_bits()
+        kept, _ = exact.undominated(adjacency, (1 << n) - 1)
+        assert all(adjacency[v] & kept == 0 for v in exact._iter_bits(kept)), g.edges
+        assert kept.bit_count() == independence_number(adjacency, (1 << n) - 1)

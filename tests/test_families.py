@@ -508,7 +508,7 @@ def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
     """A component with a gap is cut at a cut vertex: every component that
     branch and bound is given is 2-connected, so has no bridge, and still
     has a gap between its independence number and its greedy clique cover,
-    both of which the search finds again."""
+    both of which the search finds again, and has no dominated vertex."""
     searched = []
     real_bnb = families._bnb_connected
 
@@ -519,6 +519,7 @@ def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
             assert len(exact.bit_components(adjacency, mask ^ 1 << v)) == 1, sub.edges
         alpha = exact.independence_number(adjacency, mask)
         assert alpha < exact.greedy_bounds(adjacency, mask).upper, sub.edges
+        assert oracles.undominated_by_restart(adjacency, mask) == (mask, []), sub.edges
         searched.append(sub.n)
         return real_bnb(adjacency, mask, node_budget)
 
