@@ -21,9 +21,7 @@ from collections.abc import Iterable, Iterator
 from .cnf import cnf_lines, minrank_via_cnf, run_solver
 from .dp import atom_fold, dp_minrank
 from .errors import GraphError, StructureError
-from .exact import (
-    MinrankResult, _combine_components, _iter_bits, _witness, minrank_bnb, undominated,
-)
+from .exact import MinrankResult, _combine_components, _search_undominated, minrank_bnb
 from .families import default_registry, parse_registry_spec
 from .formats import (
     emit_edge_list, emit_graph6, graph6_lines, graph6_text, parse_edge_list, parse_graph6,
@@ -118,10 +116,10 @@ def solve_graph(
     """Dispatch one connected-or-not graph to a solver.
 
     Auto mode, per component and on g itself: fold the component's atoms
-    when every atom is in a family, otherwise branch and bound on the
-    component's vertex bitset less its dominated vertices, falling back to
-    an external SAT solver on the whole component only when branch and
-    bound gave up inexactly.
+    when every atom is in a family, otherwise search the component's vertex
+    bitset with `exact` (branch and bound less its dominated vertices),
+    falling back to an external SAT solver on the same bitset only when
+    branch and bound gave up inexactly.
     """
     if method == "bnb":
         return minrank_bnb(g, node_budget)
@@ -136,31 +134,12 @@ def solve_graph(
         if res is None:
             mask = sum(1 << v for v in vertices)
             res = _search_undominated(g, mask, node_budget)
-            if not res.exact and sat_solver:  # the encoder takes a whole graph
-                res = minrank_via_cnf(g.induced_subgraph(_iter_bits(mask))[0], sat_solver)
+            if not res.exact and sat_solver:
+                res = minrank_via_cnf(g, sat_solver, mask)
         solved.append((mask, res))
     if len(solved) > 1:
         return _combine_components(g.n, solved, "components")
     return solved[0][1] if solved else minrank_bnb(g, node_budget)
-
-
-def _search_undominated(g: Graph, mask: int, node_budget: int | None) -> MinrankResult:
-    """`minrank_bnb` of g's subgraph induced on the vertex bitset `mask`,
-    searched without its dominated vertices.  The witness is rebuilt in
-    reverse order of deletion: where v dominated u, every row with a v bit
-    gets the u bit, and u gets v's row."""
-    kept, deletions = undominated(g.adjacency_bits(), mask)
-    res = minrank_bnb(g, node_budget, kept)
-    res.stats["dominated"] = len(deletions)
-    if deletions:
-        rows = dict(zip(_iter_bits(kept), res.witness.data))
-        for u, v in reversed(deletions):
-            for w, row in rows.items():
-                if row >> v & 1:
-                    rows[w] = row | 1 << u
-            rows[u] = rows[v]
-        res.witness = _witness(g.n, rows)
-    return res
 
 
 def _write_out(lines: Iterable[str], out: str | None) -> None:

@@ -17,12 +17,14 @@ import time
 from collections.abc import Iterable, Iterator
 
 from .errors import GraphError
-from .exact import MinrankResult, greedy_bounds
+from .exact import MinrankResult, _iter_bits, greedy_bounds
 from .graph import Graph
 
 
-def cnf_lines(g: Graph, k: int) -> Iterator[str]:
-    """DIMACS text for "some matrix fitting g has rank at most k", line by line.
+def cnf_lines(g: Graph, k: int, mask: int | None = None) -> Iterator[str]:
+    """DIMACS text for "some matrix fitting g has rank at most k", line by
+    line, or fitting g's subgraph induced on the vertex bitset `mask`, whose
+    vertices are numbered 0..n-1 in ascending order.
 
     Variables 1..n*k are the left factor a_i_t and the next k*n the right
     factor b_t_j, as the leading comments note.  Each constrained entry (the
@@ -31,21 +33,23 @@ def cnf_lines(g: Graph, k: int) -> Iterator[str]:
     2k - 1 variables, then a unit clause; so the header's counts have a
     closed form.  k is checked at the call, before the first line is read.
     """
-    if not 1 <= k <= g.n:
-        raise GraphError(f"rank bound k={k} outside 1..{g.n}")
-    return _cnf_lines(g, k)
+    vs = range(g.n) if mask is None else list(_iter_bits(mask))
+    if not 1 <= k <= len(vs):
+        raise GraphError(f"rank bound k={k} outside 1..{len(vs)}")
+    return _cnf_lines(g, k, vs)
 
 
-def _cnf_lines(g: Graph, k: int) -> Iterator[str]:
-    n = g.n
-    entries = n * n - 2 * g.edge_count
-    yield f"c minrank <= {k} for graph with n={n} m={g.edge_count}\n"
+def _cnf_lines(g: Graph, k: int, vs) -> Iterator[str]:
+    n, index = len(vs), {v: i for i, v in enumerate(vs)}
+    m = sum(w in index for v in vs for w in g.neighbor_set(v)) // 2
+    entries = n * n - 2 * m
+    yield f"c minrank <= {k} for graph with n={n} m={m}\n"
     yield from (f"c var a_{i}_{t} = {i * k + t + 1}\n" for i in range(n) for t in range(k))
     yield from (f"c var b_{t}_{j} = {n * k + t * n + j + 1}\n" for t in range(k) for j in range(n))
     yield f"p cnf {2 * n * k + entries * (2 * k - 1)} {entries * (7 * k - 3)}\n"
     top = 2 * n * k  # the last variable numbered so far
-    for i in range(n):
-        nonedges = [j for j in range(n) if j != i and not g.has_edge(i, j)]
+    for i, v in enumerate(vs):
+        nonedges = [j for j, w in enumerate(vs) if j != i and not g.has_edge(v, w)]
         for j, target in [(i, 1)] + [(j, 0) for j in nonedges]:
             for t in range(k):
                 x, y, p = i * k + t + 1, n * k + t * n + j + 1, top + 1
@@ -98,28 +102,22 @@ def run_solver(dimacs: str | Iterable[str], solver_path: str) -> bool:
     )
 
 
-def minrank_via_cnf(g: Graph, solver_path: str) -> MinrankResult:
-    """Exact min-rank by binary search on k with an external SAT solver.
+def minrank_via_cnf(g: Graph, solver_path: str, mask: int | None = None) -> MinrankResult:
+    """Exact min-rank of g, or of its subgraph induced on the vertex bitset
+    `mask`, by binary search on k with an external SAT solver.
 
     No witness matrix is recovered; only the value is reported.
     """
     start = time.perf_counter()
-    if g.n == 0:
-        return MinrankResult(0, "cnf", None, True, {"sat_calls": 0})
-    bounds = greedy_bounds(g.adjacency_bits(), (1 << g.n) - 1)
+    bounds = greedy_bounds(g.adjacency_bits(), (1 << g.n) - 1 if mask is None else mask)
     lo, hi = bounds.lower, bounds.upper
     calls = 0
     while lo < hi:
         mid = (lo + hi) // 2
         calls += 1
-        if run_solver(cnf_lines(g, mid), solver_path):
+        if run_solver(cnf_lines(g, mid, mask), solver_path):
             hi = mid
         else:
             lo = mid + 1
-    return MinrankResult(
-        lo,
-        "cnf",
-        None,
-        True,
-        {"sat_calls": calls, "elapsed": time.perf_counter() - start},
-    )
+    stats = {"sat_calls": calls, "elapsed": time.perf_counter() - start}
+    return MinrankResult(lo, "cnf", None, True, stats)

@@ -10,6 +10,13 @@ only as far as the search gets.  Before it branches, it splits a join into its
 co-components and tries to close the gap between the independence number
 and the clique-cover number outright.  It solves a part of a graph on the
 graph's neighbour bitsets and the part's vertex bitset, never on a copy.
+
+The policy for searching a part lives here too, on the same bitsets:
+auto's fallback, for a component with an atom in no family, deletes the
+component's dominated vertices before branch and bound
+(`_search_undominated`), and the bounded-order family's solver closes each
+component by its bounds, deletes its dominated vertices or cuts it at its
+lowest cut vertex before it searches (`_minrank_on`).
 """
 
 from __future__ import annotations
@@ -454,6 +461,69 @@ def _bnb_on(adjacency, mask: int, node_budget: int | None) -> MinrankResult:
         return _bnb_connected(adjacency, mask, node_budget)
     solved = ((part, _bnb_connected(adjacency, part, node_budget)) for part in comps)
     return _combine_components(len(adjacency), solved, "bnb")
+
+
+def _search_undominated(g: Graph, mask: int, node_budget: int | None) -> MinrankResult:
+    """`minrank_bnb` of g's subgraph induced on the vertex bitset `mask`,
+    searched without its dominated vertices.  The witness is rebuilt in
+    reverse order of deletion: where v dominated u, every row with a v bit
+    gets the u bit, and u gets v's row."""
+    kept, deletions = undominated(g.adjacency_bits(), mask)
+    res = minrank_bnb(g, node_budget, kept)
+    res.stats["dominated"] = len(deletions)
+    if deletions:
+        rows = dict(zip(_iter_bits(kept), res.witness.data))
+        for u, v in reversed(deletions):
+            for w, row in rows.items():
+                if row >> v & 1:
+                    rows[w] = row | 1 << u
+            rows[u] = rows[v]
+        res.witness = _witness(g.n, rows)
+    return res
+
+
+def _minrank_on(adjacency, memo: dict, mask: int) -> int:
+    """Min-rank of the subgraph induced on the vertex bitset `mask`: the sum
+    over its components, each solved once per `memo`.  Module functions,
+    not closures that call each other, carry the recursion, so that no
+    solver is held in a reference cycle."""
+    total = 0
+    for comp in bit_components(adjacency, mask):
+        if comp not in memo:
+            memo[comp] = _component_minrank(adjacency, memo, comp)
+        total += memo[comp]
+    return total
+
+
+def _component_minrank(adjacency, memo: dict, comp: int) -> int:
+    """Min-rank of the connected subgraph induced on the vertex bitset
+    `comp`.  A component whose bounds leave a gap is solved without its
+    dominated vertices (`undominated`), which keeps its min-rank; one with
+    none is cut at its lowest cut vertex x: deleting x leaves pieces b_1 ...
+    b_k, and the graphs b_i + x meet only in x, so by the rule `dp` folds
+    with, its min-rank is the sum of the mr(b_i), plus one when every piece
+    needs x, mr(b_i + x) > mr(b_i).  Only a 2-connected component with no
+    dominated vertex goes to branch and bound, which finds its own bounds
+    again."""
+    gb = greedy_bounds(adjacency, comp)
+    if gb.lower == gb.upper:
+        return gb.upper
+    alpha = independence_number(adjacency, comp)
+    if alpha == gb.upper:
+        return alpha
+    kept, deletions = undominated(adjacency, comp)
+    if deletions:  # same min-rank, on fewer vertices
+        return _minrank_on(adjacency, memo, kept)
+    for x in _iter_bits(comp):
+        pieces = bit_components(adjacency, comp ^ 1 << x)
+        if len(pieces) > 1:
+            break
+    else:
+        return _bnb_connected(adjacency, comp, None).value
+    # The pieces glued at x, by the rule in the docstring.
+    without = [_minrank_on(adjacency, memo, b) for b in pieces]
+    needed = all(_minrank_on(adjacency, memo, b | 1 << x) > m for b, m in zip(pieces, without))
+    return sum(without) + needed
 
 
 def _combine_components(cols: int, solved, method: str, join: bool = False) -> MinrankResult:

@@ -5,7 +5,8 @@ the member's vertex ids to its min-rank with them deleted, which is all the
 dp fold asks of a part.  It also says whether a union of pieces glued along
 a tree of bridges is a member.  Families must be closed under vertex
 deletion, which the decomposition algorithms rely on when they remove
-connector vertices from a part.
+connector vertices from a part.  The bounded-order solver only maps vertex
+ids to bit positions; `exact` searches the part on them.
 """
 
 from __future__ import annotations
@@ -14,10 +15,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .errors import GraphError
-from .exact import (
-    _bnb_connected, _iter_bits, bit_components, greedy_bounds, independence_number,
-    undominated,
-)
+from .exact import _minrank_on
 from .graph import Graph
 
 
@@ -40,16 +38,10 @@ class FamilyOracle(ABC):
 
 
 class BoundedOrderFamily(FamilyOracle):
-    """All graphs on at most `bound` vertices; min-rank per component of what
-    a deletion leaves, on bitsets over the part's positions, which only the
-    solver knows: it is asked by vertex id.  A component whose bounds leave
-    a gap is solved without its dominated vertices (`undominated`), which
-    keeps its min-rank; one with none is cut at its lowest cut vertex x:
-    deleting x leaves pieces b_1 ... b_k, and the graphs b_i + x meet only
-    in x, so by the rule `dp` folds with, its min-rank is the sum of the
-    mr(b_i), plus one when every piece needs x, mr(b_i + x) > mr(b_i).
-    Only a 2-connected component with no dominated vertex goes to
-    exhaustive search, which finds its own bounds again."""
+    """All graphs on at most `bound` vertices.  The solver is asked by vertex
+    id and maps the ids to bit positions in the part, which only it knows;
+    `exact._minrank_on` answers on those bitsets, solving each component of
+    what a deletion leaves once."""
 
     def __init__(self, bound: int = 10):
         if bound < 1:
@@ -78,41 +70,6 @@ class BoundedOrderFamily(FamilyOracle):
             return _minrank_on(adjacency, memo, left)
 
         return solve
-
-
-def _minrank_on(adjacency, memo: dict, mask: int) -> int:
-    """Min-rank of the subgraph induced on the vertex bitset `mask`: the sum
-    over its components, each solved once per `memo`.  Module functions,
-    not closures that call each other, carry the recursion, so that no
-    solver is held in a reference cycle."""
-    total = 0
-    for comp in bit_components(adjacency, mask):
-        if comp not in memo:
-            memo[comp] = _component_minrank(adjacency, memo, comp)
-        total += memo[comp]
-    return total
-
-
-def _component_minrank(adjacency, memo: dict, comp: int) -> int:
-    gb = greedy_bounds(adjacency, comp)
-    if gb.lower == gb.upper:
-        return gb.upper
-    alpha = independence_number(adjacency, comp)
-    if alpha == gb.upper:
-        return alpha
-    kept, deletions = undominated(adjacency, comp)
-    if deletions:  # same min-rank, on fewer vertices
-        return _minrank_on(adjacency, memo, kept)
-    for x in _iter_bits(comp):
-        pieces = bit_components(adjacency, comp ^ 1 << x)
-        if len(pieces) > 1:
-            break
-    else:
-        return _bnb_connected(adjacency, comp, None).value
-    # The pieces glued at x, by the rule in the class docstring.
-    without = [_minrank_on(adjacency, memo, b) for b in pieces]
-    needed = all(_minrank_on(adjacency, memo, b | 1 << x) > m for b, m in zip(pieces, without))
-    return sum(without) + needed
 
 
 def perfect_elimination_order(g: Graph, vertices=None) -> list[int] | None:

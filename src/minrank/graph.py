@@ -69,26 +69,6 @@ class Graph:
             )
         return self._bits
 
-    def induced_subgraph(self, vertices) -> tuple["Graph", dict[int, int]]:
-        """Subgraph induced on an ordered vertex sequence.
-
-        Returns the new graph and the old->new index map.  The i-th vertex
-        of the sequence becomes vertex i; duplicates are rejected.
-        """
-        vs = list(vertices)
-        mapping = {}
-        for pos, v in enumerate(vs):
-            if not 0 <= v < self.n:
-                raise GraphError(f"vertex {v} out of range for n={self.n}")
-            if v in mapping:
-                raise GraphError(f"duplicate vertex {v} in induced subgraph")
-            mapping[v] = pos
-        adj = [{mapping[w] for w in self._adj[v] if w in mapping} for v in vs]
-        labels = None
-        if self.labels is not None:
-            labels = {mapping[v]: self.labels[v] for v in vs if v in self.labels}
-        return Graph._of_adjacency(adj, labels), mapping
-
     def closed_atoms(self):
         """One depth-first search (Tarjan 1974), yielding each 2-edge-connected
         component, or atom, as it closes: its vertices, head first, and the

@@ -12,6 +12,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 from minrank import BitMatrix, Graph
 from minrank.exact import bit_components
 
+import oracles
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 SOLVER_SCRIPT = os.path.join(os.path.dirname(__file__), "dimacs_dpll.py")
 
@@ -48,7 +50,20 @@ def random_graph_in_budget(
 
 def delete_vertex(g: Graph, v: int) -> Graph:
     """g minus vertex v: the subgraph induced on the others, in order."""
-    return g.induced_subgraph([u for u in range(g.n) if u != v])[0]
+    return oracles.induced_subgraph(g, [u for u in range(g.n) if u != v])[0]
+
+
+def graphs_built(monkeypatch) -> list:
+    """A list that gets every `Graph` built from now on, as it is made:
+    each passes through the constructor, however it is copied or parsed."""
+    built, real = [], Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    return built
 
 
 def component_count(g: Graph) -> int:

@@ -19,7 +19,9 @@ solvers and glues with `star_merge` and `combine_shared_vertex`; and
 bridge search closed atoms, reads the package's `bridge_split` and
 family claims and rebuilds each component's atom tree.  Both ask a
 solver by the ids of g's vertices in its own part, which is all a solver
-answers for.
+answers for.  `induced_subgraph`, the copy the package no longer makes,
+builds the package's `Graph` for tests that compare a part with a graph
+of its own.
 """
 
 import itertools
@@ -27,6 +29,16 @@ from collections import deque
 
 from minrank.errors import GraphError
 from minrank.graph import Graph
+
+
+def induced_subgraph(g, vertices):
+    """g's subgraph induced on an ordered sequence of distinct vertices,
+    the i-th of which becomes vertex i, with their labels, and the old->new
+    index map."""
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = [(index[v], index[w]) for v in index for w in g.neighbor_set(v) if w in index]
+    labels = {index[v]: g.labels[v] for v in index if v in (g.labels or ())}
+    return Graph(len(index), edges, labels), index
 
 
 def naive_rank(rows):

@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 from minrank import (
-    Graph, MinrankResult, cli, default_registry, emit_edge_list, validate_structure,
+    Graph, MinrankResult, cli, cnf, default_registry, emit_edge_list, validate_structure,
     verify_witness,
 )
 from minrank.cli import main
@@ -24,7 +24,8 @@ from minrank.formats import parse_edge_list, parse_graph6
 from minrank.generator import generate_member
 from minrank.structure import SimpleTreeStructure
 
-from conftest import DATA_DIR, matrix_from_strings, solver_command
+from conftest import DATA_DIR, graphs_built, matrix_from_strings, solver_command
+import oracles
 from oracles import minrank_bruteforce
 
 RECORD_SCHEMA = {
@@ -699,7 +700,7 @@ TWO_BRIDGED_SPARSE = "5 15\n15 25\n5 25\n25 35\n45 55\n55 65\n65 75\n75 45\n65 8
 def on_component(g, obj):
     """The component of g that a structure record spans, as its induced
     graph, and the structure renumbered onto that graph."""
-    sub, index = g.induced_subgraph(sorted(v for part in obj["parts"] for v in part))
+    sub, index = oracles.induced_subgraph(g, sorted(v for part in obj["parts"] for v in part))
     return sub, SimpleTreeStructure(
         tuple(tuple(index[v] for v in part) for part in obj["parts"]),
         tuple(obj["parent"]),
@@ -759,30 +760,26 @@ def test_recognize_components_searches_once_and_copies_nothing(tmp_path, capsys,
     its component, and every component is a member."""
     g = parse_edge_list(TWO_BRIDGED_EDGES)
     path = write(tmp_path, "two.edges", TWO_BRIDGED_EDGES)
-    splits, copies, checked = [], [], []
-    real_split, real_induced = Graph.bridge_split, Graph.induced_subgraph
+    splits, checked = [], []
+    real_split = Graph.bridge_split
 
     def counted_split(self):
         splits.append(self.n)
         return real_split(self)
-
-    def counted_induced(self, vertices):
-        copies.append(self.n)
-        return real_induced(self, vertices)
 
     def counted_validate(*args):
         checked.append(args)
         return validate_structure(*args)
 
     monkeypatch.setattr(Graph, "bridge_split", counted_split)
-    monkeypatch.setattr(Graph, "induced_subgraph", counted_induced)
+    built = graphs_built(monkeypatch)
     for name, module in list(sys.modules.items()):
         if name.startswith("minrank") and hasattr(module, "validate_structure"):
             monkeypatch.setattr(module, "validate_structure", counted_validate)
     code, out, _ = run_cli(capsys, ["recognize", path, "--components"])
     monkeypatch.undo()
     assert code == 0 and all(rec["member"] for rec in records(out))
-    assert (splits, copies, checked) == ([g.n], [], [])
+    assert (splits, built, checked) == ([g.n], [g], [])
     checked = []
     for rec in records(out):
         sub, t = on_component(g, rec["structure"])
@@ -1084,27 +1081,29 @@ def test_config_file_sets_defaults(tmp_path, capsys, monkeypatch):
 
 def test_auto_sends_an_inexact_component_to_the_sat_solver(tmp_path, capsys, monkeypatch):
     """Under auto, a component that recognition rejects and branch and
-    bound leaves inexact goes to the SAT solver as a graph of its own, the
-    one copy auto makes; without a solver nothing is copied."""
-    edges = [(0, 1), (1, 2), (0, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)]
-    path = write(tmp_path, "two.edges", emit_edge_list(Graph(8, edges)))
-    copies = []
-    real_induced = Graph.induced_subgraph
+    bound leaves inexact goes to the SAT solver, encoded in place: the one
+    graph built is the parsed input, with or without a solver."""
+    g = Graph(8, [(0, 1), (1, 2), (0, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)])
+    path = write(tmp_path, "two.edges", emit_edge_list(g))
+    formulas = []
+    real_run = cnf.run_solver
 
-    def counted(self, vertices):
-        copies.append(list(vertices))
-        return real_induced(self, copies[-1])
+    def recorded(dimacs, solver_path):
+        formulas.append(list(dimacs))
+        return real_run(formulas[-1], solver_path)
 
-    monkeypatch.setattr(Graph, "induced_subgraph", counted)
+    monkeypatch.setattr(cnf, "run_solver", recorded)
+    built = graphs_built(monkeypatch)
     argv = ["minrank", path, "--registry", "chordal", "--node-budget", "0"]
     code, out, _ = run_cli(capsys, argv)
     (rec,) = records(out)
-    assert code == 3 and not rec["exact"] and copies == []
+    assert code == 3 and not rec["exact"] and built == [g] and formulas == []
+    built.clear()
     code, out, _ = run_cli(capsys, [*argv, "--sat-solver", solver_command()])
     (rec,) = records(out)
     assert code == 0 and rec["exact"] and rec["value"] == 1 + 3  # mr(C5) = 3
     assert rec["stats"]["methods"] == ["dp", "cnf"]
-    assert copies == [list(range(3, 8))]
+    assert built == [g] and "n=5 m=5" in formulas[0][0]
 
 
 def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):
@@ -1181,6 +1180,11 @@ def test_config_solver_used_by_cnf_method(tmp_path, capsys, monkeypatch):
         ["gen", "--seed", "1", "--parts", "2", "--dot"],
         # A structure of the path 0-1-2 whose uc key is no canonical decimal.
         ["validate", "P3", "--structure", "KEY"],
+        # Commands that take a single graph, given a file of two.
+        ["recognize", "TWO"],
+        ["dp", "TWO"],
+        ["cnf", "TWO", "--k", "1"],
+        ["validate", "TWO", "--structure", "IN"],
     ],
 )
 def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
@@ -1196,8 +1200,10 @@ def test_usage_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
         io.BytesIO(b"\xff\xfe\n"), encoding="utf-8", errors="surrogateescape"
     )
     monkeypatch.setattr(sys, "stdin", stdin)
+    two = write(tmp_path, "two.g6", "A_\nA_\n")
     out = tmp_path / "out.json"
-    names = {"IN": path, "C5": c5, "P3": p3, "KEY": key, "BAD": str(bad), "OUT": str(out)}
+    names = {"IN": path, "C5": c5, "P3": p3, "KEY": key, "BAD": str(bad), "TWO": two,
+             "OUT": str(out)}
     argv = [names.get(a, a) for a in argv]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
@@ -1269,6 +1275,15 @@ def test_bad_config_file_exits_two(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["minrank", path])
     assert code == 2
     assert "config" in err
+
+
+def test_config_file_of_no_object_exits_two(tmp_path, capsys, monkeypatch):
+    """A config file must hold a JSON object: an array is refused."""
+    path = write(tmp_path, "ex.edges", EXAMPLE_EDGES)
+    monkeypatch.setenv("MINRANK_CONFIG", write(tmp_path, "cfg.json", '["c", 2]'))
+    code, out, err = run_cli(capsys, ["minrank", path])
+    assert code == 2 and out == ""
+    assert err.startswith("error: config file") and "must hold a JSON object" in err
 
 
 @pytest.mark.parametrize("config", [{"c": "x"}, {"registry": 5}, {"sat_solver": 1}])

@@ -14,7 +14,8 @@ from minrank.cnf import run_solver
 from minrank.formats import emit_edge_list
 from minrank.generator import generate_member
 from minrank.errors import GraphError
-from conftest import SOLVER_SCRIPT, random_graph_in_budget, solver_command
+from conftest import SOLVER_SCRIPT, random_edges, random_graph_in_budget, solver_command
+import oracles
 from oracles import minrank_bruteforce
 
 
@@ -60,6 +61,23 @@ def test_k_out_of_range(example1):
         cnf_lines(example1, 0)
     with pytest.raises(ValueError):
         cnf_lines(example1, 6)
+
+
+def test_cnf_lines_on_a_part_match_its_copy():
+    """On a vertex bitset the formula is, byte for byte and for every k,
+    the one for the part as a graph of its own with its vertices numbered
+    in ascending order; k is checked against the part's order."""
+    rng = random.Random(46)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        g = Graph(n, random_edges(rng, n, rng.choice([0.2, 0.5, 0.8])))
+        vs = sorted(rng.sample(range(n), rng.randint(1, n)))
+        mask = sum(1 << v for v in vs)
+        sub = oracles.induced_subgraph(g, vs)[0]
+        for k in range(1, len(vs) + 1):
+            assert list(cnf_lines(g, k, mask)) == list(cnf_lines(sub, k)), (g.edges, vs, k)
+        with pytest.raises(GraphError):
+            cnf_lines(g, len(vs) + 1, mask)
 
 
 def path_text(n: int) -> str:
@@ -209,3 +227,21 @@ def test_binary_search_matches_bruteforce():
 def test_empty_graph_short_circuits():
     res = minrank_via_cnf(Graph(0, []), "nonexistent-solver")
     assert res.value == 0 and res.stats["sat_calls"] == 0
+
+
+def test_binary_search_on_a_part_matches_its_copy():
+    """The search on a vertex bitset calls the solver as often as on the
+    part's own graph and finds its min-rank; an empty part calls it never,
+    and its record times the search like every other."""
+    rng = random.Random(401)
+    solver = solver_command()
+    for _ in range(12):
+        g = random_graph_in_budget(rng, 6)
+        vs = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+        sub = oracles.induced_subgraph(g, vs)[0]
+        res = minrank_via_cnf(g, solver, sum(1 << v for v in vs))
+        whole = minrank_via_cnf(sub, solver)
+        assert (res.value, res.exact) == (minrank_bruteforce(sub).value, True)
+        assert res.stats["sat_calls"] == whole.stats["sat_calls"]
+    res = minrank_via_cnf(Graph(3, [(0, 1)]), "nonexistent-solver", 0)
+    assert (res.value, res.stats["sat_calls"]) == (0, 0) and "elapsed" in res.stats

@@ -26,6 +26,7 @@ from minrank.cli import solve_graph
 from minrank.dp import atom_fold
 from minrank.generator import generate_member
 from conftest import delete_vertex, random_connected_in_budget
+import oracles
 from oracles import (
     atom_fold_by_atom_tree, combine_shared_vertex, dp_fold_by_subset_table,
     minrank_bruteforce, star_merge,
@@ -194,7 +195,7 @@ def test_dp_minrank_refuses_a_component_structure_until_moved_onto_its_graph():
         with pytest.raises(StructureError) as exc:
             dp_minrank(g, t, reg)
         assert f"vertices not covered by any part: {others}" in str(exc.value)
-        sub, index = g.induced_subgraph(vertices)
+        sub, index = oracles.induced_subgraph(g, vertices)
         local = SimpleTreeStructure([[index[v] for v in p] for p in t.parts], t.parent)
         mask = sum(1 << v for v in vertices)
         assert dp_minrank(sub, local, reg).value == minrank_bnb(g, mask=mask).value

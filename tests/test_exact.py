@@ -19,13 +19,13 @@ from minrank import (
     BitMatrix,
     FamilyRegistry,
     Graph,
+    default_registry,
     fits,
     minrank_bnb,
     rank_gf2,
     verify_witness,
 )
 from minrank import exact
-from minrank import cli
 from minrank.cli import solve_graph
 from minrank.exact import (
     _combine_components,
@@ -219,7 +219,7 @@ def test_bounds_match_set_based_references():
         )
         keep = sorted(rng.sample(range(n), rng.randint(0, n)))
         mask = sum(1 << v for v in keep)
-        sub = g.induced_subgraph(keep)[0]
+        sub = oracles.induced_subgraph(g, keep)[0]
         chosen, cliques = oracles.greedy_bounds_by_sets(sub.n, sub.edges)
         got = greedy_bounds(g.adjacency_bits(), mask)
         assert got.independent_set == tuple(keep[i] for i in chosen)
@@ -432,6 +432,33 @@ def test_bnb_bound_cuts_the_root():
         assert (res.value, res.exact, res.stats.get("interval")) == (41, interval is None, interval)
         assert (res.stats["nodes"], res.stats["rows"]) == (1, 0)
         assert res.witness.data == (3, 3, *(1 << v for v in range(2, 42)))
+
+
+@pytest.mark.parametrize(
+    "line, n, m, value, upper_init, nodes, rows",
+    [
+        ("j????????????G??AC_?@?????A??_?_???????OG???????_G@????C??C???AS?????_?????O"
+         "???A???_???O??????C???E??????O???A????A??AA???AO???GGOO????A??G???@OP?A?C???",
+         43, 45, 25, 26, 82, 63),
+        ("i?C??????????aOA????????_????_O?????C??C@?G??_?????@????????_@?????C??GG????"
+         "A??O??K?A?O@??C?O??????__?AC?????C??O????A?W?@?G??????G????GC???????o",
+         42, 44, 22, 23, 77, 56),
+    ],
+    ids=["n43", "n42"],
+)
+def test_bnb_leaf_beats_the_greedy_cover(line, n, m, value, upper_init, nodes, rows):
+    """Above 40 vertices the incumbent is the greedy clique cover, one
+    clique more than the greedy independent set here: the search reaches a
+    leaf of that lower bound, which beats the cover and stops the search
+    at once.  Auto, which folds or searches these itself, agrees."""
+    g = parse_graph6(line)
+    assert (g.n, g.edge_count) == (n, m)
+    res = minrank_bnb(g)
+    stats = {k: v for k, v in res.stats.items() if k != "elapsed"}
+    assert (res.value, res.exact) == (value, True) and verify_witness(res, g)
+    assert stats == {"lower": value, "upper_init": upper_init, "nodes": nodes,
+                     "rows": rows, "cover_nodes": 0}
+    assert solve_graph(g, "auto", default_registry(), None, None).value == value
 
 
 def test_bnb_lists_rows_lazily(random1000_path):
@@ -690,7 +717,7 @@ def test_undominated_kernel_keeps_minrank_and_rebuilds_witness():
         kept, deletions = exact.undominated(adjacency, full)
         assert _replay(adjacency, full, deletions) == kept
         assert oracles.undominated_by_restart(adjacency, kept) == (kept, []), g.edges
-        res = cli._search_undominated(g, full, None)
+        res = exact._search_undominated(g, full, None)
         assert res.exact and res.stats["dominated"] == len(deletions)
         assert res.value == minrank_bnb(g, None, kept).value == minrank_bnb(g).value, g.edges
         assert verify_witness(res, g), g.edges

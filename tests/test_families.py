@@ -17,13 +17,13 @@ from minrank import (
     default_registry,
     parse_registry_spec,
 )
-from minrank import exact, families
+from minrank import exact
 from minrank.exact import minrank_bnb
 from minrank.families import BoundedOrderFamily, perfect_elimination_order
 from minrank.formats import parse_graph6
 from minrank.generator import random_connected_chordal, random_connected_graph
 from conftest import (
-    component_count, flat_bridge_split, random_edges, random_graph_in_budget,
+    component_count, flat_bridge_split, graphs_built, random_edges, random_graph_in_budget,
 )
 import oracles
 from oracles import minrank_bruteforce
@@ -92,7 +92,7 @@ def _assert_one_pass_order(g: Graph, vertices=None) -> bool:
     and the order of a search run to the end; returns the verdict."""
     vs = list(range(g.n)) if vertices is None else vertices
     order = perfect_elimination_order(g, vertices)
-    sub, _ = g.induced_subgraph(vs)
+    sub, _ = oracles.induced_subgraph(g, vs)
     want = oracles.is_chordal_by_elimination(sub.n, sub.edges)
     assert (order is not None) == want, (g.edges, vertices)
     if order is not None:
@@ -169,7 +169,7 @@ def test_chordal_solver_matches_bruteforce_on_deleted_subsets():
         solve = fam.solver(g)
         for _ in range(4):
             removed = rng.sample(range(g.n), rng.randint(0, g.n))
-            sub = g.induced_subgraph([v for v in range(g.n) if v not in removed])[0]
+            sub = oracles.induced_subgraph(g, [v for v in range(g.n) if v not in removed])[0]
             if 2 * sub.edge_count <= 14:
                 assert solve(removed) == minrank_bruteforce(sub).value, g.edges
                 checked += 1
@@ -197,8 +197,8 @@ def _bridged_union(rng: random.Random):
     chosen = {rng.randrange(len(pieces))}
     for _ in range(rng.randint(0, len(pieces) - 1)):
         chosen.add(rng.choice(sorted({j for i in chosen for j in tree[i]})))
-    union, _ = g.induced_subgraph(sorted(v for i in chosen for v in pieces[i]))
-    return [g.induced_subgraph(pieces[i])[0] for i in chosen], union
+    union, _ = oracles.induced_subgraph(g, sorted(v for i in chosen for v in pieces[i]))
+    return [oracles.induced_subgraph(g, pieces[i])[0] for i in chosen], union
 
 
 @pytest.mark.parametrize(
@@ -246,7 +246,7 @@ def test_chordal_family_is_hereditary():
         keep = sorted(
             rng.sample(range(g.n), rng.randint(1, g.n))
         )
-        sub, _ = g.induced_subgraph(keep)
+        sub, _ = oracles.induced_subgraph(g, keep)
         assert fam.solver(sub) is not None
 
 
@@ -291,13 +291,13 @@ def test_bounded_solver_matches_bruteforce_on_deletions(seed_offset):
         n = rng.randint(1, 14)
         g = Graph(n, random_edges(rng, n, rng.choice([0.15, 0.3, 0.5])))
         part = rng.sample(range(n), rng.randint(1, min(8, n)))
-        if 2 * g.induced_subgraph(part)[0].edge_count > 16:
+        if 2 * oracles.induced_subgraph(g, part)[0].edge_count > 16:
             continue
         solve = fam.solver(g, part)
         for r in range(min(3, len(part)) + 1):
             for removed in itertools.combinations(part, r):
                 keep = [v for v in part if v not in removed]
-                want = minrank_bruteforce(g.induced_subgraph(keep)[0]).value
+                want = minrank_bruteforce(oracles.induced_subgraph(g, keep)[0]).value
                 assert solve(removed) == want, (g.edges, part, removed)
         checked += 1
     assert fam.solver(Graph(9)) is None
@@ -330,12 +330,12 @@ def test_bounded_solver_answers_every_deletion_through_one_solver():
     for trial in range(8):
         g, part = _host_with_part(rng, c5=trial % 2 == 0)
         solve = fam.solver(g, part)
-        whole = component_count(g.induced_subgraph(part)[0])
+        whole = component_count(oracles.induced_subgraph(g, part)[0])
         masks = list(range(1 << len(part)))
         rng.shuffle(masks)
         for mask in masks:
             removed = [v for i, v in enumerate(part) if mask >> i & 1]
-            sub = g.induced_subgraph([v for v in part if v not in removed])[0]
+            sub = oracles.induced_subgraph(g, [v for v in part if v not in removed])[0]
             if sub not in known:
                 exhaustive = 2 * sub.edge_count <= 16
                 known[sub] = (minrank_bruteforce if exhaustive else minrank_bnb)(sub).value
@@ -348,33 +348,29 @@ def test_bounded_solver_searches_only_components_with_a_gap(monkeypatch):
     """A 4-cycle with a pendant closes at its bounds under every deletion:
     nothing is searched.  On a 5-cycle with a pendant path, the first query
     that leaves the 5-cycle searches it once, and a later query meeting the
-    same component searches no more.  No subgraph is ever built."""
-    calls = {"bnb": 0, "induced": 0}
-    real_bnb, real_induced = families._bnb_connected, Graph.induced_subgraph
+    same component searches no more.  No graph is ever built."""
+    calls = {"bnb": 0}
+    real_bnb = exact._bnb_connected
 
     def counted_bnb(*args, **kwargs):
         calls["bnb"] += 1
         return real_bnb(*args, **kwargs)
-
-    def counted_induced(self, vertices):
-        calls["induced"] += 1
-        return real_induced(self, vertices)
 
     c4 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])
     c5 = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6)])
     c4_part = [0, 1, 2, 3, 4]
     c4_solve = BoundedOrderFamily(10).solver(c4, c4_part)
     c5_solve = BoundedOrderFamily(10).solver(c5)
-    monkeypatch.setattr(families, "_bnb_connected", counted_bnb)
-    monkeypatch.setattr(Graph, "induced_subgraph", counted_induced)
+    monkeypatch.setattr(exact, "_bnb_connected", counted_bnb)
+    built = graphs_built(monkeypatch)
     for r in range(6):
         for removed in itertools.combinations(c4_part, r):
             c4_solve(removed)
-    assert calls == {"bnb": 0, "induced": 0}
+    assert calls == {"bnb": 0} and built == []
     assert c5_solve([5]) == 4
-    assert calls == {"bnb": 1, "induced": 0}
+    assert calls == {"bnb": 1} and built == []
     assert c5_solve([5, 6]) == 3
-    assert calls == {"bnb": 1, "induced": 0}
+    assert calls == {"bnb": 1} and built == []
 
 
 @pytest.mark.parametrize("spec", ["chordal,bounded:10", "bounded:10"])
@@ -492,7 +488,7 @@ def test_bounded_solver_on_bridged_parts():
         assert solve(()) == want, g.edges
         for r in (1, 2):
             for removed in itertools.combinations(range(g.n), r):
-                sub = g.induced_subgraph([v for v in range(g.n) if v not in removed])[0]
+                sub = oracles.induced_subgraph(g, [v for v in range(g.n) if v not in removed])[0]
                 assert solve(removed) == minrank_bnb(sub).value, (g.edges, removed)
 
 
@@ -510,7 +506,7 @@ def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
     has a gap between its independence number and its greedy clique cover,
     both of which the search finds again, and has no dominated vertex."""
     searched = []
-    real_bnb = families._bnb_connected
+    real_bnb = exact._bnb_connected
 
     def bridgeless_bnb(adjacency, mask, node_budget):
         sub = _mask_graph(adjacency, mask)
@@ -523,7 +519,7 @@ def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
         searched.append(sub.n)
         return real_bnb(adjacency, mask, node_budget)
 
-    monkeypatch.setattr(families, "_bnb_connected", bridgeless_bnb)
+    monkeypatch.setattr(exact, "_bnb_connected", bridgeless_bnb)
     rng = random.Random(508)
     for i in range(300):
         g = (_bridged_graph, _glued_graph)[i % 2](rng)
@@ -537,13 +533,13 @@ def test_bounded_solver_searches_only_bridgeless_components(monkeypatch):
 
 def test_bounded_solver_builds_no_graph(monkeypatch):
     """Every deletion of at most 2 positions from each bridged part is
-    answered on the solver's bitsets: no induced subgraph is built and no
-    graph's bridges are searched."""
+    answered on the solver's bitsets: no graph is built and no graph's
+    bridges are searched."""
 
     def refuse(*args):
         raise AssertionError("the bounded-order oracle built or split a graph")
 
-    monkeypatch.setattr(Graph, "induced_subgraph", refuse)
+    monkeypatch.setattr(Graph, "__init__", refuse)
     monkeypatch.setattr(Graph, "bridge_split", refuse)
     for g, want in BRIDGED_PARTS:
         solve = BoundedOrderFamily(10).solver(g)

@@ -75,6 +75,7 @@ def test_round_trip_random(n, rnd):
         "C",  # truncated body
         "C???",  # oversized body
         "B~",  # nonzero padding bits for n=3
+        "B!",  # body byte below '?'
     ],
 )
 def test_graph6_rejects(bad):

@@ -33,6 +33,12 @@ def test_construction_rejects_garbage():
         BitMatrix(2, 2, (0b11,))  # row count mismatch
 
 
+@pytest.mark.parametrize("rows, cols", [(-1, 0), (0, -1)])
+def test_construction_rejects_negative_dimensions(rows, cols):
+    with pytest.raises(ValueError, match="negative matrix dimension"):
+        BitMatrix(rows, cols, ())
+
+
 def test_identity_rank():
     assert rank_gf2(identity(7)) == 7
 
@@ -103,3 +109,8 @@ def test_fits_semantics(example1):
 def test_fits_rejects_wrong_shape(example1):
     with pytest.raises(ValueError):
         fits(identity(4), example1)
+
+
+def test_fits_rejects_a_matrix_that_is_not_square(example1):
+    with pytest.raises(ValueError, match="not square"):
+        fits(BitMatrix(5, 4, (1, 2, 4, 8, 0)), example1)

@@ -23,6 +23,7 @@ from minrank import cli, families
 from minrank.generator import generate_member, random_connected_graph
 from minrank.recognizer import merge_phase, split_phase
 from minrank.structure import SimpleTreeStructure
+from conftest import graphs_built
 import oracles
 from oracles import minrank_bruteforce
 
@@ -280,7 +281,7 @@ def test_merge_phase_matches_every_root_reference():
             continue
 
         def in_family(vertices):
-            sub = g.induced_subgraph(sorted(vertices))[0]
+            sub = oracles.induced_subgraph(g, sorted(vertices))[0]
             return oracles.registry_lookup(reg, sub) is not None
 
         member, roots, parts, parents = oracles.merge_every_root(
@@ -428,17 +429,10 @@ def test_merge_glues_without_induced_subgraphs(monkeypatch):
     g, _ = generate_member(3, 640, 2, profile="chordal", part_order=(2, 6))
     reg = default_registry()
     forest = split_phase(g, reg)
-    calls = []
-    real = Graph.induced_subgraph
-
-    def counted(self, vertices):
-        calls.append(self.n)
-        return real(self, vertices)
-
-    monkeypatch.setattr(Graph, "induced_subgraph", counted)
+    built = graphs_built(monkeypatch)
     structure, roots = merge_phase(forest, 2)
     assert len(forest.atoms) > 1000 and len(structure.parts) == 1
-    assert calls == []
+    assert built == []
 
 
 def test_split_tests_atoms_in_place(monkeypatch):
@@ -446,7 +440,7 @@ def test_split_tests_atoms_in_place(monkeypatch):
     holds every atom outright, so neither splitting nor recognition, which
     accepts the atom tree at once and reads no family, tests any of them;
     dp's validation then tests each part once, on the graph itself, and
-    the bounded:10 solver induces nothing, so no subgraph is induced."""
+    the bounded:10 solver induces nothing, so no graph is built."""
     rng = random.Random(9)
     edges, n, last = [], 0, None
     for _ in range(60):
@@ -458,14 +452,7 @@ def test_split_tests_atoms_in_place(monkeypatch):
         last = n + rng.randrange(order)
         n += order
     g = Graph(n, edges)
-    calls = []
-    real = Graph.induced_subgraph
-
-    def counted(self, vertices):
-        calls.append(self.n)
-        return real(self, vertices)
-
-    monkeypatch.setattr(Graph, "induced_subgraph", counted)
+    built = graphs_built(monkeypatch)
     tests = []
     real_test = families.perfect_elimination_order
 
@@ -483,7 +470,7 @@ def test_split_tests_atoms_in_place(monkeypatch):
     assert tests == []
     res = dp_minrank(g, out.structure, reg, trace=True)
     assert {node["family"] for node in res.stats["trace"]["nodes"]} == {"bounded:10"}
-    assert calls == [] and len(tests) == 60
+    assert built == [] and len(tests) == 60
 
 
 def star_of_atoms(h):
@@ -699,8 +686,8 @@ def test_auto_solve_searches_the_graph_once(monkeypatch, connected):
     g = generate_member(5, 40, 2, profile="mixed")[0] if connected else disjoint_members()
     atoms = [atom for _, tree_atoms in g.bridge_split() for atom in tree_atoms]
     assert any(len(atom) == 1 for atom in atoms)
-    searches, copies, claims = [], [], []
-    real_search, real_induced = Graph.closed_atoms, Graph.induced_subgraph
+    searches, claims = [], []
+    real_search = Graph.closed_atoms
     real_claim = FamilyRegistry.claim
 
     def counted_search(self):
@@ -710,25 +697,21 @@ def test_auto_solve_searches_the_graph_once(monkeypatch, connected):
     def refuse_split(self):
         raise AssertionError("the auto path collected a bridge split")
 
-    def counted_induced(self, vertices):
-        copies.append(self.n)
-        return real_induced(self, vertices)
-
     def counted_claim(self, h, part):
         claims.append(tuple(part))
         return real_claim(self, h, part)
 
     monkeypatch.setattr(Graph, "closed_atoms", counted_search)
     monkeypatch.setattr(Graph, "bridge_split", refuse_split)
-    monkeypatch.setattr(Graph, "induced_subgraph", counted_induced)
     monkeypatch.setattr(FamilyRegistry, "claim", counted_claim)
+    built = graphs_built(monkeypatch)
     res = cli.solve_graph(g, "auto", default_registry(), None, None)
     assert res.exact
     if connected:
         assert res.method == "dp"
     else:
         assert res.method == "components" and res.stats["methods"] == ["dp"] * 3
-    assert searches == [True] and copies == []
+    assert searches == [True] and built == []
     assert sorted(claims) == sorted(atom for atom in atoms if len(atom) > 1)
 
 

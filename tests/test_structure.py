@@ -189,6 +189,25 @@ def test_validate_flags_multi_edge_cut():
     assert any(rule == "R2" for rule, _ in report.violations)
 
 
+@pytest.mark.parametrize(
+    "parent, detail",
+    [
+        ((-1,), "parent array length 1 != part count 2"),
+        ((-1, 0, 0), "parent array length 3 != part count 2"),
+        ((-1, 2), "part 1 has out-of-range parent 2"),
+        ((-1, -3), "part 1 has out-of-range parent -3"),
+    ],
+)
+def test_validate_flags_bad_parent_array(parent, detail):
+    """A parent array of the wrong length, or naming no part, is a tree
+    violation, and the only one the tree check then reports."""
+    g, t = two_triangles()
+    report = validate_structure(g, SimpleTreeStructure(t.parts, parent, {}, {}),
+                                default_registry())
+    assert ("tree", detail) in report.violations and not report.valid
+    assert [r for r, _ in report.violations].count("tree") == 1
+
+
 def test_validate_flags_cross_edge_tree_mismatch():
     # three parts in a path of cross edges, but parent claims a star
     g = Graph(3, [(0, 1), (1, 2)])
@@ -242,6 +261,22 @@ def test_validate_flags_connector_mismatch():
     report = validate_structure(g, doctored, default_registry())
     assert not report.valid
     assert any(rule == "connectors" for rule, _ in report.violations)
+
+
+def test_validate_flags_stored_dc_mismatch():
+    """A stored downward-connector map that is not the derived one is a
+    connector violation."""
+    g, t = two_triangles()
+    doctored = SimpleTreeStructure(t.parts, t.parent, t.uc, {0: {1: (1,)}})
+    report = validate_structure(g, doctored, default_registry())
+    assert not report.valid
+    assert report.violations == [
+        ("connectors", f"stored dc map {{0: {{1: (1,)}}}} != derived {t.dc}")
+    ]
+
+
+def test_mdc_of_no_parts_is_zero():
+    assert mdc(SimpleTreeStructure((), (), {}, {})) == 0
 
 
 def test_dot_export():
